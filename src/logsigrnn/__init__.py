@@ -33,7 +33,6 @@ from .paths import (
 from .logsig_layer import (
     SegmentPartition,
     logsig_sequence,
-    logsig_sequence_backward,
     logsig_sequence_forward,
     backward_from_state,
 )
@@ -48,8 +47,6 @@ from .neural import (
     embedding_forward,
     evaluate_model,
     gcn_forward,
-    gcn_logsig_rnn_forward,
-    logsig_rnn_forward,
     rnn_forward,
     time_incorporated_layer,
     train,

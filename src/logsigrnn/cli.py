@@ -117,6 +117,12 @@ def save_checkpoint(path: str, config: ModelConfig, spec: tuple[int, int], param
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
+    """Read a checkpoint and check its parameters against the header's model.
+
+    Every parameter the header's config and input shape build must be
+    present with its built shape, and no other; anything else is an
+    ``InputError`` naming the file.
+    """
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
@@ -127,35 +133,53 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
     cfg_kwargs: dict = {}
     spec = [0, 0]
     i = 1
-    while i < len(lines) and not lines[i].startswith("params "):
-        key, _, value = lines[i].partition(" = ")
-        if key == "joints":
-            spec[0] = int(value)
-        elif key == "coords":
-            spec[1] = int(value)
-        elif key in _CONFIG_FIELDS:
-            cfg_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
-        else:
-            raise InputError(f"checkpoint {path}: unknown header key {key!r}")
+    try:
+        while i < len(lines) and not lines[i].startswith("params "):
+            key, _, value = lines[i].partition(" = ")
+            if key == "joints":
+                spec[0] = int(value)
+            elif key == "coords":
+                spec[1] = int(value)
+            elif key in _CONFIG_FIELDS:
+                cfg_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
+            else:
+                raise InputError(f"unknown header key {key!r}")
+            i += 1
+        count = int(lines[i].split()[1])
         i += 1
-    if i == len(lines):
-        raise InputError(f"checkpoint {path}: missing params section")
-    count = int(lines[i].split()[1])
-    i += 1
-    params: dict = {}
-    for _ in range(count):
-        head = lines[i].split()
-        if head[0] != "param":
-            raise InputError(f"checkpoint {path}: expected a param header, got {lines[i]!r}")
-        name, ndim = head[1], int(head[2])
-        shape = tuple(int(s) for s in head[3 : 3 + ndim])
-        values = np.array([float(tok) for tok in lines[i + 1].split()])
-        expected = int(np.prod(shape)) if shape else 1
-        if values.size != expected:
-            raise InputError(f"checkpoint {path}: param {name} has wrong element count")
-        params[name] = values.reshape(shape)
-        i += 2
-    config = ModelConfig(**cfg_kwargs)
+        params: dict = {}
+        for _ in range(count):
+            head = lines[i].split()
+            if head[0] != "param":
+                raise InputError(f"expected a param header, got {lines[i]!r}")
+            name, ndim = head[1], int(head[2])
+            shape = tuple(int(s) for s in head[3 : 3 + ndim])
+            values = np.array([float(tok) for tok in lines[i + 1].split()])
+            expected = int(np.prod(shape)) if shape else 1
+            if values.size != expected:
+                raise InputError(f"param {name} has wrong element count")
+            params[name] = values.reshape(shape)
+            i += 2
+    except IndexError as exc:
+        raise InputError(f"checkpoint {path}: truncated after line {len(lines)}") from exc
+    except ValueError as exc:
+        raise InputError(f"checkpoint {path}, line {i + 1}: {exc}") from exc
+    try:
+        config = ModelConfig(**cfg_kwargs)
+        built = StreamClassifier.build(config, (spec[0], spec[1])).params
+    except ValueError as exc:
+        raise InputError(f"checkpoint {path}: {exc}") from exc
+    for name, block in built.items():
+        if name not in params:
+            raise InputError(f"checkpoint {path}: missing param {name}")
+        if params[name].shape != block.shape:
+            raise InputError(
+                f"checkpoint {path}: param {name} has shape {params[name].shape}, "
+                f"the header's model needs {block.shape}"
+            )
+    extra = sorted(set(params) - set(built))
+    if extra:
+        raise InputError(f"checkpoint {path}: unexpected params {extra}")
     return config, (spec[0], spec[1]), params
 
 
@@ -187,33 +211,26 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
     report = RunReport(
         "logsig", config={"degree": args.degree, "segments": args.segments, "input": args.input}
     )
-    widths = set()
-    for sample in data.samples:
-        p = sample if isinstance(sample, TimedPath) else TimedPath(
-            sample.times, sample.frames.reshape(sample.num_frames, -1)
-        )
-        widths.add(p.width)
+    paths = [
+        s if isinstance(s, TimedPath) else TimedPath(s.times, s.frames.reshape(s.num_frames, -1))
+        for s in data.samples
+    ]
+    widths = {p.width for p in paths}
     if len(widths) > 1:
         raise InputError(f"stream file mixes widths {sorted(widths)}")
-    if data.samples:
-        width = widths.pop()
-        basis = enumerate_lyndon(width, args.degree)
+    if paths:
+        basis = enumerate_lyndon(widths.pop(), args.degree)
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
-        for i, sample in enumerate(data.samples):
-            p = sample if isinstance(sample, TimedPath) else TimedPath(
-                sample.times, sample.frames.reshape(sample.num_frames, -1)
-            )
+        for i, p in enumerate(paths):
             part = SegmentPartition.uniform(p.times[0], p.times[-1], args.segments)
             rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
             report.add_table(
                 f"sample{i}", labels, [[float(x) for x in row] for row in rows]
             )
-        report.metrics["samples"] = len(data.samples)
         report.metrics["logsig_dim"] = basis.dim
-    else:
-        report.metrics["samples"] = 0
+    report.metrics["samples"] = len(paths)
     return report, 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "SegmentPartition",
     "logsig_sequence",
     "logsig_sequence_forward",
-    "logsig_sequence_backward",
     "backward_from_state",
 ]
 
@@ -259,14 +258,3 @@ def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     np.add.at(grad, state.hi, state.w[:, None] * gaug)
     return grad
 
-
-def logsig_sequence_backward(
-    path: TimedPath,
-    partition: SegmentPartition,
-    degree: int,
-    basis: LyndonBasis | None,
-    upstream: np.ndarray,
-) -> np.ndarray:
-    """Propagate an upstream (N, d_ls) gradient to the path's points."""
-    _, state = logsig_sequence_forward(path, partition, degree, basis)
-    return backward_from_state(state, upstream)

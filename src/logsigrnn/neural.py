@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward
-from .lyndon import enumerate_lyndon, logsig_dim
+from .lyndon import enumerate_lyndon
 from .paths import TimedPath, evaluate
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "normalized_adjacency",
     "gcn_forward",
     "rnn_forward",
-    "logsig_rnn_forward",
-    "gcn_logsig_rnn_forward",
     "softmax",
     "cross_entropy",
     "train",
@@ -241,6 +239,13 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+_RNN_KEYS = ("u", "w", "b", "v", "vb")
+
+
+def _rnn_params(params: dict, prefix: str) -> list:
+    return [params[f"{prefix}.{k}"] for k in _RNN_KEYS]
+
+
 def _rnn_forward_batch(x, u, w, b, v, vb, cell):
     """Unroll a recurrent cell over (B, T, c) input; outputs are V h_t + vb."""
     B, T, _ = x.shape
@@ -317,8 +322,7 @@ def rnn_forward(seq: np.ndarray, params: dict, cell: str = "vanilla"):
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
     out, cache = _rnn_forward_batch(
-        np.asarray(seq, dtype=np.float64)[None],
-        params["u"], params["w"], params["b"], params["v"], params["vb"], cell,
+        np.asarray(seq, dtype=np.float64)[None], *(params[k] for k in _RNN_KEYS), cell
     )
     hs = cache[5]
     return out[0], hs[-1][0]
@@ -375,7 +379,17 @@ def _rnn_param_shapes(in_dim, hidden, cell):
 
 
 class StreamClassifier:
-    """Sequence classifier over timed paths or skeleton sequences."""
+    """Sequence classifier over timed paths or skeleton sequences.
+
+    Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
+    basis, segments)``.  A block maps each sample's frames ``(n, F, D)`` to
+    per-joint channels ``(n, J, c)`` (the embedding, or a plain reshape,
+    with ``J = 1`` for el-logsig-rnn; a graph convolution with ``J = F`` for
+    the gcn variants), runs the transformation tail once per joint, and one
+    recurrent unroll over all ``B * J`` rows of the batch.  Its full outputs
+    are the next block's frames.  The last step of the last block, averaged
+    over joints, feeds the head.  gcn-logsig-rnn-2 has two blocks.
+    """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
         config.validate()
@@ -387,25 +401,22 @@ class StreamClassifier:
     def _plan(self):
         cfg = self.config
         F, D = self.spec
-        if cfg.variant == "el-logsig-rnn":
-            width = cfg.embed_dim if cfg.use_embedding else F * D
-        elif cfg.variant.startswith("gcn"):
-            width = cfg.gcn_dim
-        else:
-            width = F * D
-        if cfg.use_time and cfg.variant != "frame-rnn":
-            width += 1
-        self.path_width = width
+        self.blocks = []
+        self.joints = F if cfg.variant.startswith("gcn") else 1
         if cfg.variant == "frame-rnn":
             self.rnn_in = F * D
+            return
+        if cfg.variant == "el-logsig-rnn":
+            widths = [cfg.embed_dim if cfg.use_embedding else F * D]
         else:
-            self.rnn_in = logsig_dim(width, cfg.degree) + (width if cfg.use_start_points else 0)
-            self.basis = enumerate_lyndon(width, cfg.degree)
-        if cfg.variant == "gcn-logsig-rnn-2":
-            width2 = cfg.gcn_dim + (1 if cfg.use_time else 0)
-            self.path_width2 = width2
-            self.rnn_in2 = logsig_dim(width2, cfg.degree) + (width2 if cfg.use_start_points else 0)
-            self.basis2 = enumerate_lyndon(width2, cfg.degree)
+            widths = [cfg.gcn_dim] * (2 if cfg.variant == "gcn-logsig-rnn-2" else 1)
+        for prefix, width, segments in zip(("rnn", "rnn2"), widths, (cfg.num_segments, cfg.num_segments2)):
+            width += 1 if cfg.use_time else 0
+            self.blocks.append((prefix, enumerate_lyndon(width, cfg.degree), segments))
+        in_dims = [b.dim + (b.width if cfg.use_start_points else 0) for _, b, _ in self.blocks]
+        self.rnn_in = in_dims[0]
+        if len(in_dims) > 1:
+            self.rnn_in2 = in_dims[1]
 
     @classmethod
     def build(cls, config: ModelConfig, spec: tuple[int, int], seed_or_rng=0) -> "StreamClassifier":
@@ -434,17 +445,46 @@ class StreamClassifier:
         model.params = p
         return model
 
-    # -- front ends ---------------------------------------------------------
+    # -- blocks ---------------------------------------------------------------
 
     def _as_frames(self, sample):
         if isinstance(sample, TimedPath):
             return sample.times, sample.points[:, None, :]
         return sample.times, sample.frames
 
+    def _block_map(self, index, frames, adjacency):
+        """Frames (n, F, D) -> per-joint channels (n, J, c) in front of block ``index``."""
+        cfg, p = self.config, self.params
+        if cfg.variant == "el-logsig-rnn":
+            if not cfg.use_embedding:
+                return frames.reshape(frames.shape[0], 1, -1)
+            seq = embedding_forward(
+                frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], p["embed.mix_b"]
+            )
+            return seq[:, None, :]
+        if adjacency is None:
+            raise ValueError("gcn variants require an adjacency matrix")
+        return gcn_forward(frames, adjacency, p["gcn2.theta" if index else "gcn.theta"])
+
+    def _block_map_backward(self, index, frames, adjacency, g_mixed, grads):
+        """Add the map's parameter gradients to ``grads``; return the gradient w.r.t. ``frames``."""
+        cfg, p = self.config, self.params
+        if cfg.variant == "el-logsig-rnn":
+            if cfg.use_embedding:
+                _, *g_embed = _embedding_backward(
+                    frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], g_mixed[:, 0, :]
+                )
+                for name, g in zip(("point_w", "point_b", "mix_w", "mix_b"), g_embed):
+                    grads[f"embed.{name}"] += g
+            return None
+        key = "gcn2.theta" if index else "gcn.theta"
+        g_frames, g_theta = _gcn_backward(frames, adjacency, p[key], g_mixed)
+        grads[key] += g_theta
+        return g_frames
+
     def _transform_tail(self, seq, times, basis, num_segments):
-        """AL / TL / logsig / start points, shared by the EL and GCN variants."""
+        """AL / TL / logsig / start points of one joint's channels."""
         cfg = self.config
-        cache = {}
         if cfg.use_accumulative:
             seq = accumulative_layer(seq)
         if cfg.use_time:
@@ -455,8 +495,7 @@ class StreamClassifier:
         out = rows
         if cfg.use_start_points:
             out = add_start_points(rows, path, partition.boundaries)
-        cache.update(path=path, partition=partition, lstate=lstate, d_ls=rows.shape[1])
-        return out, cache
+        return out, {"path": path, "partition": partition, "lstate": lstate, "d_ls": rows.shape[1]}
 
     def _transform_tail_backward(self, cache, grad):
         cfg = self.config
@@ -475,134 +514,13 @@ class StreamClassifier:
             g_points = _accumulative_backward(g_points)
         return g_points
 
-    def _el_front(self, sample):
-        cfg = self.config
-        times, frames = self._as_frames(sample)
-        cache = {"frames": frames}
-        if cfg.use_embedding:
-            seq = embedding_forward(
-                frames,
-                self.params["embed.point_w"], self.params["embed.point_b"],
-                self.params["embed.mix_w"], self.params["embed.mix_b"],
-            )
-        else:
-            seq = frames.reshape(frames.shape[0], -1)
-        out, tail = self._transform_tail(seq, times, self.basis, cfg.num_segments)
-        cache["tail"] = tail
-        return out, cache
-
-    def _el_front_backward(self, cache, grad, grads):
-        cfg = self.config
-        g_seq = self._transform_tail_backward(cache["tail"], grad)
-        if cfg.use_embedding:
-            frames = cache["frames"]
-            _, gpw, gpb, gmw, gmb = _embedding_backward(
-                frames,
-                self.params["embed.point_w"], self.params["embed.point_b"],
-                self.params["embed.mix_w"], g_seq,
-            )
-            grads["embed.point_w"] += gpw
-            grads["embed.point_b"] += gpb
-            grads["embed.mix_w"] += gmw
-            grads["embed.mix_b"] += gmb
-
-    def _gcn_front(self, sample):
-        """Both GCN variants: per-joint logsig rows, shared recurrent unroll."""
-        cfg = self.config
-        if sample.adjacency is None:
-            raise ValueError("gcn variants require an adjacency matrix")
-        times, frames = sample.times, sample.frames
-        mixed = gcn_forward(frames, sample.adjacency, self.params["gcn.theta"])
-        F = mixed.shape[1]
-        joint_in = np.empty((F, cfg.num_segments, self.rnn_in))
-        tails = []
-        for f in range(F):
-            rows, tail = self._transform_tail(mixed[:, f, :], times, self.basis, cfg.num_segments)
-            joint_in[f] = rows
-            tails.append(tail)
-        out1, rnn_cache = _rnn_forward_batch(
-            joint_in,
-            self.params["rnn.u"], self.params["rnn.w"], self.params["rnn.b"],
-            self.params["rnn.v"], self.params["rnn.vb"], cfg.cell,
-        )
-        cache = {"sample": sample, "mixed": mixed, "tails": tails, "rnn": rnn_cache, "joint_in": joint_in}
-        if cfg.variant == "gcn-logsig-rnn-2":
-            frames2 = out1.transpose(1, 0, 2)  # (N, F, hidden) sequence of graphs
-            times2 = np.arange(cfg.num_segments, dtype=np.float64)
-            mixed2 = gcn_forward(frames2, sample.adjacency, self.params["gcn2.theta"])
-            joint_in2 = np.empty((F, cfg.num_segments2, self.rnn_in2))
-            tails2 = []
-            for f in range(F):
-                rows, tail = self._transform_tail(mixed2[:, f, :], times2, self.basis2, cfg.num_segments2)
-                joint_in2[f] = rows
-                tails2.append(tail)
-            out2, rnn_cache2 = _rnn_forward_batch(
-                joint_in2,
-                self.params["rnn2.u"], self.params["rnn2.w"], self.params["rnn2.b"],
-                self.params["rnn2.v"], self.params["rnn2.vb"], cfg.cell,
-            )
-            cache.update(frames2=frames2, mixed2=mixed2, tails2=tails2, rnn2=rnn_cache2)
-            final = out2
-        else:
-            final = out1
-        pooled = final[:, -1, :].mean(axis=0)
-        cache["num_joints"] = F
-        return pooled, cache
-
-    def _gcn_front_backward(self, cache, g_pooled, grads):
-        cfg = self.config
-        sample = cache["sample"]
-        F = cache["num_joints"]
-        if cfg.variant == "gcn-logsig-rnn-2":
-            g_out2 = np.zeros((F, cfg.num_segments2, cfg.hidden))
-            g_out2[:, -1, :] = g_pooled[None, :] / F
-            gx2, gu2, gw2, gb2, gv2, gvb2 = _rnn_backward_batch(cache["rnn2"], g_out2)
-            for name, g in zip(("u", "w", "b", "v", "vb"), (gu2, gw2, gb2, gv2, gvb2)):
-                grads[f"rnn2.{name}"] += g
-            g_mixed2 = np.zeros_like(cache["mixed2"])
-            for f in range(F):
-                g_mixed2[:, f, :] = self._transform_tail_backward(cache["tails2"][f], gx2[f])
-            g_frames2, g_theta2 = _gcn_backward(
-                cache["frames2"], sample.adjacency, self.params["gcn2.theta"], g_mixed2
-            )
-            grads["gcn2.theta"] += g_theta2
-            g_out1 = g_frames2.transpose(1, 0, 2)
-        else:
-            B, T, H = cache["joint_in"].shape[0], cfg.num_segments, cfg.hidden
-            g_out1 = np.zeros((B, T, H))
-            g_out1[:, -1, :] = g_pooled[None, :] / F
-        gx1, gu, gw, gb, gv, gvb = _rnn_backward_batch(cache["rnn"], g_out1)
-        for name, g in zip(("u", "w", "b", "v", "vb"), (gu, gw, gb, gv, gvb)):
-            grads[f"rnn.{name}"] += g
-        g_mixed = np.zeros_like(cache["mixed"])
-        for f in range(F):
-            g_mixed[:, f, :] = self._transform_tail_backward(cache["tails"][f], gx1[f])
-        _, g_theta = _gcn_backward(sample.frames, sample.adjacency, self.params["gcn.theta"], g_mixed)
-        grads["gcn.theta"] += g_theta
-
     # -- forward / backward over a batch -------------------------------------
 
     def forward_batch(self, samples):
-        cfg = self.config
-        caches = []
-        if cfg.variant == "el-logsig-rnn":
-            rnn_x = np.empty((len(samples), cfg.num_segments, self.rnn_in))
-            for i, s in enumerate(samples):
-                rows, cache = self._el_front(s)
-                if rows.shape != (cfg.num_segments, self.rnn_in):
-                    raise AssertionError(
-                        f"recurrent input must be ({cfg.num_segments}, {self.rnn_in}), got {rows.shape}"
-                    )
-                rnn_x[i] = rows
-                caches.append(cache)
-            out, rnn_cache = _rnn_forward_batch(
-                rnn_x,
-                self.params["rnn.u"], self.params["rnn.w"], self.params["rnn.b"],
-                self.params["rnn.v"], self.params["rnn.vb"], cfg.cell,
-            )
-            feats = out[:, -1, :]
-            batch_cache = {"fronts": caches, "rnn": rnn_cache, "feats": feats}
-        elif cfg.variant == "frame-rnn":
+        cfg, p = self.config, self.params
+        if cfg.variant == "frame-rnn":
+            # one unroll per stream: raw frame counts differ between streams
+            caches = []
             feats = np.empty((len(samples), cfg.hidden))
             for i, s in enumerate(samples):
                 times, frames = self._as_frames(s)
@@ -610,22 +528,36 @@ class StreamClassifier:
                 if cfg.resample_frames > 0:
                     grid = np.linspace(times[0], times[-1], cfg.resample_frames)
                     x = evaluate(TimedPath(times, x), grid)
-                out, rnn_cache = _rnn_forward_batch(
-                    x[None],
-                    self.params["rnn.u"], self.params["rnn.w"], self.params["rnn.b"],
-                    self.params["rnn.v"], self.params["rnn.vb"], cfg.cell,
-                )
+                out, rnn_cache = _rnn_forward_batch(x[None], *_rnn_params(p, "rnn"), cfg.cell)
                 feats[i] = out[0, -1, :]
                 caches.append({"rnn": rnn_cache})
-            batch_cache = {"fronts": caches, "feats": feats}
+            batch_cache = {"fronts": caches}
         else:
-            feats = np.empty((len(samples), cfg.hidden))
-            for i, s in enumerate(samples):
-                pooled, cache = self._gcn_front(s)
-                feats[i] = pooled
-                caches.append(cache)
-            batch_cache = {"fronts": caches, "feats": feats}
-        logits = feats @ self.params["head.w"] + self.params["head.b"]
+            B, J = len(samples), self.joints
+            inputs = [(*self._as_frames(s), getattr(s, "adjacency", None)) for s in samples]
+            batch_cache = {"blocks": []}
+            for index, (prefix, basis, segments) in enumerate(self.blocks):
+                rows, tails = [], []
+                for times, frames, adjacency in inputs:
+                    mixed = self._block_map(index, frames, adjacency)
+                    if mixed.shape[1] != J:
+                        raise ValueError(f"expected {J} joints, got {mixed.shape[1]}")
+                    joint_tails = []
+                    for j in range(J):
+                        r, tail = self._transform_tail(mixed[:, j, :], times, basis, segments)
+                        rows.append(r)
+                        joint_tails.append(tail)
+                    tails.append(joint_tails)
+                out, batch_cache[prefix] = _rnn_forward_batch(
+                    np.stack(rows), *_rnn_params(p, prefix), cfg.cell
+                )
+                batch_cache["blocks"].append((inputs, tails))
+                out = out.reshape(B, J, segments, cfg.hidden)
+                times = np.arange(segments, dtype=np.float64)
+                inputs = [(times, o.transpose(1, 0, 2), adj) for o, (_, _, adj) in zip(out, inputs)]
+            feats = out[:, :, -1, :].mean(axis=1)
+        logits = feats @ p["head.w"] + p["head.b"]
+        batch_cache["feats"] = feats
         batch_cache["logits"] = logits
         return logits, batch_cache
 
@@ -636,29 +568,33 @@ class StreamClassifier:
         grads["head.w"] += feats.T @ g_logits
         grads["head.b"] += g_logits.sum(axis=0)
         g_feats = g_logits @ self.params["head.w"].T
-        fronts = batch_cache["fronts"]
-        if cfg.variant == "el-logsig-rnn":
-            rnn_cache = batch_cache["rnn"]
-            B, T = len(fronts), cfg.num_segments
-            g_out = np.zeros((B, T, cfg.hidden))
-            g_out[:, -1, :] = g_feats
-            gx, gu, gw, gb, gv, gvb = _rnn_backward_batch(rnn_cache, g_out)
-            for name, g in zip(("u", "w", "b", "v", "vb"), (gu, gw, gb, gv, gvb)):
-                grads[f"rnn.{name}"] += g
-            for i, cache in enumerate(fronts):
-                self._el_front_backward(cache, gx[i], grads)
-        elif cfg.variant == "frame-rnn":
-            for i, cache in enumerate(fronts):
+        if cfg.variant == "frame-rnn":
+            for i, cache in enumerate(batch_cache["fronts"]):
                 rnn_cache = cache["rnn"]
-                T = rnn_cache[0].shape[1]
-                g_out = np.zeros((1, T, cfg.hidden))
+                g_out = np.zeros((1, rnn_cache[0].shape[1], cfg.hidden))
                 g_out[0, -1, :] = g_feats[i]
-                _, gu, gw, gb, gv, gvb = _rnn_backward_batch(rnn_cache, g_out)
-                for name, g in zip(("u", "w", "b", "v", "vb"), (gu, gw, gb, gv, gvb)):
+                _, *g_rnn = _rnn_backward_batch(rnn_cache, g_out)
+                for name, g in zip(_RNN_KEYS, g_rnn):
                     grads[f"rnn.{name}"] += g
-        else:
-            for i, cache in enumerate(fronts):
-                self._gcn_front_backward(cache, g_feats[i], grads)
+            return grads
+        B, J = g_feats.shape[0], self.joints
+        g_out = np.zeros((B, J, self.blocks[-1][2], cfg.hidden))
+        g_out[:, :, -1, :] = g_feats[:, None, :] / J
+        for index in range(len(self.blocks) - 1, -1, -1):
+            prefix, _, segments = self.blocks[index]
+            inputs, tails = batch_cache["blocks"][index]
+            gx, *g_rnn = _rnn_backward_batch(batch_cache[prefix], g_out.reshape(B * J, segments, cfg.hidden))
+            for name, g in zip(_RNN_KEYS, g_rnn):
+                grads[f"{prefix}.{name}"] += g
+            gx = gx.reshape(B, J, segments, -1)
+            g_frames = []
+            for i, (_, frames, adjacency) in enumerate(inputs):
+                g_mixed = np.stack(
+                    [self._transform_tail_backward(tails[i][j], gx[i, j]) for j in range(J)], axis=1
+                )
+                g_frames.append(self._block_map_backward(index, frames, adjacency, g_mixed, grads))
+            if index:
+                g_out = np.stack([g.transpose(1, 0, 2) for g in g_frames])
         return grads
 
     def logits(self, sample) -> np.ndarray:
@@ -672,18 +608,6 @@ class StreamClassifier:
             logits, _ = self.forward_batch(chunk)
             preds[start : start + len(chunk)] = logits.argmax(axis=1)
         return preds
-
-
-def logsig_rnn_forward(sample, config: ModelConfig, params: dict) -> np.ndarray:
-    """Class logits of the embedding-variant model for one stream."""
-    spec = input_spec([sample])
-    return StreamClassifier(config, spec, params).logits(sample)
-
-
-def gcn_logsig_rnn_forward(sample: SkeletonSequence, config: ModelConfig, params: dict) -> np.ndarray:
-    """Class logits of a GCN-variant model for one skeleton sequence."""
-    spec = input_spec([sample])
-    return StreamClassifier(config, spec, params).logits(sample)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,51 @@ class TestCheckpoints:
         with pytest.raises(InputError, match="not a checkpoint"):
             load_checkpoint(str(bad))
 
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit):
+        cfg = ModelConfig(num_classes=4, hidden=8, embed_channels=2, embed_dim=3)
+        target = tmp_path / "model.ckpt"
+        save_checkpoint(str(target), cfg, (1, 2), StreamClassifier.build(cfg, (1, 2), 0).params)
+        target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+        return str(target)
+
+    @staticmethod
+    def _assert_eval_exits_2(target, data, capsys):
+        assert main(["eval", target, data]) == 2
+        err = capsys.readouterr().err
+        assert target in err and "Traceback" not in err
+
+    def test_truncated_after_params_count_exits_2(self, tmp_path, stream_file, capsys):
+        def cut(lines):
+            return lines[: next(i for i, ln in enumerate(lines) if ln.startswith("params ")) + 1]
+
+        self._assert_eval_exits_2(self._edited_checkpoint(tmp_path, cut), stream_file(), capsys)
+
+    def test_missing_param_exits_2(self, tmp_path, stream_file, capsys):
+        def drop_head_b(lines):
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("param head.b "))
+            count = next(ln for ln in lines if ln.startswith("params "))
+            lines = lines[:at] + lines[at + 2 :]
+            return [f"params {int(ln.split()[1]) - 1}" if ln == count else ln for ln in lines]
+
+        target = self._edited_checkpoint(tmp_path, drop_head_b)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match="head.b"):
+            load_checkpoint(target)
+
+    def test_header_disagreeing_with_param_shapes_exits_2(self, tmp_path, stream_file, capsys):
+        def claim_hidden_9(lines):
+            return ["hidden = 9" if ln == "hidden = 8" else ln for ln in lines]
+
+        target = self._edited_checkpoint(tmp_path, claim_hidden_9)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match="shape"):
+            load_checkpoint(target)
+
 
 def _write_train_config(tmp_path, name="cfg.txt", **overrides):
     lines = {

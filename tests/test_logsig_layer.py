@@ -10,7 +10,6 @@ from logsigrnn import (
     insert_sample_times,
     log_signature,
     logsig_sequence,
-    logsig_sequence_backward,
     logsig_sequence_forward,
     backward_from_state,
     restrict,
@@ -157,15 +156,16 @@ class TestBackward:
         rng = np.random.default_rng(5)
         p = random_path(rng, 8, 2)
         part = SegmentPartition.uniform(0.0, 1.0, 3)
-        rows = logsig_sequence(p, part, 2)
-        grad = logsig_sequence_backward(p, part, 2, None, np.zeros_like(rows))
+        rows, state = logsig_sequence_forward(p, part, 2)
+        grad = backward_from_state(state, np.zeros_like(rows))
         assert np.allclose(grad, 0.0)
 
     def test_degree_one_single_segment_increment_gradient(self):
         rng = np.random.default_rng(6)
         p = random_path(rng, 6, 2)
         part = SegmentPartition.uniform(0.0, 1.0, 1)
-        grad = logsig_sequence_backward(p, part, 1, None, np.ones((1, 2)))
+        _, state = logsig_sequence_forward(p, part, 1)
+        grad = backward_from_state(state, np.ones((1, 2)))
         expected = np.zeros((6, 2))
         expected[0] = -1.0
         expected[-1] = 1.0
@@ -174,8 +174,9 @@ class TestBackward:
     def test_upstream_shape_enforced(self):
         p = TimedPath([0.0, 1.0], [[0.0], [1.0]])
         part = SegmentPartition.uniform(0.0, 1.0, 2)
+        _, state = logsig_sequence_forward(p, part, 1)
         with pytest.raises(ValueError, match="shape"):
-            logsig_sequence_backward(p, part, 1, None, np.zeros((3, 1)))
+            backward_from_state(state, np.zeros((3, 1)))
 
     @pytest.mark.parametrize("degree,segments", [(1, 3), (2, 4), (3, 2), (4, 2)])
     def test_matches_finite_differences(self, degree, segments):

@@ -15,8 +15,6 @@ from logsigrnn import (
     embedding_forward,
     evaluate_model,
     gcn_forward,
-    gcn_logsig_rnn_forward,
-    logsig_rnn_forward,
     logsig_sequence,
     rnn_forward,
     time_incorporated_layer,
@@ -240,7 +238,7 @@ class TestModels:
         rng = np.random.default_rng(11)
         cfg = ModelConfig(num_classes=4, hidden=8, embed_channels=3, embed_dim=4)
         p = random_path(rng, 15, 2)
-        logits = logsig_rnn_forward(p, cfg, StreamClassifier.build(cfg, (1, 2), 0).params)
+        logits = StreamClassifier.build(cfg, (1, 2), 0).logits(p)
         assert logits.shape == (4,)
         assert softmax(logits).sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -316,14 +314,14 @@ class TestModels:
         skel = SkeletonSequence(
             np.linspace(0, 1, 10), rng.normal(size=(10, 1, 2)), np.zeros((1, 1))
         )
-        logits = gcn_logsig_rnn_forward(skel, cfg, model.params)
+        logits = model.logits(skel)
         plain_cfg = ModelConfig(
             variant="el-logsig-rnn", num_classes=3, hidden=6, use_embedding=False,
             use_accumulative=False, use_time=False, use_start_points=False,
         )
         mixed = skel.frames[:, 0, :] @ model.params["gcn.theta"]
         plain_params = {k: v for k, v in model.params.items() if not k.startswith("gcn")}
-        plain = logsig_rnn_forward(TimedPath(skel.times, mixed), plain_cfg, plain_params)
+        plain = StreamClassifier(plain_cfg, (1, 3), plain_params).logits(TimedPath(skel.times, mixed))
         assert np.allclose(logits, plain, atol=1e-12)
 
     def test_gcn_joint_permutation_equivariance(self):
@@ -347,10 +345,25 @@ class TestModels:
         skel = random_skeleton(rng, 12, 3, 2)
         model = StreamClassifier.build(cfg, (3, 2), 6)
         _, cache = model.forward_batch([skel])
-        front = cache["fronts"][0]
-        assert front["rnn"][0].shape == (3, 4, model.rnn_in)
-        assert front["rnn2"][0].shape == (3, 2, model.rnn_in2)
+        assert cache["rnn"][0].shape == (3, 4, model.rnn_in)
+        assert cache["rnn2"][0].shape == (3, 2, model.rnn_in2)
         assert model.logits(skel).shape == (3,)
+
+    @pytest.mark.parametrize(
+        "variant", ["el-logsig-rnn", "gcn-logsig-rnn", "gcn-logsig-rnn-2", "frame-rnn"]
+    )
+    def test_batched_rows_match_single_streams(self, variant):
+        # streams of different lengths share one recurrent unroll per block
+        rng = np.random.default_rng(28)
+        cfg = ModelConfig(
+            variant=variant, degree=3, gcn_dim=3, num_segments=3, num_segments2=2,
+            embed_channels=2, embed_dim=3, num_classes=3, hidden=5,
+        )
+        samples = [random_skeleton(rng, n, 3, 2) for n in (7, 15, 30)]
+        model = StreamClassifier.build(cfg, (3, 2), 8)
+        batched, _ = model.forward_batch(samples)
+        for i, s in enumerate(samples):
+            assert np.max(np.abs(batched[i] - model.logits(s))) <= 1e-12
 
     def test_frame_rnn_fixed_grid_resampling(self):
         # resampling the interpolant onto a fixed grid makes the frame model
