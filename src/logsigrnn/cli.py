@@ -225,7 +225,10 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
         for i, p in enumerate(paths):
             part = SegmentPartition.uniform(p.times[0], p.times[-1], args.segments)
-            rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
+            try:
+                rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{args.input}, sample {i}: {exc}") from exc
             report.add_table(
                 f"sample{i}", labels, [[float(x) for x in row] for row in rows]
             )
@@ -334,13 +337,21 @@ def _cmd_train(args) -> tuple[RunReport, int]:
     return report, 0
 
 
+def _evaluate(model: StreamClassifier, data, data_path, checkpoint):
+    """``evaluate_model`` on a loaded stream file; a rejected set names both files."""
+    try:
+        return evaluate_model(model, data.samples, data.labels)
+    except ValueError as exc:
+        raise InputError(f"{data_path} with checkpoint {checkpoint}: {exc}") from exc
+
+
 def _cmd_eval(args) -> tuple[RunReport, int]:
     config, spec, params = load_checkpoint(args.checkpoint)
     data = _load_dataset(args.data)
     if len(data) == 0:
         raise InputError(f"{args.data}: empty evaluation set")
     model = StreamClassifier(config, spec, params)
-    result = evaluate_model(model, data.samples, data.labels)
+    result = _evaluate(model, data, args.data, args.checkpoint)
     report = RunReport(
         "eval",
         config={"checkpoint": args.checkpoint, "data": args.data},
@@ -374,8 +385,8 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
     model = StreamClassifier(config, spec, params)
     baseline = StreamClassifier(bconfig, bspec, bparams)
     perturb = datasets.perturb_drop if args.mode == "drop" else datasets.perturb_insert
-    base_model = evaluate_model(model, data.samples, data.labels).accuracy
-    base_base = evaluate_model(baseline, data.samples, data.labels).accuracy
+    base_model = _evaluate(model, data, args.data, args.checkpoint).accuracy
+    base_base = _evaluate(baseline, data, args.data, args.baseline_checkpoint).accuracy
     rows = [[0.0, base_model, 0.0, base_base, 0.0]]
     for rate in rates:
         if rate == 0.0:
@@ -538,6 +549,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,9 +9,15 @@ Internally the path is augmented with interpolated samples at the interior
 segment boundaries; every augmented point is an affine function of at most
 two original samples, which is how boundary gradients are distributed.
 Degrees 1 and 2 use closed-form vectorized kernels (degree-2 log-signatures
-are the segment increment plus the antisymmetric area matrix); higher
-degrees fold segment exponentials with the graded tensor product and run a
-taped adjoint sweep through the same chain.
+are the segment increment plus the antisymmetric area matrix).  Higher
+degrees fold all segments of the path in lockstep: each tensor level is a
+(segments, d**k) array, the segments are ordered longest first, and step j
+applies one fused Horner step A <- A (x) exp(delta) to the leading block of
+segments that still have a j-th increment, so every segment sees exactly
+its own increments.  The logarithm is one batched power series over all
+segments, and the Lyndon projection is one product per level with the
+basis's cached exact inverse.  The adjoint is one vectorized reverse sweep
+over the same steps.
 """
 
 from __future__ import annotations
@@ -22,15 +28,6 @@ import numpy as np
 
 from .lyndon import LyndonBasis, enumerate_lyndon
 from .paths import TimedPath
-from .tensor_algebra import (
-    TruncatedTensor,
-    exp_level_one,
-    exp_level_one_backward,
-    tensor_log_backward,
-    tensor_log_with_tape,
-    tensor_mul,
-    tensor_mul_backward,
-)
 
 __all__ = [
     "SegmentPartition",
@@ -71,7 +68,7 @@ class _LayerState:
     __slots__ = (
         "path", "degree", "basis", "rows", "mode",
         "lo", "hi", "w", "seg_ptr", "aug_points",
-        "deltas", "base", "counts", "segment_tapes",
+        "deltas", "base", "counts", "order", "active", "tape", "powers",
     )
 
 
@@ -117,6 +114,114 @@ def _augment(path: TimedPath, v: np.ndarray):
     return lo, hi, w, seg_ptr, aug_points
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise tensor product of (S, p) and (S, q) blocks, flattened to (S, p*q)."""
+    return (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
+
+
+def _outer_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray):
+    """Adjoint of ``_outer`` in both arguments for the upstream block ``g``."""
+    g = g.reshape(u.shape[0], u.shape[1], v.shape[1])
+    return (g @ v[:, :, None])[:, :, 0], (u[:, None, :] @ g)[:, 0, :]
+
+
+def _fold_forward(state: _LayerState) -> np.ndarray:
+    """Rows of every segment at degree >= 3, all segments advanced in lockstep.
+
+    ``sig[k]`` holds level k of every segment's running signature (level 0
+    is the implicit 1).  Step j updates the leading ``active[j]`` rows, the
+    segments with more than j increments, by the Horner form of
+    A_k += sum_{i<k} A_i (x) delta^(k-i) / (k-i)!: starting from delta / k,
+    add A_i and multiply by delta / (k - i) for i = 1 .. k-1.  The tape keeps
+    each step's increments and the factors of those products.
+    """
+    basis, M = state.basis, state.degree
+    aug, seg_ptr = state.aug_points, state.seg_ptr
+    counts = np.diff(seg_ptr)
+    order = np.argsort(-counts, kind="stable")
+    active = np.count_nonzero(counts[:, None] > np.arange(counts.max()), axis=0)
+    starts = seg_ptr[order]
+    deltas = np.diff(aug, axis=0)
+    S, d = counts.size, aug.shape[1]
+    sig = [None] + [np.zeros((S, d**k)) for k in range(1, M + 1)]
+    # every increment divided by 1 .. M once, so that a step only gathers
+    scaled = deltas[:, None, :] / np.arange(1.0, M + 1)[:, None]
+    tape = []
+    for j, a in enumerate(active):
+        step = scaled[starts[:a] + j]
+        factors = [None] * (M + 1)
+        for k in range(M, 0, -1):
+            acc = step[:, k - 1]
+            factors[k] = []
+            for i in range(1, k):
+                factors[k].append(acc + sig[i][:a])
+                acc = _outer(factors[k][-1], step[:, k - i - 1])
+            sig[k][:a] += acc
+        tape.append((step[:, 0], factors))
+    # log(1 + t) = sum_m (-1)^(m+1) t^m / m; powers[m] vanishes below level m
+    powers = [None, sig]
+    for m in range(2, M + 1):
+        powers.append(
+            [None] * m
+            + [sum(_outer(powers[m - 1][i], sig[k - i]) for i in range(m - 1, k))
+               for k in range(m, M + 1)]
+        )
+    rows = np.empty((S, basis.dim))
+    for n in range(1, M + 1):
+        idx, inverse = basis.level_inverse(n)
+        log_n = sum((-1) ** (m + 1) / m * powers[m][n] for m in range(1, n + 1))
+        rows[order, basis._level_slices[n - 1]] = log_n[:, idx] @ inverse.T
+    state.order, state.active, state.tape, state.powers = order, active, tape, powers
+    return rows
+
+
+def _fold_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
+    """Gradient with respect to every augmented increment, reversing ``_fold_forward``."""
+    basis, M = state.basis, state.degree
+    order, powers = state.order, state.powers
+    sig = powers[1]
+    up = upstream[order]
+    glog = [None]
+    for n in range(1, M + 1):
+        idx, inverse = basis.level_inverse(n)
+        g = np.zeros_like(sig[n])
+        g[:, idx] = up[:, basis._level_slices[n - 1]] @ inverse
+        glog.append(g)
+    # through the power series: powers[m] = powers[m-1] (x) sig
+    gsig = [None] + [np.zeros_like(level) for level in sig[1:]]
+    gpow = [None] * M + [(-1) ** (M + 1) / M * glog[M]]
+    for m in range(M, 1, -1):
+        prev = [None] * (m - 1) + [(-1) ** m / (m - 1) * g for g in glog[m - 1 :]]
+        for k in range(m, M + 1):
+            for i in range(m - 1, k):
+                gu, gv = _outer_backward(powers[m - 1][i], sig[k - i], gpow[k])
+                prev[i] += gu
+                gsig[k - i] += gv
+        gpow = prev
+    for k in range(1, M + 1):
+        gsig[k] += gpow[k]
+
+    starts = state.seg_ptr[order]
+    gdeltas = np.zeros((state.aug_points.shape[0] - 1, state.path.width))
+    for j in range(len(state.active) - 1, -1, -1):
+        a = state.active[j]
+        delta, factors = state.tape[j]
+        g = [None] + [level[:a] for level in gsig[1:]]
+        gdelta = g[1].copy()
+        # ascending k: level k adds only into the levels below it, whose
+        # chains have already read their own post-step gradients
+        for k in range(2, M + 1):
+            gacc = g[k]
+            for i in range(k - 1, 0, -1):
+                gx, gv = _outer_backward(factors[k][i - 1], delta, gacc)
+                gdelta += gv / (k - i)
+                gacc = gx / (k - i)
+                g[i] += gacc
+            gdelta += gacc / k
+        gdeltas[starts[:a] + j] = gdelta
+    return gdeltas
+
+
 def logsig_sequence(
     path: TimedPath,
     partition: SegmentPartition,
@@ -160,9 +265,7 @@ def logsig_sequence_forward(
     if degree == 1:
         state.mode = "m1"
         state.rows = aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]
-        return state.rows, state
-
-    if degree == 2:
+    elif degree == 2:
         state.mode = "m2"
         d = path.width
         deltas = np.diff(aug, axis=0)
@@ -176,27 +279,15 @@ def logsig_sequence_forward(
         increments = aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]
         state.deltas, state.base, state.counts = deltas, base, counts
         state.rows = np.concatenate([increments, area[:, iu, ju]], axis=1)
-        return state.rows, state
-
-    state.mode = "generic"
-    rows = np.zeros((N, basis.dim))
-    tapes = []
-    for k in range(N):
-        a, b = seg_ptr[k], seg_ptr[k + 1]
-        deltas = np.diff(aug[a : b + 1], axis=0)
-        exps = [exp_level_one(dv, degree) for dv in deltas]
-        prods = [TruncatedTensor.unit(path.width, degree)]
-        for e in exps:
-            prods.append(tensor_mul(prods[-1], e))
-        logsig, log_tape = tensor_log_with_tape(prods[-1])
-        for n_lvl in range(1, degree + 1):
-            sl = basis._level_slices[n_lvl - 1]
-            idx, matrix = basis.level_system(n_lvl)
-            rows[k, sl] = np.linalg.solve(matrix, logsig.levels[n_lvl][idx])
-        tapes.append((deltas, exps, prods, log_tape))
-    state.segment_tapes = tapes
-    state.rows = rows
-    return rows, state
+    else:
+        state.mode = "generic"
+        state.rows = _fold_forward(state)
+    if not np.all(np.isfinite(state.rows)):
+        raise FloatingPointError(
+            f"degree-{degree} log-signature rows are not finite: the path's "
+            "increments overflow float64"
+        )
+    return state.rows, state
 
 
 def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
@@ -237,21 +328,9 @@ def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
         np.add.at(gaug, seg_ptr[1:], g1)
         np.add.at(gaug, seg_ptr[:-1], -g1)
     else:
-        basis, degree = state.basis, state.degree
-        for k, (deltas, exps, prods, log_tape) in enumerate(state.segment_tapes):
-            glog = TruncatedTensor.zero(d, degree)
-            for n_lvl in range(1, degree + 1):
-                sl = basis._level_slices[n_lvl - 1]
-                idx, matrix = basis.level_system(n_lvl)
-                glog.levels[n_lvl][idx] = np.linalg.solve(matrix.T, upstream[k, sl])
-            grun = tensor_log_backward(log_tape, glog)
-            a = seg_ptr[k]
-            gdeltas = np.zeros_like(deltas)
-            for j in range(len(exps), 0, -1):
-                grun, gexp = tensor_mul_backward(prods[j - 1], exps[j - 1], grun)
-                gdeltas[j - 1] = exp_level_one_backward(deltas[j - 1], gexp)
-            gaug[a + 1 : a + 1 + len(exps)] += gdeltas
-            gaug[a : a + len(exps)] -= gdeltas
+        gdeltas = _fold_backward(state, upstream)
+        gaug[1:] += gdeltas
+        gaug[:-1] -= gdeltas
 
     grad = np.zeros((n, d))
     np.add.at(grad, state.lo, (1.0 - state.w)[:, None] * gaug)

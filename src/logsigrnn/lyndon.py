@@ -141,6 +141,7 @@ class LyndonBasis:
             coef = np.array(list(exp.values()), dtype=np.float64)
             self._flat.append((idx, coef))
         self._level_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._inverse_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def dim(self) -> int:
@@ -174,6 +175,24 @@ class LyndonBasis:
                     matrix[i, j] = c
         self._level_cache[n] = (idx, matrix)
         return idx, matrix
+
+    def level_inverse(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lyndon flat indices and the exact inverse of ``level_system(n)``'s matrix.
+
+        The matrix is integer and unitriangular, so its inverse is integer:
+        the rounded floating-point inverse is kept only when it reproduces
+        the identity exactly.  Built once per basis and level.
+        """
+        if n in self._inverse_cache:
+            return self._inverse_cache[n]
+        idx, matrix = self.level_system(n)
+        inverse = np.rint(np.linalg.inv(matrix))
+        if not np.array_equal(inverse @ matrix, np.eye(matrix.shape[0])):
+            raise RuntimeError(
+                f"rounded inverse of the degree-{n} Lyndon change of basis is not exact"
+            )
+        self._inverse_cache[n] = (idx, inverse)
+        return idx, inverse
 
     def __repr__(self) -> str:
         return f"LyndonBasis(width={self.width}, degree={self.degree}, dim={self.dim})"

@@ -614,6 +614,16 @@ class StreamClassifier:
 # training
 
 
+def _checked_labels(labels, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(
+            f"labels must lie in 0..{num_classes - 1} for a {num_classes}-class model, "
+            f"got labels {labels.min()}..{labels.max()}"
+        )
+    return labels
+
+
 def train(
     config: ModelConfig,
     train_samples,
@@ -624,11 +634,9 @@ def train(
 ) -> TrainResult:
     """Mini-batch SGD with momentum on softmax cross-entropy."""
     settings = settings or TrainSettings()
-    labels = np.asarray(train_labels, dtype=np.intp)
     if len(train_samples) == 0:
         raise ValueError("empty training set")
-    if labels.min() < 0 or labels.max() >= config.num_classes:
-        raise ValueError("labels out of range for the configured class count")
+    labels = _checked_labels(train_labels, config.num_classes)
     rng = np.random.default_rng(settings.seed)
     model = StreamClassifier.build(config, input_spec(train_samples), rng)
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
@@ -642,12 +650,17 @@ def train(
         for start in range(0, count, settings.batch_size):
             idx = order[start : start + settings.batch_size]
             batch = [train_samples[i] for i in idx]
-            logits, cache = model.forward_batch(batch)
-            loss, g_logits = cross_entropy(logits, labels[idx])
-            if not np.isfinite(loss):
+            # the log-signature layer raises FloatingPointError on rows that
+            # overflow, before the loss itself can go non-finite
+            try:
+                logits, cache = model.forward_batch(batch)
+                loss, g_logits = cross_entropy(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise FloatingPointError(loss)
+            except FloatingPointError as exc:
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch starting {start}: {loss}"
-                )
+                    f"non-finite loss at epoch {epoch}, batch starting {start}: {exc}"
+                ) from exc
             grads = model.backward_batch(cache, g_logits)
             if settings.clip_norm is not None:
                 total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
@@ -685,9 +698,9 @@ def evaluate_model(model_or_config, samples, labels, params: dict | None = None)
         model = model_or_config
     else:
         model = StreamClassifier(model_or_config, input_spec(samples), params)
-    labels = np.asarray(labels, dtype=np.intp)
-    preds = model.predict(samples)
     C = model.config.num_classes
+    labels = _checked_labels(labels, C)
+    preds = model.predict(samples)
     confusion = np.zeros((C, C), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     return EvalResult(

@@ -18,13 +18,9 @@ __all__ = [
     "Word",
     "TruncatedTensor",
     "tensor_mul",
-    "tensor_mul_backward",
     "tensor_exp",
     "tensor_log",
-    "tensor_log_with_tape",
-    "tensor_log_backward",
     "exp_level_one",
-    "exp_level_one_backward",
     "word_index",
     "shuffle",
 ]
@@ -152,33 +148,6 @@ def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     return out
 
 
-def tensor_mul_backward(
-    a: TruncatedTensor, b: TruncatedTensor, grad: TruncatedTensor
-) -> tuple[TruncatedTensor, TruncatedTensor]:
-    """Adjoint of ``tensor_mul`` in both arguments."""
-    _check_compatible(a, grad)
-    _check_compatible(b, grad)
-    d, M = a.width, a.degree
-    ga = TruncatedTensor.zero(d, M)
-    gb = TruncatedTensor.zero(d, M)
-    for k in range(M + 1):
-        gk = grad.levels[k]
-        for i in range(k + 1):
-            j = k - i
-            ai, bj = a.levels[i], b.levels[j]
-            if i == 0:
-                ga.levels[0][0] += float(gk @ bj)
-                gb.levels[j] += ai[0] * gk
-            elif j == 0:
-                ga.levels[i] += gk * bj[0]
-                gb.levels[0][0] += float(gk @ ai)
-            else:
-                gmat = gk.reshape(ai.size, bj.size)
-                ga.levels[i] += gmat @ bj
-                gb.levels[j] += ai @ gmat
-    return ga, gb
-
-
 def tensor_exp(a: TruncatedTensor) -> TruncatedTensor:
     """Tensor exponential, sum of a^(x)n / n! truncated at the degree of ``a``.
 
@@ -207,38 +176,11 @@ def exp_level_one(vector, degree: int) -> TruncatedTensor:
     return out
 
 
-def exp_level_one_backward(vector, grad: TruncatedTensor) -> np.ndarray:
-    """Adjoint of ``exp_level_one`` with respect to the increment."""
-    vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-    d = vector.size
-    M = grad.degree
-    powers = [np.ones(1)]
-    for k in range(1, M):
-        powers.append(np.outer(powers[-1], vector).reshape(-1) / k)
-    gvec = np.zeros(d)
-    glev = [np.zeros(d**k) for k in range(M)]
-    for k in range(M, 0, -1):
-        gk = grad.levels[k].copy()
-        if k < M:
-            gk += glev[k]
-        gmat = gk.reshape(d ** (k - 1), d) / k
-        glev[k - 1] += gmat @ vector
-        gvec += powers[k - 1] @ gmat
-    return gvec
-
-
 def tensor_log(a: TruncatedTensor) -> TruncatedTensor:
-    """Tensor logarithm of an element with degree-0 coefficient 1."""
-    result, _ = tensor_log_with_tape(a)
-    return result
-
-
-def tensor_log_with_tape(a: TruncatedTensor):
-    """Tensor logarithm plus the intermediates needed for the adjoint sweep.
+    """Tensor logarithm of an element with degree-0 coefficient 1.
 
     log(1 + t) with t = a - 1 is evaluated in Horner form
-    t (1/1 - t (1/2 - t (1/3 - ...))); the tape records t and the inner
-    partial products.
+    t (1/1 - t (1/2 - t (1/3 - ...))).
     """
     if abs(a.scalar() - 1.0) > 1e-9:
         raise ValueError("tensor_log requires a degree-0 coefficient equal to 1")
@@ -246,32 +188,11 @@ def tensor_log_with_tape(a: TruncatedTensor):
     t = a.copy()
     t.levels[0][0] = 0.0
     if M == 0:
-        return TruncatedTensor.zero(d, 0), (t, [])
-    # inner[n] is the Horner partial for 1/n - t * inner[n+1]; inner[M] = unit/M
-    inner: list[TruncatedTensor | None] = [None] * (M + 1)
-    inner[M] = TruncatedTensor.unit(d, M) * (1.0 / M)
+        return TruncatedTensor.zero(d, 0)
+    inner = TruncatedTensor.unit(d, M) * (1.0 / M)
     for n in range(M - 1, 0, -1):
-        inner[n] = TruncatedTensor.unit(d, M) * (1.0 / n) - tensor_mul(t, inner[n + 1])
-    result = tensor_mul(t, inner[1])
-    return result, (t, inner)
-
-
-def tensor_log_backward(tape, grad: TruncatedTensor) -> TruncatedTensor:
-    """Adjoint of ``tensor_log_with_tape``; returns the gradient w.r.t. the input.
-
-    The degree-0 slot of the returned gradient is zero (the input's scalar
-    part is structurally fixed at 1).
-    """
-    t, inner = tape
-    M = t.degree
-    if M == 0:
-        return TruncatedTensor.zero(t.width, 0)
-    gt, gs = tensor_mul_backward(t, inner[1], grad)
-    for n in range(1, M):
-        gti, gs = tensor_mul_backward(t, inner[n + 1], -gs)
-        gt = gt + gti
-    gt.levels[0][0] = 0.0
-    return gt
+        inner = TruncatedTensor.unit(d, M) * (1.0 / n) - tensor_mul(t, inner)
+    return tensor_mul(t, inner)
 
 
 def word_index(word: Word, width: int) -> int:

@@ -97,6 +97,19 @@ class TestLogsig:
         assert main(["logsig", "/nonexistent/file.jsonl"]) == 2
         capsys.readouterr()
 
+    def test_overflowing_path_exits_1_naming_the_sample(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            '{"kind": "path", "label": 0, "n": 3, "d": 2, "times": [0.0, 1.0, 2.0],'
+            ' "points": [[0.0, 0.0], [1e200, -1e200], [-1e200, 3e200]]}\n'
+        )
+        with np.errstate(all="ignore"):
+            assert main(["logsig", str(path), "--degree", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out.lower()
+        assert "Traceback" not in captured.err
+        assert str(path) in captured.err and "sample 0" in captured.err
+
 
 class TestGradcheck:
     def test_passes_and_reports(self, capture):
@@ -265,6 +278,17 @@ class TestTrainEval:
         _, eval_out = capture(["eval", ckpt, data])
         # same checkpoint, same data, same computation
         assert parse_report(eval_out).metrics["accuracy"] >= final_acc - 1e-9
+
+    def test_labels_beyond_checkpoint_classes_exit_2(self, stream_file, tmp_path, capsys):
+        data = stream_file(count=8)
+        cfg = ModelConfig(num_classes=2, hidden=5, embed_channels=2, embed_dim=3)
+        ckpt = str(tmp_path / "two-class.ckpt")
+        save_checkpoint(ckpt, cfg, (1, 2), StreamClassifier.build(cfg, (1, 2), 0).params)
+        for argv in (["eval", ckpt, data], ["robustness", ckpt, ckpt, data, "--rates", "0.2"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert data in err and ckpt in err and "2-class" in err
 
     def test_missing_checkpoint_exits_2(self, stream_file, capsys):
         assert main(["eval", "/nonexistent.ckpt", stream_file()]) == 2

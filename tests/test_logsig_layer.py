@@ -89,13 +89,27 @@ class TestForward:
         rows = logsig_sequence(p, SegmentPartition.uniform(0.0, 2.0, 2), 2)
         assert np.allclose(rows, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-14)
 
-    @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_rows_match_restricted_log_signatures(self, degree):
+    @pytest.mark.parametrize(
+        "degree,width,squeeze",
+        [
+            pytest.param(1, 3, 1.0, id="1"),
+            pytest.param(2, 3, 1.0, id="2"),
+            pytest.param(3, 3, 1.0, id="3"),
+            pytest.param(4, 3, 1.0, id="4"),
+            pytest.param(3, 9, 1.0, id="3-width9"),
+            # every sample but the last before t = 0.25: a dense first
+            # segment beside three segments that are each a single chord
+            pytest.param(3, 3, 0.25, id="3-chords"),
+        ],
+    )
+    def test_rows_match_restricted_log_signatures(self, degree, width, squeeze):
         rng = np.random.default_rng(1)
-        basis = enumerate_lyndon(3, degree)
+        basis = enumerate_lyndon(width, degree)
         for _ in range(5):
-            p = random_path(rng, int(rng.integers(2, 16)), 3)
-            part = SegmentPartition.uniform(0.0, 1.0, int(rng.integers(1, 5)))
+            p = random_path(rng, int(rng.integers(2, 16)), width)
+            segments = int(rng.integers(1, 5)) if squeeze == 1.0 else 4
+            p = TimedPath(np.append(p.times[:-1] * squeeze, 1.0), p.points)
+            part = SegmentPartition.uniform(0.0, 1.0, segments)
             rows = logsig_sequence(p, part, degree, basis)
             v = _boundaries_in_path_time(p, part)
             direct = np.stack(
@@ -178,10 +192,18 @@ class TestBackward:
         with pytest.raises(ValueError, match="shape"):
             backward_from_state(state, np.zeros((3, 1)))
 
-    @pytest.mark.parametrize("degree,segments", [(1, 3), (2, 4), (3, 2), (4, 2)])
-    def test_matches_finite_differences(self, degree, segments):
+    @pytest.mark.parametrize(
+        "degree,segments,d",
+        [
+            pytest.param(1, 3, 3, id="1-3"),
+            pytest.param(2, 4, 3, id="2-4"),
+            pytest.param(3, 2, 3, id="3-2"),
+            pytest.param(4, 2, 2, id="4-2"),
+            pytest.param(3, 4, 9, id="3-4-width9"),
+        ],
+    )
+    def test_matches_finite_differences(self, degree, segments, d):
         rng = np.random.default_rng(degree * 10 + segments)
-        d = 3 if degree < 4 else 2
         p = random_path(rng, 12, d)
         part = SegmentPartition.uniform(0.0, 1.0, segments)
         basis = enumerate_lyndon(d, degree)

@@ -116,6 +116,17 @@ class TestBasisStructure:
             assert np.allclose(np.diag(matrix), 1.0)
             assert np.allclose(np.triu(matrix, k=1), 0.0)
 
+    @pytest.mark.parametrize("width,degree", [(2, 6), (3, 5), (9, 3), (9, 4)])
+    def test_level_inverse_is_exact_integer_and_cached(self, width, degree):
+        basis = enumerate_lyndon(width, degree)
+        for n in range(1, degree + 1):
+            idx, inverse = basis.level_inverse(n)
+            system_idx, matrix = basis.level_system(n)
+            assert np.array_equal(idx, system_idx)
+            assert np.array_equal(inverse, np.rint(inverse))
+            assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
+            assert basis.level_inverse(n)[1] is inverse
+
 
 class TestProjection:
     def test_level_one_coordinates_are_letters(self):

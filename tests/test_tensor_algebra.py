@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from logsigrnn.tensor_algebra import (
     TruncatedTensor,
     exp_level_one,
-    exp_level_one_backward,
     shuffle,
     tensor_exp,
     tensor_log,
     tensor_mul,
-    tensor_mul_backward,
     word_index,
 )
 
@@ -75,23 +73,6 @@ class TestMul:
         with pytest.raises(ValueError, match="incompatible"):
             tensor_mul(TruncatedTensor.zero(2, 2), TruncatedTensor.zero(2, 3))
 
-    def test_mul_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        a = random_tensor(rng, 2, 3)
-        b = random_tensor(rng, 2, 3)
-        grad = random_tensor(rng, 2, 3)
-        ga, gb = tensor_mul_backward(a, b, grad)
-        h = 1e-7
-        for target, analytic in ((a, ga), (b, gb)):
-            for k in range(4):
-                for i in range(target.levels[k].size):
-                    target.levels[k][i] += h
-                    up = sum(float(g @ c) for g, c in zip(grad.levels, tensor_mul(a, b).levels))
-                    target.levels[k][i] -= 2 * h
-                    dn = sum(float(g @ c) for g, c in zip(grad.levels, tensor_mul(a, b).levels))
-                    target.levels[k][i] += h
-                    assert abs((up - dn) / (2 * h) - analytic.levels[k][i]) < 1e-6
-
 
 class TestExpLog:
     def test_exp_of_zero_is_unit(self):
@@ -147,20 +128,6 @@ class TestExpLog:
         fast = exp_level_one(v, 4)
         general = tensor_exp(TruncatedTensor.from_level_one(v, 4))
         assert fast.allclose(general, atol=1e-14)
-
-    def test_exp_level_one_backward_finite_differences(self):
-        rng = np.random.default_rng(4)
-        v = rng.uniform(-1, 1, 3)
-        grad = random_tensor(rng, 3, 3)
-        gv = exp_level_one_backward(v, grad)
-        h = 1e-7
-        for j in range(3):
-            shifted = v.copy()
-            shifted[j] += h
-            up = sum(float(g @ c) for g, c in zip(grad.levels, exp_level_one(shifted, 3).levels))
-            shifted[j] -= 2 * h
-            dn = sum(float(g @ c) for g, c in zip(grad.levels, exp_level_one(shifted, 3).levels))
-            assert abs((up - dn) / (2 * h) - gv[j]) < 1e-6
 
 
 def brute_force_shuffle(u, v):
