@@ -224,7 +224,7 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
         for i, p in enumerate(paths):
-            part = SegmentPartition.uniform(p.times[0], p.times[-1], args.segments)
+            part = SegmentPartition.spanning(p, args.segments)
             try:
                 rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
             except FloatingPointError as exc:
@@ -549,10 +549,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except (FloatingPointError, RuntimeError) as exc:
+        # a numerical check failed: non-finite rows or loss, inexact inverse
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render_report(report))

@@ -1,23 +1,21 @@
 """Log-signature sequence layer: forward map and its reverse-mode adjoint.
 
 The layer maps a timed path to one truncated log-signature per partition
-segment, giving an (N, d_ls) output whose shape is independent of the
-number of input samples.  The backward pass propagates an upstream
-(N, d_ls) gradient to the input points analytically.
+segment, an (N, d_ls) output whose shape is independent of the number of
+input samples; the backward pass propagates an (N, d_ls) gradient to them.
 
 Internally the path is augmented with interpolated samples at the interior
 segment boundaries; every augmented point is an affine function of at most
 two original samples, which is how boundary gradients are distributed.
 Degrees 1 and 2 use closed-form vectorized kernels (degree-2 log-signatures
 are the segment increment plus the antisymmetric area matrix).  Higher
-degrees fold all segments of the path in lockstep: each tensor level is a
-(segments, d**k) array, the segments are ordered longest first, and step j
-applies one fused Horner step A <- A (x) exp(delta) to the leading block of
-segments that still have a j-th increment, so every segment sees exactly
-its own increments.  The logarithm is one batched power series over all
-segments, and the Lyndon projection is one product per level with the
-basis's cached exact inverse.  The adjoint is one vectorized reverse sweep
-over the same steps.
+degrees apply Chen's identity to every increment at once: level k of the
+increments' Chen terms is one (increments, d**k) array built from the lower
+levels' segmented prefix sums (one cumulative sum over the flat increment
+axis minus each segment's starting offset), and only the top level's segment
+totals are formed.  The log is one batched power series, the Lyndon
+projection one product per level with the cached exact inverse, and the
+adjoint reverses the levels with reverse segmented sums.
 """
 
 from __future__ import annotations
@@ -59,6 +57,11 @@ class SegmentPartition:
             raise ValueError("need at least one segment")
         return cls(np.linspace(start, stop, num_segments + 1))
 
+    @classmethod
+    def spanning(cls, path: TimedPath, num_segments: int) -> "SegmentPartition":
+        """Uniform partition of the path's time span (the unit span for a single sample)."""
+        return cls.uniform(*(path.span if path.num_samples > 1 else (0.0, 1.0)), num_segments)
+
     @property
     def num_segments(self) -> int:
         return self.boundaries.size - 1
@@ -66,9 +69,8 @@ class SegmentPartition:
 
 class _LayerState:
     __slots__ = (
-        "path", "degree", "basis", "rows", "mode",
-        "lo", "hi", "w", "seg_ptr", "aug_points",
-        "deltas", "base", "counts", "order", "active", "tape", "powers",
+        "path", "degree", "basis", "rows", "mode", "lo", "hi", "w", "seg_ptr",
+        "aug_points", "deltas", "base", "counts", "factors", "powers", "segment", "masked",
     )
 
 
@@ -101,13 +103,9 @@ def _augment(path: TimedPath, v: np.ndarray):
     pos_b = ins + np.arange(interior.size)
     is_b = np.zeros(size, dtype=bool)
     is_b[pos_b] = True
-    lo = np.empty(size, dtype=np.intp)
-    hi = np.empty(size, dtype=np.intp)
+    lo = np.cumsum(~is_b) - 1  # the last original sample at or before j
+    hi = lo + is_b
     w = np.zeros(size)
-    lo[~is_b] = np.arange(n)
-    hi[~is_b] = np.arange(n)
-    lo[pos_b] = ins - 1
-    hi[pos_b] = ins
     w[pos_b] = (interior - t[ins - 1]) / (t[ins] - t[ins - 1])
     seg_ptr = np.concatenate([[0], pos_b, [size - 1]]).astype(np.intp)
     aug_points = (1.0 - w)[:, None] * p[lo] + w[:, None] * p[hi]
@@ -125,39 +123,44 @@ def _outer_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray):
     return (g @ v[:, :, None])[:, :, 0], (u[:, None, :] @ g)[:, 0, :]
 
 
-def _fold_forward(state: _LayerState) -> np.ndarray:
-    """Rows of every segment at degree >= 3, all segments advanced in lockstep.
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    """Cumulative sum along axis 0 with a leading zero row: ``out[i] = x[:i].sum(0)``."""
+    out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    np.cumsum(x, axis=0, out=out[1:])
+    return out
 
-    ``sig[k]`` holds level k of every segment's running signature (level 0
-    is the implicit 1).  Step j updates the leading ``active[j]`` rows, the
-    segments with more than j increments, by the Horner form of
-    A_k += sum_{i<k} A_i (x) delta^(k-i) / (k-i)!: starting from delta / k,
-    add A_i and multiply by delta / (k - i) for i = 1 .. k-1.  The tape keeps
-    each step's increments and the factors of those products.
+
+def _chen_forward(state: _LayerState) -> np.ndarray:
+    """Rows of every segment at degree >= 3, every increment at once.
+
+    By Chen's identity increment i adds T^k_i = sum_{j<k} P^j_i (x) delta^(k-j)
+    / (k-j)! to level k of its segment, P^j_i being level j just before it;
+    in Horner form T^k = F_{k-1} (x) delta, F_1 = delta / k + P^1, F_i =
+    F_{i-1} (x) delta / (k-i+1) + P^i.  P^1 is the offset from the segment's
+    start, P^k (1 < k < M) the segmented exclusive prefix sum of T^k.
     """
     basis, M = state.basis, state.degree
     aug, seg_ptr = state.aug_points, state.seg_ptr
-    counts = np.diff(seg_ptr)
-    order = np.argsort(-counts, kind="stable")
-    active = np.count_nonzero(counts[:, None] > np.arange(counts.max()), axis=0)
-    starts = seg_ptr[order]
     deltas = np.diff(aug, axis=0)
-    S, d = counts.size, aug.shape[1]
-    sig = [None] + [np.zeros((S, d**k)) for k in range(1, M + 1)]
-    # every increment divided by 1 .. M once, so that a step only gathers
-    scaled = deltas[:, None, :] / np.arange(1.0, M + 1)[:, None]
-    tape = []
-    for j, a in enumerate(active):
-        step = scaled[starts[:a] + j]
-        factors = [None] * (M + 1)
-        for k in range(M, 0, -1):
-            acc = step[:, k - 1]
-            factors[k] = []
-            for i in range(1, k):
-                factors[k].append(acc + sig[i][:a])
-                acc = _outer(factors[k][-1], step[:, k - i - 1])
-            sig[k][:a] += acc
-        tape.append((step[:, 0], factors))
+    (n_inc, d), S = deltas.shape, seg_ptr.size - 1
+    segment = np.repeat(np.arange(S), np.diff(seg_ptr))
+    first = seg_ptr[segment]
+    sig, prefix = [None, aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]], [None, aug[:-1] - aug[first]]
+    factors = [None, []]
+    for k in range(2, M + 1):
+        factors.append([deltas / k + prefix[1]])
+        for i in range(2, k):
+            factors[k].append(_outer(factors[k][-1], deltas / (k - i + 1)) + prefix[i])
+        if k < M:
+            sums = _cumsum0(_outer(factors[k][-1], deltas))
+            sig.append(sums[seg_ptr[1:]] - sums[seg_ptr[:-1]])
+            prefix.append(sums[:-1] - sums[first])
+    # top-level totals sum_i F_i (x) delta_i over each segment as one product:
+    # masked[i, s] is delta_i in i's own segment s and zero in the others
+    masked = np.zeros((n_inc, S, d))
+    masked[np.arange(n_inc), segment] = deltas
+    top = factors[M][-1].T @ masked.reshape(n_inc, S * d)
+    sig.append(top.reshape(-1, S, d).transpose(1, 0, 2).reshape(S, -1))
     # log(1 + t) = sum_m (-1)^(m+1) t^m / m; powers[m] vanishes below level m
     powers = [None, sig]
     for m in range(2, M + 1):
@@ -170,22 +173,22 @@ def _fold_forward(state: _LayerState) -> np.ndarray:
     for n in range(1, M + 1):
         idx, inverse = basis.level_inverse(n)
         log_n = sum((-1) ** (m + 1) / m * powers[m][n] for m in range(1, n + 1))
-        rows[order, basis._level_slices[n - 1]] = log_n[:, idx] @ inverse.T
-    state.order, state.active, state.tape, state.powers = order, active, tape, powers
+        rows[:, basis._level_slices[n - 1]] = log_n[:, idx] @ inverse.T
+    state.deltas, state.factors, state.powers = deltas, factors, powers
+    state.segment, state.masked = segment, masked
     return rows
 
 
-def _fold_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
-    """Gradient with respect to every augmented increment, reversing ``_fold_forward``."""
+def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
+    """Gradient with respect to every augmented increment, reversing ``_chen_forward``."""
     basis, M = state.basis, state.degree
-    order, powers = state.order, state.powers
+    deltas, factors, powers = state.deltas, state.factors, state.powers
     sig = powers[1]
-    up = upstream[order]
     glog = [None]
     for n in range(1, M + 1):
         idx, inverse = basis.level_inverse(n)
         g = np.zeros_like(sig[n])
-        g[:, idx] = up[:, basis._level_slices[n - 1]] @ inverse
+        g[:, idx] = upstream[:, basis._level_slices[n - 1]] @ inverse
         glog.append(g)
     # through the power series: powers[m] = powers[m-1] (x) sig
     gsig = [None] + [np.zeros_like(level) for level in sig[1:]]
@@ -198,28 +201,33 @@ def _fold_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
                 prev[i] += gu
                 gsig[k - i] += gv
         gpow = prev
-    for k in range(1, M + 1):
-        gsig[k] += gpow[k]
+    gsig = [None] + [gs + gp for gs, gp in zip(gsig[1:], gpow[1:])]
 
-    starts = state.seg_ptr[order]
-    gdeltas = np.zeros((state.aug_points.shape[0] - 1, state.path.width))
-    for j in range(len(state.active) - 1, -1, -1):
-        a = state.active[j]
-        delta, factors = state.tape[j]
-        g = [None] + [level[:a] for level in gsig[1:]]
-        gdelta = g[1].copy()
-        # ascending k: level k adds only into the levels below it, whose
-        # chains have already read their own post-step gradients
-        for k in range(2, M + 1):
-            gacc = g[k]
-            for i in range(k - 1, 0, -1):
-                gx, gv = _outer_backward(factors[k][i - 1], delta, gacc)
-                gdelta += gv / (k - i)
-                gacc = gx / (k - i)
-                g[i] += gacc
-            gdelta += gacc / k
-        gdeltas[starts[:a] + j] = gdelta
-    return gdeltas
+    segment, masked = state.segment, state.masked
+    (n_inc, S, d), last = masked.shape, state.seg_ptr[1:][segment]
+    gprefix = [None] + [np.zeros((n_inc, level.shape[1])) for level in sig[1:M]]
+    # the top level's masked product, then descending k: only the levels
+    # above k read P^k, so its gradient is complete when level k is reached
+    top = gsig[M].reshape(S, -1, d)
+    g = masked.reshape(n_inc, -1) @ top.transpose(0, 2, 1).reshape(S * d, -1)
+    gdeltas = factors[M][-1] @ top.transpose(1, 0, 2).reshape(-1, S * d)
+    gdeltas = gdeltas.reshape(n_inc, S, d)[np.arange(n_inc), segment]
+    for k in range(M, 0, -1):
+        if k < M:
+            # T^k reaches its segment's total and every later P^k of the segment
+            sums = _cumsum0(gprefix[k])
+            gterm = gsig[k][segment] + sums[last] - sums[1:]
+            if k == 1:  # T^1 is the increment itself
+                return gdeltas + gterm
+            g, gv = _outer_backward(factors[k][-1], deltas, gterm)
+            gdeltas += gv
+        # g is the gradient of F_{k-1}; unwind the Horner chain to F_1
+        for i in range(k - 1, 1, -1):
+            gprefix[i] += g
+            g, gv = _outer_backward(factors[k][i - 2], deltas, g / (k - i + 1))
+            gdeltas += gv
+        gprefix[1] += g
+        gdeltas += g / k
 
 
 def logsig_sequence(
@@ -233,6 +241,7 @@ def logsig_sequence(
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
 def logsig_sequence_forward(
     path: TimedPath,
     partition: SegmentPartition,
@@ -248,14 +257,10 @@ def logsig_sequence_forward(
         raise ValueError("basis does not match the path width and requested degree")
 
     state = _LayerState()
-    state.path = path
-    state.degree = degree
-    state.basis = basis
-
-    N = partition.num_segments
+    state.path, state.degree, state.basis = path, degree, basis
     if path.num_samples < 2:
         state.mode = "constant"
-        state.rows = np.zeros((N, basis.dim))
+        state.rows = np.zeros((partition.num_segments, basis.dim))
         return state.rows, state
 
     v = _boundaries_in_path_time(path, partition)
@@ -281,7 +286,7 @@ def logsig_sequence_forward(
         state.rows = np.concatenate([increments, area[:, iu, ju]], axis=1)
     else:
         state.mode = "generic"
-        state.rows = _fold_forward(state)
+        state.rows = _chen_forward(state)
     if not np.all(np.isfinite(state.rows)):
         raise FloatingPointError(
             f"degree-{degree} log-signature rows are not finite: the path's "
@@ -305,17 +310,11 @@ def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     seg_ptr = state.seg_ptr
     gaug = np.zeros_like(state.aug_points)
 
-    if state.mode == "m1":
-        np.add.at(gaug, seg_ptr[1:], upstream)
-        np.add.at(gaug, seg_ptr[:-1], -upstream)
-    elif state.mode == "m2":
+    if state.mode == "m2":
         deltas, base, counts = state.deltas, state.base, state.counts
-        N = counts.size
-        g1 = upstream[:, :d]
-        g2 = upstream[:, d:]
         iu, ju = np.triu_indices(d, k=1)
-        z = np.zeros((N, d, d))
-        z[:, iu, ju] = g2
+        z = np.zeros((counts.size, d, d))
+        z[:, iu, ju] = upstream[:, d:]
         gseg = 0.5 * (z - z.transpose(0, 2, 1))
         gcross = np.repeat(gseg, counts, axis=0)
         gbase = np.einsum("mij,mj->mi", gcross, deltas)
@@ -325,12 +324,13 @@ def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
         np.add.at(gaug, seg_ptr[:-1], -seg_base)
         gaug[1:] += gdelta
         gaug[:-1] -= gdelta
-        np.add.at(gaug, seg_ptr[1:], g1)
-        np.add.at(gaug, seg_ptr[:-1], -g1)
-    else:
-        gdeltas = _fold_backward(state, upstream)
+    if state.mode == "generic":
+        gdeltas = _chen_backward(state, upstream)
         gaug[1:] += gdeltas
         gaug[:-1] -= gdeltas
+    else:  # m1 and m2 rows start with the segment increments
+        gaug[seg_ptr[1:]] += upstream[:, :d]
+        gaug[seg_ptr[:-1]] -= upstream[:, :d]
 
     grad = np.zeros((n, d))
     np.add.at(grad, state.lo, (1.0 - state.w)[:, None] * gaug)

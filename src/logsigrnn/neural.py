@@ -191,7 +191,9 @@ def time_incorporated_layer(seq: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def add_start_points(rows: np.ndarray, path: TimedPath, boundaries: np.ndarray) -> np.ndarray:
     """Append the path value at each segment start to the matching row."""
-    starts = evaluate(path, boundaries[:-1])
+    # a single sample spans no time, so every segment starts at that instant
+    at = boundaries[:-1] if path.num_samples > 1 else np.full(boundaries.size - 1, path.times[0])
+    starts = evaluate(path, at)
     if starts.shape[0] != rows.shape[0]:
         raise ValueError("one start point per row is required")
     return np.concatenate([rows, starts], axis=1)
@@ -490,7 +492,7 @@ class StreamClassifier:
         if cfg.use_time:
             seq = time_incorporated_layer(seq, times)
         path = TimedPath(times, seq)
-        partition = SegmentPartition.uniform(times[0], times[-1], num_segments)
+        partition = SegmentPartition.spanning(path, num_segments)
         rows, lstate = logsig_sequence_forward(path, partition, cfg.degree, basis)
         out = rows
         if cfg.use_start_points:

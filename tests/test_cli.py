@@ -1,5 +1,10 @@
 """CLI subcommands: reports, exit codes, file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,28 @@ def stream_file(tmp_path):
         return str(path)
 
     return make
+
+
+def run_cli(*argv):
+    """``logsigrnn`` in a fresh interpreter, so that stderr holds every warning it prints."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "logsigrnn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def assert_single_error_line(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+
+
+SINGLE_SAMPLE_RECORD = (
+    '{"kind": "header", "classes": ["a", "b", "c", "d"]}\n'
+    '{"kind": "path", "label": 2, "n": 1, "d": 2, "times": [0.5], "points": [[1.0, -2.0]]}\n'
+)
 
 
 CORNER_RECORD = (
@@ -103,12 +130,20 @@ class TestLogsig:
             '{"kind": "path", "label": 0, "n": 3, "d": 2, "times": [0.0, 1.0, 2.0],'
             ' "points": [[0.0, 0.0], [1e200, -1e200], [-1e200, 3e200]]}\n'
         )
-        with np.errstate(all="ignore"):
-            assert main(["logsig", str(path), "--degree", "4"]) == 1
-        captured = capsys.readouterr()
-        assert "nan" not in captured.out.lower()
-        assert "Traceback" not in captured.err
-        assert str(path) in captured.err and "sample 0" in captured.err
+        result = run_cli("logsig", str(path), "--degree", "4")
+        assert result.returncode == 1
+        assert "nan" not in result.stdout.lower()
+        assert_single_error_line(result.stderr)
+        assert str(path) in result.stderr and "sample 0" in result.stderr
+
+    def test_single_sample_stream_gives_zero_rows(self, capture, tmp_path):
+        path = tmp_path / "one.jsonl"
+        path.write_text(SINGLE_SAMPLE_RECORD)
+        code, out = capture(["logsig", str(path), "--degree", "3", "--segments", "3"])
+        assert code == 0
+        columns, rows = parse_report(out).tables["sample0"]
+        assert columns == ["1", "2", "12", "112", "122"]
+        assert [[float(x) for x in row] for row in rows] == [[0.0] * 5] * 3
 
 
 class TestGradcheck:
@@ -289,6 +324,28 @@ class TestTrainEval:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert data in err and ckpt in err and "2-class" in err
+
+    def test_non_finite_loss_exits_1(self, stream_file, tmp_path):
+        config = _write_train_config(tmp_path, learning_rate="1e80", epochs=3)
+        result = run_cli("train", config, stream_file(count=8), str(tmp_path / "m.ckpt"))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert_single_error_line(result.stderr)
+        assert "non-finite loss" in result.stderr
+
+    def test_eval_classifies_single_sample_stream(self, capture, stream_file, tmp_path):
+        for degree in (2, 3):
+            config = _write_train_config(tmp_path, degree=degree)
+            ckpt = str(tmp_path / "model.ckpt")
+            assert capture(["train", config, stream_file(count=8), ckpt])[0] == 0
+            one = tmp_path / "one.jsonl"
+            one.write_text(SINGLE_SAMPLE_RECORD)
+            code, out = capture(["eval", ckpt, str(one)])
+            assert code == 0
+            report = parse_report(out)
+            assert report.metrics["samples"] == 1
+            _, rows = report.tables["confusion"]
+            assert sum(int(x) for x in rows[2][1:]) == 1
 
     def test_missing_checkpoint_exits_2(self, stream_file, capsys):
         assert main(["eval", "/nonexistent.ckpt", stream_file()]) == 2

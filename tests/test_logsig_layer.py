@@ -120,6 +120,21 @@ class TestForward:
             )
             assert np.max(np.abs(rows - direct)) <= 1e-12
 
+    @pytest.mark.parametrize("n,width", [(2000, 3), (600, 9)])
+    def test_long_offset_walk_matches_restricted_log_signatures(self, n, width):
+        # segmented sums subtract running totals taken over the whole path
+        rng = np.random.default_rng(8)
+        times = random_path(rng, n, 1).times
+        p = TimedPath(times, 1e3 + np.cumsum(rng.normal(0.0, 0.1, (n, width)), axis=0))
+        part = SegmentPartition.uniform(0.0, 1.0, 8)
+        basis = enumerate_lyndon(width, 3)
+        rows = logsig_sequence(p, part, 3, basis)
+        v = _boundaries_in_path_time(p, part)
+        direct = np.stack(
+            [log_signature(restrict(p, v[k], v[k + 1]), 3, basis) for k in range(8)]
+        )
+        assert np.max(np.abs(rows - direct)) <= 1e-12
+
     def test_boundary_on_sample_matches_restriction(self):
         rng = np.random.default_rng(2)
         p = TimedPath([0.0, 0.25, 0.5, 0.75, 1.0], rng.normal(0, 1, (5, 2)))
@@ -193,18 +208,22 @@ class TestBackward:
             backward_from_state(state, np.zeros((3, 1)))
 
     @pytest.mark.parametrize(
-        "degree,segments,d",
+        "degree,segments,d,squeeze",
         [
-            pytest.param(1, 3, 3, id="1-3"),
-            pytest.param(2, 4, 3, id="2-4"),
-            pytest.param(3, 2, 3, id="3-2"),
-            pytest.param(4, 2, 2, id="4-2"),
-            pytest.param(3, 4, 9, id="3-4-width9"),
+            pytest.param(1, 3, 3, 1.0, id="1-3"),
+            pytest.param(2, 4, 3, 1.0, id="2-4"),
+            pytest.param(3, 2, 3, 1.0, id="3-2"),
+            pytest.param(4, 2, 2, 1.0, id="4-2"),
+            pytest.param(3, 4, 9, 1.0, id="3-4-width9"),
+            # a dense first segment beside three single-increment segments,
+            # where the reverse segmented sums start and stop at once
+            pytest.param(3, 4, 3, 0.25, id="3-chords"),
         ],
     )
-    def test_matches_finite_differences(self, degree, segments, d):
+    def test_matches_finite_differences(self, degree, segments, d, squeeze):
         rng = np.random.default_rng(degree * 10 + segments)
         p = random_path(rng, 12, d)
+        p = TimedPath(np.append(p.times[:-1] * squeeze, 1.0), p.points)
         part = SegmentPartition.uniform(0.0, 1.0, segments)
         basis = enumerate_lyndon(d, degree)
         rows, state = logsig_sequence_forward(p, part, degree, basis)
