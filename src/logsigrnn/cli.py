@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
@@ -98,6 +99,17 @@ def load_config_file(path: str) -> tuple[ModelConfig, TrainSettings]:
 
 
 _CKPT_MAGIC = "logsig-checkpoint v1"
+
+
+def _check_checkpoint_target(path: str) -> None:
+    """Raise ``InputError`` unless a checkpoint can be written at ``path``."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise InputError(f"cannot write checkpoint {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise InputError(f"cannot write checkpoint {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK):
+        raise InputError(f"cannot write checkpoint {path}: directory {folder} is not writable")
 
 
 def save_checkpoint(path: str, config: ModelConfig, spec: tuple[int, int], params: dict) -> None:
@@ -305,13 +317,18 @@ def _cmd_train(args) -> tuple[RunReport, int]:
     if len(data) == 0:
         raise InputError(f"{args.data}: empty training set")
     eval_set = _load_dataset(args.eval_data) if args.eval_data else None
+    # before training, so a run is not spent on a checkpoint that cannot be written
+    _check_checkpoint_target(args.checkpoint)
     result = train(
         config, data.samples, data.labels, settings,
         eval_samples=eval_set.samples if eval_set else None,
         eval_labels=eval_set.labels if eval_set else None,
     )
     spec = input_spec(data.samples)
-    save_checkpoint(args.checkpoint, config, spec, result.params)
+    try:
+        save_checkpoint(args.checkpoint, config, spec, result.params)
+    except OSError as exc:
+        raise InputError(f"cannot write checkpoint {args.checkpoint}: {exc}") from exc
     # settled post-training accuracy: re-evaluating the checkpoint on the
     # same data reproduces this number exactly
     settled = evaluate_model(config, data.samples, data.labels, params=result.params)

@@ -7,15 +7,20 @@ input samples; the backward pass propagates an (N, d_ls) gradient to them.
 Internally the path is augmented with interpolated samples at the interior
 segment boundaries; every augmented point is an affine function of at most
 two original samples, which is how boundary gradients are distributed.
-Degrees 1 and 2 use closed-form vectorized kernels (degree-2 log-signatures
-are the segment increment plus the antisymmetric area matrix).  Higher
-degrees apply Chen's identity to every increment at once: level k of the
-increments' Chen terms is one (increments, d**k) array built from the lower
-levels' segmented prefix sums (one cumulative sum over the flat increment
-axis minus each segment's starting offset), and only the top level's segment
-totals are formed.  The log is one batched power series, the Lyndon
-projection one product per level with the cached exact inverse, and the
-adjoint reverses the levels with reverse segmented sums.
+Degree-1 rows are the segment increments.  Degrees 2 and above apply Chen's
+identity to every increment at once: level k of the increments' Chen terms
+is one (increments, d**k) array built from the lower levels' segmented
+prefix sums (one cumulative sum over the flat increment axis minus each
+segment's starting offset), and only the top level's segment totals are
+formed.  The log is one batched power series, the Lyndon projection the
+cached exact level inverse applied as the identity plus its small
+correction block, and the adjoint reverses the levels with reverse
+segmented sums.
+
+The log-signature is equivariant under linear maps: the rows of the path
+``x @ L`` are the image of the rows of ``x`` under the Lie-algebra map that
+``L`` induces.  ``map_rows`` applies that map to whole batches of rows, and
+``map_rows_backward`` is its adjoint with respect to ``L``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "logsig_sequence",
     "logsig_sequence_forward",
     "backward_from_state",
+    "map_rows",
+    "map_rows_backward",
 ]
 
 
@@ -70,7 +77,7 @@ class SegmentPartition:
 class _LayerState:
     __slots__ = (
         "path", "degree", "basis", "rows", "mode", "lo", "hi", "w", "seg_ptr",
-        "aug_points", "deltas", "base", "counts", "factors", "powers", "segment", "masked",
+        "aug_points", "deltas", "factors", "powers", "segment", "masked",
     )
 
 
@@ -98,7 +105,8 @@ def _augment(path: TimedPath, v: np.ndarray):
     t, p = path.times, path.points
     n = t.size
     interior = v[1:-1]
-    ins = np.clip(np.searchsorted(t, interior, side="right"), 1, n - 1)
+    # the first sample after each boundary; searching the interior samples keeps it in 1..n-1
+    ins = np.searchsorted(t[1:-1], interior, side="right") + 1
     size = n + interior.size
     pos_b = ins + np.arange(interior.size)
     is_b = np.zeros(size, dtype=bool)
@@ -130,8 +138,31 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _to_lyndon(level: np.ndarray, basis: LyndonBasis, n: int) -> np.ndarray:
+    """Lyndon coordinates from a Lie element's level-n entries at the Lyndon words.
+
+    That is ``level @ inverse.T`` for the basis's exact level inverse,
+    applied as the identity plus its correction block; ``level`` is updated
+    in place.
+    """
+    hit, cols, block = basis.level_correction(n)
+    if block.size:
+        level[:, hit] += level[:, cols] @ block
+    return level
+
+
+def _to_lyndon_backward(upstream: np.ndarray, basis: LyndonBasis, n: int) -> np.ndarray:
+    """Adjoint of ``_to_lyndon``: ``upstream @ inverse``."""
+    hit, cols, block = basis.level_correction(n)
+    if not block.size:
+        return upstream
+    g = upstream.copy()
+    g[:, cols] += upstream[:, hit] @ block.T
+    return g
+
+
 def _chen_forward(state: _LayerState) -> np.ndarray:
-    """Rows of every segment at degree >= 3, every increment at once.
+    """Rows of every segment at degree >= 2, every increment at once.
 
     By Chen's identity increment i adds T^k_i = sum_{j<k} P^j_i (x) delta^(k-j)
     / (k-j)! to level k of its segment, P^j_i being level j just before it;
@@ -171,9 +202,9 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
         )
     rows = np.empty((S, basis.dim))
     for n in range(1, M + 1):
-        idx, inverse = basis.level_inverse(n)
+        idx, _ = basis.level_inverse(n)
         log_n = sum((-1) ** (m + 1) / m * powers[m][n] for m in range(1, n + 1))
-        rows[:, basis._level_slices[n - 1]] = log_n[:, idx] @ inverse.T
+        rows[:, basis._level_slices[n - 1]] = _to_lyndon(log_n[:, idx], basis, n)
     state.deltas, state.factors, state.powers = deltas, factors, powers
     state.segment, state.masked = segment, masked
     return rows
@@ -186,9 +217,9 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     sig = powers[1]
     glog = [None]
     for n in range(1, M + 1):
-        idx, inverse = basis.level_inverse(n)
+        idx, _ = basis.level_inverse(n)
         g = np.zeros_like(sig[n])
-        g[:, idx] = upstream[:, basis._level_slices[n - 1]] @ inverse
+        g[:, idx] = _to_lyndon_backward(upstream[:, basis._level_slices[n - 1]], basis, n)
         glog.append(g)
     # through the power series: powers[m] = powers[m-1] (x) sig
     gsig = [None] + [np.zeros_like(level) for level in sig[1:]]
@@ -270,20 +301,6 @@ def logsig_sequence_forward(
     if degree == 1:
         state.mode = "m1"
         state.rows = aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]
-    elif degree == 2:
-        state.mode = "m2"
-        d = path.width
-        deltas = np.diff(aug, axis=0)
-        counts = np.diff(seg_ptr)
-        starts = np.repeat(aug[seg_ptr[:-1]], counts, axis=0)
-        base = aug[:-1] - starts
-        cross = np.einsum("mi,mj->mij", base, deltas)
-        seg_cross = np.add.reduceat(cross, seg_ptr[:-1], axis=0)
-        area = 0.5 * (seg_cross - seg_cross.transpose(0, 2, 1))
-        iu, ju = np.triu_indices(d, k=1)
-        increments = aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]
-        state.deltas, state.base, state.counts = deltas, base, counts
-        state.rows = np.concatenate([increments, area[:, iu, ju]], axis=1)
     else:
         state.mode = "generic"
         state.rows = _chen_forward(state)
@@ -310,30 +327,68 @@ def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     seg_ptr = state.seg_ptr
     gaug = np.zeros_like(state.aug_points)
 
-    if state.mode == "m2":
-        deltas, base, counts = state.deltas, state.base, state.counts
-        iu, ju = np.triu_indices(d, k=1)
-        z = np.zeros((counts.size, d, d))
-        z[:, iu, ju] = upstream[:, d:]
-        gseg = 0.5 * (z - z.transpose(0, 2, 1))
-        gcross = np.repeat(gseg, counts, axis=0)
-        gbase = np.einsum("mij,mj->mi", gcross, deltas)
-        gdelta = np.einsum("mij,mi->mj", gcross, base)
-        gaug[:-1] += gbase
-        seg_base = np.add.reduceat(gbase, seg_ptr[:-1], axis=0)
-        np.add.at(gaug, seg_ptr[:-1], -seg_base)
-        gaug[1:] += gdelta
-        gaug[:-1] -= gdelta
     if state.mode == "generic":
         gdeltas = _chen_backward(state, upstream)
         gaug[1:] += gdeltas
         gaug[:-1] -= gdeltas
-    else:  # m1 and m2 rows start with the segment increments
-        gaug[seg_ptr[1:]] += upstream[:, :d]
-        gaug[seg_ptr[:-1]] -= upstream[:, :d]
+    else:  # degree 1: the rows are the segment increments
+        gaug[seg_ptr[1:]] += upstream
+        gaug[seg_ptr[:-1]] -= upstream
 
     grad = np.zeros((n, d))
     np.add.at(grad, state.lo, (1.0 - state.w)[:, None] * gaug)
     np.add.at(grad, state.hi, state.w[:, None] * gaug)
     return grad
 
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
+def map_rows(rows: np.ndarray, matrix: np.ndarray, source: LyndonBasis, target: LyndonBasis):
+    """Rows of the path ``x @ matrix`` from the rows ``(R, source.dim)`` of the path ``x``.
+
+    Level n is ``Proj_n . matrix^(x)n . Expand_n``: level 1 is ``rows_1 @
+    matrix``; above it, the rows' level-n tensor ``rows_n @
+    source.level_expansion(n)`` times the n-fold tensor power of ``matrix``
+    at the target's Lyndon words only, then the target's level inverse
+    (``_to_lyndon``).
+
+    Returns the ``(R, target.dim)`` rows and the cache ``map_rows_backward``
+    needs; raises ``FloatingPointError`` on non-finite rows, as the layer does.
+    """
+    if matrix.shape != (source.width, target.width) or source.degree != target.degree:
+        raise ValueError(
+            f"mapping {source!r} rows to {target!r} rows needs a "
+            f"({source.width}, {target.width}) matrix, got {matrix.shape}"
+        )
+    out, levels = [rows[:, : source.width] @ matrix], []
+    for n in range(2, target.degree + 1):
+        # letters[k, i] is letter k (from 0) of the target's i-th Lyndon word of length n
+        letters = np.array(np.unravel_index(target.level_inverse(n)[0], (target.width,) * n))
+        # powers[k][v, w] = prod_{i<=k} matrix[v_i, w_i], v a source word, w a target Lyndon word
+        factors = np.take(matrix, letters, axis=1)
+        powers = [factors[:, 0]]
+        for k in range(1, n):
+            powers.append((powers[-1][:, None, :] * factors[None, :, k]).reshape(-1, letters.shape[1]))
+        tensor = rows[:, source._level_slices[n - 1]] @ source.level_expansion(n)
+        out.append(_to_lyndon(tensor @ powers[-1], target, n))
+        levels.append((letters, tensor, factors, powers))
+    out = np.concatenate(out, axis=1)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(
+            f"degree-{target.degree} log-signature rows are not finite: the mapped "
+            "increments overflow float64"
+        )
+    return out, (rows[:, : source.width], target, levels)
+
+
+def map_rows_backward(cache, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(upstream * map_rows(rows, matrix, ...)[0])`` with respect to ``matrix``."""
+    rows_1, target, levels = cache
+    grad = rows_1.T @ upstream[:, : target.width]
+    for n, (letters, tensor, factors, powers) in enumerate(levels, start=2):
+        g = tensor.T @ _to_lyndon_backward(upstream[:, target._level_slices[n - 1]], target, n)
+        for k in range(n - 1, 0, -1):
+            g = g.reshape(-1, grad.shape[0], g.shape[-1])
+            np.add.at(grad, (slice(None), letters[k]), (g * powers[k - 1][:, None, :]).sum(axis=0))
+            g = (g * factors[None, :, k]).sum(axis=1)
+        np.add.at(grad, (slice(None), letters[0]), g)
+    return grad

@@ -142,6 +142,8 @@ class LyndonBasis:
             self._flat.append((idx, coef))
         self._level_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._inverse_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._correction_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._expansion_cache: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -193,6 +195,36 @@ class LyndonBasis:
             )
         self._inverse_cache[n] = (idx, inverse)
         return idx, inverse
+
+    def level_correction(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``level_inverse(n)`` minus the identity, as ``(rows, cols, block)``.
+
+        ``x @ inverse.T`` equals ``x`` with ``x[:, cols] @ block`` added to
+        its columns ``rows``.  The block is empty at levels 1 and 2, where the
+        inverse is the identity; at level 3 it holds one entry per row and
+        per column.  Built once per basis and level.
+        """
+        if n not in self._correction_cache:
+            _, inverse = self.level_inverse(n)
+            off = inverse - np.eye(inverse.shape[0])
+            rows, cols = np.flatnonzero(off.any(axis=1)), np.flatnonzero(off.any(axis=0))
+            self._correction_cache[n] = (rows, cols, np.ascontiguousarray(off[np.ix_(rows, cols)].T))
+        return self._correction_cache[n]
+
+    def level_expansion(self, n: int) -> np.ndarray:
+        """Dense ``(words of length n, width**n)`` matrix of their bracket expansions.
+
+        Row i holds the flat tensor of the i-th Lyndon word of length n, so
+        coordinates ``c`` expand to the level-n tensor ``c @ matrix``.  Built
+        once per basis and level.
+        """
+        if n not in self._expansion_cache:
+            sl = self._level_slices[n - 1]
+            matrix = np.zeros((sl.stop - sl.start, self.width**n))
+            for row, (idx, coef) in enumerate(self._flat[sl]):
+                matrix[row, idx] = coef
+            self._expansion_cache[n] = matrix
+        return self._expansion_cache[n]
 
     def __repr__(self) -> str:
         return f"LyndonBasis(width={self.width}, degree={self.degree}, dim={self.dim})"

@@ -7,6 +7,11 @@ the model variants that compose them.  The recurrent part always unrolls
 over the fixed number of partition segments, never over the raw frame
 count, so streams of any length share one parameter shape with no filler
 frames anywhere.
+
+el-logsig-rnn reads its layer rows off each sample's parameter-free raw
+path and carries them through its embedding as one linear map
+(``logsig_layer.map_rows``) whenever that raw path is narrow enough for
+its degree; see ``StreamClassifier``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward
+from .logsig_layer import (
+    SegmentPartition,
+    backward_from_state,
+    logsig_sequence_forward,
+    map_rows,
+    map_rows_backward,
+)
 from .lyndon import enumerate_lyndon
 from .paths import TimedPath, evaluate
 
@@ -42,6 +53,16 @@ __all__ = [
 
 VARIANTS = ("el-logsig-rnn", "gcn-logsig-rnn", "gcn-logsig-rnn-2", "frame-rnn")
 CELLS = ("vanilla", "lstm")
+
+# el-logsig-rnn takes the mapped route while its raw path's top tensor level
+# has at most this many entries: both the layer on the raw path and the
+# map's dense level factors grow with raw_width**degree.  Timed against the
+# per-path route by scripts/time_el_routes.py: up to 512 entries a training
+# step took 0.23-0.68 of the per-path one and single-stream logits 1.0-1.6x
+# as long; past it logits took 1.6-5.3x as long (112x at 20736 entries),
+# and the step gain shrank (0.33-0.77 up to 1296) and turned into a loss
+# from 1728 (1.0-1.4x; 21x at 20736).
+MAPPED_TENSOR_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -361,11 +382,16 @@ def _glorot(rng, fan_in, fan_out, shape=None):
     return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
 
 
+def _sample_spec(sample) -> tuple[int, int]:
+    """(joints, coords) of one sample; a path counts as one joint."""
+    return (1, sample.width) if isinstance(sample, TimedPath) else (sample.num_joints, sample.num_coords)
+
+
 def input_spec(samples) -> tuple[int, int]:
     """(joints, coords) shared by all samples; paths count as one joint."""
     spec = None
     for s in samples:
-        cur = (1, s.width) if isinstance(s, TimedPath) else (s.num_joints, s.num_coords)
+        cur = _sample_spec(s)
         if spec is None:
             spec = cur
         elif cur != spec:
@@ -385,12 +411,24 @@ class StreamClassifier:
 
     Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
     basis, segments)``.  A block maps each sample's frames ``(n, F, D)`` to
-    per-joint channels ``(n, J, c)`` (the embedding, or a plain reshape,
-    with ``J = 1`` for el-logsig-rnn; a graph convolution with ``J = F`` for
-    the gcn variants), runs the transformation tail once per joint, and one
-    recurrent unroll over all ``B * J`` rows of the batch.  Its full outputs
-    are the next block's frames.  The last step of the last block, averaged
-    over joints, feeds the head.  gcn-logsig-rnn-2 has two blocks.
+    per-joint channels ``(n, J, c)`` (the embedding with ``J = 1`` for
+    el-logsig-rnn; a graph convolution with ``J = F`` for the gcn variants),
+    runs the transformation tail once per joint, and one recurrent unroll
+    over all ``B * J`` rows of the batch.  Its full outputs are the next
+    block's frames.  The last step of the last block, averaged over joints,
+    feeds the head.  gcn-logsig-rnn-2 has two blocks.
+
+    el-logsig-rnn's tail is linear in ``[1, frames]``, so its path is the
+    raw path (the tail applied to ``[1, frames]``: time, frame count and
+    running frame sums) times one matrix ``L`` made of the embedding's
+    parameters.  While the raw path's width ``F * D + 1`` (plus the time
+    channel) to the power ``degree`` is at most ``MAPPED_TENSOR_LIMIT``, the
+    model takes the mapped route: the layer runs on each raw path, forward
+    only, and ``map_rows`` carries the batch's rows into the embedded basis
+    in one pass, its adjoint giving the embedding's gradients with no
+    per-path backward.  Without the embedding ``L`` is the identity and the
+    frames themselves are the raw path.  Wider inputs and the gcn variants
+    embed each path and run its adjoint (the per-path route).
     """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
@@ -415,6 +453,13 @@ class StreamClassifier:
         for prefix, width, segments in zip(("rnn", "rnn2"), widths, (cfg.num_segments, cfg.num_segments2)):
             width += 1 if cfg.use_time else 0
             self.blocks.append((prefix, enumerate_lyndon(width, cfg.degree), segments))
+        # the basis of the raw paths on the mapped route, None on the per-path route
+        self.raw_basis = None
+        raw_width = F * D + 1 + cfg.use_time
+        if cfg.variant == "el-logsig-rnn" and not cfg.use_embedding:
+            self.raw_basis = self.blocks[0][1]
+        elif cfg.variant == "el-logsig-rnn" and raw_width**cfg.degree <= MAPPED_TENSOR_LIMIT:
+            self.raw_basis = enumerate_lyndon(raw_width, cfg.degree)
         in_dims = [b.dim + (b.width if cfg.use_start_points else 0) for _, b, _ in self.blocks]
         self.rnn_in = in_dims[0]
         if len(in_dims) > 1:
@@ -458,8 +503,6 @@ class StreamClassifier:
         """Frames (n, F, D) -> per-joint channels (n, J, c) in front of block ``index``."""
         cfg, p = self.config, self.params
         if cfg.variant == "el-logsig-rnn":
-            if not cfg.use_embedding:
-                return frames.reshape(frames.shape[0], 1, -1)
             seq = embedding_forward(
                 frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], p["embed.mix_b"]
             )
@@ -472,16 +515,105 @@ class StreamClassifier:
         """Add the map's parameter gradients to ``grads``; return the gradient w.r.t. ``frames``."""
         cfg, p = self.config, self.params
         if cfg.variant == "el-logsig-rnn":
-            if cfg.use_embedding:
-                _, *g_embed = _embedding_backward(
-                    frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], g_mixed[:, 0, :]
-                )
-                for name, g in zip(("point_w", "point_b", "mix_w", "mix_b"), g_embed):
-                    grads[f"embed.{name}"] += g
+            _, *g_embed = _embedding_backward(
+                frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], g_mixed[:, 0, :]
+            )
+            for name, g in zip(("point_w", "point_b", "mix_w", "mix_b"), g_embed):
+                grads[f"embed.{name}"] += g
             return None
         key = "gcn2.theta" if index else "gcn.theta"
         g_frames, g_theta = _gcn_backward(frames, adjacency, p[key], g_mixed)
         grads[key] += g_theta
+        return g_frames
+
+    def _embedding_matrix(self):
+        """``L`` with ``[time, 1, frames] @ L = [time, embedding_forward(frames)]``.
+
+        ``(I_F (x) point_w) mix_w`` on the flattened frames, ``point_b mix_w +
+        mix_b`` on the constant channel, and 1 on the time channel if any.
+        """
+        cfg, p = self.config, self.params
+        F, D = self.spec
+        t = int(cfg.use_time)
+        mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
+        # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
+        head = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]]) @ mix
+        matrix = np.zeros((t + 1 + F * D, t + cfg.embed_dim))
+        matrix[:t, :t] = 1.0
+        matrix[t, t:] = head[:, 0].sum(axis=0) + p["embed.mix_b"]
+        matrix[t + 1 :, t:] = head[:, 1:].reshape(F * D, -1)
+        return matrix
+
+    def _embedding_matrix_backward(self, g_matrix, grads):
+        """Add the embedding's gradients, given the gradient of ``_embedding_matrix()``."""
+        cfg, p = self.config, self.params
+        F, D = self.spec
+        t = int(cfg.use_time)
+        g = g_matrix[t:, t:]
+        mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
+        weights = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]])
+        g_head = np.concatenate([np.broadcast_to(g[0], (F, 1, g.shape[1])), g[1:].reshape(F, D, -1)], axis=1)
+        g_weights = (g_head @ mix.transpose(0, 2, 1)).sum(axis=0)
+        grads["embed.point_b"] += g_weights[0]
+        grads["embed.point_w"] += g_weights[1:]
+        grads["embed.mix_w"] += (weights.T @ g_head).reshape(F * mix.shape[1], -1)
+        grads["embed.mix_b"] += g[0]
+
+    def _mapped_inputs(self, inputs, basis, segments):
+        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn on the mapped route."""
+        cfg = self.config
+        raw = []
+        for times, frames, _ in inputs:
+            seq = flat = frames.reshape(frames.shape[0], -1)
+            if cfg.use_embedding:  # [1, frames], in which the embedding is linear
+                seq = np.ones((flat.shape[0], flat.shape[1] + 1))
+                seq[:, 1:] = flat
+            raw.append(self._transform_tail(seq, times, self.raw_basis, segments)[0])
+        raw = np.stack(raw)
+        if not cfg.use_embedding:
+            return raw, None
+        matrix = self._embedding_matrix()
+        B, dim = raw.shape[0], self.raw_basis.dim
+        raw = raw.reshape(B * segments, -1)
+        rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
+        if cfg.use_start_points:
+            rows = np.concatenate([rows, raw[:, dim:] @ matrix], axis=1)
+        return rows.reshape(B, segments, -1), (raw[:, dim:], map_cache)
+
+    def _mapped_inputs_backward(self, cache, gx, grads):
+        """Add the embedding's gradients for the recurrent inputs' gradient ``gx``."""
+        if cache is None:  # no embedding: nothing in front of the layer to train
+            return
+        starts, map_cache = cache
+        gx = gx.reshape(-1, gx.shape[-1])
+        dim = self.blocks[0][1].dim
+        g_matrix = map_rows_backward(map_cache, gx[:, :dim])
+        if self.config.use_start_points:
+            g_matrix += starts.T @ gx[:, dim:]
+        self._embedding_matrix_backward(g_matrix, grads)
+
+    def _path_inputs(self, index, inputs, basis, segments):
+        """Recurrent inputs ``(B * J, segments, c)`` of block ``index`` on the per-path route."""
+        rows, tails = [], []
+        for times, frames, adjacency in inputs:
+            mixed = self._block_map(index, frames, adjacency)
+            joint_tails = []
+            for j in range(mixed.shape[1]):
+                r, tail = self._transform_tail(mixed[:, j, :], times, basis, segments)
+                rows.append(r)
+                joint_tails.append(tail)
+            tails.append(joint_tails)
+        return np.stack(rows), (inputs, tails)
+
+    def _path_inputs_backward(self, index, cache, gx, grads):
+        """Gradients of the per-path route; returns each sample's frame gradient."""
+        inputs, tails = cache
+        g_frames = []
+        for i, (_, frames, adjacency) in enumerate(inputs):
+            g_mixed = np.stack(
+                [self._transform_tail_backward(tail, gx[i, j]) for j, tail in enumerate(tails[i])], axis=1
+            )
+            g_frames.append(self._block_map_backward(index, frames, adjacency, g_mixed, grads))
         return g_frames
 
     def _transform_tail(self, seq, times, basis, num_segments):
@@ -520,6 +652,12 @@ class StreamClassifier:
 
     def forward_batch(self, samples):
         cfg, p = self.config, self.params
+        for i, s in enumerate(samples):
+            if _sample_spec(s) != tuple(self.spec):
+                raise ValueError(
+                    f"sample {i} has (joints, coords) {_sample_spec(s)}, "
+                    f"the model takes {tuple(self.spec)}"
+                )
         if cfg.variant == "frame-rnn":
             # one unroll per stream: raw frame counts differ between streams
             caches = []
@@ -539,21 +677,12 @@ class StreamClassifier:
             inputs = [(*self._as_frames(s), getattr(s, "adjacency", None)) for s in samples]
             batch_cache = {"blocks": []}
             for index, (prefix, basis, segments) in enumerate(self.blocks):
-                rows, tails = [], []
-                for times, frames, adjacency in inputs:
-                    mixed = self._block_map(index, frames, adjacency)
-                    if mixed.shape[1] != J:
-                        raise ValueError(f"expected {J} joints, got {mixed.shape[1]}")
-                    joint_tails = []
-                    for j in range(J):
-                        r, tail = self._transform_tail(mixed[:, j, :], times, basis, segments)
-                        rows.append(r)
-                        joint_tails.append(tail)
-                    tails.append(joint_tails)
-                out, batch_cache[prefix] = _rnn_forward_batch(
-                    np.stack(rows), *_rnn_params(p, prefix), cfg.cell
-                )
-                batch_cache["blocks"].append((inputs, tails))
+                if index == 0 and self.raw_basis is not None:
+                    x, block_cache = self._mapped_inputs(inputs, basis, segments)
+                else:
+                    x, block_cache = self._path_inputs(index, inputs, basis, segments)
+                out, batch_cache[prefix] = _rnn_forward_batch(x, *_rnn_params(p, prefix), cfg.cell)
+                batch_cache["blocks"].append(block_cache)
                 out = out.reshape(B, J, segments, cfg.hidden)
                 times = np.arange(segments, dtype=np.float64)
                 inputs = [(times, o.transpose(1, 0, 2), adj) for o, (_, _, adj) in zip(out, inputs)]
@@ -584,17 +713,15 @@ class StreamClassifier:
         g_out[:, :, -1, :] = g_feats[:, None, :] / J
         for index in range(len(self.blocks) - 1, -1, -1):
             prefix, _, segments = self.blocks[index]
-            inputs, tails = batch_cache["blocks"][index]
+            block_cache = batch_cache["blocks"][index]
             gx, *g_rnn = _rnn_backward_batch(batch_cache[prefix], g_out.reshape(B * J, segments, cfg.hidden))
             for name, g in zip(_RNN_KEYS, g_rnn):
                 grads[f"{prefix}.{name}"] += g
             gx = gx.reshape(B, J, segments, -1)
-            g_frames = []
-            for i, (_, frames, adjacency) in enumerate(inputs):
-                g_mixed = np.stack(
-                    [self._transform_tail_backward(tails[i][j], gx[i, j]) for j in range(J)], axis=1
-                )
-                g_frames.append(self._block_map_backward(index, frames, adjacency, g_mixed, grads))
+            if index == 0 and self.raw_basis is not None:
+                self._mapped_inputs_backward(block_cache, gx, grads)
+                continue
+            g_frames = self._path_inputs_backward(index, block_cache, gx, grads)
             if index:
                 g_out = np.stack([g.transpose(1, 0, 2) for g in g_frames])
         return grads

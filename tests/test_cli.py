@@ -347,6 +347,28 @@ class TestTrainEval:
             _, rows = report.tables["confusion"]
             assert sum(int(x) for x in rows[2][1:]) == 1
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_checkpoint_exits_2_before_training(self, stream_file, tmp_path, where):
+        # the learning rate makes training itself fail (exit 1), so exit 2
+        # shows the checkpoint was checked before any training ran
+        config = _write_train_config(tmp_path, learning_rate="1e80", epochs=3)
+        target = tmp_path / "missing" / "m.ckpt" if where == "missing directory" else tmp_path
+        result = run_cli("train", config, stream_file(count=8), str(target))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert f"checkpoint {target}" in result.stderr
+        assert result.stdout == ""
+
+    def test_eval_on_other_input_shapes_exits_2_naming_both(self, capture, stream_file, tmp_path):
+        ckpt = str(tmp_path / "model.ckpt")
+        assert capture(["train", _write_train_config(tmp_path), stream_file(count=8), ckpt])[0] == 0
+        skeletons = stream_file("skeletons.jsonl", count=3, layout="skeleton")
+        result = run_cli("eval", ckpt, skeletons)
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        for named in (ckpt, skeletons, "(5, 2)", "(1, 2)"):
+            assert named in result.stderr
+
     def test_missing_checkpoint_exits_2(self, stream_file, capsys):
         assert main(["eval", "/nonexistent.ckpt", stream_file()]) == 2
         capsys.readouterr()

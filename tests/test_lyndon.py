@@ -127,6 +127,35 @@ class TestBasisStructure:
             assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
             assert basis.level_inverse(n)[1] is inverse
 
+    @pytest.mark.parametrize("width,degree", [(2, 4), (3, 3), (9, 3)])
+    def test_level_correction_reproduces_the_inverse(self, width, degree):
+        basis = enumerate_lyndon(width, degree)
+        rng = np.random.default_rng(width + degree)
+        for n in range(1, degree + 1):
+            _, inverse = basis.level_inverse(n)
+            rows, cols, block = basis.level_correction(n)
+            x = rng.normal(size=(3, inverse.shape[0]))
+            corrected = x.copy()
+            corrected[:, rows] += x[:, cols] @ block
+            assert np.allclose(corrected, x @ inverse.T, rtol=0.0, atol=1e-12)
+            if n <= 2:
+                assert block.size == 0
+            assert basis.level_correction(n)[2] is block
+        # level 3 at width 9: one entry per row and per column, one per triple a < b < c
+        if width == 9:
+            rows, cols, block = basis.level_correction(3)
+            assert rows.size == cols.size == np.count_nonzero(block) == 84
+
+    def test_level_expansion_rows_are_the_bracket_expansions(self):
+        basis = enumerate_lyndon(3, 4)
+        for n in range(1, 5):
+            matrix = basis.level_expansion(n)
+            for i, word in enumerate(basis.words_of_length(n)):
+                coords = np.zeros(basis.dim)
+                coords[basis.word_position(word)] = 1.0
+                assert np.array_equal(matrix[i], expand_from_basis(coords, basis).levels[n])
+            assert basis.level_expansion(n) is matrix
+
 
 class TestProjection:
     def test_level_one_coordinates_are_letters(self):

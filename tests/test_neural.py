@@ -1,5 +1,8 @@
 """Path transformation layers, recurrent cells, and model variants."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,8 @@ from logsigrnn import (
     train,
     upsample_linear,
 )
+from logsigrnn import neural
+from logsigrnn.logsig_layer import _boundaries_in_path_time
 from logsigrnn.neural import (
     cross_entropy,
     input_spec,
@@ -378,6 +383,13 @@ class TestModels:
         _, cache = model.forward_batch([p])
         assert cache["fronts"][0]["rnn"][0].shape == (1, 16, 2)
 
+    def test_input_shape_checked_against_the_model(self):
+        cfg = ModelConfig(num_classes=3, hidden=4, embed_channels=2, embed_dim=3)
+        model = StreamClassifier.build(cfg, (1, 2), 0)
+        skel = SkeletonSequence(np.linspace(0, 1, 5), np.zeros((5, 2, 1)))
+        with pytest.raises(ValueError, match=r"\(2, 1\).*\(1, 2\)"):
+            model.logits(skel)
+
     def test_gcn_requires_adjacency(self):
         cfg = ModelConfig(variant="gcn-logsig-rnn", num_classes=3)
         model = StreamClassifier.build(cfg, (2, 2), 0)
@@ -453,3 +465,234 @@ class TestTraining:
         mixed = [random_path(rng, 6, 2), random_path(rng, 6, 3)]
         with pytest.raises(ValueError, match="mixed"):
             input_spec(mixed)
+
+
+def _el_model(rng, spec, **changes):
+    """An el-logsig-rnn with random nonzero embedding biases."""
+    fields = dict(degree=3, num_segments=3, embed_channels=3, embed_dim=4, hidden=3, num_classes=3)
+    fields.update(changes)
+    model = StreamClassifier.build(ModelConfig(**fields), spec, rng)
+    if model.config.use_embedding:
+        model.params["embed.point_b"] = rng.normal(size=model.params["embed.point_b"].shape)
+        model.params["embed.mix_b"] = rng.normal(size=model.params["embed.mix_b"].shape)
+    return model
+
+
+def _embedded_path_inputs(model, sample):
+    """Recurrent inputs of one sample through its embedded path, layer call by layer call."""
+    cfg, p = model.config, model.params
+    frames = sample.points[:, None, :] if isinstance(sample, TimedPath) else sample.frames
+    seq = embedding_forward(frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], p["embed.mix_b"])
+    if cfg.use_accumulative:
+        seq = accumulative_layer(seq)
+    if cfg.use_time:
+        seq = time_incorporated_layer(seq, sample.times)
+    path = TimedPath(sample.times, seq)
+    partition = SegmentPartition.spanning(path, cfg.num_segments)
+    rows = logsig_sequence(path, partition, cfg.degree, model.blocks[0][1])
+    starts = add_start_points(rows, path, partition.boundaries)[:, rows.shape[1] :]
+    return rows, starts if cfg.use_start_points else starts[:, :0]
+
+
+def _exact_el_inputs(model, sample):
+    """Degree-3 recurrent inputs of one sample in exact rational arithmetic.
+
+    The float64 inputs, parameters, time channel and segment boundaries are
+    taken as exact rationals; everything after them (the embedding, running
+    sums, boundary interpolation, Chen products, log and Lyndon projection)
+    is computed exactly.  Points are scaled by one common denominator ``q``
+    so that Chen's identity runs on integers: with ``A_k = k! q^k S_k``,
+    ``A_2 += 2 A_1 (x) D + D (x) D`` and ``A_3 += 3 A_2 (x) D + 3 A_1 (x) D
+    (x) D + D (x) D (x) D`` for each integer increment ``D``.
+    """
+    cfg, p = model.config, model.params
+    assert cfg.degree == 3 and cfg.use_accumulative and cfg.use_time
+    exact = np.vectorize(Fraction, otypes=[object])
+    frames = exact(sample.points[:, None, :] if isinstance(sample, TimedPath) else sample.frames)
+    n = frames.shape[0]
+    hidden = (frames @ exact(p["embed.point_w"]) + exact(p["embed.point_b"])).reshape(n, -1)
+    seq = np.cumsum(hidden @ exact(p["embed.mix_w"]) + exact(p["embed.mix_b"]), axis=0)
+    channel = time_incorporated_layer(np.zeros((n, 0)), sample.times)
+    points = np.concatenate([exact(channel), seq], axis=1)
+    times = exact(sample.times)
+    path = TimedPath(sample.times, channel)
+    v = exact(_boundaries_in_path_time(path, SegmentPartition.spanning(path, cfg.num_segments)))
+
+    def at(s):
+        i = int(np.searchsorted(times, s, side="left"))
+        if times[i] == s:
+            return points[i]
+        w = (s - times[i - 1]) / (times[i] - times[i - 1])
+        return (1 - w) * points[i - 1] + w * points[i]
+
+    basis, rows = model.blocks[0][1], []
+    for a, b in zip(v[:-1], v[1:]):
+        inside = (times > a) & (times < b)
+        seg = np.concatenate([at(a)[None], points[inside], at(b)[None]])
+        q = math.lcm(*(x.denominator for x in seg.ravel()))
+        d = np.diff(np.vectorize(lambda x: x.numerator * (q // x.denominator), otypes=[object])(seg), axis=0)
+        a1 = np.concatenate([d[:1] * 0, np.cumsum(d, axis=0)[:-1]])  # before each increment
+        t2 = 2 * a1[:, :, None] * d[:, None, :] + d[:, :, None] * d[:, None, :]
+        a2 = np.concatenate([t2[:1] * 0, np.cumsum(t2, axis=0)[:-1]])
+        dd = d[:, :, None] * d[:, None, :]
+        t3 = 3 * a2[:, :, :, None] * d[:, None, None, :] + 3 * a1[:, :, None, None] * dd[:, None] + dd[..., None] * d[:, None, None, :]
+        s1 = d.sum(axis=0) * Fraction(1, q)
+        s2 = t2.sum(axis=0) * Fraction(1, 2 * q**2)
+        s3 = t3.sum(axis=0) * Fraction(1, 6 * q**3)
+        sq = np.multiply.outer(s1, s1)
+        logs = (s1, s2 - sq / 2, s3 - (np.multiply.outer(s1, s2) + np.multiply.outer(s2, s1)) / 2 + np.multiply.outer(sq, s1) / 3)
+        row = []
+        for level, log in enumerate(logs, start=1):
+            idx, inverse = basis.level_inverse(level)
+            row.extend(inverse.astype(np.int64).astype(object) @ log.reshape(-1)[idx])
+        rows.append(row + list(at(a)))
+    return np.array(rows, dtype=np.float64)
+
+
+def _assert_rows_close(got, ref, tol=1e-12):
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= tol * scale), np.max(np.abs(got - ref))
+
+
+class TestElRoutes:
+    """el-logsig-rnn's mapped route (raw-path rows carried through the embedding's
+    matrix) against its per-path route (the layer on every embedded path)."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False), (False, True, True)])
+    def test_mapped_rows_match_the_embedded_path(self, degree, flags):
+        al, tl, sp = flags
+        rng = np.random.default_rng(40 + degree)
+        model = _el_model(rng, (1, 2), degree=degree, use_accumulative=al, use_time=tl,
+                          use_start_points=sp)
+        samples = [random_path(rng, n, 2) for n in (5, 17, 40)]
+        _, cache = model.forward_batch(samples)
+        dim = model.blocks[0][1].dim
+        for i, sample in enumerate(samples):
+            rows, starts = _embedded_path_inputs(model, sample)
+            _, single = model.forward_batch([sample])
+            for got in (cache["rnn"][0][i], single["rnn"][0][0]):
+                _assert_rows_close(got[:, :dim], rows)
+                if sp:
+                    _assert_rows_close(got[:, dim:], starts)
+                else:
+                    assert got.shape[1] == dim
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_long_offset_walk_rows_match_exact_arithmetic(self, seed):
+        # the raw path's count channel and running sums reach 2000 and 2e6 here;
+        # level-3 rows are what is left after cancelling terms of order 1e18, so
+        # float64 rows of either route are off the exact ones by far more than
+        # 1e-12.  Over seeds 0-20 the worst were 8.5e-10 (mapped) and 5.7e-9
+        # (per-path), both at seed 8.
+        rng = np.random.default_rng(seed)
+        model = _el_model(rng, (1, 2))
+        times = np.sort(rng.uniform(0.0, 1.0, 2000))
+        times[0], times[-1] = 0.0, 1.0
+        sample = TimedPath(times, 1e3 + np.cumsum(rng.normal(size=(2000, 2)), axis=0))
+        exact = _exact_el_inputs(model, sample)
+        _, cache = model.forward_batch([sample])
+        _assert_rows_close(cache["rnn"][0][0], exact, tol=1e-9)
+        _assert_rows_close(np.concatenate(_embedded_path_inputs(model, sample), axis=1), exact, tol=1e-8)
+
+    @staticmethod
+    def _layer_calls(monkeypatch, model, samples):
+        """Widths of the layer's forward calls and the number of its backward calls in one step."""
+        calls = {"widths": [], "backward": 0}
+        forward, backward = neural.logsig_sequence_forward, neural.backward_from_state
+
+        def counted_forward(path, *args):
+            calls["widths"].append(path.width)
+            return forward(path, *args)
+
+        def counted_backward(*args):
+            calls["backward"] += 1
+            return backward(*args)
+
+        monkeypatch.setattr(neural, "logsig_sequence_forward", counted_forward)
+        monkeypatch.setattr(neural, "backward_from_state", counted_backward)
+        logits, cache = model.forward_batch(samples)
+        _, g_logits = cross_entropy(logits, np.arange(len(samples)) % 3)
+        model.backward_batch(cache, g_logits)
+        return calls
+
+    def test_mapped_route_runs_no_per_path_backward(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        samples = [random_path(rng, n, 2) for n in (8, 20, 33)]
+        # raw path [time, 1, x, y]; without the embedding [time, x, y]
+        for use_embedding, width in ((True, 4), (False, 3)):
+            model = _el_model(rng, (1, 2), use_embedding=use_embedding)
+            calls = self._layer_calls(monkeypatch, model, samples)
+            assert calls == {"widths": [width] * 3, "backward": 0}
+
+    @pytest.mark.parametrize(
+        "spec,embed_dim,degree,mapped",
+        [
+            ((1, 2), 8, 4, True),  # raw width 4 (with time): 4**4 = 256 entries
+            ((1, 2), 2, 3, True),  # raw path wider than the embedded one, 4**3 = 64
+            ((5, 2), 4, 2, True),  # 12**2 = 144
+            ((2, 3), 4, 3, True),  # raw width 2 * 3 + 1 + 1 = 8: 8**3 = 512, the limit
+            ((1, 7), 8, 3, False),  # 9**3 = 729
+            ((5, 2), 16, 3, False),  # 12**3 = 1728, however wide the embedding
+        ],
+    )
+    def test_route_follows_the_raw_tensor_size(self, spec, embed_dim, degree, mapped):
+        model = _el_model(np.random.default_rng(54), spec, embed_dim=embed_dim, degree=degree)
+        assert (model.raw_basis is not None) == mapped
+
+    def test_wide_inputs_take_the_per_path_route(self, monkeypatch):
+        # raw width 5 * 2 + 1 + 1 = 12 at degree 3: 1728 entries, past the limit
+        rng = np.random.default_rng(51)
+        samples = [random_skeleton(rng, n, 5, 2) for n in (8, 20, 33)]
+        model = _el_model(rng, (5, 2))
+        calls = self._layer_calls(monkeypatch, model, samples)
+        assert calls == {"widths": [5] * 3, "backward": 3}
+        _, cache = model.forward_batch(samples)
+        for i, sample in enumerate(samples):
+            rows, starts = _embedded_path_inputs(model, sample)
+            _assert_rows_close(cache["rnn"][0][i], np.concatenate([rows, starts], axis=1))
+
+    @pytest.mark.parametrize("cell", ["vanilla", "lstm"])
+    @pytest.mark.parametrize("layout", ["mapped", "per-path"])
+    def test_gradients_match_finite_differences(self, cell, layout):
+        rng = np.random.default_rng(52)
+        if layout == "mapped":
+            samples, spec = [random_path(rng, n, 2) for n in (7, 12)], (1, 2)
+        else:
+            samples, spec = [random_skeleton(rng, n, 5, 2) for n in (7, 12)], (5, 2)
+        model = _el_model(rng, spec, cell=cell, hidden=2, num_segments=2)
+        assert (model.raw_basis is not None) == (layout == "mapped")
+        labels = np.array([0, 2])
+        logits, cache = model.forward_batch(samples)
+        _, g_logits = cross_entropy(logits, labels)
+        grads = model.backward_batch(cache, g_logits)
+        # central differences of the loss carry about 1e-10 absolute noise, so
+        # errors are taken relative to at least 1e-5 (as in acceptance
+        # criterion 3); the embedding's gradients, which the two routes
+        # compute differently, are held to a tenth of that
+        h = 1e-6
+        worst = {"embed": 0.0, "other": 0.0}
+        for name, p in model.params.items():
+            for ix in np.ndindex(p.shape):
+                orig = p[ix]
+                p[ix] = orig + h
+                up, _ = cross_entropy(model.forward_batch(samples)[0], labels)
+                p[ix] = orig - h
+                down, _ = cross_entropy(model.forward_batch(samples)[0], labels)
+                p[ix] = orig
+                fd = (up - down) / (2 * h)
+                err = abs(grads[name][ix] - fd) / max(abs(grads[name][ix]), abs(fd), 1e-5)
+                key = "embed" if name.startswith("embed.") else "other"
+                worst[key] = max(worst[key], err)
+        assert worst["embed"] <= 1e-5 and worst["other"] <= 1e-4, worst
+
+    def test_single_sample_stream_through_the_mapped_route(self):
+        rng = np.random.default_rng(53)
+        model = _el_model(rng, (1, 2))
+        one = TimedPath(np.array([0.5]), np.array([[1.0, -2.0]]))
+        logits, cache = model.forward_batch([one])
+        assert np.all(np.isfinite(logits))
+        rows, starts = _embedded_path_inputs(model, one)
+        dim = model.blocks[0][1].dim
+        assert np.array_equal(cache["rnn"][0][0][:, :dim], rows)
+        _assert_rows_close(cache["rnn"][0][0][:, dim:], starts)
