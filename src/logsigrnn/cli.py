@@ -83,11 +83,13 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainSettings]:
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     config = ModelConfig(**cfg_kwargs)
+    settings = TrainSettings(**train_kwargs)
     try:
         config.validate()
+        settings.validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return config, TrainSettings(**train_kwargs)
+    return config, settings
 
 
 def load_config_file(path: str) -> tuple[ModelConfig, TrainSettings]:
@@ -170,6 +172,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
             expected = int(np.prod(shape)) if shape else 1
             if values.size != expected:
                 raise InputError(f"param {name} has wrong element count")
+            if not np.all(np.isfinite(values)):
+                raise InputError(f"param {name} has non-finite values")
             params[name] = values.reshape(shape)
             i += 2
     except IndexError as exc:
@@ -306,6 +310,11 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
 def _split_eval(data: LabeledStreamSet, fraction: float, seed: int):
     count = len(data)
     held = int(round(count * fraction))
+    if not 0 < held < count:
+        raise InputError(
+            f"--eval-fraction {fraction} holds out {held} of {count} records; "
+            "training and evaluation need at least one each"
+        )
     rng = np.random.default_rng(seed)
     order = rng.permutation(count)
     return data.subset(order[held:]), data.subset(order[:held])
@@ -437,6 +446,12 @@ def _median_epoch_seconds(trace: list, warmup: int, timed: int) -> float:
 
 
 def _cmd_bench(args) -> tuple[RunReport, int]:
+    if args.timed_epochs < 1:
+        raise InputError(f"--timed-epochs must be >= 1, got {args.timed_epochs}")
+    if not 0 <= args.warmup_epochs <= args.epochs:
+        raise InputError(f"--warmup-epochs must lie in 0..{args.epochs} (--epochs), got {args.warmup_epochs}")
+    if not 0.0 < args.eval_fraction < 1.0:
+        raise InputError(f"--eval-fraction must lie in (0, 1), got {args.eval_fraction}")
     config, settings = load_config_file(args.config)
     bconfig, bsettings = load_config_file(args.baseline_config)
     data = _load_dataset(args.data)

@@ -3,10 +3,12 @@
 Everything is plain float64 numpy with hand-derived reverse-mode gradients:
 path transformation layers (pointwise embedding, accumulative, time
 channel, per-frame graph convolution), vanilla/LSTM recurrent cells, and
-the model variants that compose them.  The recurrent part always unrolls
-over the fixed number of partition segments, never over the raw frame
-count, so streams of any length share one parameter shape with no filler
-frames anywhere.
+the model variants that compose them.  In the logsig variants the
+recurrent part unrolls over the fixed number of partition segments, never
+over the raw frame count, so streams of any length share one parameter
+shape.  The frame-rnn baseline unrolls over each stream's frames, the whole
+batch at once in lockstep by frame count (longest first, each step on the
+streams that still have a frame); no filler frame is computed anywhere.
 
 el-logsig-rnn reads its layer rows off each sample's parameter-free raw
 path and carries them through its embedding as one linear map
@@ -150,6 +152,14 @@ class TrainSettings:
     seed: int = 0
     clip_norm: float | None = None
 
+    def validate(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0 or unset, got {self.clip_norm}")
+
 
 @dataclass
 class TrainResult:
@@ -269,17 +279,21 @@ def _rnn_params(params: dict, prefix: str) -> list:
     return [params[f"{prefix}.{k}"] for k in _RNN_KEYS]
 
 
-def _rnn_forward_batch(x, u, w, b, v, vb, cell):
-    """Unroll a recurrent cell over (B, T, c) input; outputs are V h_t + vb."""
+def _rnn_forward_batch(x, u, w, b, v, vb, cell, lengths=None):
+    """Unroll a recurrent cell over (B, T, c) input; outputs are V h_t + vb.
+
+    Row r runs ``lengths[r]`` steps (default T), rows longest first.
+    """
     B, T, _ = x.shape
     H = w.shape[0]
+    counts = [B] * T if lengths is None else (lengths[:, None] > np.arange(T)).sum(axis=0).tolist()
     h = np.zeros((B, H))
     c_state = np.zeros((B, H))
     hs = [h]
     steps = []
-    outputs = np.empty((B, T, H))
-    for t in range(T):
-        z = x[:, t] @ u + h @ w + b
+    outputs = np.zeros((B, T, H))
+    for t, n in enumerate(counts):
+        z = x[:n, t] @ u + h[:n] @ w + b
         if cell == "vanilla":
             h = np.tanh(z)
             steps.append((h,))
@@ -288,19 +302,19 @@ def _rnn_forward_batch(x, u, w, b, v, vb, cell):
             f = _sigmoid(z[:, H : 2 * H])
             g = np.tanh(z[:, 2 * H : 3 * H])
             o = _sigmoid(z[:, 3 * H :])
-            c_prev = c_state
+            c_prev = c_state[:n]
             c_state = f * c_prev + i * g
             tc = np.tanh(c_state)
             h = o * tc
             steps.append((i, f, g, o, c_prev, c_state, tc))
         hs.append(h)
-        outputs[:, t] = h @ v + vb
-    cache = (x, u, w, v, cell, hs, steps)
+        outputs[:n, t] = h @ v + vb
+    cache = (x, u, w, v, cell, hs, steps, counts)
     return outputs, cache
 
 
 def _rnn_backward_batch(cache, g_out):
-    x, u, w, v, cell, hs, steps = cache
+    x, u, w, v, cell, hs, steps, counts = cache
     B, T, _ = x.shape
     H = w.shape[0]
     gx = np.zeros_like(x)
@@ -312,16 +326,17 @@ def _rnn_backward_batch(cache, g_out):
     gh_carry = np.zeros((B, H))
     gc_carry = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        go = g_out[:, t]
+        n = counts[t]
+        go = g_out[:n, t]
         gv += hs[t + 1].T @ go
         gvb += go.sum(axis=0)
-        gh = go @ v.T + gh_carry
+        gh = go @ v.T + gh_carry[:n]
         if cell == "vanilla":
             (h,) = steps[t]
             gz = gh * (1.0 - h * h)
         else:
             i, f, g, o, c_prev, c_state, tc = steps[t]
-            gc = gc_carry + gh * o * (1.0 - tc * tc)
+            gc = gc_carry[:n] + gh * o * (1.0 - tc * tc)
             gz = np.concatenate(
                 [
                     gc * g * i * (1.0 - i),
@@ -331,12 +346,12 @@ def _rnn_backward_batch(cache, g_out):
                 ],
                 axis=1,
             )
-            gc_carry = gc * f
-        gu += x[:, t].T @ gz
-        gw += hs[t].T @ gz
+            gc_carry[:n] = gc * f
+        gu += x[:n, t].T @ gz
+        gw += hs[t][:n].T @ gz
         gb += gz.sum(axis=0)
-        gx[:, t] = gz @ u.T
-        gh_carry = gz @ w.T
+        gx[:n, t] = gz @ u.T
+        gh_carry[:n] = gz @ w.T
     return gx, gu, gw, gb, gv, gvb
 
 
@@ -429,6 +444,10 @@ class StreamClassifier:
     per-path backward.  Without the embedding ``L`` is the identity and the
     frames themselves are the raw path.  Wider inputs and the gcn variants
     embed each path and run its adjoint (the per-path route).
+
+    frame-rnn has one block with no basis: its cell reads the flattened
+    frames of every stream in one ragged unroll, rows longest first, and the
+    head reads each stream's output at its own last frame.
     """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
@@ -444,6 +463,7 @@ class StreamClassifier:
         self.blocks = []
         self.joints = F if cfg.variant.startswith("gcn") else 1
         if cfg.variant == "frame-rnn":
+            self.blocks.append(("rnn", None, None))
             self.rnn_in = F * D
             return
         if cfg.variant == "el-logsig-rnn":
@@ -559,6 +579,20 @@ class StreamClassifier:
         grads["embed.mix_w"] += (weights.T @ g_head).reshape(F * mix.shape[1], -1)
         grads["embed.mix_b"] += g[0]
 
+    def _frame_inputs(self, inputs):
+        """Recurrent inputs ``(B, T, F * D)`` of frame-rnn, longest first, and each row's length and sample."""
+        n = self.config.resample_frames
+        lengths = np.array([n if n > 0 else len(times) for times, _, _ in inputs])
+        order = np.argsort(-lengths, kind="stable")
+        x = np.zeros((len(inputs), lengths.max(), self.rnn_in))
+        for row, i in enumerate(order):
+            times, frames, _ = inputs[i]
+            stream = frames.reshape(len(times), -1)
+            if n > 0:  # the interpolant on a uniform grid of n frames
+                stream = evaluate(TimedPath(times, stream), np.linspace(times[0], times[-1], n))
+            x[row, : lengths[i]] = stream
+        return x, lengths[order], order
+
     def _mapped_inputs(self, inputs, basis, segments):
         """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn on the mapped route."""
         cfg = self.config
@@ -658,24 +692,15 @@ class StreamClassifier:
                     f"sample {i} has (joints, coords) {_sample_spec(s)}, "
                     f"the model takes {tuple(self.spec)}"
                 )
+        B, J = len(samples), self.joints
+        inputs = [(*self._as_frames(s), getattr(s, "adjacency", None)) for s in samples]
+        batch_cache = {"blocks": []}
         if cfg.variant == "frame-rnn":
-            # one unroll per stream: raw frame counts differ between streams
-            caches = []
-            feats = np.empty((len(samples), cfg.hidden))
-            for i, s in enumerate(samples):
-                times, frames = self._as_frames(s)
-                x = frames.reshape(frames.shape[0], -1)
-                if cfg.resample_frames > 0:
-                    grid = np.linspace(times[0], times[-1], cfg.resample_frames)
-                    x = evaluate(TimedPath(times, x), grid)
-                out, rnn_cache = _rnn_forward_batch(x[None], *_rnn_params(p, "rnn"), cfg.cell)
-                feats[i] = out[0, -1, :]
-                caches.append({"rnn": rnn_cache})
-            batch_cache = {"fronts": caches}
+            x, lengths, order = self._frame_inputs(inputs)
+            out, batch_cache["rnn"] = _rnn_forward_batch(x, *_rnn_params(p, "rnn"), cfg.cell, lengths)
+            feats = out[np.arange(B), lengths - 1][np.argsort(order)]
+            batch_cache["last"] = (lengths - 1, order)
         else:
-            B, J = len(samples), self.joints
-            inputs = [(*self._as_frames(s), getattr(s, "adjacency", None)) for s in samples]
-            batch_cache = {"blocks": []}
             for index, (prefix, basis, segments) in enumerate(self.blocks):
                 if index == 0 and self.raw_basis is not None:
                     x, block_cache = self._mapped_inputs(inputs, basis, segments)
@@ -687,9 +712,9 @@ class StreamClassifier:
                 times = np.arange(segments, dtype=np.float64)
                 inputs = [(times, o.transpose(1, 0, 2), adj) for o, (_, _, adj) in zip(out, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
+            batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
         logits = feats @ p["head.w"] + p["head.b"]
         batch_cache["feats"] = feats
-        batch_cache["logits"] = logits
         return logits, batch_cache
 
     def backward_batch(self, batch_cache, g_logits):
@@ -699,31 +724,25 @@ class StreamClassifier:
         grads["head.w"] += feats.T @ g_logits
         grads["head.b"] += g_logits.sum(axis=0)
         g_feats = g_logits @ self.params["head.w"].T
-        if cfg.variant == "frame-rnn":
-            for i, cache in enumerate(batch_cache["fronts"]):
-                rnn_cache = cache["rnn"]
-                g_out = np.zeros((1, rnn_cache[0].shape[1], cfg.hidden))
-                g_out[0, -1, :] = g_feats[i]
-                _, *g_rnn = _rnn_backward_batch(rnn_cache, g_out)
-                for name, g in zip(_RNN_KEYS, g_rnn):
-                    grads[f"rnn.{name}"] += g
-            return grads
         B, J = g_feats.shape[0], self.joints
-        g_out = np.zeros((B, J, self.blocks[-1][2], cfg.hidden))
-        g_out[:, :, -1, :] = g_feats[:, None, :] / J
+        last, sample = batch_cache["last"]  # each last-block row's last step and sample
+        g_out = np.zeros((len(sample), np.max(last) + 1, cfg.hidden))
+        g_out[np.arange(len(sample)), last] = g_feats[sample] / J
         for index in range(len(self.blocks) - 1, -1, -1):
-            prefix, _, segments = self.blocks[index]
-            block_cache = batch_cache["blocks"][index]
-            gx, *g_rnn = _rnn_backward_batch(batch_cache[prefix], g_out.reshape(B * J, segments, cfg.hidden))
+            prefix, basis, segments = self.blocks[index]
+            gx, *g_rnn = _rnn_backward_batch(batch_cache[prefix], g_out)
             for name, g in zip(_RNN_KEYS, g_rnn):
                 grads[f"{prefix}.{name}"] += g
+            if basis is None:  # frame-rnn's cell reads the frames themselves
+                continue
+            block_cache = batch_cache["blocks"][index]
             gx = gx.reshape(B, J, segments, -1)
             if index == 0 and self.raw_basis is not None:
                 self._mapped_inputs_backward(block_cache, gx, grads)
                 continue
             g_frames = self._path_inputs_backward(index, block_cache, gx, grads)
             if index:
-                g_out = np.stack([g.transpose(1, 0, 2) for g in g_frames])
+                g_out = np.stack([g.transpose(1, 0, 2) for g in g_frames]).reshape(B * J, -1, cfg.hidden)
         return grads
 
     def logits(self, sample) -> np.ndarray:
@@ -763,6 +782,7 @@ def train(
 ) -> TrainResult:
     """Mini-batch SGD with momentum on softmax cross-entropy."""
     settings = settings or TrainSettings()
+    settings.validate()
     if len(train_samples) == 0:
         raise ValueError("empty training set")
     labels = _checked_labels(train_labels, config.num_classes)

@@ -254,6 +254,20 @@ class TestCheckpoints:
         with pytest.raises(InputError, match="head.b"):
             load_checkpoint(target)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_param_exits_2(self, tmp_path, stream_file, capsys, value):
+        def poison_head_b(lines):
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("param head.b ")) + 1
+            values = lines[at].split()
+            return lines[:at] + [" ".join([value] + values[1:])] + lines[at + 1 :]
+
+        target = self._edited_checkpoint(tmp_path, poison_head_b)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match="head.b"):
+            load_checkpoint(target)
+
     def test_header_disagreeing_with_param_shapes_exits_2(self, tmp_path, stream_file, capsys):
         def claim_hidden_9(lines):
             return ["hidden = 9" if ln == "hidden = 8" else ln for ln in lines]
@@ -332,6 +346,16 @@ class TestTrainEval:
         assert "Traceback" not in result.stderr
         assert_single_error_line(result.stderr)
         assert "non-finite loss" in result.stderr
+
+    @pytest.mark.parametrize("key,value", [("epochs", 0), ("batch_size", 0), ("clip_norm", -1.0)])
+    def test_bad_train_settings_exit_2_naming_the_key(self, stream_file, tmp_path, key, value):
+        config = _write_train_config(tmp_path, **{key: value})
+        target = tmp_path / "m.ckpt"
+        result = run_cli("train", config, stream_file(count=8), str(target))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert key in result.stderr
+        assert result.stdout == "" and not target.exists()
 
     def test_eval_classifies_single_sample_stream(self, capture, stream_file, tmp_path):
         for degree in (2, 3):
@@ -438,3 +462,23 @@ class TestBenchCommand:
         columns, rows = report.tables["timing"]
         assert [int(r[0]) for r in rows] == [1, 2]
         assert all(float(r[1]) > 0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--timed-epochs", "0"], "--timed-epochs"),
+            (["--epochs", "1", "--timed-epochs", "1", "--warmup-epochs", "5"], "--warmup-epochs"),
+            (["--warmup-epochs", "-1"], "--warmup-epochs"),
+            (["--eval-fraction", "-0.25"], "--eval-fraction"),
+            (["--eval-fraction", "1"], "--eval-fraction"),
+            (["--eval-fraction", "0.05"], "--eval-fraction"),  # holds out 0 of 8 records
+            (["--eval-fraction", "0.95"], "--eval-fraction"),  # holds out all 8
+        ],
+    )
+    def test_bad_arguments_exit_2_naming_the_flag(self, stream_file, tmp_path, flags, named):
+        config = _write_train_config(tmp_path, epochs=1)
+        result = run_cli("bench", stream_file(count=8), "--config", config, "--baseline-config", config, *flags)
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert named in result.stderr
+        assert result.stdout == ""

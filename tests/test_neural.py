@@ -381,7 +381,7 @@ class TestModels:
         base = model.logits(p)
         assert np.max(np.abs(model.logits(upsample_linear(p, 3)) - base)) <= 1e-12
         _, cache = model.forward_batch([p])
-        assert cache["fronts"][0]["rnn"][0].shape == (1, 16, 2)
+        assert cache["rnn"][0].shape == (1, 16, 2)
 
     def test_input_shape_checked_against_the_model(self):
         cfg = ModelConfig(num_classes=3, hidden=4, embed_channels=2, embed_dim=3)
@@ -696,3 +696,40 @@ class TestElRoutes:
         dim = model.blocks[0][1].dim
         assert np.array_equal(cache["rnn"][0][0][:, :dim], rows)
         _assert_rows_close(cache["rnn"][0][0][:, dim:], starts)
+
+
+class TestFrameRnnBatch:
+    """frame-rnn unrolls a whole batch at once, each stream for its own frame count."""
+
+    @pytest.mark.parametrize("cell", ["vanilla", "lstm"])
+    @pytest.mark.parametrize("resample", [0, 5])
+    def test_batch_matches_single_streams(self, monkeypatch, cell, resample):
+        rng = np.random.default_rng(60)
+        # unsorted, with ties and a one-frame stream
+        samples = [random_skeleton(rng, n, 2, 2) for n in (4, 1, 9, 4, 2, 9, 3)]
+        labels = np.array([0, 1, 2, 1, 0, 2, 1])
+        cfg = ModelConfig(variant="frame-rnn", hidden=4, cell=cell, num_classes=3, resample_frames=resample)
+        model = StreamClassifier.build(cfg, (2, 2), 9)
+        unrolls = []
+        unroll = neural._rnn_forward_batch
+
+        def counted(*args):
+            unrolls.append(args[0].shape)
+            return unroll(*args)
+
+        monkeypatch.setattr(neural, "_rnn_forward_batch", counted)
+        logits, cache = model.forward_batch(samples)
+        assert unrolls == [(7, resample or 9, 4)]
+        # step t runs only on the streams that have a t-th frame
+        assert list(cache["rnn"][-1]) == ([7, 6, 5, 4, 2, 2, 2, 2, 2] if resample == 0 else [7] * 5)
+        _, g_logits = cross_entropy(logits, labels)
+        grads = model.backward_batch(cache, g_logits)
+        reference = {name: np.zeros_like(p) for name, p in model.params.items()}
+        for i, s in enumerate(samples):
+            single, single_cache = model.forward_batch([s])
+            assert np.max(np.abs(logits[i] - single[0])) <= 1e-12 * np.max(np.abs(single))
+            _, g_single = cross_entropy(single, labels[i : i + 1])
+            for name, g in model.backward_batch(single_cache, g_single).items():
+                reference[name] += g / len(samples)
+        for name, ref in reference.items():
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
