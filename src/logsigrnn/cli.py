@@ -134,8 +134,9 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
     """Read a checkpoint and check its parameters against the header's model.
 
     Every parameter the header's config and input shape build must be
-    present with its built shape, and no other; anything else is an
-    ``InputError`` naming the file.
+    present once with its built shape, and no other, and a lone ``end``
+    line must close the blocks; anything else is an ``InputError`` naming
+    the file.
     """
     try:
         with open(path) as handle:
@@ -167,6 +168,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
             if head[0] != "param":
                 raise InputError(f"expected a param header, got {lines[i]!r}")
             name, ndim = head[1], int(head[2])
+            if name in params:
+                raise InputError(f"repeated param {name}")
             shape = tuple(int(s) for s in head[3 : 3 + ndim])
             values = np.array([float(tok) for tok in lines[i + 1].split()])
             expected = int(np.prod(shape)) if shape else 1
@@ -176,6 +179,11 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
                 raise InputError(f"param {name} has non-finite values")
             params[name] = values.reshape(shape)
             i += 2
+        if lines[i] != "end":
+            raise InputError(f"expected 'end' after {count} params, got {lines[i]!r}")
+        i += 1
+        if i < len(lines):
+            raise InputError(f"unexpected {lines[i]!r} after 'end'")
     except IndexError as exc:
         raise InputError(f"checkpoint {path}: truncated after line {len(lines)}") from exc
     except ValueError as exc:
@@ -213,6 +221,8 @@ def _load_dataset(path: str) -> LabeledStreamSet:
 
 
 def _cmd_dims(args) -> tuple[RunReport, int]:
+    if args.degree < 1:
+        raise InputError(f"--degree must be >= 1, got {args.degree}")
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
     rows = []
     for m in range(1, args.degree + 1):
@@ -254,6 +264,8 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
 
 
 def _cmd_gradcheck(args) -> tuple[RunReport, int]:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     tic = time.perf_counter()
     worst = 0.0

@@ -10,10 +10,11 @@ shape.  The frame-rnn baseline unrolls over each stream's frames, the whole
 batch at once in lockstep by frame count (longest first, each step on the
 streams that still have a frame); no filler frame is computed anywhere.
 
-el-logsig-rnn reads its layer rows off each sample's parameter-free raw
-path and carries them through its embedding as one linear map
-(``logsig_layer.map_rows``) whenever that raw path is narrow enough for
-its degree; see ``StreamClassifier``.
+el-logsig-rnn's path is each sample's parameter-free raw path times one
+matrix ``L`` made of its embedding.  The layer reads the raw path and
+``logsig_layer.map_rows`` carries its rows through ``L`` whenever that raw
+path is narrow enough for its degree; wider inputs run the layer on
+``raw @ L``.  See ``StreamClassifier``.
 """
 
 from __future__ import annotations
@@ -137,8 +138,13 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.cell not in CELLS:
             raise ValueError(f"unknown cell {self.cell!r}, expected one of {CELLS}")
-        if self.degree < 1 or self.num_segments < 1 or self.num_classes < 2:
-            raise ValueError("degree and num_segments must be >= 1, num_classes >= 2")
+        minima = {
+            "degree": 1, "num_segments": 1, "num_classes": 2, "hidden": 1,
+            "embed_channels": 1, "embed_dim": 1, "gcn_dim": 1, "resample_frames": 0,
+        }
+        for key, low in minima.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.variant == "gcn-logsig-rnn-2" and self.num_segments2 < 1:
             raise ValueError("stacked variant needs num_segments2 >= 1")
 
@@ -185,19 +191,6 @@ def embedding_forward(frames, point_w, point_b, mix_w, mix_b) -> np.ndarray:
     n = frames.shape[0]
     hidden = frames @ point_w + point_b
     return hidden.reshape(n, -1) @ mix_w + mix_b
-
-
-def _embedding_backward(frames, point_w, point_b, mix_w, grad):
-    n, F, _ = frames.shape
-    c1 = point_w.shape[1]
-    flat = (frames @ point_w + point_b).reshape(n, F * c1)
-    g_mix_w = flat.T @ grad
-    g_mix_b = grad.sum(axis=0)
-    g_hidden = (grad @ mix_w.T).reshape(n, F, c1)
-    g_point_w = np.einsum("nfd,nfc->dc", frames, g_hidden)
-    g_point_b = g_hidden.sum(axis=(0, 1))
-    g_frames = g_hidden @ point_w.T
-    return g_frames, g_point_w, g_point_b, g_mix_w, g_mix_b
 
 
 def accumulative_layer(seq: np.ndarray) -> np.ndarray:
@@ -425,25 +418,28 @@ class StreamClassifier:
     """Sequence classifier over timed paths or skeleton sequences.
 
     Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
-    basis, segments)``.  A block maps each sample's frames ``(n, F, D)`` to
-    per-joint channels ``(n, J, c)`` (the embedding with ``J = 1`` for
-    el-logsig-rnn; a graph convolution with ``J = F`` for the gcn variants),
-    runs the transformation tail once per joint, and one recurrent unroll
-    over all ``B * J`` rows of the batch.  Its full outputs are the next
-    block's frames.  The last step of the last block, averaged over joints,
-    feeds the head.  gcn-logsig-rnn-2 has two blocks.
+    basis, segments)``.  A block turns each sample into ``J`` paths, runs
+    the layer (and start points) on each path's segments, and one recurrent
+    unroll over all ``B * J`` rows of the batch.  Its full outputs are the
+    next block's frames.  The last step of the last block, averaged over
+    joints, feeds the head.  The gcn variants convolve every frame over the
+    graph and apply the tail (accumulative and time layers) to each of the
+    ``J = F`` joints' channels; gcn-logsig-rnn-2 has two blocks.
 
-    el-logsig-rnn's tail is linear in ``[1, frames]``, so its path is the
-    raw path (the tail applied to ``[1, frames]``: time, frame count and
-    running frame sums) times one matrix ``L`` made of the embedding's
-    parameters.  While the raw path's width ``F * D + 1`` (plus the time
-    channel) to the power ``degree`` is at most ``MAPPED_TENSOR_LIMIT``, the
-    model takes the mapped route: the layer runs on each raw path, forward
-    only, and ``map_rows`` carries the batch's rows into the embedded basis
-    in one pass, its adjoint giving the embedding's gradients with no
-    per-path backward.  Without the embedding ``L`` is the identity and the
-    frames themselves are the raw path.  Wider inputs and the gcn variants
-    embed each path and run its adjoint (the per-path route).
+    el-logsig-rnn has one block with ``J = 1``.  Its embedding is affine and
+    its tail linear, so its path is the raw path (the tail applied to ``[1,
+    frames]``: time, frame count and running frame sums) times one matrix
+    ``L`` made of the embedding's parameters.  While the raw path's width
+    ``F * D + 1`` (plus the time channel) to the power ``degree`` is at most
+    ``MAPPED_TENSOR_LIMIT``, the model takes the mapped route: the layer
+    runs on each raw path, forward only, and ``map_rows`` carries the
+    batch's rows into the embedded basis in one pass.  Wider inputs take the
+    per-path route: the layer and its adjoint run on each ``raw @ L``.  On
+    both routes the embedding's gradients are those of ``L`` (from the map's
+    adjoint, or ``raw.T`` times the paths' point gradients), taken through
+    ``_embedding_matrix_backward`` once per batch.  Without the embedding
+    ``L`` is the identity and the frames themselves are the raw path.
+    ``raw_basis`` is None on the per-path route; setting it forces a route.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
@@ -519,33 +515,6 @@ class StreamClassifier:
             return sample.times, sample.points[:, None, :]
         return sample.times, sample.frames
 
-    def _block_map(self, index, frames, adjacency):
-        """Frames (n, F, D) -> per-joint channels (n, J, c) in front of block ``index``."""
-        cfg, p = self.config, self.params
-        if cfg.variant == "el-logsig-rnn":
-            seq = embedding_forward(
-                frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], p["embed.mix_b"]
-            )
-            return seq[:, None, :]
-        if adjacency is None:
-            raise ValueError("gcn variants require an adjacency matrix")
-        return gcn_forward(frames, adjacency, p["gcn2.theta" if index else "gcn.theta"])
-
-    def _block_map_backward(self, index, frames, adjacency, g_mixed, grads):
-        """Add the map's parameter gradients to ``grads``; return the gradient w.r.t. ``frames``."""
-        cfg, p = self.config, self.params
-        if cfg.variant == "el-logsig-rnn":
-            _, *g_embed = _embedding_backward(
-                frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], g_mixed[:, 0, :]
-            )
-            for name, g in zip(("point_w", "point_b", "mix_w", "mix_b"), g_embed):
-                grads[f"embed.{name}"] += g
-            return None
-        key = "gcn2.theta" if index else "gcn.theta"
-        g_frames, g_theta = _gcn_backward(frames, adjacency, p[key], g_mixed)
-        grads[key] += g_theta
-        return g_frames
-
     def _embedding_matrix(self):
         """``L`` with ``[time, 1, frames] @ L = [time, embedding_forward(frames)]``.
 
@@ -593,8 +562,15 @@ class StreamClassifier:
             x[row, : lengths[i]] = stream
         return x, lengths[order], order
 
-    def _mapped_inputs(self, inputs, basis, segments):
-        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn on the mapped route."""
+    def _el_inputs(self, inputs, basis, segments):
+        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn.
+
+        Each sample's raw path is the tail applied to ``[1, frames]``, or to
+        the frames themselves without the embedding (``L`` is then the
+        identity).  The mapped route runs the layer on the raw paths and
+        carries their rows through ``L`` with ``map_rows``; the per-path route
+        runs it on each ``raw @ L``.
+        """
         cfg = self.config
         raw = []
         for times, frames, _ in inputs:
@@ -602,84 +578,100 @@ class StreamClassifier:
             if cfg.use_embedding:  # [1, frames], in which the embedding is linear
                 seq = np.ones((flat.shape[0], flat.shape[1] + 1))
                 seq[:, 1:] = flat
-            raw.append(self._transform_tail(seq, times, self.raw_basis, segments)[0])
-        raw = np.stack(raw)
-        if not cfg.use_embedding:
-            return raw, None
+            raw.append((times, self._tail(seq, times)))
+        if not cfg.use_embedding:  # nothing in front of the layer to train
+            return np.stack([self._rows(t, points, basis, segments)[0] for t, points in raw]), None
         matrix = self._embedding_matrix()
-        B, dim = raw.shape[0], self.raw_basis.dim
+        if self.raw_basis is None:
+            rows, caches = zip(*(self._rows(t, points @ matrix, basis, segments) for t, points in raw))
+            return np.stack(rows), (raw, caches)
+        B, dim = len(raw), self.raw_basis.dim
+        raw = np.stack([self._rows(t, points, self.raw_basis, segments)[0] for t, points in raw])
         raw = raw.reshape(B * segments, -1)
         rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
         if cfg.use_start_points:
             rows = np.concatenate([rows, raw[:, dim:] @ matrix], axis=1)
         return rows.reshape(B, segments, -1), (raw[:, dim:], map_cache)
 
-    def _mapped_inputs_backward(self, cache, gx, grads):
+    def _el_inputs_backward(self, cache, gx, grads):
         """Add the embedding's gradients for the recurrent inputs' gradient ``gx``."""
-        if cache is None:  # no embedding: nothing in front of the layer to train
+        if cache is None:
             return
-        starts, map_cache = cache
-        gx = gx.reshape(-1, gx.shape[-1])
-        dim = self.blocks[0][1].dim
-        g_matrix = map_rows_backward(map_cache, gx[:, :dim])
-        if self.config.use_start_points:
-            g_matrix += starts.T @ gx[:, dim:]
+        if self.raw_basis is None:  # the raw paths and each path's cache
+            raw, caches = cache
+            g_points = np.concatenate([self._rows_backward(c, g) for c, g in zip(caches, gx[:, 0])])
+            g_matrix = np.concatenate([points for _, points in raw]).T @ g_points
+        else:  # the raw start points and the map's cache
+            starts, map_cache = cache
+            gx = gx.reshape(-1, gx.shape[-1])
+            dim = self.blocks[0][1].dim
+            g_matrix = map_rows_backward(map_cache, gx[:, :dim])
+            if self.config.use_start_points:
+                g_matrix += starts.T @ gx[:, dim:]
         self._embedding_matrix_backward(g_matrix, grads)
 
     def _path_inputs(self, index, inputs, basis, segments):
-        """Recurrent inputs ``(B * J, segments, c)`` of block ``index`` on the per-path route."""
-        rows, tails = [], []
+        """Recurrent inputs ``(B * J, segments, c)`` of gcn block ``index``, one path per joint."""
+        theta = self.params["gcn2.theta" if index else "gcn.theta"]
+        rows, caches = [], []
         for times, frames, adjacency in inputs:
-            mixed = self._block_map(index, frames, adjacency)
-            joint_tails = []
+            if adjacency is None:
+                raise ValueError("gcn variants require an adjacency matrix")
+            mixed = gcn_forward(frames, adjacency, theta)
             for j in range(mixed.shape[1]):
-                r, tail = self._transform_tail(mixed[:, j, :], times, basis, segments)
+                r, cache = self._rows(times, self._tail(mixed[:, j, :], times), basis, segments)
                 rows.append(r)
-                joint_tails.append(tail)
-            tails.append(joint_tails)
-        return np.stack(rows), (inputs, tails)
+                caches.append(cache)
+        return np.stack(rows), (inputs, caches)
 
     def _path_inputs_backward(self, index, cache, gx, grads):
-        """Gradients of the per-path route; returns each sample's frame gradient."""
-        inputs, tails = cache
+        """Add gcn block ``index``'s gradient to ``grads``; return each sample's frame gradient."""
+        inputs, caches = cache
+        key, J = ("gcn2.theta" if index else "gcn.theta"), self.joints
         g_frames = []
         for i, (_, frames, adjacency) in enumerate(inputs):
             g_mixed = np.stack(
-                [self._transform_tail_backward(tail, gx[i, j]) for j, tail in enumerate(tails[i])], axis=1
+                [self._tail_backward(self._rows_backward(caches[i * J + j], gx[i, j])) for j in range(J)], axis=1
             )
-            g_frames.append(self._block_map_backward(index, frames, adjacency, g_mixed, grads))
+            g, g_theta = _gcn_backward(frames, adjacency, self.params[key], g_mixed)
+            grads[key] += g_theta
+            g_frames.append(g)
         return g_frames
 
-    def _transform_tail(self, seq, times, basis, num_segments):
-        """AL / TL / logsig / start points of one joint's channels."""
+    def _tail(self, seq, times):
+        """Accumulative and time layers: one joint's channels ``(n, c)`` -> its path's points."""
         cfg = self.config
         if cfg.use_accumulative:
             seq = accumulative_layer(seq)
         if cfg.use_time:
             seq = time_incorporated_layer(seq, times)
-        path = TimedPath(times, seq)
-        partition = SegmentPartition.spanning(path, num_segments)
-        rows, lstate = logsig_sequence_forward(path, partition, cfg.degree, basis)
-        out = rows
-        if cfg.use_start_points:
-            out = add_start_points(rows, path, partition.boundaries)
-        return out, {"path": path, "partition": partition, "lstate": lstate, "d_ls": rows.shape[1]}
+        return seq
 
-    def _transform_tail_backward(self, cache, grad):
+    def _tail_backward(self, g_points):
         cfg = self.config
-        path, partition = cache["path"], cache["partition"]
-        d_ls = cache["d_ls"]
-        g_points = np.zeros_like(path.points)
-        if cfg.use_start_points:
-            g_rows, g_starts = grad[:, :d_ls], grad[:, d_ls:]
-            g_points += _start_points_backward(path, partition.boundaries, g_starts)
-        else:
-            g_rows = grad
-        g_points += backward_from_state(cache["lstate"], g_rows)
         if cfg.use_time:
             g_points = g_points[:, 1:]
         if cfg.use_accumulative:
             g_points = _accumulative_backward(g_points)
+        return g_points
+
+    def _rows(self, times, points, basis, num_segments):
+        """Layer rows of one path over its segments, with the start points if configured."""
+        path = TimedPath(times, points)
+        partition = SegmentPartition.spanning(path, num_segments)
+        rows, lstate = logsig_sequence_forward(path, partition, self.config.degree, basis)
+        cache = (path, partition, lstate, rows.shape[1])
+        if self.config.use_start_points:
+            rows = add_start_points(rows, path, partition.boundaries)
+        return rows, cache
+
+    def _rows_backward(self, cache, grad):
+        """Gradient w.r.t. the path's points, given the gradient of ``_rows``' output."""
+        path, partition, lstate, d_ls = cache
+        g_points = np.zeros_like(path.points)
+        if self.config.use_start_points:
+            g_points += _start_points_backward(path, partition.boundaries, grad[:, d_ls:])
+        g_points += backward_from_state(lstate, grad[:, :d_ls])
         return g_points
 
     # -- forward / backward over a batch -------------------------------------
@@ -702,8 +694,8 @@ class StreamClassifier:
             batch_cache["last"] = (lengths - 1, order)
         else:
             for index, (prefix, basis, segments) in enumerate(self.blocks):
-                if index == 0 and self.raw_basis is not None:
-                    x, block_cache = self._mapped_inputs(inputs, basis, segments)
+                if cfg.variant == "el-logsig-rnn":
+                    x, block_cache = self._el_inputs(inputs, basis, segments)
                 else:
                     x, block_cache = self._path_inputs(index, inputs, basis, segments)
                 out, batch_cache[prefix] = _rnn_forward_batch(x, *_rnn_params(p, prefix), cfg.cell)
@@ -737,8 +729,8 @@ class StreamClassifier:
                 continue
             block_cache = batch_cache["blocks"][index]
             gx = gx.reshape(B, J, segments, -1)
-            if index == 0 and self.raw_basis is not None:
-                self._mapped_inputs_backward(block_cache, gx, grads)
+            if cfg.variant == "el-logsig-rnn":
+                self._el_inputs_backward(block_cache, gx, grads)
                 continue
             g_frames = self._path_inputs_backward(index, block_cache, gx, grads)
             if index:

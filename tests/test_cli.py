@@ -90,6 +90,11 @@ class TestDims:
         gaps = [int(r[3]) for r in rows]
         assert all(g >= 0 for g in gaps) and gaps == sorted(gaps)
 
+    def test_degree_zero_exits_2_naming_the_flag(self, capsys):
+        assert main(["dims", "--width", "2", "--degree", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--degree" in err
+
 
 class TestLogsig:
     def test_corner_path_values(self, capture, tmp_path):
@@ -168,6 +173,12 @@ class TestGradcheck:
         _, out1 = capture(["gradcheck", "--trials", "2", "--seed", "5"])
         _, out2 = capture(["gradcheck", "--trials", "2", "--seed", "5"])
         assert strip_timings(out1) == strip_timings(out2)
+
+    def test_no_trials_exits_2_naming_the_flag(self, capsys):
+        # zero trials would check nothing and report a pass
+        assert main(["gradcheck", "--trials", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--trials" in err
 
 
 class TestConfigFiles:
@@ -279,6 +290,45 @@ class TestCheckpoints:
         with pytest.raises(InputError, match="shape"):
             load_checkpoint(target)
 
+    def test_header_with_an_invalid_config_value_exits_2(self, tmp_path, stream_file, capsys):
+        def claim_hidden_0(lines):
+            return ["hidden = 0" if ln == "hidden = 8" else ln for ln in lines]
+
+        target = self._edited_checkpoint(tmp_path, claim_hidden_0)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match="hidden"):
+            load_checkpoint(target)
+
+    def test_repeated_param_exits_2(self, tmp_path, stream_file, capsys):
+        # a second embed.point_w block of zeros must not replace the first
+        def repeat_point_w_as_zeros(lines):
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("param embed.point_w "))
+            zeros = " ".join(["0.0"] * len(lines[at + 1].split()))
+            count = next(ln for ln in lines if ln.startswith("params "))
+            lines = lines[:-1] + [lines[at], zeros, "end"]
+            return [f"params {int(ln.split()[1]) + 1}" if ln == count else ln for ln in lines]
+
+        target = self._edited_checkpoint(tmp_path, repeat_point_w_as_zeros)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match="repeated param embed.point_w"):
+            load_checkpoint(target)
+
+    @pytest.mark.parametrize("ending", ["file twice", "no end", "text after end"])
+    def test_anything_but_end_after_the_params_exits_2(self, tmp_path, stream_file, capsys, ending):
+        def edit(lines):
+            return {"file twice": lines + lines, "no end": lines[:-1], "text after end": lines + ["end"]}[ending]
+
+        target = self._edited_checkpoint(tmp_path, edit)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match=target):
+            load_checkpoint(target)
+
 
 def _write_train_config(tmp_path, name="cfg.txt", **overrides):
     lines = {
@@ -347,9 +397,16 @@ class TestTrainEval:
         assert_single_error_line(result.stderr)
         assert "non-finite loss" in result.stderr
 
-    @pytest.mark.parametrize("key,value", [("epochs", 0), ("batch_size", 0), ("clip_norm", -1.0)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("epochs", 0), ("batch_size", 0), ("clip_norm", -1.0), ("hidden", 0), ("embed_channels", 0),
+            ("embed_dim", 0), ("gcn_dim", 0), ("resample_frames", -3),
+        ],
+    )
     def test_bad_train_settings_exit_2_naming_the_key(self, stream_file, tmp_path, key, value):
-        config = _write_train_config(tmp_path, **{key: value})
+        variant = "frame-rnn" if key == "resample_frames" else "el-logsig-rnn"
+        config = _write_train_config(tmp_path, variant=variant, **{key: value})
         target = tmp_path / "m.ckpt"
         result = run_cli("train", config, stream_file(count=8), str(target))
         assert result.returncode == 2

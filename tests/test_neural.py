@@ -583,8 +583,9 @@ class TestElRoutes:
         # the raw path's count channel and running sums reach 2000 and 2e6 here;
         # level-3 rows are what is left after cancelling terms of order 1e18, so
         # float64 rows of either route are off the exact ones by far more than
-        # 1e-12.  Over seeds 0-20 the worst were 8.5e-10 (mapped) and 5.7e-9
-        # (per-path), both at seed 8.
+        # 1e-12.  Over seeds 0-20 the worst were 8.5e-10 (mapped), 5.1e-9 (the
+        # model's per-path route) and 5.7e-9 (the embedded path of
+        # _embedded_path_inputs), all at seed 8.
         rng = np.random.default_rng(seed)
         model = _el_model(rng, (1, 2))
         times = np.sort(rng.uniform(0.0, 1.0, 2000))
@@ -594,6 +595,9 @@ class TestElRoutes:
         _, cache = model.forward_batch([sample])
         _assert_rows_close(cache["rnn"][0][0], exact, tol=1e-9)
         _assert_rows_close(np.concatenate(_embedded_path_inputs(model, sample), axis=1), exact, tol=1e-8)
+        model.raw_basis = None  # the per-path route
+        _, cache = model.forward_batch([sample])
+        _assert_rows_close(cache["rnn"][0][0], exact, tol=1e-8)
 
     @staticmethod
     def _layer_calls(monkeypatch, model, samples):
