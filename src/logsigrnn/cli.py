@@ -220,9 +220,16 @@ def _load_dataset(path: str) -> LabeledStreamSet:
 # subcommands
 
 
+def _require_positive(args, *names: str) -> None:
+    """``InputError`` naming the first flag among ``names`` that is below 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _cmd_dims(args) -> tuple[RunReport, int]:
-    if args.degree < 1:
-        raise InputError(f"--degree must be >= 1, got {args.degree}")
+    _require_positive(args, "width", "degree")
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
     rows = []
     for m in range(1, args.degree + 1):
@@ -233,6 +240,7 @@ def _cmd_dims(args) -> tuple[RunReport, int]:
 
 
 def _cmd_logsig(args) -> tuple[RunReport, int]:
+    _require_positive(args, "degree", "segments")
     data = _load_dataset(args.input)
     report = RunReport(
         "logsig", config={"degree": args.degree, "segments": args.segments, "input": args.input}
@@ -264,8 +272,7 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
 
 
 def _cmd_gradcheck(args) -> tuple[RunReport, int]:
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    _require_positive(args, "trials", "width", "degree", "segments")
     rng = np.random.default_rng(args.seed)
     tic = time.perf_counter()
     worst = 0.0
@@ -362,7 +369,10 @@ def _cmd_train(args) -> tuple[RunReport, int]:
             "final_loss": result.final["loss"],
             "final_accuracy": settled.accuracy,
         },
-        timings={"total_seconds": sum(r["seconds"] for r in result.trace)},
+        timings={
+            "prepare_seconds": result.prepare_seconds,
+            "total_seconds": result.prepare_seconds + sum(r["seconds"] for r in result.trace),
+        },
     )
     columns = ["epoch", "loss", "accuracy"] + (["eval_accuracy"] if eval_set else [])
     report.add_table(
@@ -458,8 +468,7 @@ def _median_epoch_seconds(trace: list, warmup: int, timed: int) -> float:
 
 
 def _cmd_bench(args) -> tuple[RunReport, int]:
-    if args.timed_epochs < 1:
-        raise InputError(f"--timed-epochs must be >= 1, got {args.timed_epochs}")
+    _require_positive(args, "timed_epochs")
     if not 0 <= args.warmup_epochs <= args.epochs:
         raise InputError(f"--warmup-epochs must lie in 0..{args.epochs} (--epochs), got {args.warmup_epochs}")
     if not 0.0 < args.eval_fraction < 1.0:
@@ -487,12 +496,9 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
             res = train(cfg, up_train, train_set.labels, st)
             acc = evaluate_model(cfg, up_eval, eval_set.labels, params=res.params).accuracy
             med = _median_epoch_seconds(res.trace, args.warmup_epochs, args.timed_epochs)
-            results[tag] = (med, acc)
-        rows.append([
-            factor,
-            results["model"][0], results["model"][1],
-            results["baseline"][0], results["baseline"][1],
-        ])
+            results[tag] = (med, acc, res.prepare_seconds)
+        model, base = results["model"], results["baseline"]
+        rows.append([factor, model[0], model[1], base[0], base[1], model[2], base[2]])
     report = RunReport(
         "bench",
         seed=args.seed,
@@ -506,7 +512,8 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     report.add_table(
         "timing",
         ["factor", "model_epoch_seconds", "model_accuracy",
-         "baseline_epoch_seconds", "baseline_accuracy"],
+         "baseline_epoch_seconds", "baseline_accuracy",
+         "model_prepare_seconds", "baseline_prepare_seconds"],
         rows,
     )
     if len(rows) > 1:

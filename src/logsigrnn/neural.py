@@ -15,6 +15,12 @@ matrix ``L`` made of its embedding.  The layer reads the raw path and
 ``logsig_layer.map_rows`` carries its rows through ``L`` whenever that raw
 path is narrow enough for its degree; wider inputs run the layer on
 ``raw @ L``.  See ``StreamClassifier``.
+
+A model's forward pass is two parts: ``StreamClassifier._prepare`` checks
+each sample and builds what no parameter changes (el-logsig-rnn's raw-path
+rows or raw path, frame-rnn's frames), and ``_forward`` does everything that
+reads a parameter.  ``train`` prepares its training and eval sets once per
+call, so el-logsig-rnn's epochs on the mapped route run no layer call.
 """
 
 from __future__ import annotations
@@ -172,6 +178,8 @@ class TrainResult:
     config: ModelConfig
     params: dict
     trace: list = field(default_factory=list)
+    # one-time preparation of the training and eval sets, outside every epoch
+    prepare_seconds: float = 0.0
 
     @property
     def final(self) -> dict:
@@ -444,6 +452,14 @@ class StreamClassifier:
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
     head reads each stream's output at its own last frame.
+
+    ``forward_batch(samples)`` is ``_forward(_prepare(samples))``.
+    ``_prepare`` checks each sample and builds its parameter-free inputs: the
+    raw-path rows (el mapped route, and without the embedding) or raw path
+    (el per-path route), the flattened or resampled frames (frame-rnn), the
+    checked ``(times, frames, adjacency)`` (gcn, whose paths depend on the
+    graph convolution).  ``_forward`` runs every layer that reads a
+    parameter on a list of such entries; ``train`` prepares each set once.
     """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
@@ -548,46 +564,32 @@ class StreamClassifier:
         grads["embed.mix_w"] += (weights.T @ g_head).reshape(F * mix.shape[1], -1)
         grads["embed.mix_b"] += g[0]
 
-    def _frame_inputs(self, inputs):
+    def _frame_inputs(self, prepared):
         """Recurrent inputs ``(B, T, F * D)`` of frame-rnn, longest first, and each row's length and sample."""
-        n = self.config.resample_frames
-        lengths = np.array([n if n > 0 else len(times) for times, _, _ in inputs])
+        lengths = np.array([len(stream) for stream in prepared])
         order = np.argsort(-lengths, kind="stable")
-        x = np.zeros((len(inputs), lengths.max(), self.rnn_in))
+        x = np.zeros((len(prepared), lengths.max(), self.rnn_in))
         for row, i in enumerate(order):
-            times, frames, _ = inputs[i]
-            stream = frames.reshape(len(times), -1)
-            if n > 0:  # the interpolant on a uniform grid of n frames
-                stream = evaluate(TimedPath(times, stream), np.linspace(times[0], times[-1], n))
-            x[row, : lengths[i]] = stream
+            x[row, : lengths[i]] = prepared[i]
         return x, lengths[order], order
 
-    def _el_inputs(self, inputs, basis, segments):
-        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn.
+    def _el_inputs(self, prepared, basis, segments):
+        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn from the prepared raw paths.
 
-        Each sample's raw path is the tail applied to ``[1, frames]``, or to
-        the frames themselves without the embedding (``L`` is then the
-        identity).  The mapped route runs the layer on the raw paths and
-        carries their rows through ``L`` with ``map_rows``; the per-path route
-        runs it on each ``raw @ L``.
+        The mapped route stacks the prepared rows of the raw paths and carries
+        them through ``L`` with ``map_rows``; the per-path route runs the
+        layer on each ``raw @ L``.  Without the embedding ``L`` is the
+        identity and the prepared rows are the inputs.
         """
         cfg = self.config
-        raw = []
-        for times, frames, _ in inputs:
-            seq = flat = frames.reshape(frames.shape[0], -1)
-            if cfg.use_embedding:  # [1, frames], in which the embedding is linear
-                seq = np.ones((flat.shape[0], flat.shape[1] + 1))
-                seq[:, 1:] = flat
-            raw.append((times, self._tail(seq, times)))
         if not cfg.use_embedding:  # nothing in front of the layer to train
-            return np.stack([self._rows(t, points, basis, segments)[0] for t, points in raw]), None
+            return np.stack(prepared), None
         matrix = self._embedding_matrix()
         if self.raw_basis is None:
-            rows, caches = zip(*(self._rows(t, points @ matrix, basis, segments) for t, points in raw))
-            return np.stack(rows), (raw, caches)
-        B, dim = len(raw), self.raw_basis.dim
-        raw = np.stack([self._rows(t, points, self.raw_basis, segments)[0] for t, points in raw])
-        raw = raw.reshape(B * segments, -1)
+            rows, caches = zip(*(self._rows(t, points @ matrix, basis, segments) for t, points in prepared))
+            return np.stack(rows), (prepared, caches)
+        B, dim = len(prepared), self.raw_basis.dim
+        raw = np.stack(prepared).reshape(B * segments, -1)
         rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
         if cfg.use_start_points:
             rows = np.concatenate([rows, raw[:, dim:] @ matrix], axis=1)
@@ -615,8 +617,6 @@ class StreamClassifier:
         theta = self.params["gcn2.theta" if index else "gcn.theta"]
         rows, caches = [], []
         for times, frames, adjacency in inputs:
-            if adjacency is None:
-                raise ValueError("gcn variants require an adjacency matrix")
             mixed = gcn_forward(frames, adjacency, theta)
             for j in range(mixed.shape[1]):
                 r, cache = self._rows(times, self._tail(mixed[:, j, :], times), basis, segments)
@@ -676,23 +676,65 @@ class StreamClassifier:
 
     # -- forward / backward over a batch -------------------------------------
 
-    def forward_batch(self, samples):
-        cfg, p = self.config, self.params
+    def _prepare(self, samples) -> list:
+        """Check each sample and build its parameter-free inputs, one entry per sample.
+
+        The entry is el-logsig-rnn's raw-path layer rows with the raw start
+        points (mapped route, and without the embedding) or its raw path
+        ``(times, points)`` (per-path route); frame-rnn's flattened or
+        resampled frames ``(T, F * D)``; the gcn variants' ``(times, frames,
+        adjacency)``.  ``_forward`` reads any list of entries, so a caller may
+        prepare a set once and run batches of it.  A non-finite layer row is
+        a ``FloatingPointError`` naming the stream.
+        """
+        entries = []
         for i, s in enumerate(samples):
             if _sample_spec(s) != tuple(self.spec):
                 raise ValueError(
                     f"sample {i} has (joints, coords) {_sample_spec(s)}, "
                     f"the model takes {tuple(self.spec)}"
                 )
-        B, J = len(samples), self.joints
-        inputs = [(*self._as_frames(s), getattr(s, "adjacency", None)) for s in samples]
+            try:
+                entries.append(self._prepare_one(*self._as_frames(s), getattr(s, "adjacency", None)))
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"stream {i}: {exc}") from exc
+        return entries
+
+    def _prepare_one(self, times, frames, adjacency):
+        cfg = self.config
+        if cfg.variant == "frame-rnn":
+            stream = frames.reshape(len(times), -1)
+            n = cfg.resample_frames
+            if n > 0:  # the interpolant on a uniform grid of n frames
+                stream = evaluate(TimedPath(times, stream), np.linspace(times[0], times[-1], n))
+            return stream
+        if cfg.variant != "el-logsig-rnn":
+            if adjacency is None:
+                raise ValueError("gcn variants require an adjacency matrix")
+            return times, frames, adjacency
+        # the raw path: the tail applied to [1, frames], in which the
+        # embedding is linear, or to the frames themselves without it
+        seq = flat = frames.reshape(frames.shape[0], -1)
+        if cfg.use_embedding:
+            seq = np.ones((flat.shape[0], flat.shape[1] + 1))
+            seq[:, 1:] = flat
+        points = self._tail(seq, times)
+        if self.raw_basis is None:
+            return times, points
+        return self._rows(times, points, self.raw_basis, self.blocks[0][2])[0]
+
+    def _forward(self, prepared):
+        """Logits ``(B, classes)`` and the backward cache of a list of ``_prepare`` entries."""
+        cfg, p = self.config, self.params
+        B, J = len(prepared), self.joints
         batch_cache = {"blocks": []}
         if cfg.variant == "frame-rnn":
-            x, lengths, order = self._frame_inputs(inputs)
+            x, lengths, order = self._frame_inputs(prepared)
             out, batch_cache["rnn"] = _rnn_forward_batch(x, *_rnn_params(p, "rnn"), cfg.cell, lengths)
             feats = out[np.arange(B), lengths - 1][np.argsort(order)]
             batch_cache["last"] = (lengths - 1, order)
         else:
+            inputs = prepared
             for index, (prefix, basis, segments) in enumerate(self.blocks):
                 if cfg.variant == "el-logsig-rnn":
                     x, block_cache = self._el_inputs(inputs, basis, segments)
@@ -701,13 +743,18 @@ class StreamClassifier:
                 out, batch_cache[prefix] = _rnn_forward_batch(x, *_rnn_params(p, prefix), cfg.cell)
                 batch_cache["blocks"].append(block_cache)
                 out = out.reshape(B, J, segments, cfg.hidden)
-                times = np.arange(segments, dtype=np.float64)
-                inputs = [(times, o.transpose(1, 0, 2), adj) for o, (_, _, adj) in zip(out, inputs)]
+                if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
+                    times = np.arange(segments, dtype=np.float64)
+                    inputs = [(times, o.transpose(1, 0, 2), adj) for o, (_, _, adj) in zip(out, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
         logits = feats @ p["head.w"] + p["head.b"]
         batch_cache["feats"] = feats
         return logits, batch_cache
+
+    def forward_batch(self, samples):
+        """Logits ``(B, classes)`` of the samples and the cache ``backward_batch`` reads."""
+        return self._forward(self._prepare(samples))
 
     def backward_batch(self, batch_cache, g_logits):
         cfg = self.config
@@ -742,11 +789,13 @@ class StreamClassifier:
         return out[0]
 
     def predict(self, samples, batch_size: int = 64) -> np.ndarray:
-        preds = np.empty(len(samples), dtype=np.intp)
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start : start + batch_size]
-            logits, _ = self.forward_batch(chunk)
-            preds[start : start + len(chunk)] = logits.argmax(axis=1)
+        return self._predict(self._prepare(samples), batch_size)
+
+    def _predict(self, prepared, batch_size: int = 64) -> np.ndarray:
+        preds = np.empty(len(prepared), dtype=np.intp)
+        for start in range(0, len(prepared), batch_size):
+            logits, _ = self._forward(prepared[start : start + batch_size])
+            preds[start : start + batch_size] = logits.argmax(axis=1)
         return preds
 
 
@@ -764,6 +813,13 @@ def _checked_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def _prepared_set(model: StreamClassifier, samples, name: str) -> list:
+    try:
+        return model._prepare(samples)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{name} {exc}") from exc
+
+
 def train(
     config: ModelConfig,
     train_samples,
@@ -772,14 +828,25 @@ def train(
     eval_samples=None,
     eval_labels=None,
 ) -> TrainResult:
-    """Mini-batch SGD with momentum on softmax cross-entropy."""
+    """Mini-batch SGD with momentum on softmax cross-entropy.
+
+    The training and eval sets are prepared once (``StreamClassifier._prepare``,
+    timed as ``prepare_seconds``); every step and every per-epoch evaluation
+    runs the model's parameter-dependent part on the prepared entries.
+    """
     settings = settings or TrainSettings()
     settings.validate()
     if len(train_samples) == 0:
         raise ValueError("empty training set")
     labels = _checked_labels(train_labels, config.num_classes)
+    if eval_samples is not None:
+        eval_labels = _checked_labels(eval_labels, config.num_classes)
     rng = np.random.default_rng(settings.seed)
     model = StreamClassifier.build(config, input_spec(train_samples), rng)
+    tic = time.perf_counter()
+    prepared = _prepared_set(model, train_samples, "training")
+    eval_prepared = None if eval_samples is None else _prepared_set(model, eval_samples, "eval")
+    prepare_seconds = time.perf_counter() - tic
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     trace = []
     count = len(train_samples)
@@ -790,11 +857,10 @@ def train(
         epoch_correct = 0
         for start in range(0, count, settings.batch_size):
             idx = order[start : start + settings.batch_size]
-            batch = [train_samples[i] for i in idx]
-            # the log-signature layer raises FloatingPointError on rows that
-            # overflow, before the loss itself can go non-finite
+            # map_rows and the gcn layer calls raise FloatingPointError on
+            # rows that overflow, before the loss itself can go non-finite
             try:
-                logits, cache = model.forward_batch(batch)
+                logits, cache = model._forward([prepared[i] for i in idx])
                 loss, g_logits = cross_entropy(logits, labels[idx])
                 if not np.isfinite(loss):
                     raise FloatingPointError(loss)
@@ -820,10 +886,10 @@ def train(
             "accuracy": epoch_correct / count,
             "seconds": time.perf_counter() - tic,
         }
-        if eval_samples is not None:
-            record["eval_accuracy"] = evaluate_model(model, eval_samples, eval_labels).accuracy
+        if eval_prepared is not None:
+            record["eval_accuracy"] = _evaluation(model, eval_prepared, eval_labels).accuracy
         trace.append(record)
-    return TrainResult(config=config, params=model.params, trace=trace)
+    return TrainResult(config=config, params=model.params, trace=trace, prepare_seconds=prepare_seconds)
 
 
 @dataclass
@@ -839,9 +905,14 @@ def evaluate_model(model_or_config, samples, labels, params: dict | None = None)
         model = model_or_config
     else:
         model = StreamClassifier(model_or_config, input_spec(samples), params)
+    labels = _checked_labels(labels, model.config.num_classes)
+    return _evaluation(model, model._prepare(samples), labels)
+
+
+def _evaluation(model: StreamClassifier, prepared, labels: np.ndarray) -> EvalResult:
+    """``evaluate_model`` on prepared entries and checked labels."""
     C = model.config.num_classes
-    labels = _checked_labels(labels, C)
-    preds = model.predict(samples)
+    preds = model._predict(prepared)
     confusion = np.zeros((C, C), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     return EvalResult(
@@ -849,4 +920,3 @@ def evaluate_model(model_or_config, samples, labels, params: dict | None = None)
         confusion=confusion,
         predictions=preds,
     )
-

@@ -181,6 +181,26 @@ class TestGradcheck:
         assert out == "" and "--trials" in err
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["dims", "--width", "0", "--degree", "2"], "--width"),
+            (["gradcheck", "--degree", "0"], "--degree"),
+            (["gradcheck", "--width", "0"], "--width"),
+            (["gradcheck", "--segments", "0"], "--segments"),
+            (["logsig", "STREAMS", "--degree", "0"], "--degree"),
+            (["logsig", "STREAMS", "--segments", "0"], "--segments"),
+        ],
+    )
+    def test_non_positive_value_exits_2_naming_the_flag(self, stream_file, argv, named):
+        result = run_cli(*(stream_file() if arg == "STREAMS" else arg for arg in argv))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert named in result.stderr
+        assert result.stdout == ""
+
+
 class TestConfigFiles:
     def test_parse_and_defaults(self):
         config, settings = parse_config_text(
@@ -397,6 +417,35 @@ class TestTrainEval:
         assert_single_error_line(result.stderr)
         assert "non-finite loss" in result.stderr
 
+    @pytest.mark.parametrize("where", ["training", "eval"])
+    def test_overflowing_stream_exits_1_naming_the_set_and_stream(self, stream_file, tmp_path, where):
+        # frames near 1e200 overflow the degree-3 rows of the raw path, which
+        # are prepared once, before the first epoch
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text(
+            '{"kind": "header", "classes": ["a", "b", "c", "d"]}\n'
+            + "".join(
+                f'{{"kind": "path", "label": {k}, "n": 3, "d": 2, "times": [0.0, 1.0, 2.0],'
+                f' "points": [[0.0, 0.0], [{scale}, -{scale}], [-{scale}, 3.0]]}}\n'
+                for k, scale in enumerate(["1.0", "2.0", "1e200", "3.0"])
+            )
+        )
+        config = _write_train_config(tmp_path, degree=3)
+        data, extra = (str(huge), []) if where == "training" else (stream_file(count=8), ["--eval-data", str(huge)])
+        target = tmp_path / "m.ckpt"
+        result = run_cli("train", config, data, str(target), *extra)
+        assert result.returncode == 1
+        assert_single_error_line(result.stderr)
+        assert f"{where} stream 2" in result.stderr
+        assert result.stdout == "" and not target.exists()
+
+    def test_train_report_times_the_preparation(self, capture, stream_file, tmp_path):
+        data = stream_file(count=8)
+        code, out = capture(["train", _write_train_config(tmp_path), data, str(tmp_path / "m.ckpt"), "--eval-data", data])
+        assert code == 0
+        timings = parse_report(out).timings
+        assert 0 < timings["prepare_seconds"] < timings["total_seconds"]
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -519,6 +568,9 @@ class TestBenchCommand:
         columns, rows = report.tables["timing"]
         assert [int(r[0]) for r in rows] == [1, 2]
         assert all(float(r[1]) > 0 for r in rows)
+        # each train call's one-time preparation, after the original columns
+        assert columns[-2:] == ["model_prepare_seconds", "baseline_prepare_seconds"]
+        assert all(float(x) > 0 for r in rows for x in r[-2:])
 
     @pytest.mark.parametrize(
         "flags,named",

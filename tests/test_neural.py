@@ -737,3 +737,140 @@ class TestFrameRnnBatch:
                 reference[name] += g / len(samples)
         for name, ref in reference.items():
             assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def _replay_train(config, samples, labels, settings, eval_samples=None, eval_labels=None):
+    """``train``'s loop through the public ``forward_batch``/``backward_batch``.
+
+    Same rng, model build, permutation, clipping and momentum; returns the
+    parameters and each epoch's (loss, accuracy, eval accuracy or None).
+    """
+    rng = np.random.default_rng(settings.seed)
+    model = StreamClassifier.build(config, input_spec(samples), rng)
+    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
+    labels = np.asarray(labels)
+    trace = []
+    for _ in range(settings.epochs):
+        order = rng.permutation(len(samples))
+        loss_sum, correct = 0.0, 0
+        for start in range(0, len(samples), settings.batch_size):
+            idx = order[start : start + settings.batch_size]
+            logits, cache = model.forward_batch([samples[i] for i in idx])
+            loss, g_logits = cross_entropy(logits, labels[idx])
+            grads = model.backward_batch(cache, g_logits)
+            if settings.clip_norm is not None:
+                total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                if total > settings.clip_norm:
+                    for g in grads.values():
+                        g *= settings.clip_norm / total
+            for name, p in model.params.items():
+                velocity[name] = settings.momentum * velocity[name] - settings.learning_rate * grads[name]
+                p += velocity[name]
+            loss_sum += loss * len(idx)
+            correct += int((logits.argmax(axis=1) == labels[idx]).sum())
+        accuracy = None if eval_samples is None else evaluate_model(model, eval_samples, eval_labels).accuracy
+        trace.append((loss_sum / len(samples), correct / len(samples), accuracy))
+    return model.params, trace
+
+
+class TestPreparedTraining:
+    """``train`` prepares each set once and runs its steps on the prepared entries."""
+
+    CASES = {
+        "el-mapped-d2": (dict(degree=2), (1, 2)),
+        "el-mapped-d3": (dict(degree=3), (1, 2)),
+        "el-per-path": (dict(degree=3), (5, 2)),  # raw width 12: 1728 entries
+        "el-no-embedding": (dict(degree=3, use_embedding=False), (1, 2)),
+        "gcn": (dict(variant="gcn-logsig-rnn", degree=3), (3, 2)),
+        "gcn-2": (dict(variant="gcn-logsig-rnn-2", degree=2, num_segments2=3), (3, 2)),
+        "frame-rnn": (dict(variant="frame-rnn"), (2, 2)),
+        "frame-rnn-resampled": (dict(variant="frame-rnn", resample_frames=6), (2, 2)),
+    }
+
+    @staticmethod
+    def _data(rng, spec, count):
+        F, D = spec
+        lengths = rng.integers(3, 25, size=count)
+        if F == 1:
+            samples = [random_path(rng, int(n), D) for n in lengths]
+        else:
+            samples = [random_skeleton(rng, int(n), F, D) for n in lengths]
+        return samples, np.arange(count) % 3
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_training_equals_the_forward_batch_replay(self, case):
+        fields, spec = self.CASES[case]
+        rng = np.random.default_rng(70)
+        samples, labels = self._data(rng, spec, 10)
+        eval_samples, eval_labels = self._data(rng, spec, 5)
+        cfg = ModelConfig(
+            num_segments=3, embed_channels=2, embed_dim=4, gcn_dim=3, hidden=5, num_classes=3, **fields
+        )
+        settings = TrainSettings(learning_rate=0.05, batch_size=4, epochs=3, seed=4, clip_norm=1.0)
+        result = train(cfg, samples, labels, settings, eval_samples, eval_labels)
+        params, trace = _replay_train(cfg, samples, labels, settings, eval_samples, eval_labels)
+        model = StreamClassifier(cfg, spec, result.params)
+        if case.startswith("el"):
+            assert (model.raw_basis is None) == (case == "el-per-path")
+        assert [(r["loss"], r["accuracy"], r["eval_accuracy"]) for r in result.trace] == trace
+        for name, p in params.items():
+            assert np.array_equal(result.params[name], p), name
+        assert result.prepare_seconds > 0
+
+    @staticmethod
+    def _counted_layer(monkeypatch):
+        calls = []
+        forward = neural.logsig_sequence_forward
+
+        def counted(path, partition, degree, basis):
+            calls.append(path.width)
+            return forward(path, partition, degree, basis)
+
+        monkeypatch.setattr(neural, "logsig_sequence_forward", counted)
+        return calls
+
+    def test_el_layer_runs_once_per_stream_per_train_call(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        samples, labels = self._data(rng, (1, 2), 9)
+        eval_samples, eval_labels = self._data(rng, (1, 2), 4)
+        cfg = ModelConfig(degree=3, num_segments=3, embed_channels=2, embed_dim=4, hidden=5, num_classes=3)
+        calls = self._counted_layer(monkeypatch)
+        for epochs in (1, 3):
+            calls.clear()
+            train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs), eval_samples, eval_labels)
+            # the raw paths [time, 1, x, y], training then eval streams
+            assert calls == [4] * (9 + 4)
+
+    def test_gcn_layer_runs_on_every_step(self, monkeypatch):
+        # the gcn paths depend on the graph convolution's parameters
+        rng = np.random.default_rng(72)
+        samples, labels = self._data(rng, (3, 2), 6)
+        eval_samples, eval_labels = self._data(rng, (3, 2), 2)
+        cfg = ModelConfig(variant="gcn-logsig-rnn", degree=2, num_segments=3, gcn_dim=3, hidden=5, num_classes=3)
+        calls = self._counted_layer(monkeypatch)
+        for epochs in (1, 3):
+            calls.clear()
+            train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs), eval_samples, eval_labels)
+            assert len(calls) == 3 * (6 + 2) * epochs  # one path per joint
+
+    @pytest.mark.parametrize("where", ["training", "eval"])
+    def test_overflowing_stream_fails_before_any_step_naming_it(self, monkeypatch, where):
+        rng = np.random.default_rng(73)
+        samples, labels = self._data(rng, (1, 2), 4)
+        huge = TimedPath([0.0, 1.0, 2.0], [[0.0, 0.0], [1e200, -1e200], [-1e200, 3e200]])
+        eval_samples = [samples[0], huge] if where == "eval" else None
+        if where == "training":
+            samples[2] = huge
+        steps = []
+        forward = StreamClassifier._forward
+
+        def counted(model, prepared):
+            steps.append(len(prepared))
+            return forward(model, prepared)
+
+        monkeypatch.setattr(StreamClassifier, "_forward", counted)
+        cfg = ModelConfig(degree=3, num_segments=2, embed_channels=2, embed_dim=3, hidden=4, num_classes=3)
+        index = 1 if where == "eval" else 2
+        with pytest.raises(RuntimeError, match=f"^{where} stream {index}: .*not finite"):
+            train(cfg, samples, labels, TrainSettings(epochs=2), eval_samples, [0, 1])
+        assert steps == []
