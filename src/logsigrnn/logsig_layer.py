@@ -76,7 +76,7 @@ class SegmentPartition:
 
 class _LayerState:
     __slots__ = (
-        "path", "degree", "basis", "rows", "mode", "lo", "hi", "w", "seg_ptr",
+        "path", "degree", "basis", "rows", "starts", "mode", "lo", "hi", "w", "seg_ptr",
         "aug_points", "deltas", "factors", "powers", "segment", "masked",
     )
 
@@ -279,7 +279,10 @@ def logsig_sequence_forward(
     degree: int,
     basis: LyndonBasis | None = None,
 ):
-    """Forward pass returning the output rows plus the state for the adjoint."""
+    """Forward pass returning the output rows plus the state for the adjoint.
+
+    ``state.starts`` holds the path's value at each segment's start.
+    """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     if basis is None:
@@ -292,11 +295,13 @@ def logsig_sequence_forward(
     if path.num_samples < 2:
         state.mode = "constant"
         state.rows = np.zeros((partition.num_segments, basis.dim))
+        state.starts = np.repeat(path.points, partition.num_segments, axis=0)
         return state.rows, state
 
     v = _boundaries_in_path_time(path, partition)
     lo, hi, w, seg_ptr, aug = _augment(path, v)
     state.lo, state.hi, state.w, state.seg_ptr, state.aug_points = lo, hi, w, seg_ptr, aug
+    state.starts = aug[seg_ptr[:-1]]
 
     if degree == 1:
         state.mode = "m1"
@@ -312,17 +317,23 @@ def logsig_sequence_forward(
     return state.rows, state
 
 
-def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of sum(upstream * rows) with respect to the path's points."""
-    path = state.path
+def backward_from_state(
+    state: _LayerState, upstream: np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of sum(upstream * rows) with respect to the path's points.
+
+    With ``starts``, an upstream gradient for the start points
+    ``state.starts``, the gradient of sum(starts * state.starts) is added.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != state.rows.shape:
-        raise ValueError(
-            f"upstream gradient must have shape {state.rows.shape}, got {upstream.shape}"
-        )
-    n, d = path.points.shape
-    if state.mode == "constant":
-        return np.zeros((n, d))
+    starts = np.zeros_like(state.starts) if starts is None else np.asarray(starts, dtype=np.float64)
+    for name, given, value in (("upstream", upstream, state.rows), ("start-point", starts, state.starts)):
+        if given.shape != value.shape:
+            raise ValueError(f"{name} gradient must have shape {value.shape}, got {given.shape}")
+    grad = np.zeros_like(state.path.points)
+    if state.mode == "constant":  # every start point is the one sample
+        grad[0] = starts.sum(axis=0)
+        return grad
 
     seg_ptr = state.seg_ptr
     gaug = np.zeros_like(state.aug_points)
@@ -334,8 +345,8 @@ def backward_from_state(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     else:  # degree 1: the rows are the segment increments
         gaug[seg_ptr[1:]] += upstream
         gaug[seg_ptr[:-1]] -= upstream
+    gaug[seg_ptr[:-1]] += starts
 
-    grad = np.zeros((n, d))
     np.add.at(grad, state.lo, (1.0 - state.w)[:, None] * gaug)
     np.add.at(grad, state.hi, state.w[:, None] * gaug)
     return grad

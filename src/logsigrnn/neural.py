@@ -10,17 +10,17 @@ shape.  The frame-rnn baseline unrolls over each stream's frames, the whole
 batch at once in lockstep by frame count (longest first, each step on the
 streams that still have a frame); no filler frame is computed anywhere.
 
-el-logsig-rnn's path is each sample's parameter-free raw path times one
-matrix ``L`` made of its embedding.  The layer reads the raw path and
-``logsig_layer.map_rows`` carries its rows through ``L`` whenever that raw
-path is narrow enough for its degree; wider inputs run the layer on
-``raw @ L``.  See ``StreamClassifier``.
+Every path is a parameter-free raw path times a matrix ``L``: el-logsig-rnn's
+embedding, or a gcn block's graph convolution of one joint.  el-logsig-rnn's
+layer reads the raw path and ``logsig_layer.map_rows`` carries its rows
+through ``L`` whenever that raw path is narrow enough for its degree; every
+other block runs the layer on each ``raw @ L``.  See ``StreamClassifier``.
 
-A model's forward pass is two parts: ``StreamClassifier._prepare`` checks
-each sample and builds what no parameter changes (el-logsig-rnn's raw-path
-rows or raw path, frame-rnn's frames), and ``_forward`` does everything that
-reads a parameter.  ``train`` prepares its training and eval sets once per
-call, so el-logsig-rnn's epochs on the mapped route run no layer call.
+``StreamClassifier._prepare`` checks each sample and builds what no
+parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
+frame-rnn's frames), and ``_forward`` does everything that reads a
+parameter.  ``train`` prepares its training and eval sets once per call, so
+el-logsig-rnn's epochs on the mapped route run no layer call.
 """
 
 from __future__ import annotations
@@ -231,20 +231,6 @@ def add_start_points(rows: np.ndarray, path: TimedPath, boundaries: np.ndarray) 
     return np.concatenate([rows, starts], axis=1)
 
 
-def _start_points_backward(path: TimedPath, boundaries: np.ndarray, g_starts: np.ndarray) -> np.ndarray:
-    t = path.times
-    grad = np.zeros_like(path.points)
-    if path.num_samples == 1:
-        grad[0] = g_starts.sum(axis=0)
-        return grad
-    at = boundaries[:-1]
-    idx = np.clip(np.searchsorted(t, at, side="right") - 1, 0, t.size - 2)
-    w = (at - t[idx]) / (t[idx + 1] - t[idx])
-    np.add.at(grad, idx, (1.0 - w)[:, None] * g_starts)
-    np.add.at(grad, idx + 1, w[:, None] * g_starts)
-    return grad
-
-
 def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of adjacency-plus-self-loops."""
     s = adjacency + np.eye(adjacency.shape[0])
@@ -256,13 +242,6 @@ def gcn_forward(frames: np.ndarray, adjacency: np.ndarray, theta: np.ndarray) ->
     """Per-frame graph convolution: mix joints with the normalized adjacency, then map coords."""
     ahat = normalized_adjacency(adjacency)
     return np.einsum("fg,ngd,dc->nfc", ahat, frames, theta)
-
-
-def _gcn_backward(frames, adjacency, theta, grad):
-    ahat = normalized_adjacency(adjacency)
-    g_theta = np.einsum("fg,ngd,nfc->dc", ahat, frames, grad)
-    g_frames = np.einsum("fg,nfc,dc->ngd", ahat, grad, theta)
-    return g_frames, g_theta
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +409,23 @@ class StreamClassifier:
     the layer (and start points) on each path's segments, and one recurrent
     unroll over all ``B * J`` rows of the batch.  Its full outputs are the
     next block's frames.  The last step of the last block, averaged over
-    joints, feeds the head.  The gcn variants convolve every frame over the
-    graph and apply the tail (accumulative and time layers) to each of the
-    ``J = F`` joints' channels; gcn-logsig-rnn-2 has two blocks.
+    joints, feeds the head.  A block's paths are ``raw @ L[j]``, where the raw
+    path is the tail (accumulative and time layers) of the flattened frames;
+    ``_path_inputs`` runs the layer on each, and ``L``'s gradient is ``raw.T``
+    times the paths' point gradients.  In the gcn variants ``J = F`` and
+    ``L[j] = time (+) (ahat[j] (x) theta)`` is joint ``j``'s graph
+    convolution; gcn-logsig-rnn-2 has two blocks.
 
-    el-logsig-rnn has one block with ``J = 1``.  Its embedding is affine and
-    its tail linear, so its path is the raw path (the tail applied to ``[1,
-    frames]``: time, frame count and running frame sums) times one matrix
-    ``L`` made of the embedding's parameters.  While the raw path's width
-    ``F * D + 1`` (plus the time channel) to the power ``degree`` is at most
-    ``MAPPED_TENSOR_LIMIT``, the model takes the mapped route: the layer
-    runs on each raw path, forward only, and ``map_rows`` carries the
-    batch's rows into the embedded basis in one pass.  Wider inputs take the
-    per-path route: the layer and its adjoint run on each ``raw @ L``.  On
-    both routes the embedding's gradients are those of ``L`` (from the map's
-    adjoint, or ``raw.T`` times the paths' point gradients), taken through
-    ``_embedding_matrix_backward`` once per batch.  Without the embedding
-    ``L`` is the identity and the frames themselves are the raw path.
-    ``raw_basis`` is None on the per-path route; setting it forces a route.
+    el-logsig-rnn has one block with ``J = 1``: the raw path is the tail of
+    ``[1, frames]`` and ``L`` the affine embedding's matrix.  While the raw
+    path's width ``F * D + 1`` (plus the time channel) to the power
+    ``degree`` is at most ``MAPPED_TENSOR_LIMIT``, the model takes the
+    mapped route: the layer runs on each raw path, forward only, and
+    ``map_rows`` carries the batch's rows into the embedded basis in one
+    pass.  Wider inputs take the per-path route of ``_path_inputs``.  Without
+    the embedding ``L`` is the identity and the frames themselves are the
+    raw path.  ``raw_basis`` is None on the per-path route; setting it
+    forces a route.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
@@ -456,10 +434,10 @@ class StreamClassifier:
     ``forward_batch(samples)`` is ``_forward(_prepare(samples))``.
     ``_prepare`` checks each sample and builds its parameter-free inputs: the
     raw-path rows (el mapped route, and without the embedding) or raw path
-    (el per-path route), the flattened or resampled frames (frame-rnn), the
-    checked ``(times, frames, adjacency)`` (gcn, whose paths depend on the
-    graph convolution).  ``_forward`` runs every layer that reads a
-    parameter on a list of such entries; ``train`` prepares each set once.
+    (el per-path route), the raw path and normalized adjacency (gcn), the
+    flattened or resampled frames (frame-rnn).  ``_forward`` runs every
+    layer that reads a parameter on a list of such entries; ``train``
+    prepares each set once.
     """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
@@ -531,6 +509,7 @@ class StreamClassifier:
             return sample.times, sample.points[:, None, :]
         return sample.times, sample.frames
 
+    @np.errstate(over="ignore", invalid="ignore")  # the layer or map_rows raises on what overflows
     def _embedding_matrix(self):
         """``L`` with ``[time, 1, frames] @ L = [time, embedding_forward(frames)]``.
 
@@ -574,20 +553,16 @@ class StreamClassifier:
         return x, lengths[order], order
 
     def _el_inputs(self, prepared, basis, segments):
-        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn from the prepared raw paths.
+        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn's mapped route from the prepared rows.
 
-        The mapped route stacks the prepared rows of the raw paths and carries
-        them through ``L`` with ``map_rows``; the per-path route runs the
-        layer on each ``raw @ L``.  Without the embedding ``L`` is the
-        identity and the prepared rows are the inputs.
+        The prepared rows of the raw paths are stacked and carried through
+        ``L`` with ``map_rows``.  Without the embedding ``L`` is the identity
+        and the prepared rows are the inputs.
         """
         cfg = self.config
         if not cfg.use_embedding:  # nothing in front of the layer to train
             return np.stack(prepared), None
         matrix = self._embedding_matrix()
-        if self.raw_basis is None:
-            rows, caches = zip(*(self._rows(t, points @ matrix, basis, segments) for t, points in prepared))
-            return np.stack(rows), (prepared, caches)
         B, dim = len(prepared), self.raw_basis.dim
         raw = np.stack(prepared).reshape(B * segments, -1)
         rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
@@ -599,47 +574,68 @@ class StreamClassifier:
         """Add the embedding's gradients for the recurrent inputs' gradient ``gx``."""
         if cache is None:
             return
-        if self.raw_basis is None:  # the raw paths and each path's cache
-            raw, caches = cache
-            g_points = np.concatenate([self._rows_backward(c, g) for c, g in zip(caches, gx[:, 0])])
-            g_matrix = np.concatenate([points for _, points in raw]).T @ g_points
-        else:  # the raw start points and the map's cache
-            starts, map_cache = cache
-            gx = gx.reshape(-1, gx.shape[-1])
-            dim = self.blocks[0][1].dim
-            g_matrix = map_rows_backward(map_cache, gx[:, :dim])
-            if self.config.use_start_points:
-                g_matrix += starts.T @ gx[:, dim:]
+        starts, map_cache = cache  # the raw start points and the map's cache
+        gx = gx.reshape(-1, gx.shape[-1])
+        dim = self.blocks[0][1].dim
+        g_matrix = map_rows_backward(map_cache, gx[:, :dim])
+        if self.config.use_start_points:
+            g_matrix += starts.T @ gx[:, dim:]
         self._embedding_matrix_backward(g_matrix, grads)
 
     def _path_inputs(self, index, inputs, basis, segments):
-        """Recurrent inputs ``(B * J, segments, c)`` of gcn block ``index``, one path per joint."""
-        theta = self.params["gcn2.theta" if index else "gcn.theta"]
-        rows, caches = [], []
-        for times, frames, adjacency in inputs:
-            mixed = gcn_forward(frames, adjacency, theta)
-            for j in range(mixed.shape[1]):
-                r, cache = self._rows(times, self._tail(mixed[:, j, :], times), basis, segments)
+        """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: the layer on each ``raw @ L[j]``.
+
+        Entries are ``(times, raw)`` (el-logsig-rnn, whose ``L`` is the
+        embedding's) or ``(times, raw, ahat)`` (gcn block ``index``).
+        """
+        if self.config.variant == "el-logsig-rnn":
+            matrices = [self._embedding_matrix()[None]] * len(inputs)
+        else:
+            theta, t = self.params["gcn2.theta" if index else "gcn.theta"], int(self.config.use_time)
+            ahat = np.stack([entry[2] for entry in inputs])
+            (B, J, F), (D, C) = ahat.shape, theta.shape
+            matrices = np.zeros((B, J, t + F * D, t + C))
+            matrices[:, :, :t, :t] = 1.0
+            matrices[:, :, t:, t:] = np.einsum("bjg,dc->bjgdc", ahat, theta).reshape(B, J, F * D, C)
+        rows, states = [], []
+        for (times, raw, *_), matrix in zip(inputs, matrices):
+            paths = raw @ matrix
+            if not np.isfinite(paths).all():
+                raise FloatingPointError("the block's paths raw @ L are not finite: they overflow float64")
+            for points in paths:
+                r, state = self._rows(times, points, basis, segments)
                 rows.append(r)
-                caches.append(cache)
-        return np.stack(rows), (inputs, caches)
+                states.append(state)
+        return np.stack(rows), (inputs, matrices, states)
 
     def _path_inputs_backward(self, index, cache, gx, grads):
-        """Add gcn block ``index``'s gradient to ``grads``; return each sample's frame gradient."""
-        inputs, caches = cache
-        key, J = ("gcn2.theta" if index else "gcn.theta"), self.joints
-        g_frames = []
-        for i, (_, frames, adjacency) in enumerate(inputs):
-            g_mixed = np.stack(
-                [self._tail_backward(self._rows_backward(caches[i * J + j], gx[i, j])) for j in range(J)], axis=1
-            )
-            g, g_theta = _gcn_backward(frames, adjacency, self.params[key], g_mixed)
-            grads[key] += g_theta
-            g_frames.append(g)
+        """Add a per-path block's parameter gradients to ``grads``, given its inputs' gradient ``gx``.
+
+        For gcn-logsig-rnn-2's second block, whose raw paths are the first
+        block's outputs, returns each sample's ``(frames, J * hidden)`` gradient.
+        """
+        inputs, matrices, states = cache
+        J, d, sp = self.joints, states[0].rows.shape[1], self.config.use_start_points
+        g_matrices, g_frames = [], []
+        for i, ((_, raw, *_), matrix) in enumerate(zip(inputs, matrices)):
+            g_points = np.stack([
+                backward_from_state(states[i * J + j], g[:, :d], g[:, d:] if sp else None)
+                for j, g in enumerate(gx[i])
+            ])
+            g_matrices.append(raw.T @ g_points)
+            if index:
+                g_frames.append(self._tail_backward((g_points @ matrix.transpose(0, 2, 1)).sum(axis=0)))
+        if self.config.variant == "el-logsig-rnn":
+            self._embedding_matrix_backward(sum(g_matrices)[0], grads)
+            return g_frames
+        key, t = ("gcn2.theta" if index else "gcn.theta"), int(self.config.use_time)
+        ahat = np.stack([entry[2] for entry in inputs])  # (B, J, F)
+        g = np.stack(g_matrices)[:, :, t:, t:].reshape(*ahat.shape, *self.params[key].shape)
+        grads[key] += np.einsum("bjg,bjgdc->dc", ahat, g)
         return g_frames
 
     def _tail(self, seq, times):
-        """Accumulative and time layers: one joint's channels ``(n, c)`` -> its path's points."""
+        """Accumulative and time layers: flattened frames ``(n, c)`` -> the raw path's points."""
         cfg = self.config
         if cfg.use_accumulative:
             seq = accumulative_layer(seq)
@@ -656,23 +652,13 @@ class StreamClassifier:
         return g_points
 
     def _rows(self, times, points, basis, num_segments):
-        """Layer rows of one path over its segments, with the start points if configured."""
+        """Layer rows of one path over its segments (and start points, if configured) and the layer state."""
         path = TimedPath(times, points)
         partition = SegmentPartition.spanning(path, num_segments)
-        rows, lstate = logsig_sequence_forward(path, partition, self.config.degree, basis)
-        cache = (path, partition, lstate, rows.shape[1])
+        rows, state = logsig_sequence_forward(path, partition, self.config.degree, basis)
         if self.config.use_start_points:
-            rows = add_start_points(rows, path, partition.boundaries)
-        return rows, cache
-
-    def _rows_backward(self, cache, grad):
-        """Gradient w.r.t. the path's points, given the gradient of ``_rows``' output."""
-        path, partition, lstate, d_ls = cache
-        g_points = np.zeros_like(path.points)
-        if self.config.use_start_points:
-            g_points += _start_points_backward(path, partition.boundaries, grad[:, d_ls:])
-        g_points += backward_from_state(lstate, grad[:, :d_ls])
-        return g_points
+            rows = np.concatenate([rows, state.starts], axis=1)
+        return rows, state
 
     # -- forward / backward over a batch -------------------------------------
 
@@ -681,11 +667,11 @@ class StreamClassifier:
 
         The entry is el-logsig-rnn's raw-path layer rows with the raw start
         points (mapped route, and without the embedding) or its raw path
-        ``(times, points)`` (per-path route); frame-rnn's flattened or
-        resampled frames ``(T, F * D)``; the gcn variants' ``(times, frames,
-        adjacency)``.  ``_forward`` reads any list of entries, so a caller may
-        prepare a set once and run batches of it.  A non-finite layer row is
-        a ``FloatingPointError`` naming the stream.
+        ``(times, raw)`` (per-path route); frame-rnn's flattened or resampled
+        frames ``(T, F * D)``; the gcn variants' ``(times, raw, ahat)``.
+        ``_forward`` reads any list of entries, so a caller may prepare a set
+        once and run batches of it.  A non-finite layer row is a
+        ``FloatingPointError`` naming the stream.
         """
         entries = []
         for i, s in enumerate(samples):
@@ -708,13 +694,13 @@ class StreamClassifier:
             if n > 0:  # the interpolant on a uniform grid of n frames
                 stream = evaluate(TimedPath(times, stream), np.linspace(times[0], times[-1], n))
             return stream
-        if cfg.variant != "el-logsig-rnn":
+        seq = flat = frames.reshape(frames.shape[0], -1)
+        if cfg.variant != "el-logsig-rnn":  # the raw path of gcn block 0 and the graph
             if adjacency is None:
                 raise ValueError("gcn variants require an adjacency matrix")
-            return times, frames, adjacency
+            return times, self._tail(flat, times), normalized_adjacency(adjacency)
         # the raw path: the tail applied to [1, frames], in which the
         # embedding is linear, or to the frames themselves without it
-        seq = flat = frames.reshape(frames.shape[0], -1)
         if cfg.use_embedding:
             seq = np.ones((flat.shape[0], flat.shape[1] + 1))
             seq[:, 1:] = flat
@@ -736,7 +722,7 @@ class StreamClassifier:
         else:
             inputs = prepared
             for index, (prefix, basis, segments) in enumerate(self.blocks):
-                if cfg.variant == "el-logsig-rnn":
+                if self.raw_basis is not None:
                     x, block_cache = self._el_inputs(inputs, basis, segments)
                 else:
                     x, block_cache = self._path_inputs(index, inputs, basis, segments)
@@ -744,11 +730,12 @@ class StreamClassifier:
                 batch_cache["blocks"].append(block_cache)
                 out = out.reshape(B, J, segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
-                    times = np.arange(segments, dtype=np.float64)
-                    inputs = [(times, o.transpose(1, 0, 2), adj) for o, (_, _, adj) in zip(out, inputs)]
+                    times, frames = np.arange(segments, dtype=np.float64), out.swapaxes(1, 2).reshape(B, segments, -1)
+                    inputs = [(times, self._tail(f, times), entry[2]) for f, entry in zip(frames, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
-        logits = feats @ p["head.w"] + p["head.b"]
+        with np.errstate(over="ignore", invalid="ignore"):  # train checks the loss
+            logits = feats @ p["head.w"] + p["head.b"]
         batch_cache["feats"] = feats
         return logits, batch_cache
 
@@ -776,12 +763,12 @@ class StreamClassifier:
                 continue
             block_cache = batch_cache["blocks"][index]
             gx = gx.reshape(B, J, segments, -1)
-            if cfg.variant == "el-logsig-rnn":
+            if self.raw_basis is not None:
                 self._el_inputs_backward(block_cache, gx, grads)
                 continue
             g_frames = self._path_inputs_backward(index, block_cache, gx, grads)
             if index:
-                g_out = np.stack([g.transpose(1, 0, 2) for g in g_frames]).reshape(B * J, -1, cfg.hidden)
+                g_out = np.stack(g_frames).reshape(B, -1, J, cfg.hidden).swapaxes(1, 2).reshape(B * J, -1, cfg.hidden)
         return grads
 
     def logits(self, sample) -> np.ndarray:
@@ -857,11 +844,12 @@ def train(
         epoch_correct = 0
         for start in range(0, count, settings.batch_size):
             idx = order[start : start + settings.batch_size]
-            # map_rows and the gcn layer calls raise FloatingPointError on
-            # rows that overflow, before the loss itself can go non-finite
+            # map_rows, the layer and _path_inputs raise FloatingPointError on
+            # rows or paths that overflow, before the loss can go non-finite
             try:
                 logits, cache = model._forward([prepared[i] for i in idx])
-                loss, g_logits = cross_entropy(logits, labels[idx])
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+                    loss, g_logits = cross_entropy(logits, labels[idx])
                 if not np.isfinite(loss):
                     raise FloatingPointError(loss)
             except FloatingPointError as exc:

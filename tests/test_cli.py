@@ -409,9 +409,24 @@ class TestTrainEval:
             assert "Traceback" not in err
             assert data in err and ckpt in err and "2-class" in err
 
-    def test_non_finite_loss_exits_1(self, stream_file, tmp_path):
-        config = _write_train_config(tmp_path, learning_rate="1e80", epochs=3)
-        result = run_cli("train", config, stream_file(count=8), str(tmp_path / "m.ckpt"))
+    @pytest.mark.parametrize(
+        "variant,layout,overrides",
+        [
+            pytest.param("el-logsig-rnn", "path", {}, id="el-mapped"),
+            # the embedding's matrix itself overflows
+            pytest.param("el-logsig-rnn", "path", {"learning_rate": "1e300"}, id="el-mapped-1e300"),
+            # 5-joint 2-D skeletons at degree 3 take the per-path route, whose
+            # paths raw @ L overflow once the embedding has diverged
+            pytest.param("el-logsig-rnn", "skeleton", {"degree": 3, "learning_rate": "1e300"}, id="el-per-path"),
+            pytest.param("gcn-logsig-rnn", "skeleton", {}, id="gcn"),
+            pytest.param("gcn-logsig-rnn-2", "skeleton", {}, id="gcn-2"),
+            pytest.param("frame-rnn", "skeleton", {}, id="frame-rnn"),
+        ],
+    )
+    def test_non_finite_loss_exits_1(self, stream_file, tmp_path, variant, layout, overrides):
+        settings = {"variant": variant, "learning_rate": "1e80", "epochs": 3, **overrides}
+        config = _write_train_config(tmp_path, **settings)
+        result = run_cli("train", config, stream_file(count=8, layout=layout), str(tmp_path / "m.ckpt"))
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert_single_error_line(result.stderr)

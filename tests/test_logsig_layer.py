@@ -12,6 +12,7 @@ from logsigrnn import (
     logsig_sequence,
     logsig_sequence_forward,
     backward_from_state,
+    evaluate,
     restrict,
 )
 from logsigrnn.logsig_layer import _boundaries_in_path_time, map_rows, map_rows_backward
@@ -23,15 +24,20 @@ def random_path(rng, n, d, span=(0.0, 1.0)):
     return TimedPath(times, rng.normal(0.0, 1.0, (n, d)))
 
 
-def fd_gradient(path, partition, degree, basis, upstream, h=1e-6):
+def fd_gradient(path, partition, degree, basis, upstream, h=1e-6, starts=None):
+    """Central differences of sum(upstream * rows), plus sum(starts * start points) if given."""
+    at = _boundaries_in_path_time(path, partition)[:-1]
     grad = np.zeros_like(path.points)
     for i in range(path.num_samples):
         for j in range(path.width):
             for sign in (1.0, -1.0):
                 pts = path.points.copy()
                 pts[i, j] += sign * h
-                rows = logsig_sequence(TimedPath(path.times, pts), partition, degree, basis)
-                grad[i, j] += sign * float(np.sum(upstream * rows)) / (2 * h)
+                shifted = TimedPath(path.times, pts)
+                value = np.sum(upstream * logsig_sequence(shifted, partition, degree, basis))
+                if starts is not None:
+                    value += np.sum(starts * evaluate(shifted, at))
+                grad[i, j] += sign * float(value) / (2 * h)
     return grad
 
 
@@ -207,8 +213,17 @@ class TestBackward:
         with pytest.raises(ValueError, match="shape"):
             backward_from_state(state, np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("samples", [1, 2])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (2,)], ids=["wide", "long", "flat"])
+    def test_start_point_gradient_shape_enforced(self, samples, shape):
+        p = TimedPath(np.linspace(0.0, 1.0, samples), np.arange(samples, dtype=float)[:, None])
+        _, state = logsig_sequence_forward(p, SegmentPartition.uniform(0.0, 1.0, 2), 2)
+        assert state.starts.shape == (2, 1)
+        with pytest.raises(ValueError, match="start-point gradient must have shape"):
+            backward_from_state(state, np.zeros((2, 1)), np.zeros(shape))
+
     @pytest.mark.parametrize(
-        "degree,segments,d,squeeze",
+        "degree,segments,d,layout",
         [
             pytest.param(1, 3, 3, 1.0, id="1-3"),
             pytest.param(2, 4, 3, 1.0, id="2-4"),
@@ -218,19 +233,37 @@ class TestBackward:
             # a dense first segment beside three single-increment segments,
             # where the reverse segmented sums start and stop at once
             pytest.param(3, 4, 3, 0.25, id="3-chords"),
+            # one sample: every segment starts at it and every row is zero
+            pytest.param(3, 3, 2, "constant", id="3-constant"),
+            # the boundary at 0.5 is a sample, so the middle start point is that sample
+            pytest.param(2, 2, 3, "on-sample", id="2-on-sample"),
+            pytest.param(1, 2, 2, "on-sample", id="1-on-sample"),
         ],
     )
-    def test_matches_finite_differences(self, degree, segments, d, squeeze):
+    def test_matches_finite_differences(self, degree, segments, d, layout):
+        # the upstream gradient covers the rows and the start points
         rng = np.random.default_rng(degree * 10 + segments)
         p = random_path(rng, 12, d)
-        p = TimedPath(np.append(p.times[:-1] * squeeze, 1.0), p.points)
+        if layout == "constant":
+            p = TimedPath([0.5], p.points[:1])
+        elif layout == "on-sample":
+            halves = np.sort(rng.uniform(0.0, 0.5, 4)), np.sort(rng.uniform(0.5, 1.0, 5))
+            p = TimedPath(np.concatenate([[0.0], halves[0], [0.5], halves[1], [1.0]]), p.points)
+        else:
+            p = TimedPath(np.append(p.times[:-1] * layout, 1.0), p.points)
         part = SegmentPartition.uniform(0.0, 1.0, segments)
         basis = enumerate_lyndon(d, degree)
         rows, state = logsig_sequence_forward(p, part, degree, basis)
+        expected = evaluate(p, _boundaries_in_path_time(p, part)[:-1])
+        assert np.max(np.abs(state.starts - expected)) <= 1e-12 * np.max(np.abs(expected))
         upstream = rng.normal(0.0, 1.0, rows.shape)
-        analytic = backward_from_state(state, upstream)
-        reference = fd_gradient(p, part, degree, basis, upstream)
+        starts = rng.normal(0.0, 1.0, state.starts.shape)
+        analytic = backward_from_state(state, upstream, starts)
+        reference = fd_gradient(p, part, degree, basis, upstream, starts=starts)
         assert max_rel_err(analytic, reference) <= 1e-5
+        # without the start points' upstream, the rows' gradient alone
+        analytic = backward_from_state(state, upstream)
+        assert max_rel_err(analytic, fd_gradient(p, part, degree, basis, upstream)) <= 1e-5
 
     def test_gradient_locality(self):
         # a sample strictly inside segment k that does not bracket a boundary

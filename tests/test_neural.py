@@ -702,6 +702,93 @@ class TestElRoutes:
         _assert_rows_close(cache["rnn"][0][0][:, dim:], starts)
 
 
+def _paper_order_inputs(cfg, basis, segments, times, frames, adjacency, theta):
+    """Recurrent inputs ``(J, segments, c)`` of one gcn block in the paper's order.
+
+    Graph convolution of every frame, then each joint's accumulative and
+    time layers, the layer and its start points, one call per joint.
+    """
+    mixed = gcn_forward(frames, adjacency, theta)
+    inputs = []
+    for j in range(mixed.shape[1]):
+        seq = accumulative_layer(mixed[:, j]) if cfg.use_accumulative else mixed[:, j]
+        if cfg.use_time:
+            seq = time_incorporated_layer(seq, times)
+        path = TimedPath(times, seq)
+        partition = SegmentPartition.spanning(path, segments)
+        rows = logsig_sequence(path, partition, cfg.degree, basis)
+        inputs.append(add_start_points(rows, path, partition.boundaries) if cfg.use_start_points else rows)
+    return np.stack(inputs)
+
+
+class TestGcnRoute:
+    """Each gcn path is the raw path ``[time, running frame sums]`` times one joint's matrix."""
+
+    ADJACENCIES = (
+        chain_adjacency(3),
+        np.ones((3, 3)) - np.eye(3),
+        np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 2.0], [0.0, 2.0, 0.0]]),
+    )
+
+    def _samples(self, rng):
+        # a different graph per sample, and a single-frame stream
+        return [
+            SkeletonSequence(np.sort(rng.uniform(0.0, 1.0, n)), rng.normal(size=(n, 3, 2)), adjacency)
+            for n, adjacency in zip((6, 17, 1), self.ADJACENCIES)
+        ]
+
+    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False), (False, True, True)])
+    def test_rows_match_the_paper_order(self, variant, flags):
+        al, tl, sp = flags
+        rng = np.random.default_rng(80)
+        cfg = ModelConfig(
+            variant=variant, degree=3, num_segments=3, num_segments2=2, gcn_dim=3, hidden=4,
+            cell="lstm", num_classes=3, use_accumulative=al, use_time=tl, use_start_points=sp,
+        )
+        model = StreamClassifier.build(cfg, (3, 2), rng)
+        p = model.params
+        samples = self._samples(rng)
+        _, cache = model.forward_batch(samples)
+        rnn = {k: p[f"rnn.{k}"] for k in ("u", "w", "b", "v", "vb")}
+        for i, s in enumerate(samples):
+            ref = _paper_order_inputs(cfg, model.blocks[0][1], 3, s.times, s.frames, s.adjacency, p["gcn.theta"])
+            for j in range(3):
+                _assert_rows_close(cache["rnn"][0][3 * i + j], ref[j])
+            if variant == "gcn-logsig-rnn-2":  # the first block's outputs are the second's frames
+                frames = np.stack([rnn_forward(rows, rnn, cfg.cell)[0] for rows in ref], axis=1)
+                ref = _paper_order_inputs(
+                    cfg, model.blocks[1][1], 2, np.arange(3.0), frames, s.adjacency, p["gcn2.theta"]
+                )
+                for j in range(3):
+                    _assert_rows_close(cache["rnn2"][0][3 * i + j], ref[j])
+
+    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    def test_gradients_match_finite_differences(self, variant):
+        rng = np.random.default_rng(81)
+        cfg = ModelConfig(
+            variant=variant, degree=2, num_segments=2, num_segments2=2, gcn_dim=2, hidden=2,
+            cell="vanilla", num_classes=3,
+        )
+        model = StreamClassifier.build(cfg, (3, 2), rng)
+        samples, labels = self._samples(rng), np.array([0, 2, 1])
+        logits, cache = model.forward_batch(samples)
+        _, g_logits = cross_entropy(logits, labels)
+        grads = model.backward_batch(cache, g_logits)
+        h, worst = 1e-6, 0.0
+        for name, p in model.params.items():
+            for ix in np.ndindex(p.shape):
+                orig = p[ix]
+                p[ix] = orig + h
+                up, _ = cross_entropy(model.forward_batch(samples)[0], labels)
+                p[ix] = orig - h
+                down, _ = cross_entropy(model.forward_batch(samples)[0], labels)
+                p[ix] = orig
+                fd = (up - down) / (2 * h)
+                worst = max(worst, abs(grads[name][ix] - fd) / max(abs(grads[name][ix]), abs(fd), 1e-5))
+        assert worst <= 1e-5, worst
+
+
 class TestFrameRnnBatch:
     """frame-rnn unrolls a whole batch at once, each stream for its own frame count."""
 
@@ -852,6 +939,29 @@ class TestPreparedTraining:
             calls.clear()
             train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs), eval_samples, eval_labels)
             assert len(calls) == 3 * (6 + 2) * epochs  # one path per joint
+
+    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    def test_gcn_prepares_each_raw_path_once(self, monkeypatch, variant):
+        # block 0's raw paths (running sums of 3 joints x 2 coords) are built
+        # once per training stream; gcn-logsig-rnn-2's second block builds its
+        # raw path (3 joints x 5 hidden) from the first block's outputs, once
+        # per sample per step
+        rng = np.random.default_rng(74)
+        samples, labels = self._data(rng, (3, 2), 6)
+        widths = []
+        accumulate = neural.accumulative_layer
+
+        def counted(seq):
+            widths.append(seq.shape[1])
+            return accumulate(seq)
+
+        monkeypatch.setattr(neural, "accumulative_layer", counted)
+        cfg = ModelConfig(variant=variant, degree=2, num_segments=3, gcn_dim=3, hidden=5, num_classes=3)
+        for epochs in (1, 3):
+            widths.clear()
+            train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs))
+            block2 = 6 * epochs if variant == "gcn-logsig-rnn-2" else 0
+            assert widths == [6] * 6 + [15] * block2
 
     @pytest.mark.parametrize("where", ["training", "eval"])
     def test_overflowing_stream_fails_before_any_step_naming_it(self, monkeypatch, where):
