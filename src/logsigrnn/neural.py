@@ -11,16 +11,19 @@ batch at once in lockstep by frame count (longest first, each step on the
 streams that still have a frame); no filler frame is computed anywhere.
 
 Every path is a parameter-free raw path times a matrix ``L``: el-logsig-rnn's
-embedding, or a gcn block's graph convolution of one joint.  el-logsig-rnn's
-layer reads the raw path and ``logsig_layer.map_rows`` carries its rows
-through ``L`` whenever that raw path is narrow enough for its degree; every
-other block runs the layer on each ``raw @ L``.  See ``StreamClassifier``.
+embedding, or a gcn block's graph convolution of one joint.  On the mapped
+route the layer reads the raw path and ``logsig_layer.map_rows`` carries its
+rows through ``L``: el-logsig-rnn's raw path with the embedding's matrix,
+and in the gcn variants each joint's graph-mixed raw path with ``time (+)
+theta`` in the first block, whenever that raw path is narrow enough for the
+degree.  Every other block runs the layer on each ``raw @ L``.  See
+``StreamClassifier``.
 
 ``StreamClassifier._prepare`` checks each sample and builds what no
 parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
 frame-rnn's frames), and ``_forward`` does everything that reads a
 parameter.  ``train`` prepares its training and eval sets once per call, so
-el-logsig-rnn's epochs on the mapped route run no layer call.
+the first block's steps on the mapped route run no layer call.
 """
 
 from __future__ import annotations
@@ -63,10 +66,11 @@ __all__ = [
 VARIANTS = ("el-logsig-rnn", "gcn-logsig-rnn", "gcn-logsig-rnn-2", "frame-rnn")
 CELLS = ("vanilla", "lstm")
 
-# el-logsig-rnn takes the mapped route while its raw path's top tensor level
-# has at most this many entries: both the layer on the raw path and the
-# map's dense level factors grow with raw_width**degree.  Timed against the
-# per-path route by scripts/time_el_routes.py: up to 512 entries a training
+# el-logsig-rnn and gcn block 0 take the mapped route while the raw path's
+# (gcn: one joint's) top tensor level has at most this many entries: both the
+# layer on the raw path and the map's dense level factors grow with
+# raw_width**degree.  Timed on el-logsig-rnn against the per-path route by
+# scripts/time_el_routes.py: up to 512 entries a training
 # step took 0.23-0.68 of the per-path one and single-stream logits 1.0-1.6x
 # as long; past it logits took 1.6-5.3x as long (112x at 20736 entries),
 # and the step gain shrank (0.33-0.77 up to 1296) and turned into a loss
@@ -165,6 +169,9 @@ class TrainSettings:
     clip_norm: float | None = None
 
     def validate(self) -> None:
+        for key in ("learning_rate", "momentum"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -259,10 +266,14 @@ def _rnn_params(params: dict, prefix: str) -> list:
     return [params[f"{prefix}.{k}"] for k in _RNN_KEYS]
 
 
+@np.errstate(over="raise", invalid="raise")
 def _rnn_forward_batch(x, u, w, b, v, vb, cell, lengths=None):
     """Unroll a recurrent cell over (B, T, c) input; outputs are V h_t + vb.
 
-    Row r runs ``lengths[r]`` steps (default T), rows longest first.
+    Row r runs ``lengths[r]`` steps (default T), rows longest first.  A
+    pre-activation or output that overflows float64 raises
+    ``FloatingPointError``, so a diverging model fails instead of carrying
+    infinities into the head.
     """
     B, T, _ = x.shape
     H = w.shape[0]
@@ -409,23 +420,28 @@ class StreamClassifier:
     the layer (and start points) on each path's segments, and one recurrent
     unroll over all ``B * J`` rows of the batch.  Its full outputs are the
     next block's frames.  The last step of the last block, averaged over
-    joints, feeds the head.  A block's paths are ``raw @ L[j]``, where the raw
-    path is the tail (accumulative and time layers) of the flattened frames;
-    ``_path_inputs`` runs the layer on each, and ``L``'s gradient is ``raw.T``
-    times the paths' point gradients.  In the gcn variants ``J = F`` and
-    ``L[j] = time (+) (ahat[j] (x) theta)`` is joint ``j``'s graph
-    convolution; gcn-logsig-rnn-2 has two blocks.
+    joints, feeds the head.  On the per-path route a block's paths are
+    ``raw @ L[j]``, where the raw path is the tail (accumulative and time
+    layers) of the flattened frames; ``_path_inputs`` runs the layer on
+    each, and ``L``'s gradient is ``raw.T`` times the paths' point
+    gradients.  In the gcn variants ``J = F`` and ``L[j] = time (+) (ahat[j]
+    (x) theta)`` is joint ``j``'s graph convolution; gcn-logsig-rnn-2 has
+    two blocks.
 
-    el-logsig-rnn has one block with ``J = 1``: the raw path is the tail of
-    ``[1, frames]`` and ``L`` the affine embedding's matrix.  While the raw
-    path's width ``F * D + 1`` (plus the time channel) to the power
-    ``degree`` is at most ``MAPPED_TENSOR_LIMIT``, the model takes the
-    mapped route: the layer runs on each raw path, forward only, and
-    ``map_rows`` carries the batch's rows into the embedded basis in one
-    pass.  Wider inputs take the per-path route of ``_path_inputs``.  Without
-    the embedding ``L`` is the identity and the frames themselves are the
-    raw path.  ``raw_basis`` is None on the per-path route; setting it
-    forces a route.
+    Block 0 takes the mapped route of ``_mapped_inputs`` while its raw
+    path's width to the power ``degree`` is at most ``MAPPED_TENSOR_LIMIT``:
+    the layer runs on each raw path once, forward only, when the sample is
+    prepared, and ``map_rows`` carries the batch's ``B * J * segments`` rows
+    through one matrix ``L`` in one pass; ``L``'s gradient is the map's
+    adjoint plus the start points' term.  el-logsig-rnn has ``J = 1``: the
+    raw path is the tail of ``[1, frames]`` (width ``F * D + 1``, plus the
+    time channel) and ``L`` the affine embedding's matrix; without the
+    embedding ``L`` is the identity and the frames themselves are the raw
+    path.  In the gcn variants joint ``j``'s raw path is the tail of
+    ``sum_g ahat[j, g] X_g`` (width ``D``, plus the time channel) and ``L =
+    time (+) theta``.  Wider inputs, and gcn-logsig-rnn-2's second block,
+    take the per-path route.  ``raw_basis`` is None on the per-path route;
+    setting it forces a route.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
@@ -433,9 +449,9 @@ class StreamClassifier:
 
     ``forward_batch(samples)`` is ``_forward(_prepare(samples))``.
     ``_prepare`` checks each sample and builds its parameter-free inputs: the
-    raw-path rows (el mapped route, and without the embedding) or raw path
-    (el per-path route), the raw path and normalized adjacency (gcn), the
-    flattened or resampled frames (frame-rnn).  ``_forward`` runs every
+    raw-path rows (mapped route, and el without the embedding) or raw path
+    (per-path route), gcn's normalized adjacency, the flattened or
+    resampled frames (frame-rnn).  ``_forward`` runs every
     layer that reads a parameter on a list of such entries; ``train``
     prepares each set once.
     """
@@ -463,12 +479,14 @@ class StreamClassifier:
         for prefix, width, segments in zip(("rnn", "rnn2"), widths, (cfg.num_segments, cfg.num_segments2)):
             width += 1 if cfg.use_time else 0
             self.blocks.append((prefix, enumerate_lyndon(width, cfg.degree), segments))
-        # the basis of the raw paths on the mapped route, None on the per-path route
+        # the basis of block 0's raw paths on the mapped route, None on the
+        # per-path route: el-logsig-rnn's [time, 1, frames], or one joint's
+        # graph-mixed [time, coords] in the gcn variants
         self.raw_basis = None
-        raw_width = F * D + 1 + cfg.use_time
+        raw_width = (F * D + 1 if cfg.variant == "el-logsig-rnn" else D) + cfg.use_time
         if cfg.variant == "el-logsig-rnn" and not cfg.use_embedding:
             self.raw_basis = self.blocks[0][1]
-        elif cfg.variant == "el-logsig-rnn" and raw_width**cfg.degree <= MAPPED_TENSOR_LIMIT:
+        elif raw_width**cfg.degree <= MAPPED_TENSOR_LIMIT:
             self.raw_basis = enumerate_lyndon(raw_width, cfg.degree)
         in_dims = [b.dim + (b.width if cfg.use_start_points else 0) for _, b, _ in self.blocks]
         self.rnn_in = in_dims[0]
@@ -518,15 +536,20 @@ class StreamClassifier:
         """
         cfg, p = self.config, self.params
         F, D = self.spec
-        t = int(cfg.use_time)
         mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
         # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
         head = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]]) @ mix
-        matrix = np.zeros((t + 1 + F * D, t + cfg.embed_dim))
-        matrix[:t, :t] = 1.0
-        matrix[t, t:] = head[:, 0].sum(axis=0) + p["embed.mix_b"]
-        matrix[t + 1 :, t:] = head[:, 1:].reshape(F * D, -1)
-        return matrix
+        return self._time_sum(np.concatenate([
+            (head[:, 0].sum(axis=0) + p["embed.mix_b"])[None], head[:, 1:].reshape(F * D, -1)
+        ]))
+
+    def _time_sum(self, matrix):
+        """``time (+) matrix``, over any leading axes: 1 on the time channel, if any, then ``matrix``."""
+        t = int(self.config.use_time)
+        out = np.zeros((*matrix.shape[:-2], t + matrix.shape[-2], t + matrix.shape[-1]))
+        out[..., :t, :t] = 1.0
+        out[..., t:, t:] = matrix
+        return out
 
     def _embedding_matrix_backward(self, g_matrix, grads):
         """Add the embedding's gradients, given the gradient of ``_embedding_matrix()``."""
@@ -552,26 +575,30 @@ class StreamClassifier:
             x[row, : lengths[i]] = prepared[i]
         return x, lengths[order], order
 
-    def _el_inputs(self, prepared, basis, segments):
-        """Recurrent inputs ``(B, segments, c)`` of el-logsig-rnn's mapped route from the prepared rows.
+    def _mapped_inputs(self, prepared, basis, segments):
+        """Recurrent inputs ``(B * J, segments, c)`` of block 0's mapped route from the prepared rows.
 
-        The prepared rows of the raw paths are stacked and carried through
-        ``L`` with ``map_rows``.  Without the embedding ``L`` is the identity
-        and the prepared rows are the inputs.
+        The prepared rows of all ``B * J`` raw paths are stacked and carried
+        through one ``L`` with ``map_rows``: el-logsig-rnn's embedding matrix,
+        or ``time (+) theta`` in the gcn variants.  Without the embedding ``L``
+        is the identity and the prepared rows are the inputs.
         """
         cfg = self.config
-        if not cfg.use_embedding:  # nothing in front of the layer to train
-            return np.stack(prepared), None
-        matrix = self._embedding_matrix()
-        B, dim = len(prepared), self.raw_basis.dim
-        raw = np.stack(prepared).reshape(B * segments, -1)
+        if cfg.variant == "el-logsig-rnn":
+            if not cfg.use_embedding:  # nothing in front of the layer to train
+                return np.stack(prepared), None
+            matrix, raw = self._embedding_matrix(), np.stack(prepared)
+        else:
+            matrix, raw = self._time_sum(self.params["gcn.theta"]), np.stack([entry[0] for entry in prepared])
+        dim = self.raw_basis.dim
+        raw = raw.reshape(-1, raw.shape[-1])
         rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
         if cfg.use_start_points:
             rows = np.concatenate([rows, raw[:, dim:] @ matrix], axis=1)
-        return rows.reshape(B, segments, -1), (raw[:, dim:], map_cache)
+        return rows.reshape(-1, segments, rows.shape[1]), (raw[:, dim:], map_cache)
 
-    def _el_inputs_backward(self, cache, gx, grads):
-        """Add the embedding's gradients for the recurrent inputs' gradient ``gx``."""
+    def _mapped_inputs_backward(self, cache, gx, grads):
+        """Add the gradients of block 0's ``L`` on the mapped route for the recurrent inputs' gradient ``gx``."""
         if cache is None:
             return
         starts, map_cache = cache  # the raw start points and the map's cache
@@ -580,7 +607,11 @@ class StreamClassifier:
         g_matrix = map_rows_backward(map_cache, gx[:, :dim])
         if self.config.use_start_points:
             g_matrix += starts.T @ gx[:, dim:]
-        self._embedding_matrix_backward(g_matrix, grads)
+        if self.config.variant == "el-logsig-rnn":
+            self._embedding_matrix_backward(g_matrix, grads)
+        else:
+            t = int(self.config.use_time)
+            grads["gcn.theta"] += g_matrix[t:, t:]
 
     def _path_inputs(self, index, inputs, basis, segments):
         """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: the layer on each ``raw @ L[j]``.
@@ -591,15 +622,14 @@ class StreamClassifier:
         if self.config.variant == "el-logsig-rnn":
             matrices = [self._embedding_matrix()[None]] * len(inputs)
         else:
-            theta, t = self.params["gcn2.theta" if index else "gcn.theta"], int(self.config.use_time)
+            theta = self.params["gcn2.theta" if index else "gcn.theta"]
             ahat = np.stack([entry[2] for entry in inputs])
             (B, J, F), (D, C) = ahat.shape, theta.shape
-            matrices = np.zeros((B, J, t + F * D, t + C))
-            matrices[:, :, :t, :t] = 1.0
-            matrices[:, :, t:, t:] = np.einsum("bjg,dc->bjgdc", ahat, theta).reshape(B, J, F * D, C)
+            matrices = self._time_sum(np.einsum("bjg,dc->bjgdc", ahat, theta).reshape(B, J, F * D, C))
         rows, states = [], []
         for (times, raw, *_), matrix in zip(inputs, matrices):
-            paths = raw @ matrix
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite path raises below
+                paths = raw @ matrix
             if not np.isfinite(paths).all():
                 raise FloatingPointError("the block's paths raw @ L are not finite: they overflow float64")
             for points in paths:
@@ -668,7 +698,9 @@ class StreamClassifier:
         The entry is el-logsig-rnn's raw-path layer rows with the raw start
         points (mapped route, and without the embedding) or its raw path
         ``(times, raw)`` (per-path route); frame-rnn's flattened or resampled
-        frames ``(T, F * D)``; the gcn variants' ``(times, raw, ahat)``.
+        frames ``(T, F * D)``; the gcn variants' ``(rows, ahat)``, each
+        joint's raw-path rows and raw start points ``(J, segments, c)``
+        (mapped route), or ``(times, raw, ahat)`` (per-path route).
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A non-finite layer row is a
         ``FloatingPointError`` naming the stream.
@@ -695,10 +727,22 @@ class StreamClassifier:
                 stream = evaluate(TimedPath(times, stream), np.linspace(times[0], times[-1], n))
             return stream
         seq = flat = frames.reshape(frames.shape[0], -1)
-        if cfg.variant != "el-logsig-rnn":  # the raw path of gcn block 0 and the graph
+        if cfg.variant != "el-logsig-rnn":
             if adjacency is None:
                 raise ValueError("gcn variants require an adjacency matrix")
-            return times, self._tail(flat, times), normalized_adjacency(adjacency)
+            ahat = normalized_adjacency(adjacency)
+            if self.raw_basis is None:  # the raw path of gcn block 0 and the graph
+                return times, self._tail(flat, times), ahat
+            # each joint's raw path [time, running sums of sum_g ahat[j, g] X_g],
+            # whose rows map_rows carries through time (+) theta
+            mixed = self._tail(np.einsum("jg,ngd->njd", ahat, frames).reshape(len(times), -1), times)
+            t = int(cfg.use_time)
+            joints = mixed[:, t:].reshape(frames.shape)
+            rows = [
+                self._rows(times, np.concatenate([mixed[:, :t], joint], axis=1), self.raw_basis, self.blocks[0][2])[0]
+                for joint in joints.swapaxes(0, 1)
+            ]
+            return np.stack(rows), ahat
         # the raw path: the tail applied to [1, frames], in which the
         # embedding is linear, or to the frames themselves without it
         if cfg.use_embedding:
@@ -722,8 +766,8 @@ class StreamClassifier:
         else:
             inputs = prepared
             for index, (prefix, basis, segments) in enumerate(self.blocks):
-                if self.raw_basis is not None:
-                    x, block_cache = self._el_inputs(inputs, basis, segments)
+                if index == 0 and self.raw_basis is not None:
+                    x, block_cache = self._mapped_inputs(inputs, basis, segments)
                 else:
                     x, block_cache = self._path_inputs(index, inputs, basis, segments)
                 out, batch_cache[prefix] = _rnn_forward_batch(x, *_rnn_params(p, prefix), cfg.cell)
@@ -731,7 +775,7 @@ class StreamClassifier:
                 out = out.reshape(B, J, segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
                     times, frames = np.arange(segments, dtype=np.float64), out.swapaxes(1, 2).reshape(B, segments, -1)
-                    inputs = [(times, self._tail(f, times), entry[2]) for f, entry in zip(frames, inputs)]
+                    inputs = [(times, self._tail(f, times), entry[-1]) for f, entry in zip(frames, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
         with np.errstate(over="ignore", invalid="ignore"):  # train checks the loss
@@ -763,8 +807,8 @@ class StreamClassifier:
                 continue
             block_cache = batch_cache["blocks"][index]
             gx = gx.reshape(B, J, segments, -1)
-            if self.raw_basis is not None:
-                self._el_inputs_backward(block_cache, gx, grads)
+            if index == 0 and self.raw_basis is not None:
+                self._mapped_inputs_backward(block_cache, gx, grads)
                 continue
             g_frames = self._path_inputs_backward(index, block_cache, gx, grads)
             if index:
@@ -844,8 +888,8 @@ def train(
         epoch_correct = 0
         for start in range(0, count, settings.batch_size):
             idx = order[start : start + settings.batch_size]
-            # map_rows, the layer and _path_inputs raise FloatingPointError on
-            # rows or paths that overflow, before the loss can go non-finite
+            # map_rows, the layer, _path_inputs and the recurrent unroll raise
+            # FloatingPointError on what overflows, before the loss can go non-finite
             try:
                 logits, cache = model._forward([prepared[i] for i in idx])
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below

@@ -418,8 +418,18 @@ class TestTrainEval:
             # 5-joint 2-D skeletons at degree 3 take the per-path route, whose
             # paths raw @ L overflow once the embedding has diverged
             pytest.param("el-logsig-rnn", "skeleton", {"degree": 3, "learning_rate": "1e300"}, id="el-per-path"),
+            # a diverged embedding matrix holds infinities, so raw @ L meets 0 * inf
+            pytest.param(
+                "el-logsig-rnn", "skeleton",
+                {"degree": 3, "embed_channels": 6, "embed_dim": 8, "learning_rate": "1e300"}, id="el-per-path-inf",
+            ),
             pytest.param("gcn-logsig-rnn", "skeleton", {}, id="gcn"),
             pytest.param("gcn-logsig-rnn-2", "skeleton", {}, id="gcn-2"),
+            # every path stays finite; the second block's recurrent unroll overflows
+            pytest.param(
+                "gcn-logsig-rnn-2", "skeleton",
+                {"degree": 3, "num_segments2": 2, "epochs": 4, "learning_rate": "1e50"}, id="gcn-2-unroll",
+            ),
             pytest.param("frame-rnn", "skeleton", {}, id="frame-rnn"),
         ],
     )
@@ -465,7 +475,8 @@ class TestTrainEval:
         "key,value",
         [
             ("epochs", 0), ("batch_size", 0), ("clip_norm", -1.0), ("hidden", 0), ("embed_channels", 0),
-            ("embed_dim", 0), ("gcn_dim", 0), ("resample_frames", -3),
+            ("embed_dim", 0), ("gcn_dim", 0), ("resample_frames", -3), ("learning_rate", "nan"),
+            ("momentum", "inf"),
         ],
     )
     def test_bad_train_settings_exit_2_naming_the_key(self, stream_file, tmp_path, key, value):

@@ -554,6 +554,27 @@ def _assert_rows_close(got, ref, tol=1e-12):
     assert np.all(np.abs(got - ref) <= tol * scale), np.max(np.abs(got - ref))
 
 
+def _layer_calls(monkeypatch, model, samples):
+    """Widths of the layer's forward calls and the number of its backward calls in one step."""
+    calls = {"widths": [], "backward": 0}
+    forward, backward = neural.logsig_sequence_forward, neural.backward_from_state
+
+    def counted_forward(path, *args):
+        calls["widths"].append(path.width)
+        return forward(path, *args)
+
+    def counted_backward(*args):
+        calls["backward"] += 1
+        return backward(*args)
+
+    monkeypatch.setattr(neural, "logsig_sequence_forward", counted_forward)
+    monkeypatch.setattr(neural, "backward_from_state", counted_backward)
+    logits, cache = model.forward_batch(samples)
+    _, g_logits = cross_entropy(logits, np.arange(len(samples)) % 3)
+    model.backward_batch(cache, g_logits)
+    return calls
+
+
 class TestElRoutes:
     """el-logsig-rnn's mapped route (raw-path rows carried through the embedding's
     matrix) against its per-path route (the layer on every embedded path)."""
@@ -599,34 +620,13 @@ class TestElRoutes:
         _, cache = model.forward_batch([sample])
         _assert_rows_close(cache["rnn"][0][0], exact, tol=1e-8)
 
-    @staticmethod
-    def _layer_calls(monkeypatch, model, samples):
-        """Widths of the layer's forward calls and the number of its backward calls in one step."""
-        calls = {"widths": [], "backward": 0}
-        forward, backward = neural.logsig_sequence_forward, neural.backward_from_state
-
-        def counted_forward(path, *args):
-            calls["widths"].append(path.width)
-            return forward(path, *args)
-
-        def counted_backward(*args):
-            calls["backward"] += 1
-            return backward(*args)
-
-        monkeypatch.setattr(neural, "logsig_sequence_forward", counted_forward)
-        monkeypatch.setattr(neural, "backward_from_state", counted_backward)
-        logits, cache = model.forward_batch(samples)
-        _, g_logits = cross_entropy(logits, np.arange(len(samples)) % 3)
-        model.backward_batch(cache, g_logits)
-        return calls
-
     def test_mapped_route_runs_no_per_path_backward(self, monkeypatch):
         rng = np.random.default_rng(50)
         samples = [random_path(rng, n, 2) for n in (8, 20, 33)]
         # raw path [time, 1, x, y]; without the embedding [time, x, y]
         for use_embedding, width in ((True, 4), (False, 3)):
             model = _el_model(rng, (1, 2), use_embedding=use_embedding)
-            calls = self._layer_calls(monkeypatch, model, samples)
+            calls = _layer_calls(monkeypatch, model, samples)
             assert calls == {"widths": [width] * 3, "backward": 0}
 
     @pytest.mark.parametrize(
@@ -649,7 +649,7 @@ class TestElRoutes:
         rng = np.random.default_rng(51)
         samples = [random_skeleton(rng, n, 5, 2) for n in (8, 20, 33)]
         model = _el_model(rng, (5, 2))
-        calls = self._layer_calls(monkeypatch, model, samples)
+        calls = _layer_calls(monkeypatch, model, samples)
         assert calls == {"widths": [5] * 3, "backward": 3}
         _, cache = model.forward_batch(samples)
         for i, sample in enumerate(samples):
@@ -721,8 +721,19 @@ def _paper_order_inputs(cfg, basis, segments, times, frames, adjacency, theta):
     return np.stack(inputs)
 
 
+# (variant, route) of the gcn route tests; the mapped route is the default at
+# their shapes, so its cases carry the bare variant as id
+GCN_ROUTES = [
+    pytest.param(variant, route, id=variant if route == "mapped" else f"{variant}-{route}")
+    for variant in ("gcn-logsig-rnn", "gcn-logsig-rnn-2")
+    for route in ("mapped", "per-path")
+]
+
+
 class TestGcnRoute:
-    """Each gcn path is the raw path ``[time, running frame sums]`` times one joint's matrix."""
+    """gcn block 0's joint paths on the mapped route (each joint's graph-mixed raw
+    path's rows carried through ``time (+) theta``) and on the per-path route
+    (the raw path ``[time, running frame sums]`` times one joint's matrix)."""
 
     ADJACENCIES = (
         chain_adjacency(3),
@@ -737,16 +748,24 @@ class TestGcnRoute:
             for n, adjacency in zip((6, 17, 1), self.ADJACENCIES)
         ]
 
-    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    @staticmethod
+    def _model(cfg, rng, route):
+        model = StreamClassifier.build(cfg, (3, 2), rng)
+        if route == "per-path":
+            model.raw_basis = None
+        assert (model.raw_basis is not None) == (route == "mapped")
+        return model
+
+    @pytest.mark.parametrize("variant,route", GCN_ROUTES)
     @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False), (False, True, True)])
-    def test_rows_match_the_paper_order(self, variant, flags):
+    def test_rows_match_the_paper_order(self, variant, route, flags):
         al, tl, sp = flags
         rng = np.random.default_rng(80)
         cfg = ModelConfig(
             variant=variant, degree=3, num_segments=3, num_segments2=2, gcn_dim=3, hidden=4,
             cell="lstm", num_classes=3, use_accumulative=al, use_time=tl, use_start_points=sp,
         )
-        model = StreamClassifier.build(cfg, (3, 2), rng)
+        model = self._model(cfg, rng, route)
         p = model.params
         samples = self._samples(rng)
         _, cache = model.forward_batch(samples)
@@ -763,14 +782,14 @@ class TestGcnRoute:
                 for j in range(3):
                     _assert_rows_close(cache["rnn2"][0][3 * i + j], ref[j])
 
-    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
-    def test_gradients_match_finite_differences(self, variant):
+    @pytest.mark.parametrize("variant,route", GCN_ROUTES)
+    def test_gradients_match_finite_differences(self, variant, route):
         rng = np.random.default_rng(81)
         cfg = ModelConfig(
             variant=variant, degree=2, num_segments=2, num_segments2=2, gcn_dim=2, hidden=2,
             cell="vanilla", num_classes=3,
         )
-        model = StreamClassifier.build(cfg, (3, 2), rng)
+        model = self._model(cfg, rng, route)
         samples, labels = self._samples(rng), np.array([0, 2, 1])
         logits, cache = model.forward_batch(samples)
         _, g_logits = cross_entropy(logits, labels)
@@ -787,6 +806,18 @@ class TestGcnRoute:
                 fd = (up - down) / (2 * h)
                 worst = max(worst, abs(grads[name][ix] - fd) / max(abs(grads[name][ix]), abs(fd), 1e-5))
         assert worst <= 1e-5, worst
+
+    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    @pytest.mark.parametrize(
+        "spec,degree,mapped",
+        [
+            ((3, 2), 3, True),  # one joint's raw path [time, x, y]: 3**3 = 27 entries
+            ((5, 3), 5, False),  # [time, x, y, z]: 4**5 = 1024
+        ],
+    )
+    def test_route_follows_the_joint_tensor_size(self, variant, spec, degree, mapped):
+        cfg = ModelConfig(variant=variant, degree=degree, gcn_dim=2, hidden=2, num_classes=3)
+        assert (StreamClassifier(cfg, spec, {}).raw_basis is not None) == mapped
 
 
 class TestFrameRnnBatch:
@@ -928,8 +959,9 @@ class TestPreparedTraining:
             # the raw paths [time, 1, x, y], training then eval streams
             assert calls == [4] * (9 + 4)
 
-    def test_gcn_layer_runs_on_every_step(self, monkeypatch):
-        # the gcn paths depend on the graph convolution's parameters
+    def test_gcn_layer_runs_once_per_stream_per_train_call(self, monkeypatch):
+        # block 0's joint raw paths [time, mixed running sums] read no
+        # parameter; only time (+) theta, applied by map_rows, is trained
         rng = np.random.default_rng(72)
         samples, labels = self._data(rng, (3, 2), 6)
         eval_samples, eval_labels = self._data(rng, (3, 2), 2)
@@ -938,7 +970,9 @@ class TestPreparedTraining:
         for epochs in (1, 3):
             calls.clear()
             train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs), eval_samples, eval_labels)
-            assert len(calls) == 3 * (6 + 2) * epochs  # one path per joint
+            assert calls == [3] * 3 * (6 + 2)  # one path per joint, training then eval streams
+        model = StreamClassifier.build(cfg, (3, 2), 0)
+        assert _layer_calls(monkeypatch, model, samples[:4]) == {"widths": [3] * 3 * 4, "backward": 0}
 
     @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
     def test_gcn_prepares_each_raw_path_once(self, monkeypatch, variant):
