@@ -20,7 +20,7 @@ import numpy as np
 from . import datasets
 from .datasets import LabeledStreamSet, StreamParseError, load_streams
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward
-from .lyndon import enumerate_lyndon, logsig_dim, sig_dim
+from .lyndon import check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
 from .neural import (
     ModelConfig,
     StreamClassifier,
@@ -228,6 +228,14 @@ def _require_positive(args, *names: str) -> None:
             raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
+def _require_basis_size(width: int, degree: int, flags: str) -> None:
+    """``InputError`` naming ``flags`` if the basis is past ``check_basis_size``'s budget."""
+    try:
+        check_basis_size(width, degree)
+    except ValueError as exc:
+        raise InputError(f"{flags}: {exc}") from exc
+
+
 def _cmd_dims(args) -> tuple[RunReport, int]:
     _require_positive(args, "width", "degree")
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
@@ -253,7 +261,9 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
     if len(widths) > 1:
         raise InputError(f"stream file mixes widths {sorted(widths)}")
     if paths:
-        basis = enumerate_lyndon(widths.pop(), args.degree)
+        width = widths.pop()
+        _require_basis_size(width, args.degree, f"--degree {args.degree} on width-{width} streams")
+        basis = enumerate_lyndon(width, args.degree)
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
@@ -277,6 +287,7 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
     tic = time.perf_counter()
     worst = 0.0
     rows = []
+    _require_basis_size(args.width, args.degree, f"--width {args.width} --degree {args.degree}")
     basis = enumerate_lyndon(args.width, args.degree)
     for trial in range(args.trials):
         n = int(rng.integers(6, 14))

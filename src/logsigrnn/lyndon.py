@@ -22,6 +22,7 @@ __all__ = [
     "lyndon_words",
     "logsig_dim",
     "sig_dim",
+    "check_basis_size",
     "witt_number",
     "project_to_basis",
     "expand_from_basis",
@@ -59,6 +60,8 @@ def logsig_dim(width: int, degree: int) -> int:
     """Dimension of the truncated log-signature: cumulative Witt numbers."""
     if width < 1 or degree < 1:
         raise ValueError("width and degree must be positive")
+    if width == 1:  # the one letter; no longer word is Lyndon
+        return 1
     return sum(witt_number(width, n) for n in range(1, degree + 1))
 
 
@@ -69,6 +72,36 @@ def sig_dim(width: int, degree: int) -> int:
     if width == 1:
         return degree + 1
     return (width ** (degree + 1) - 1) // (width - 1)
+
+
+# The largest basis a model or the logsig and gradcheck commands build, checked
+# from the closed forms before any word is enumerated: the layer holds a
+# (increments, width**n) array per level n and the basis a dense square change
+# of basis per level, so past these sizes a build takes minutes and gigabytes,
+# or never ends (width 9 at degree 40 has about 4.2e36 Lyndon words).
+MAX_SIG_ENTRIES = 2**16
+MAX_BASIS_WORDS = 2**13
+
+
+def check_basis_size(width: int, degree: int) -> None:
+    """Raise ``ValueError`` if the width-``width`` basis at ``degree`` is past the build budget.
+
+    Reads only ``sig_dim`` and ``logsig_dim``: no word is enumerated.
+    """
+    if width < 1 or degree < 1:
+        raise ValueError("width and degree must be positive")
+    # sig_dim(width, degree) > degree, so a huge degree is refused before any power is formed
+    if degree >= MAX_SIG_ENTRIES or sig_dim(width, degree) > MAX_SIG_ENTRIES:
+        raise ValueError(
+            f"width {width} at degree {degree} has more than {MAX_SIG_ENTRIES} signature "
+            "entries, past the basis size budget"
+        )
+    words = logsig_dim(width, degree)
+    if words > MAX_BASIS_WORDS:
+        raise ValueError(
+            f"width {width} at degree {degree} has {words} Lyndon words, more than "
+            f"{MAX_BASIS_WORDS}, past the basis size budget"
+        )
 
 
 def lyndon_words(width: int, degree: int) -> list[Word]:
@@ -154,6 +187,25 @@ class LyndonBasis:
 
     def word_position(self, word: Word) -> int:
         return self._word_pos[tuple(word)]
+
+    def letter_positions(self, letters) -> np.ndarray:
+        """Positions of the Lyndon words over the channels ``letters`` (increasing, from 0).
+
+        Entry i is the position of the i-th word of the width-``len(letters)``
+        basis at this degree, with its letter ``a`` relabelled to channel
+        ``letters[a - 1]``.  Dropping the other channels is a Lie algebra map
+        that keeps every bracket over ``letters`` and sends all others to 0, and
+        Lyndon words and their standard bracketing depend only on the order of
+        their letters; so a path's rows at these positions are the rows of its
+        channels ``letters`` alone.
+        """
+        channels = [int(c) for c in letters]
+        if not channels or sorted(set(channels)) != channels or channels[0] < 0 or channels[-1] >= self.width:
+            raise ValueError(f"letters must be increasing channels of a width-{self.width} basis, got {channels}")
+        return np.array(
+            [self._word_pos[tuple(channels[a - 1] + 1 for a in w)] for w in lyndon_words(len(channels), self.degree)],
+            dtype=np.intp,
+        )
 
     def level_system(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Lyndon flat indices and the unitriangular change-of-basis matrix at degree n.

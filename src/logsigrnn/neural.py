@@ -16,8 +16,9 @@ route the layer reads the raw path and ``logsig_layer.map_rows`` carries its
 rows through ``L``: el-logsig-rnn's raw path with the embedding's matrix,
 and in the gcn variants each joint's graph-mixed raw path with ``time (+)
 theta`` in the first block, whenever that raw path is narrow enough for the
-degree.  Every other block runs the layer on each ``raw @ L``.  See
-``StreamClassifier``.
+degree; there the layer runs on groups of joints and each joint's rows are
+gathered from its group's.  Every other block runs the layer on each ``raw @
+L``.  See ``StreamClassifier``.
 
 ``StreamClassifier._prepare`` checks each sample and builds what no
 parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
@@ -40,7 +41,7 @@ from .logsig_layer import (
     map_rows,
     map_rows_backward,
 )
-from .lyndon import enumerate_lyndon
+from .lyndon import check_basis_size, enumerate_lyndon
 from .paths import TimedPath, evaluate
 
 __all__ = [
@@ -74,7 +75,11 @@ CELLS = ("vanilla", "lstm")
 # step took 0.23-0.68 of the per-path one and single-stream logits 1.0-1.6x
 # as long; past it logits took 1.6-5.3x as long (112x at 20736 entries),
 # and the step gain shrank (0.33-0.77 up to 1296) and turned into a loss
-# from 1728 (1.0-1.4x; 21x at 20736).
+# from 1728 (1.0-1.4x; 21x at 20736).  gcn block 0 also sizes its joint
+# groups by it: the layer runs on the largest number k of joints whose
+# [time, coords of k joints] path stays within the limit, where a call costs
+# nearly the same as on one joint (degree 3, 40 samples: 228 us at width 3,
+# 283 us at width 7).
 MAPPED_TENSOR_LIMIT = 512
 
 
@@ -439,9 +444,16 @@ class StreamClassifier:
     embedding ``L`` is the identity and the frames themselves are the raw
     path.  In the gcn variants joint ``j``'s raw path is the tail of
     ``sum_g ahat[j, g] X_g`` (width ``D``, plus the time channel) and ``L =
-    time (+) theta``.  Wider inputs, and gcn-logsig-rnn-2's second block,
-    take the per-path route.  ``raw_basis`` is None on the per-path route;
-    setting it forces a route.
+    time (+) theta``; the layer runs once per entry ``(first joint, count,
+    basis, gather)`` of ``joint_groups``, on the group's joints side by side
+    with one shared time channel, and joint ``first + i``'s rows and start
+    points are the group's columns ``gather[i]``
+    (``LyndonBasis.letter_positions``).  A group holds the largest number
+    ``k`` of joints with ``(t + k * D) ** degree`` at most
+    ``MAPPED_TENSOR_LIMIT``, so ``ceil(F / k)`` layer calls prepare a
+    sample.  Wider inputs, and gcn-logsig-rnn-2's second block, take the
+    per-path route.  ``raw_basis`` is None on the per-path route; setting it
+    to None forces that route.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
@@ -454,6 +466,10 @@ class StreamClassifier:
     resampled frames (frame-rnn).  ``_forward`` runs every
     layer that reads a parameter on a list of such entries; ``train``
     prepares each set once.
+
+    Building a model checks every block's basis against
+    ``lyndon.check_basis_size`` before any basis is built, and a size past
+    the budget is a ``ValueError`` naming the ``degree`` key.
     """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
@@ -476,18 +492,39 @@ class StreamClassifier:
             widths = [cfg.embed_dim if cfg.use_embedding else F * D]
         else:
             widths = [cfg.gcn_dim] * (2 if cfg.variant == "gcn-logsig-rnn-2" else 1)
+        widths = [width + cfg.use_time for width in widths]
+        for width in widths:  # before any basis is built
+            try:
+                check_basis_size(width, cfg.degree)
+            except ValueError as exc:
+                raise ValueError(f"config key 'degree' = {cfg.degree} on width-{width} paths: {exc}") from exc
         for prefix, width, segments in zip(("rnn", "rnn2"), widths, (cfg.num_segments, cfg.num_segments2)):
-            width += 1 if cfg.use_time else 0
             self.blocks.append((prefix, enumerate_lyndon(width, cfg.degree), segments))
         # the basis of block 0's raw paths on the mapped route, None on the
         # per-path route: el-logsig-rnn's [time, 1, frames], or one joint's
         # graph-mixed [time, coords] in the gcn variants
         self.raw_basis = None
-        raw_width = (F * D + 1 if cfg.variant == "el-logsig-rnn" else D) + cfg.use_time
+        t = int(cfg.use_time)
+        raw_width = (F * D + 1 if cfg.variant == "el-logsig-rnn" else D) + t
         if cfg.variant == "el-logsig-rnn" and not cfg.use_embedding:
             self.raw_basis = self.blocks[0][1]
         elif raw_width**cfg.degree <= MAPPED_TENSOR_LIMIT:
             self.raw_basis = enumerate_lyndon(raw_width, cfg.degree)
+        if self.raw_basis is not None and cfg.variant != "el-logsig-rnn":
+            # the layer runs on groups of k joints' raw paths [time, joints'
+            # coords], and joint i of a group reads its rows and start points
+            # at its channels [time, t + i * D, ..., t + (i + 1) * D - 1]
+            k = max(k for k in range(1, F + 1) if (t + k * D) ** cfg.degree <= MAPPED_TENSOR_LIMIT)
+            self.joint_groups = []
+            for first in range(0, F, k):
+                count = min(k, F - first)
+                basis = enumerate_lyndon(t + count * D, cfg.degree)
+                gather = []
+                for i in range(count):
+                    letters = np.r_[:t, t + i * D : t + (i + 1) * D]
+                    columns = basis.letter_positions(letters)
+                    gather.append(np.r_[columns, basis.dim + letters] if cfg.use_start_points else columns)
+                self.joint_groups.append((first, count, basis, np.array(gather)))
         in_dims = [b.dim + (b.width if cfg.use_start_points else 0) for _, b, _ in self.blocks]
         self.rnn_in = in_dims[0]
         if len(in_dims) > 1:
@@ -700,7 +737,8 @@ class StreamClassifier:
         ``(times, raw)`` (per-path route); frame-rnn's flattened or resampled
         frames ``(T, F * D)``; the gcn variants' ``(rows, ahat)``, each
         joint's raw-path rows and raw start points ``(J, segments, c)``
-        (mapped route), or ``(times, raw, ahat)`` (per-path route).
+        gathered from one layer call per joint group (mapped route), or
+        ``(times, raw, ahat)`` (per-path route).
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A non-finite layer row is a
         ``FloatingPointError`` naming the stream.
@@ -734,15 +772,15 @@ class StreamClassifier:
             if self.raw_basis is None:  # the raw path of gcn block 0 and the graph
                 return times, self._tail(flat, times), ahat
             # each joint's raw path [time, running sums of sum_g ahat[j, g] X_g],
-            # whose rows map_rows carries through time (+) theta
+            # whose rows map_rows carries through time (+) theta; the layer runs
+            # once per group of joints and each joint's rows are gathered from it
             mixed = self._tail(np.einsum("jg,ngd->njd", ahat, frames).reshape(len(times), -1), times)
-            t = int(cfg.use_time)
-            joints = mixed[:, t:].reshape(frames.shape)
-            rows = [
-                self._rows(times, np.concatenate([mixed[:, :t], joint], axis=1), self.raw_basis, self.blocks[0][2])[0]
-                for joint in joints.swapaxes(0, 1)
-            ]
-            return np.stack(rows), ahat
+            t, D = int(cfg.use_time), frames.shape[2]
+            rows = []
+            for first, count, basis, gather in self.joint_groups:
+                group = np.concatenate([mixed[:, :t], mixed[:, t + first * D : t + (first + count) * D]], axis=1)
+                rows.append(self._rows(times, group, basis, self.blocks[0][2])[0][:, gather].swapaxes(0, 1))
+            return np.concatenate(rows), ahat
         # the raw path: the tail applied to [1, frames], in which the
         # embedding is linear, or to the frames themselves without it
         if cfg.use_embedding:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logsigrnn import gen_synthetic, save_streams
+from logsigrnn import cli, gen_synthetic, lyndon, neural, save_streams
 from logsigrnn.cli import (
     load_checkpoint,
     main,
@@ -532,6 +532,59 @@ class TestTrainEval:
     def test_usage_error_exits_2(self, capsys):
         assert main(["train"]) == 2
         capsys.readouterr()
+
+
+class TestBasisSizeBudget:
+    """A degree whose basis is past ``lyndon.check_basis_size``'s budget exits 2
+    naming the key or flag, before any basis is built."""
+
+    @staticmethod
+    def _refuse_basis_builds(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a basis build started")
+
+        for module in (lyndon, neural, cli):
+            monkeypatch.setattr(module, "enumerate_lyndon", refuse)
+        monkeypatch.setattr(lyndon, "LyndonBasis", refuse)
+
+    @staticmethod
+    def _assert_exits_2_naming(argv, named, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_single_error_line(captured.err)
+        assert named in captured.err and "past the basis size budget" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("variant", ["el-logsig-rnn", "gcn-logsig-rnn"])
+    def test_train_config(self, monkeypatch, stream_file, tmp_path, capsys, variant):
+        data = stream_file(count=8, layout="skeleton" if variant.startswith("gcn") else "path")
+        config = _write_train_config(tmp_path, variant=variant, degree=40)
+        self._refuse_basis_builds(monkeypatch)
+        target = tmp_path / "m.ckpt"
+        self._assert_exits_2_naming(["train", config, data, str(target)], "'degree' = 40", capsys)
+        assert not target.exists()
+
+    def test_eval_of_a_checkpoint_header(self, monkeypatch, stream_file, tmp_path, capsys):
+        cfg = ModelConfig(num_classes=4, hidden=8, embed_channels=2, embed_dim=3)
+        target = tmp_path / "model.ckpt"
+        save_checkpoint(str(target), cfg, (1, 2), StreamClassifier.build(cfg, (1, 2), 0).params)
+        target.write_text(target.read_text().replace("degree = 2\n", "degree = 40\n"))
+        data = stream_file()
+        self._refuse_basis_builds(monkeypatch)
+        self._assert_exits_2_naming(["eval", str(target), data], "'degree' = 40", capsys)
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["logsig", "STREAMS", "--degree", "40"], "--degree 40"),
+            (["gradcheck", "--degree", "40"], "--degree 40"),
+            (["gradcheck", "--width", "1000"], "--width 1000"),
+        ],
+    )
+    def test_command_flags(self, monkeypatch, stream_file, capsys, argv, named):
+        argv = [stream_file() if a == "STREAMS" else a for a in argv]
+        self._refuse_basis_builds(monkeypatch)
+        self._assert_exits_2_naming(argv, named, capsys)
 
 
 class TestRobustnessCommand:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logsigrnn import (
     SegmentPartition,
@@ -291,6 +292,28 @@ class TestBackward:
         grad = backward_from_state(state, np.ones_like(rows))
         assert grad.shape == (1, 2)
         assert np.allclose(grad, 0.0)
+
+
+class TestChannelSubsets:
+    """The rows of a path's channels ``letters`` are the full path's rows at
+    ``LyndonBasis.letter_positions(letters)``, and its start points the full
+    start points' columns ``letters``: gcn block 0 gathers each joint's rows
+    from one layer call on a group of joints this way."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_of_a_channel_subset_are_a_gather(self, seed):
+        rng = np.random.default_rng(seed)
+        width, degree = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        letters = np.sort(rng.choice(width, int(rng.integers(1, width + 1)), replace=False))
+        path = random_path(rng, int(rng.integers(1, 25)), width)
+        partition = SegmentPartition.spanning(path, int(rng.integers(1, 5)))
+        rows, state = logsig_sequence_forward(path, partition, degree)
+        sub_rows, sub_state = logsig_sequence_forward(TimedPath(path.times, path.points[:, letters]), partition, degree)
+        got = rows[:, enumerate_lyndon(width, degree).letter_positions(letters)]
+        for got_row, ref_row in zip(got, sub_rows):
+            assert np.all(np.abs(got_row - ref_row) <= 1e-12 * np.max(np.abs(ref_row))), (width, degree, letters)
+        assert np.array_equal(state.starts[:, letters], sub_state.starts)
 
 
 class TestLinearMap:

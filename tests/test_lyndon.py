@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logsigrnn import lyndon
 from logsigrnn.lyndon import (
+    check_basis_size,
     enumerate_lyndon,
     expand_from_basis,
     logsig_dim,
@@ -89,6 +91,56 @@ class TestDimensions:
 
     def test_witt_number_known_value(self):
         assert witt_number(5, 6) == 2580
+
+
+class TestSizeBudget:
+    """``check_basis_size`` reads the closed-form sizes only, before any word is enumerated."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a word was enumerated")
+
+        monkeypatch.setattr(lyndon, "lyndon_words", refuse)
+        monkeypatch.setattr(lyndon, "LyndonBasis", refuse)
+
+    # the widest bases the models, scripts and benchmark build, and the budget's edges
+    @pytest.mark.parametrize("width,degree", [(9, 3), (12, 4), (13, 4), (7, 3), (2, 15), (1, 65535), (4, 6)])
+    def test_admits(self, width, degree):
+        check_basis_size(width, degree)
+
+    @pytest.mark.parametrize(
+        "width,degree,reason",
+        [
+            (9, 40, "signature entries"),  # about 4.2e36 Lyndon words
+            (1, 10**9, "signature entries"),
+            (10**9, 3, "signature entries"),
+            (16, 4, "signature entries"),  # 69905 entries
+            (60000, 1, "Lyndon words"),  # 60000 words, 60001 entries
+            (130, 2, "Lyndon words"),  # 8515 words, 17031 entries
+        ],
+    )
+    def test_refuses_naming_the_size(self, width, degree, reason):
+        if reason == "Lyndon words":
+            assert sig_dim(width, degree) <= lyndon.MAX_SIG_ENTRIES
+        with pytest.raises(ValueError, match=f"width {width} at degree {degree} .*{reason}"):
+            check_basis_size(width, degree)
+
+
+class TestLetterPositions:
+    def test_example(self):
+        # words (1,), (2,), (3,), (1, 2), (1, 3), (2, 3); channels 0 and 2 are letters 1 and 3
+        assert list(enumerate_lyndon(3, 2).letter_positions([0, 2])) == [0, 2, 4]
+
+    @pytest.mark.parametrize("width,degree", [(1, 3), (3, 3), (4, 2)])
+    def test_all_channels_are_the_identity(self, width, degree):
+        basis = enumerate_lyndon(width, degree)
+        assert list(basis.letter_positions(range(width))) == list(range(basis.dim))
+
+    @pytest.mark.parametrize("letters", [[], [1, 0], [0, 0], [-1], [3]])
+    def test_bad_letters_rejected(self, letters):
+        with pytest.raises(ValueError, match="increasing channels"):
+            enumerate_lyndon(3, 2).letter_positions(letters)
 
 
 class TestBasisStructure:

@@ -1,5 +1,6 @@
 """Path transformation layers, recurrent cells, and model variants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -741,46 +742,85 @@ class TestGcnRoute:
         np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 2.0], [0.0, 2.0, 0.0]]),
     )
 
-    def _samples(self, rng):
+    def _samples(self, rng, joints=3):
         # a different graph per sample, and a single-frame stream
+        if joints == 3:
+            adjacencies = self.ADJACENCIES
+        else:
+            chain = chain_adjacency(joints)
+            adjacencies = (chain, np.ones((joints, joints)) - np.eye(joints), chain * np.arange(1.0, joints + 1))
+            adjacencies = (*adjacencies[:2], (adjacencies[2] + adjacencies[2].T) / 2)
         return [
-            SkeletonSequence(np.sort(rng.uniform(0.0, 1.0, n)), rng.normal(size=(n, 3, 2)), adjacency)
-            for n, adjacency in zip((6, 17, 1), self.ADJACENCIES)
+            SkeletonSequence(np.sort(rng.uniform(0.0, 1.0, n)), rng.normal(size=(n, joints, 2)), adjacency)
+            for n, adjacency in zip((6, 17, 1), adjacencies)
         ]
 
     @staticmethod
-    def _model(cfg, rng, route):
-        model = StreamClassifier.build(cfg, (3, 2), rng)
+    def _model(cfg, rng, route, joints=3):
+        model = StreamClassifier.build(cfg, (joints, 2), rng)
         if route == "per-path":
             model.raw_basis = None
         assert (model.raw_basis is not None) == (route == "mapped")
         return model
 
     @pytest.mark.parametrize("variant,route", GCN_ROUTES)
-    @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False), (False, True, True)])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            (True, True, True), (False, False, False), (False, True, True),
+            # (..., joints, degree) with 2 coords: the mapped route's joint
+            # groups are 3 + 2 joints, 4 + 1 without the time channel, all 5
+            # joints at degree 2 and single joints at degree 4
+            pytest.param((True, True, True, 5, 3), id="5-joints-d3"),
+            pytest.param((True, False, True, 5, 3), id="5-joints-d3-no-time"),
+            pytest.param((False, True, True, 5, 2), id="5-joints-d2"),
+            pytest.param((True, True, False, 5, 4), id="5-joints-d4"),
+        ],
+    )
     def test_rows_match_the_paper_order(self, variant, route, flags):
-        al, tl, sp = flags
+        al, tl, sp, J, degree = flags if len(flags) == 5 else (*flags, 3, 3)
         rng = np.random.default_rng(80)
         cfg = ModelConfig(
-            variant=variant, degree=3, num_segments=3, num_segments2=2, gcn_dim=3, hidden=4,
+            variant=variant, degree=degree, num_segments=3, num_segments2=2, gcn_dim=3, hidden=4,
             cell="lstm", num_classes=3, use_accumulative=al, use_time=tl, use_start_points=sp,
         )
-        model = self._model(cfg, rng, route)
+        model = self._model(cfg, rng, route, J)
         p = model.params
-        samples = self._samples(rng)
+        samples = self._samples(rng, J)
         _, cache = model.forward_batch(samples)
         rnn = {k: p[f"rnn.{k}"] for k in ("u", "w", "b", "v", "vb")}
         for i, s in enumerate(samples):
             ref = _paper_order_inputs(cfg, model.blocks[0][1], 3, s.times, s.frames, s.adjacency, p["gcn.theta"])
-            for j in range(3):
-                _assert_rows_close(cache["rnn"][0][3 * i + j], ref[j])
+            for j in range(J):
+                _assert_rows_close(cache["rnn"][0][J * i + j], ref[j])
             if variant == "gcn-logsig-rnn-2":  # the first block's outputs are the second's frames
                 frames = np.stack([rnn_forward(rows, rnn, cfg.cell)[0] for rows in ref], axis=1)
                 ref = _paper_order_inputs(
                     cfg, model.blocks[1][1], 2, np.arange(3.0), frames, s.adjacency, p["gcn2.theta"]
                 )
-                for j in range(3):
-                    _assert_rows_close(cache["rnn2"][0][3 * i + j], ref[j])
+                for j in range(J):
+                    _assert_rows_close(cache["rnn2"][0][J * i + j], ref[j])
+
+    @pytest.mark.parametrize(
+        "spec,degree,use_time,groups",
+        [
+            ((3, 2), 3, True, [3]),  # width 1 + 3 * 2 = 7: 343 entries
+            ((5, 2), 3, True, [3, 2]),  # 4 joints would be width 9: 729
+            ((5, 2), 3, False, [4, 1]),  # width 8: 512, the limit
+            ((5, 2), 2, True, [5]),  # width 11: 121
+            ((5, 2), 4, True, [1] * 5),  # width 3: 81; width 5 would be 625
+            ((2, 3), 3, True, [2]),
+        ],
+    )
+    def test_joint_groups_follow_the_tensor_limit(self, spec, degree, use_time, groups):
+        cfg = ModelConfig(variant="gcn-logsig-rnn", degree=degree, gcn_dim=2, hidden=2, num_classes=3,
+                          use_time=use_time)
+        model = StreamClassifier(cfg, spec, {})
+        assert [count for _, count, _, _ in model.joint_groups] == groups
+        assert [first for first, *_ in model.joint_groups] == list(np.cumsum([0] + groups[:-1]))
+        for _, count, basis, _ in model.joint_groups:
+            assert basis.width == use_time + count * spec[1]
+            assert basis.width**degree <= neural.MAPPED_TENSOR_LIMIT
 
     @pytest.mark.parametrize("variant,route", GCN_ROUTES)
     def test_gradients_match_finite_differences(self, variant, route):
@@ -961,7 +1001,9 @@ class TestPreparedTraining:
 
     def test_gcn_layer_runs_once_per_stream_per_train_call(self, monkeypatch):
         # block 0's joint raw paths [time, mixed running sums] read no
-        # parameter; only time (+) theta, applied by map_rows, is trained
+        # parameter; only time (+) theta, applied by map_rows, is trained.
+        # The layer runs once per joint group: here all 3 joints side by side,
+        # [time, 3 joints x 2 coords], width 7 (49 entries at degree 2)
         rng = np.random.default_rng(72)
         samples, labels = self._data(rng, (3, 2), 6)
         eval_samples, eval_labels = self._data(rng, (3, 2), 2)
@@ -970,9 +1012,13 @@ class TestPreparedTraining:
         for epochs in (1, 3):
             calls.clear()
             train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs), eval_samples, eval_labels)
-            assert calls == [3] * 3 * (6 + 2)  # one path per joint, training then eval streams
+            assert calls == [7] * (6 + 2)  # one path per stream, training then eval streams
         model = StreamClassifier.build(cfg, (3, 2), 0)
-        assert _layer_calls(monkeypatch, model, samples[:4]) == {"widths": [3] * 3 * 4, "backward": 0}
+        assert _layer_calls(monkeypatch, model, samples[:4]) == {"widths": [7] * 4, "backward": 0}
+        # 5 joints x 2 coords at degree 3: groups of 3 and 2 joints, widths 7 and 5
+        samples, _ = self._data(rng, (5, 2), 3)
+        model = StreamClassifier.build(dataclasses.replace(cfg, degree=3), (5, 2), 0)
+        assert _layer_calls(monkeypatch, model, samples) == {"widths": [7, 5] * 3, "backward": 0}
 
     @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
     def test_gcn_prepares_each_raw_path_once(self, monkeypatch, variant):
