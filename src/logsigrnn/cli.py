@@ -220,12 +220,12 @@ def _load_dataset(path: str) -> LabeledStreamSet:
 # subcommands
 
 
-def _require_positive(args, *names: str) -> None:
-    """``InputError`` naming the first flag among ``names`` that is below 1."""
+def _require_at_least(args, low: int, *names: str) -> None:
+    """``InputError`` naming the first flag among ``names`` that is below ``low``."""
     for name in names:
         value = getattr(args, name)
-        if value < 1:
-            raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+        if value < low:
+            raise InputError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _require_basis_size(width: int, degree: int, flags: str) -> None:
@@ -237,7 +237,7 @@ def _require_basis_size(width: int, degree: int, flags: str) -> None:
 
 
 def _cmd_dims(args) -> tuple[RunReport, int]:
-    _require_positive(args, "width", "degree")
+    _require_at_least(args, 1, "width", "degree")
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
     rows = []
     for m in range(1, args.degree + 1):
@@ -248,7 +248,7 @@ def _cmd_dims(args) -> tuple[RunReport, int]:
 
 
 def _cmd_logsig(args) -> tuple[RunReport, int]:
-    _require_positive(args, "degree", "segments")
+    _require_at_least(args, 1, "degree", "segments")
     data = _load_dataset(args.input)
     report = RunReport(
         "logsig", config={"degree": args.degree, "segments": args.segments, "input": args.input}
@@ -282,7 +282,8 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
 
 
 def _cmd_gradcheck(args) -> tuple[RunReport, int]:
-    _require_positive(args, "trials", "width", "degree", "segments")
+    _require_at_least(args, 1, "trials", "width", "degree", "segments")
+    _require_at_least(args, 0, "seed")
     rng = np.random.default_rng(args.seed)
     tic = time.perf_counter()
     worst = 0.0
@@ -435,6 +436,7 @@ def _parse_rates(text: str) -> list[float]:
 
 
 def _cmd_robustness(args) -> tuple[RunReport, int]:
+    _require_at_least(args, 0, "seed")
     config, spec, params = load_checkpoint(args.checkpoint)
     bconfig, bspec, bparams = load_checkpoint(args.baseline_checkpoint)
     data = _load_dataset(args.data)
@@ -479,7 +481,8 @@ def _median_epoch_seconds(trace: list, warmup: int, timed: int) -> float:
 
 
 def _cmd_bench(args) -> tuple[RunReport, int]:
-    _require_positive(args, "timed_epochs")
+    _require_at_least(args, 1, "timed_epochs")
+    _require_at_least(args, 0, "seed")
     if not 0 <= args.warmup_epochs <= args.epochs:
         raise InputError(f"--warmup-epochs must lie in 0..{args.epochs} (--epochs), got {args.warmup_epochs}")
     if not 0.0 < args.eval_fraction < 1.0:

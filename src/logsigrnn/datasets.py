@@ -40,6 +40,10 @@ __all__ = [
 
 DEFAULT_CLASSES = ("circle_cw", "circle_ccw", "figure_eight", "line_sweep")
 
+# a stream file's labels lie below this; without a header's class list,
+# loading names classes class_0 .. class_<largest label>
+MAX_CLASSES = 1 << 16
+
 
 @dataclass
 class LabeledStreamSet:
@@ -325,6 +329,13 @@ def save_streams(dataset: LabeledStreamSet, target) -> None:
             handle.close()
 
 
+def _label(obj: dict) -> int:
+    label = obj["label"]
+    if type(label) is not int or not 0 <= label < MAX_CLASSES:
+        raise ValueError(f"label must be an integer in 0..{MAX_CLASSES - 1}, got {label!r:.40}")
+    return label
+
+
 def _parse_record(obj: dict, where: str):
     kind = obj.get("kind")
     try:
@@ -333,7 +344,7 @@ def _parse_record(obj: dict, where: str):
             points = np.asarray(obj["points"], dtype=np.float64)
             if times.size != obj["n"] or points.shape != (obj["n"], obj["d"]):
                 raise ValueError("declared n/d do not match the data")
-            return TimedPath(times, points), int(obj["label"])
+            return TimedPath(times, points), _label(obj)
         if kind == "skeleton":
             times = np.asarray(obj["times"], dtype=np.float64)
             frames = np.asarray(obj["frames"], dtype=np.float64)
@@ -342,7 +353,7 @@ def _parse_record(obj: dict, where: str):
             adjacency = obj.get("adjacency")
             if adjacency is not None:
                 adjacency = np.asarray(adjacency, dtype=np.float64)
-            return SkeletonSequence(times, frames, adjacency), int(obj["label"])
+            return SkeletonSequence(times, frames, adjacency), _label(obj)
         raise ValueError(f"unknown record kind {kind!r}")
     except (KeyError, TypeError) as exc:
         raise StreamParseError(f"{where}: missing or malformed field ({exc})") from exc
@@ -353,7 +364,9 @@ def _parse_record(obj: dict, where: str):
 def load_streams(source) -> LabeledStreamSet:
     """Read a stream set written by :func:`save_streams`.
 
-    An empty file yields an empty set.  Malformed records raise
+    An empty file yields an empty set.  Malformed records, a label that is
+    not an integer in ``0..MAX_CLASSES - 1`` or past the header's classes,
+    and a header whose ``classes`` is not a list of strings raise
     :class:`StreamParseError` with the offending line number.
     """
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
@@ -361,6 +374,7 @@ def load_streams(source) -> LabeledStreamSet:
     try:
         samples = []
         labels = []
+        lines = []
         classes: tuple[str, ...] = ()
         seed = None
         for lineno, line in enumerate(handle, start=1):
@@ -370,21 +384,28 @@ def load_streams(source) -> LabeledStreamSet:
             where = f"line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # also an integer too long to convert
+                raise StreamParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(obj, dict):
                 raise StreamParseError(f"{where}: expected a JSON object")
             if obj.get("kind") == "header":
-                classes = tuple(obj.get("classes") or ())
-                seed = obj.get("seed")
+                names = obj.get("classes")  # absent or null: no class list
+                if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                    raise StreamParseError(f"{where}: header classes must be a list of strings, got {names!r:.60}")
+                classes, seed = tuple(names or ()), obj.get("seed")
                 continue
             sample, label = _parse_record(obj, where)
             samples.append(sample)
             labels.append(label)
+            lines.append(lineno)
     finally:
         if own:
             handle.close()
-    if not classes:
+    if classes:
+        for label, lineno in zip(labels, lines):
+            if label >= len(classes):
+                raise StreamParseError(f"line {lineno}: label {label} is past the header's {len(classes)} classes")
+    else:
         top = (max(labels) + 1) if labels else 0
         classes = tuple(f"class_{i}" for i in range(top))
     return LabeledStreamSet(samples, np.asarray(labels, dtype=np.intp), classes, seed)

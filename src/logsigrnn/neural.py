@@ -10,15 +10,14 @@ shape.  The frame-rnn baseline unrolls over each stream's frames, the whole
 batch at once in lockstep by frame count (longest first, each step on the
 streams that still have a frame); no filler frame is computed anywhere.
 
-Every path is a parameter-free raw path times a matrix ``L``: el-logsig-rnn's
-embedding, or a gcn block's graph convolution of one joint.  On the mapped
-route the layer reads the raw path and ``logsig_layer.map_rows`` carries its
-rows through ``L``: el-logsig-rnn's raw path with the embedding's matrix,
-and in the gcn variants each joint's graph-mixed raw path with ``time (+)
-theta`` in the first block, whenever that raw path is narrow enough for the
-degree; there the layer runs on groups of joints and each joint's rows are
-gathered from its group's.  Every other block runs the layer on each ``raw @
-L``.  See ``StreamClassifier``.
+Every block reads each sample's parameter-free raw paths, one per joint, and
+one matrix ``L``: el-logsig-rnn's embedding, or ``time (+) theta`` on each
+joint's graph-mixed raw path in a gcn block.  On the mapped route, taken by
+the first block whenever a raw path is narrow enough for the degree, the
+layer reads the raw paths and ``logsig_layer.map_rows`` carries their rows
+through ``L``; in the gcn variants the layer runs there on groups of joints
+and each joint's rows are gathered from its group's.  Every other block runs
+the layer on each ``raw @ L``.  See ``StreamClassifier``.
 
 ``StreamClassifier._prepare`` checks each sample and builds what no
 parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
@@ -181,6 +180,8 @@ class TrainSettings:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0 or unset, got {self.clip_norm}")
 
@@ -219,7 +220,7 @@ def accumulative_layer(seq: np.ndarray) -> np.ndarray:
 
 
 def _accumulative_backward(grad: np.ndarray) -> np.ndarray:
-    return np.cumsum(grad[::-1], axis=0)[::-1]
+    return np.flip(np.cumsum(np.flip(grad, -2), axis=-2), -2)
 
 
 def time_incorporated_layer(seq: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -421,49 +422,47 @@ class StreamClassifier:
     """Sequence classifier over timed paths or skeleton sequences.
 
     Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
-    basis, segments)``.  A block turns each sample into ``J`` paths, runs
-    the layer (and start points) on each path's segments, and one recurrent
-    unroll over all ``B * J`` rows of the batch.  Its full outputs are the
-    next block's frames.  The last step of the last block, averaged over
-    joints, feeds the head.  On the per-path route a block's paths are
-    ``raw @ L[j]``, where the raw path is the tail (accumulative and time
-    layers) of the flattened frames; ``_path_inputs`` runs the layer on
-    each, and ``L``'s gradient is ``raw.T`` times the paths' point
-    gradients.  In the gcn variants ``J = F`` and ``L[j] = time (+) (ahat[j]
-    (x) theta)`` is joint ``j``'s graph convolution; gcn-logsig-rnn-2 has
-    two blocks.
+    basis, segments)``.  A block reads each sample's ``J`` parameter-free raw
+    paths and one matrix ``L`` for the whole block (``_block_matrix``), so
+    joint ``j``'s path is ``raw[j] @ L``.  It runs the layer (and start
+    points) on each path's segments and one recurrent unroll over all ``B *
+    J`` rows of the batch.  Its full outputs are the next block's frames.
+    The last step of the last block, averaged over joints, feeds the head.
+    el-logsig-rnn has ``J = 1``: the raw path is the tail (accumulative and
+    time layers) of ``[1, frames]`` (width ``F * D + 1``, plus the time
+    channel) and ``L`` the affine embedding's matrix; without the embedding
+    ``L`` is the identity and the frames themselves are the raw path.  In the
+    gcn variants ``J = F``, joint ``j``'s raw path is ``[time, its columns of
+    the tail of sum_g ahat[j, g] X_g]`` (width ``D``, plus the time channel)
+    and ``L = time (+) theta``; gcn-logsig-rnn-2's second block builds its
+    raw paths the same way from the first block's outputs.
 
     Block 0 takes the mapped route of ``_mapped_inputs`` while its raw
     path's width to the power ``degree`` is at most ``MAPPED_TENSOR_LIMIT``:
     the layer runs on each raw path once, forward only, when the sample is
     prepared, and ``map_rows`` carries the batch's ``B * J * segments`` rows
-    through one matrix ``L`` in one pass; ``L``'s gradient is the map's
-    adjoint plus the start points' term.  el-logsig-rnn has ``J = 1``: the
-    raw path is the tail of ``[1, frames]`` (width ``F * D + 1``, plus the
-    time channel) and ``L`` the affine embedding's matrix; without the
-    embedding ``L`` is the identity and the frames themselves are the raw
-    path.  In the gcn variants joint ``j``'s raw path is the tail of
-    ``sum_g ahat[j, g] X_g`` (width ``D``, plus the time channel) and ``L =
-    time (+) theta``; the layer runs once per entry ``(first joint, count,
-    basis, gather)`` of ``joint_groups``, on the group's joints side by side
-    with one shared time channel, and joint ``first + i``'s rows and start
-    points are the group's columns ``gather[i]``
-    (``LyndonBasis.letter_positions``).  A group holds the largest number
-    ``k`` of joints with ``(t + k * D) ** degree`` at most
-    ``MAPPED_TENSOR_LIMIT``, so ``ceil(F / k)`` layer calls prepare a
-    sample.  Wider inputs, and gcn-logsig-rnn-2's second block, take the
-    per-path route.  ``raw_basis`` is None on the per-path route; setting it
-    to None forces that route.
+    through ``L`` in one pass; ``L``'s gradient is the map's adjoint plus the
+    start points' term.  In the gcn variants the layer runs once per entry
+    ``(first joint, count, basis, gather)`` of ``joint_groups``, on the
+    group's joints side by side with one shared time channel, and joint
+    ``first + i``'s rows and start points are the group's columns
+    ``gather[i]`` (``LyndonBasis.letter_positions``).  A group holds the
+    largest number ``k`` of joints with ``(t + k * D) ** degree`` at most
+    ``MAPPED_TENSOR_LIMIT``, so ``ceil(F / k)`` layer calls prepare a sample.
+    Every other block takes the per-path route of ``_path_inputs``: the
+    layer runs on each ``raw[j] @ L``, and ``L``'s gradient is ``sum_j
+    raw[j].T`` times the paths' point gradients.  ``raw_basis`` is None on
+    the per-path route; setting it to None forces that route.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
     head reads each stream's output at its own last frame.
 
     ``forward_batch(samples)`` is ``_forward(_prepare(samples))``.
-    ``_prepare`` checks each sample and builds its parameter-free inputs: the
-    raw-path rows (mapped route, and el without the embedding) or raw path
-    (per-path route), gcn's normalized adjacency, the flattened or
-    resampled frames (frame-rnn).  ``_forward`` runs every
+    ``_prepare`` checks each sample and builds its parameter-free inputs:
+    the raw paths' layer rows (mapped route) or the raw paths themselves
+    (per-path route), gcn's normalized adjacency, and frame-rnn's flattened
+    or resampled frames.  ``_forward`` runs every
     layer that reads a parameter on a list of such entries; ``train``
     prepares each set once.
 
@@ -565,35 +564,37 @@ class StreamClassifier:
         return sample.times, sample.frames
 
     @np.errstate(over="ignore", invalid="ignore")  # the layer or map_rows raises on what overflows
-    def _embedding_matrix(self):
-        """``L`` with ``[time, 1, frames] @ L = [time, embedding_forward(frames)]``.
+    def _block_matrix(self, index):
+        """Block ``index``'s ``L``: ``time (+)`` gcn's ``theta`` or the embedding's matrix.
 
+        The embedding's has ``[1, frames] @ matrix = embedding_forward(frames)``:
         ``(I_F (x) point_w) mix_w`` on the flattened frames, ``point_b mix_w +
-        mix_b`` on the constant channel, and 1 on the time channel if any.
+        mix_b`` on the constant channel.
         """
         cfg, p = self.config, self.params
-        F, D = self.spec
-        mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
-        # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
-        head = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]]) @ mix
-        return self._time_sum(np.concatenate([
-            (head[:, 0].sum(axis=0) + p["embed.mix_b"])[None], head[:, 1:].reshape(F * D, -1)
-        ]))
-
-    def _time_sum(self, matrix):
-        """``time (+) matrix``, over any leading axes: 1 on the time channel, if any, then ``matrix``."""
-        t = int(self.config.use_time)
-        out = np.zeros((*matrix.shape[:-2], t + matrix.shape[-2], t + matrix.shape[-1]))
-        out[..., :t, :t] = 1.0
-        out[..., t:, t:] = matrix
+        if cfg.variant == "el-logsig-rnn":
+            F, D = self.spec
+            mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
+            # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
+            head = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]]) @ mix
+            matrix = np.concatenate([(head[:, 0].sum(axis=0) + p["embed.mix_b"])[None], head[:, 1:].reshape(F * D, -1)])
+        else:
+            matrix = p["gcn2.theta" if index else "gcn.theta"]
+        t = int(cfg.use_time)
+        out = np.zeros((t + matrix.shape[0], t + matrix.shape[1]))
+        out[:t, :t] = 1.0
+        out[t:, t:] = matrix
         return out
 
-    def _embedding_matrix_backward(self, g_matrix, grads):
-        """Add the embedding's gradients, given the gradient of ``_embedding_matrix()``."""
+    def _block_matrix_backward(self, index, g_matrix, grads):
+        """Add block ``index``'s parameter gradients, given the gradient of ``_block_matrix(index)``."""
         cfg, p = self.config, self.params
-        F, D = self.spec
         t = int(cfg.use_time)
         g = g_matrix[t:, t:]
+        if cfg.variant != "el-logsig-rnn":
+            grads["gcn2.theta" if index else "gcn.theta"] += g
+            return
+        F, D = self.spec
         mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
         weights = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]])
         g_head = np.concatenate([np.broadcast_to(g[0], (F, 1, g.shape[1])), g[1:].reshape(F, D, -1)], axis=1)
@@ -616,18 +617,17 @@ class StreamClassifier:
         """Recurrent inputs ``(B * J, segments, c)`` of block 0's mapped route from the prepared rows.
 
         The prepared rows of all ``B * J`` raw paths are stacked and carried
-        through one ``L`` with ``map_rows``: el-logsig-rnn's embedding matrix,
-        or ``time (+) theta`` in the gcn variants.  Without the embedding ``L``
+        through block 0's ``L`` with ``map_rows``.  Without the embedding ``L``
         is the identity and the prepared rows are the inputs.
         """
         cfg = self.config
         if cfg.variant == "el-logsig-rnn":
             if not cfg.use_embedding:  # nothing in front of the layer to train
                 return np.stack(prepared), None
-            matrix, raw = self._embedding_matrix(), np.stack(prepared)
+            raw = np.stack(prepared)
         else:
-            matrix, raw = self._time_sum(self.params["gcn.theta"]), np.stack([entry[0] for entry in prepared])
-        dim = self.raw_basis.dim
+            raw = np.stack([entry[0] for entry in prepared])
+        matrix, dim = self._block_matrix(0), self.raw_basis.dim
         raw = raw.reshape(-1, raw.shape[-1])
         rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
         if cfg.use_start_points:
@@ -644,27 +644,17 @@ class StreamClassifier:
         g_matrix = map_rows_backward(map_cache, gx[:, :dim])
         if self.config.use_start_points:
             g_matrix += starts.T @ gx[:, dim:]
-        if self.config.variant == "el-logsig-rnn":
-            self._embedding_matrix_backward(g_matrix, grads)
-        else:
-            t = int(self.config.use_time)
-            grads["gcn.theta"] += g_matrix[t:, t:]
+        self._block_matrix_backward(0, g_matrix, grads)
 
     def _path_inputs(self, index, inputs, basis, segments):
-        """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: the layer on each ``raw @ L[j]``.
+        """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: the layer on each ``raw[j] @ L``.
 
-        Entries are ``(times, raw)`` (el-logsig-rnn, whose ``L`` is the
-        embedding's) or ``(times, raw, ahat)`` (gcn block ``index``).
+        Entries are ``(times, raw)`` (el-logsig-rnn) or ``(times, raw, ahat)`` (gcn),
+        with a sample's ``J`` raw paths ``raw`` ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
         """
-        if self.config.variant == "el-logsig-rnn":
-            matrices = [self._embedding_matrix()[None]] * len(inputs)
-        else:
-            theta = self.params["gcn2.theta" if index else "gcn.theta"]
-            ahat = np.stack([entry[2] for entry in inputs])
-            (B, J, F), (D, C) = ahat.shape, theta.shape
-            matrices = self._time_sum(np.einsum("bjg,dc->bjgdc", ahat, theta).reshape(B, J, F * D, C))
+        matrix = self._block_matrix(index)
         rows, states = [], []
-        for (times, raw, *_), matrix in zip(inputs, matrices):
+        for times, raw, *_ in inputs:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite path raises below
                 paths = raw @ matrix
             if not np.isfinite(paths).all():
@@ -673,33 +663,28 @@ class StreamClassifier:
                 r, state = self._rows(times, points, basis, segments)
                 rows.append(r)
                 states.append(state)
-        return np.stack(rows), (inputs, matrices, states)
+        return np.stack(rows), (inputs, matrix, states)
 
     def _path_inputs_backward(self, index, cache, gx, grads):
         """Add a per-path block's parameter gradients to ``grads``, given its inputs' gradient ``gx``.
 
-        For gcn-logsig-rnn-2's second block, whose raw paths are the first
-        block's outputs, returns each sample's ``(frames, J * hidden)`` gradient.
+        ``L``'s gradient is ``sum_j raw[j].T g_points[j]``.  For gcn-logsig-rnn-2's
+        second block returns the first block's outputs' gradient ``(B * J,
+        segments, hidden)``: ``ahat.T`` on each joint's ``_tail_backward(g_points[j] @ L.T)``.
         """
-        inputs, matrices, states = cache
+        inputs, matrix, states = cache
         J, d, sp = self.joints, states[0].rows.shape[1], self.config.use_start_points
-        g_matrices, g_frames = [], []
-        for i, ((_, raw, *_), matrix) in enumerate(zip(inputs, matrices)):
+        g_matrix, g_frames = 0.0, []
+        for i, (_, raw, *ahat) in enumerate(inputs):
             g_points = np.stack([
                 backward_from_state(states[i * J + j], g[:, :d], g[:, d:] if sp else None)
                 for j, g in enumerate(gx[i])
             ])
-            g_matrices.append(raw.T @ g_points)
+            g_matrix += raw.reshape(-1, raw.shape[-1]).T @ g_points.reshape(-1, g_points.shape[-1])
             if index:
-                g_frames.append(self._tail_backward((g_points @ matrix.transpose(0, 2, 1)).sum(axis=0)))
-        if self.config.variant == "el-logsig-rnn":
-            self._embedding_matrix_backward(sum(g_matrices)[0], grads)
-            return g_frames
-        key, t = ("gcn2.theta" if index else "gcn.theta"), int(self.config.use_time)
-        ahat = np.stack([entry[2] for entry in inputs])  # (B, J, F)
-        g = np.stack(g_matrices)[:, :, t:, t:].reshape(*ahat.shape, *self.params[key].shape)
-        grads[key] += np.einsum("bjg,bjgdc->dc", ahat, g)
-        return g_frames
+                g_frames.append(np.einsum("jg,jnh->gnh", ahat[0], self._tail_backward(g_points @ matrix.T)))
+        self._block_matrix_backward(index, g_matrix, grads)
+        return np.concatenate(g_frames) if index else None
 
     def _tail(self, seq, times):
         """Accumulative and time layers: flattened frames ``(n, c)`` -> the raw path's points."""
@@ -710,10 +695,23 @@ class StreamClassifier:
             seq = time_incorporated_layer(seq, times)
         return seq
 
+    def _mixed_tail(self, times, ahat, frames):
+        """The tail of the graph-mixed frames ``(n, J, w)``, ``[time, J joints x w]``, in one call."""
+        return self._tail(np.einsum("jg,ngd->njd", ahat, frames).reshape(len(times), -1), times)
+
+    def _joint_paths(self, flat, width):
+        """Each joint's raw path ``(J, n, t + width)`` from the raw path ``[time, J joints x width]``."""
+        t, n = int(self.config.use_time), flat.shape[0]
+        coords = flat[:, t:].reshape(n, -1, width).swapaxes(0, 1)
+        paths = np.empty((coords.shape[0], n, t + width))
+        paths[..., :t], paths[..., t:] = flat[:, :t], coords
+        return paths
+
     def _tail_backward(self, g_points):
+        """Adjoint of ``_tail`` on points ``(..., n, c)``."""
         cfg = self.config
         if cfg.use_time:
-            g_points = g_points[:, 1:]
+            g_points = g_points[..., 1:]
         if cfg.use_accumulative:
             g_points = _accumulative_backward(g_points)
         return g_points
@@ -733,12 +731,13 @@ class StreamClassifier:
         """Check each sample and build its parameter-free inputs, one entry per sample.
 
         The entry is el-logsig-rnn's raw-path layer rows with the raw start
-        points (mapped route, and without the embedding) or its raw path
-        ``(times, raw)`` (per-path route); frame-rnn's flattened or resampled
-        frames ``(T, F * D)``; the gcn variants' ``(rows, ahat)``, each
-        joint's raw-path rows and raw start points ``(J, segments, c)``
-        gathered from one layer call per joint group (mapped route), or
-        ``(times, raw, ahat)`` (per-path route).
+        points (mapped route, and without the embedding); frame-rnn's
+        flattened or resampled frames ``(T, F * D)``; the gcn variants' ``(rows,
+        ahat)``, each joint's raw-path rows and raw start points ``(J,
+        segments, c)`` gathered from one layer call per joint group (mapped
+        route); or, on the per-path route, ``(times, raw)`` (el) or ``(times,
+        raw, ahat)`` (gcn) with the sample's ``J`` raw paths ``raw`` ``(J, n,
+        w)``, built from one tail call.
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A non-finite layer row is a
         ``FloatingPointError`` naming the stream.
@@ -769,13 +768,13 @@ class StreamClassifier:
             if adjacency is None:
                 raise ValueError("gcn variants require an adjacency matrix")
             ahat = normalized_adjacency(adjacency)
-            if self.raw_basis is None:  # the raw path of gcn block 0 and the graph
-                return times, self._tail(flat, times), ahat
-            # each joint's raw path [time, running sums of sum_g ahat[j, g] X_g],
-            # whose rows map_rows carries through time (+) theta; the layer runs
-            # once per group of joints and each joint's rows are gathered from it
-            mixed = self._tail(np.einsum("jg,ngd->njd", ahat, frames).reshape(len(times), -1), times)
+            # the joints' raw paths [time, running sums of sum_g ahat[j, g] X_g]
+            # side by side; on the mapped route the layer runs once per group of
+            # joints and each joint's rows are gathered from it
+            mixed = self._mixed_tail(times, ahat, frames)
             t, D = int(cfg.use_time), frames.shape[2]
+            if self.raw_basis is None:
+                return times, self._joint_paths(mixed, D), ahat
             rows = []
             for first, count, basis, gather in self.joint_groups:
                 group = np.concatenate([mixed[:, :t], mixed[:, t + first * D : t + (first + count) * D]], axis=1)
@@ -788,7 +787,7 @@ class StreamClassifier:
             seq[:, 1:] = flat
         points = self._tail(seq, times)
         if self.raw_basis is None:
-            return times, points
+            return times, points[None]
         return self._rows(times, points, self.raw_basis, self.blocks[0][2])[0]
 
     def _forward(self, prepared):
@@ -812,8 +811,9 @@ class StreamClassifier:
                 batch_cache["blocks"].append(block_cache)
                 out = out.reshape(B, J, segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
-                    times, frames = np.arange(segments, dtype=np.float64), out.swapaxes(1, 2).reshape(B, segments, -1)
-                    inputs = [(times, self._tail(f, times), entry[-1]) for f, entry in zip(frames, inputs)]
+                    times, frames = np.arange(segments, dtype=np.float64), out.swapaxes(1, 2)
+                    inputs = [(times, self._joint_paths(self._mixed_tail(times, entry[-1], f), cfg.hidden), entry[-1])
+                              for f, entry in zip(frames, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
         with np.errstate(over="ignore", invalid="ignore"):  # train checks the loss
@@ -848,9 +848,7 @@ class StreamClassifier:
             if index == 0 and self.raw_basis is not None:
                 self._mapped_inputs_backward(block_cache, gx, grads)
                 continue
-            g_frames = self._path_inputs_backward(index, block_cache, gx, grads)
-            if index:
-                g_out = np.stack(g_frames).reshape(B, -1, J, cfg.hidden).swapaxes(1, 2).reshape(B * J, -1, cfg.hidden)
+            g_out = self._path_inputs_backward(index, block_cache, gx, grads)
         return grads
 
     def logits(self, sample) -> np.ndarray:

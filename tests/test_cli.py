@@ -151,6 +151,38 @@ class TestLogsig:
         assert [[float(x) for x in row] for row in rows] == [[0.0] * 5] * 3
 
 
+def _path_record(label):
+    return f'{{"kind": "path", "label": {label}, "n": 1, "d": 2, "times": [0.5], "points": [[1.0, -2.0]]}}\n'
+
+
+class TestStreamFileErrors:
+    """A bad label or header is one error line naming the file and line, and exit 2."""
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            pytest.param(_path_record("1e400"), 1, id="label-overflowing-float"),
+            pytest.param(_path_record("1.5"), 1, id="label-fraction"),
+            # without a header this label once asked for class names up to 1e30
+            pytest.param(_path_record("1e30"), 1, id="label-huge-float"),
+            pytest.param(_path_record(str(10**30)), 1, id="label-huge-integer"),
+            pytest.param(_path_record("-1"), 1, id="label-negative"),
+            pytest.param('{"kind": "header", "classes": 5}\n' + _path_record(0), 1, id="header-classes-number"),
+            pytest.param('{"kind": "header", "classes": 0}\n' + _path_record(0), 1, id="header-classes-zero"),
+            pytest.param('{"kind": "header", "classes": ["a", 1]}\n' + _path_record(0), 1, id="header-classes-mixed"),
+            pytest.param('{"kind": "header", "classes": ["a", "b"]}\n' + _path_record(2), 2, id="label-past-header"),
+        ],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        result = run_cli("logsig", str(path))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert f"{path}: line {line}:" in result.stderr
+        assert result.stdout == ""
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, capture):
         code, out = capture(
@@ -199,6 +231,30 @@ class TestFlags:
         assert_single_error_line(result.stderr)
         assert named in result.stderr
         assert result.stdout == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--seed", "-1"],
+            ["robustness", "A.ckpt", "B.ckpt", "STREAMS", "--seed", "-1"],
+            ["bench", "STREAMS", "--config", "A.txt", "--baseline-config", "B.txt", "--seed", "-1"],
+        ],
+        ids=["gradcheck", "robustness", "bench"],
+    )
+    def test_negative_seed_exits_2_naming_the_flag(self, stream_file, argv):
+        result = run_cli(*(stream_file() if arg == "STREAMS" else arg for arg in argv))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert "--seed must be >= 0, got -1" in result.stderr
+        assert result.stdout == ""
+
+    def test_negative_seed_in_a_train_config_exits_2_naming_the_key(self, stream_file, tmp_path):
+        config = _write_train_config(tmp_path, seed=-1)
+        result = run_cli("train", config, stream_file(), str(tmp_path / "model.ckpt"))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert "seed must be >= 0, got -1" in result.stderr
 
 
 class TestConfigFiles:

@@ -1,9 +1,11 @@
 """Synthetic generation, perturbations, MAPE, stream file round trips."""
 
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logsigrnn import (
     SkeletonSequence,
@@ -228,6 +230,60 @@ class TestStreamFiles:
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="label"):
             LabeledStreamSet([digit_polyline()], [7], ("a", "b"))
+
+
+# any small JSON value, for a field that should hold something else
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _one_record_files(draw):
+    """An optional header and one path or skeleton record with up to two fields malformed or missing."""
+    n, joints, coords = draw(st.integers(0, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    numbers = st.floats(-10.0, 10.0) | st.floats()
+
+    def array(*shape):
+        return st.lists(array(*shape[1:]), min_size=shape[0], max_size=shape[0]) if shape else numbers
+
+    fields = {
+        "kind": st.sampled_from(["path", "skeleton"]),
+        "label": st.integers(-1, 3) | st.integers() | st.floats() | st.booleans(),
+        "n": st.just(n),
+        "d": st.just(coords),
+        "joints": st.just(joints),
+        "coords": st.just(coords),
+        "times": st.just(list(range(n))) | array(n),
+        "points": array(n, coords),
+        "frames": array(n, joints, coords),
+        "adjacency": st.just(np.ones((joints, joints)) - np.eye(joints)).map(np.ndarray.tolist) | array(joints, joints),
+    }
+    broken = draw(st.lists(st.sampled_from(sorted(fields)), max_size=2, unique=True))
+    record = {key: draw(_JSON_VALUES if key in broken else valid) for key, valid in fields.items()}
+    for key in draw(st.lists(st.sampled_from(broken), unique=True)) if broken else ():
+        del record[key]
+    lines = [json.dumps(record)]
+    header = draw(st.none() | st.fixed_dictionaries({"kind": st.just("header")}, optional={
+        "classes": st.lists(st.text(max_size=2), max_size=3) | _JSON_VALUES, "seed": _JSON_VALUES,
+    }))
+    if header is not None:
+        lines.insert(draw(st.integers(0, 1)), json.dumps(header))
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamFileFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_one_record_files())
+    def test_loads_or_raises_stream_parse_error(self, text):
+        try:
+            data = load_streams(io.StringIO(text))
+        except StreamParseError:
+            return
+        assert len(data) <= 1
+        assert all(0 <= label < len(data.class_names) for label in data.labels)
 
 
 class TestDigitPolyline:

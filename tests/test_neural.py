@@ -822,12 +822,24 @@ class TestGcnRoute:
             assert basis.width == use_time + count * spec[1]
             assert basis.width**degree <= neural.MAPPED_TENSOR_LIMIT
 
-    @pytest.mark.parametrize("variant,route", GCN_ROUTES)
-    def test_gradients_match_finite_differences(self, variant, route):
+    # (use_accumulative, use_time, use_start_points): all on keeps the bare
+    # route id; the others reach each branch of the tail's adjoint, which
+    # gcn-logsig-rnn-2's second block runs on every joint's raw path
+    @pytest.mark.parametrize(
+        "variant,route,flags",
+        [pytest.param(*case.values, (True, True, True), id=case.id) for case in GCN_ROUTES]
+        + [
+            pytest.param(*case.values, flags, id=f"{case.id}-{name}")
+            for case in GCN_ROUTES
+            for flags, name in (((False, False, False), "no-layers"), ((True, False, True), "no-time"))
+        ],
+    )
+    def test_gradients_match_finite_differences(self, variant, route, flags):
+        al, tl, sp = flags
         rng = np.random.default_rng(81)
         cfg = ModelConfig(
             variant=variant, degree=2, num_segments=2, num_segments2=2, gcn_dim=2, hidden=2,
-            cell="vanilla", num_classes=3,
+            cell="vanilla", num_classes=3, use_accumulative=al, use_time=tl, use_start_points=sp,
         )
         model = self._model(cfg, rng, route)
         samples, labels = self._samples(rng), np.array([0, 2, 1])
