@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Time el-logsig-rnn's two layer routes against each other in one process.
 
-For each (joints, coords, embed_dim, degree) shape, one model runs on both
-routes (mapped and per-path, forced through ``StreamClassifier.raw_basis``)
-over the same 32 random streams of 20-120 samples, alternating the routes
-per repetition.  Prints the median training step (forward_batch +
-backward_batch) and the median single-stream ``logits`` call of each route,
-their ratios, and how far the two routes' logits and gradients are apart.
+For each (joints, coords, embed_dim, degree) shape, two models with the same
+parameters run over the same 32 random streams of 20-120 samples,
+alternating per repetition: one planned on the mapped route (built while
+``neural.MAPPED_TENSOR_LIMIT`` admits its raw tensor) and one on the
+per-path route (built while the limit admits nothing).  Prints the median
+training step (forward_batch + backward_batch) and the median single-stream
+``logits`` call of each route, their ratios, and how far the two routes'
+logits and gradients are apart.
 ``neural.MAPPED_TENSOR_LIMIT`` was set from this script's output.
 
 Pin BLAS to one thread for stable numbers, e.g.
@@ -18,7 +20,7 @@ import time
 
 import numpy as np
 
-from logsigrnn import ModelConfig, SkeletonSequence, StreamClassifier, TimedPath, enumerate_lyndon
+from logsigrnn import ModelConfig, SkeletonSequence, StreamClassifier, TimedPath, neural
 from logsigrnn.neural import cross_entropy
 
 # (joints, coords, embed_dim, degree): both sides of the limit, degrees 2-4
@@ -48,11 +50,17 @@ def time_routes(joints, coords, embed_dim, degree, reps):
     for name in ("embed.point_b", "embed.mix_b"):
         model.params[name] = rng.normal(size=model.params[name].shape)
     raw_width = joints * coords + 1 + config.use_time
-    routes = {"mapped": enumerate_lyndon(raw_width, degree), "per-path": None}
+    routes = {}
+    for route, limit in (("mapped", raw_width**degree), ("per-path", 0)):
+        neural.MAPPED_TENSOR_LIMIT, saved = limit, neural.MAPPED_TENSOR_LIMIT
+        try:
+            routes[route] = StreamClassifier(config, (joints, coords), model.params)
+        finally:
+            neural.MAPPED_TENSOR_LIMIT = saved
     step, predict, results = {r: [] for r in routes}, {r: [] for r in routes}, {}
     for rep in range(reps):
         for route in list(routes)[:: 1 if rep % 2 else -1]:
-            model.raw_basis = routes[route]
+            model = routes[route]
             start = time.perf_counter()
             logits, cache = model.forward_batch(samples)
             _, g_logits = cross_entropy(logits, labels)

@@ -190,16 +190,16 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
         raise InputError(f"checkpoint {path}, line {i + 1}: {exc}") from exc
     try:
         config = ModelConfig(**cfg_kwargs)
-        built = StreamClassifier.build(config, (spec[0], spec[1])).params
+        built = StreamClassifier(config, (spec[0], spec[1]), {}).param_shapes
     except ValueError as exc:
         raise InputError(f"checkpoint {path}: {exc}") from exc
-    for name, block in built.items():
+    for name, shape in built.items():
         if name not in params:
             raise InputError(f"checkpoint {path}: missing param {name}")
-        if params[name].shape != block.shape:
+        if params[name].shape != shape:
             raise InputError(
                 f"checkpoint {path}: param {name} has shape {params[name].shape}, "
-                f"the header's model needs {block.shape}"
+                f"the header's model needs {shape}"
             )
     extra = sorted(set(params) - set(built))
     if extra:

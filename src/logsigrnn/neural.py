@@ -10,14 +10,14 @@ shape.  The frame-rnn baseline unrolls over each stream's frames, the whole
 batch at once in lockstep by frame count (longest first, each step on the
 streams that still have a frame); no filler frame is computed anywhere.
 
-Every block reads each sample's parameter-free raw paths, one per joint, and
-one matrix ``L``: el-logsig-rnn's embedding, or ``time (+) theta`` on each
-joint's graph-mixed raw path in a gcn block.  On the mapped route, taken by
-the first block whenever a raw path is narrow enough for the degree, the
-layer reads the raw paths and ``logsig_layer.map_rows`` carries their rows
-through ``L``; in the gcn variants the layer runs there on groups of joints
-and each joint's rows are gathered from its group's.  Every other block runs
-the layer on each ``raw @ L``.  See ``StreamClassifier``.
+Every block reads each sample's ``J`` parameter-free raw paths and one
+matrix ``L``: el-logsig-rnn is the one-path case with its embedding as
+``L``, a gcn block has one path per joint and ``L = time (+) theta``.  On the
+mapped route, taken by the first block whenever a raw path is narrow enough
+for the degree, the layer runs on groups of raw paths, each path's rows are
+gathered from its group's and ``logsig_layer.map_rows`` carries them through
+``L``.  Every other block runs the layer on each ``raw @ L``.  See
+``StreamClassifier``.
 
 ``StreamClassifier._prepare`` checks each sample and builds what no
 parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
@@ -28,6 +28,7 @@ the first block's steps on the mapped route run no layer call.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,20 +67,22 @@ __all__ = [
 VARIANTS = ("el-logsig-rnn", "gcn-logsig-rnn", "gcn-logsig-rnn-2", "frame-rnn")
 CELLS = ("vanilla", "lstm")
 
-# el-logsig-rnn and gcn block 0 take the mapped route while the raw path's
-# (gcn: one joint's) top tensor level has at most this many entries: both the
-# layer on the raw path and the map's dense level factors grow with
-# raw_width**degree.  Timed on el-logsig-rnn against the per-path route by
-# scripts/time_el_routes.py: up to 512 entries a training
-# step took 0.23-0.68 of the per-path one and single-stream logits 1.0-1.6x
-# as long; past it logits took 1.6-5.3x as long (112x at 20736 entries),
-# and the step gain shrank (0.33-0.77 up to 1296) and turned into a loss
-# from 1728 (1.0-1.4x; 21x at 20736).  gcn block 0 also sizes its joint
-# groups by it: the layer runs on the largest number k of joints whose
-# [time, coords of k joints] path stays within the limit, where a call costs
-# nearly the same as on one joint (degree 3, 40 samples: 228 us at width 3,
-# 283 us at width 7).
+# Block 0 takes the mapped route while one raw path's top tensor level has
+# at most this many entries: both the layer on the raw path and the map's
+# dense level factors grow with raw_width**degree.  Timed on el-logsig-rnn
+# against the per-path route by scripts/time_el_routes.py: up to 512 entries
+# a training step took 0.23-0.68 of the per-path one and single-stream
+# logits 1.0-1.6x as long; past it logits took 1.6-5.3x as long (112x at
+# 20736 entries), and the step gain shrank (0.33-0.77 up to 1296) and turned
+# into a loss from 1728 (1.0-1.4x; 21x at 20736).  Block 0 also sizes its groups by it:
+# the layer runs on the largest number k of raw paths whose [time, k paths'
+# columns] stays within the limit, where a call costs nearly the same as on
+# one gcn joint (degree 3, 40 samples: 228 us at width 3, 283 us at width 7).
 MAPPED_TENSOR_LIMIT = 512
+
+# A model refuses, before any array is built, a parameter or one stream's
+# layer rows, recurrent outputs or resampled frames with more entries (256 MiB).
+MAX_ARRAY_ENTRIES = 2**25
 
 
 @dataclass(frozen=True)
@@ -389,9 +392,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 # model
 
 
-def _glorot(rng, fan_in, fan_out, shape=None):
+def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def _sample_spec(sample) -> tuple[int, int]:
@@ -424,51 +427,50 @@ class StreamClassifier:
     Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
     basis, segments)``.  A block reads each sample's ``J`` parameter-free raw
     paths and one matrix ``L`` for the whole block (``_block_matrix``), so
-    joint ``j``'s path is ``raw[j] @ L``.  It runs the layer (and start
-    points) on each path's segments and one recurrent unroll over all ``B *
-    J`` rows of the batch.  Its full outputs are the next block's frames.
-    The last step of the last block, averaged over joints, feeds the head.
-    el-logsig-rnn has ``J = 1``: the raw path is the tail (accumulative and
-    time layers) of ``[1, frames]`` (width ``F * D + 1``, plus the time
-    channel) and ``L`` the affine embedding's matrix; without the embedding
-    ``L`` is the identity and the frames themselves are the raw path.  In the
-    gcn variants ``J = F``, joint ``j``'s raw path is ``[time, its columns of
-    the tail of sum_g ahat[j, g] X_g]`` (width ``D``, plus the time channel)
-    and ``L = time (+) theta``; gcn-logsig-rnn-2's second block builds its
-    raw paths the same way from the first block's outputs.
+    path ``j`` is ``raw[j] @ L``.  It runs the layer (and start points) on
+    each path's segments and one recurrent unroll over all ``B * J`` rows of
+    the batch.  Its full outputs are the next block's frames.  The last step
+    of the last block, averaged over the paths, feeds the head.
 
-    Block 0 takes the mapped route of ``_mapped_inputs`` while its raw
-    path's width to the power ``degree`` is at most ``MAPPED_TENSOR_LIMIT``:
-    the layer runs on each raw path once, forward only, when the sample is
-    prepared, and ``map_rows`` carries the batch's ``B * J * segments`` rows
-    through ``L`` in one pass; ``L``'s gradient is the map's adjoint plus the
-    start points' term.  In the gcn variants the layer runs once per entry
-    ``(first joint, count, basis, gather)`` of ``joint_groups``, on the
-    group's joints side by side with one shared time channel, and joint
-    ``first + i``'s rows and start points are the group's columns
-    ``gather[i]`` (``LyndonBasis.letter_positions``).  A group holds the
-    largest number ``k`` of joints with ``(t + k * D) ** degree`` at most
-    ``MAPPED_TENSOR_LIMIT``, so ``ceil(F / k)`` layer calls prepare a sample.
-    Every other block takes the per-path route of ``_path_inputs``: the
-    layer runs on each ``raw[j] @ L``, and ``L``'s gradient is ``sum_j
-    raw[j].T`` times the paths' point gradients.  ``raw_basis`` is None on
-    the per-path route; setting it to None forces that route.
+    A sample's raw paths are ``[time, w columns]`` of the tail (accumulative
+    and time layers) of one sequence ``(n, J * w)``.  el-logsig-rnn has ``J =
+    1``: the sequence is ``[1, frames]`` and ``L`` the affine embedding's
+    matrix, or without the embedding the frames and the identity.  In the gcn
+    variants ``J = F`` and ``w = D``: the sequence is each joint's ``sum_g
+    ahat[j, g] X_g`` side by side and ``L = time (+) theta``;
+    gcn-logsig-rnn-2's second block builds its raw paths the same way from
+    the first block's outputs.
+
+    Block 0 takes the mapped route of ``_mapped_inputs`` while ``(t + w) **
+    degree`` is at most ``MAPPED_TENSOR_LIMIT``, and always when el has no
+    embedding.  The layer then runs forward only, when a sample is prepared,
+    once per entry ``(first path, count, basis, gather)`` of ``joint_groups``
+    on the tail of the group's columns, ``count`` raw paths side by side with
+    one time channel, and path ``first + i``'s rows and start points are the
+    group's columns ``gather[i]`` (``LyndonBasis.letter_positions``).  A
+    group holds the largest number ``k`` of paths with ``(t + k * w) **
+    degree`` within the limit; el's one group is its one path, gathered
+    whole.  ``map_rows`` carries the batch's
+    ``B * J * segments`` rows through ``L`` in one pass; ``L``'s gradient is
+    the map's adjoint plus the start points' term.  Every other block takes
+    the per-path route of ``_path_inputs``: the layer runs on each ``raw[j]
+    @ L``, and ``L``'s gradient is ``sum_j raw[j].T`` times the paths' point
+    gradients.  ``raw_basis`` is None on the per-path route; setting it to
+    None forces that route.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
     head reads each stream's output at its own last frame.
 
-    ``forward_batch(samples)`` is ``_forward(_prepare(samples))``.
-    ``_prepare`` checks each sample and builds its parameter-free inputs:
-    the raw paths' layer rows (mapped route) or the raw paths themselves
-    (per-path route), gcn's normalized adjacency, and frame-rnn's flattened
-    or resampled frames.  ``_forward`` runs every
-    layer that reads a parameter on a list of such entries; ``train``
-    prepares each set once.
+    ``forward_batch(samples)`` is ``_forward(_prepare(samples))``:
+    ``_prepare`` builds each sample's parameter-free inputs and ``_forward``
+    runs every layer that reads a parameter on them; ``train`` prepares each
+    set once.
 
     Building a model checks every block's basis against
-    ``lyndon.check_basis_size`` before any basis is built, and a size past
-    the budget is a ``ValueError`` naming the ``degree`` key.
+    ``lyndon.check_basis_size`` before any basis is built, and every shape
+    against ``MAX_ARRAY_ENTRIES`` before any array is built; a size past a
+    budget is a ``ValueError`` naming the keys that set it.
     """
 
     def __init__(self, config: ModelConfig, spec: tuple[int, int], params: dict):
@@ -481,91 +483,97 @@ class StreamClassifier:
     def _plan(self):
         cfg = self.config
         F, D = self.spec
-        self.blocks = []
-        self.joints = F if cfg.variant.startswith("gcn") else 1
+        t, gcn = int(cfg.use_time), cfg.variant.startswith("gcn")
+        J, w = (F, D) if gcn else (1, F * D + cfg.use_embedding)  # block 0's raw paths [time, w columns]
+        self.joints = J
+        bare = not (gcn or cfg.use_embedding)  # el without the embedding: L is the identity
+        self.blocks, self.raw_basis, self.joint_groups = [], None, []
         if cfg.variant == "frame-rnn":
             self.blocks.append(("rnn", None, None))
-            self.rnn_in = F * D
-            return
-        if cfg.variant == "el-logsig-rnn":
-            widths = [cfg.embed_dim if cfg.use_embedding else F * D]
+            in_dims = [F * D]
         else:
-            widths = [cfg.gcn_dim] * (2 if cfg.variant == "gcn-logsig-rnn-2" else 1)
-        widths = [width + cfg.use_time for width in widths]
-        for width in widths:  # before any basis is built
-            try:
-                check_basis_size(width, cfg.degree)
+            key, width = (("'gcn_dim'", cfg.gcn_dim) if gcn else
+                          ("joints x coords", w) if bare else ("'embed_dim'", cfg.embed_dim))
+            try:  # before any basis is built
+                check_basis_size(width + t, cfg.degree)
             except ValueError as exc:
-                raise ValueError(f"config key 'degree' = {cfg.degree} on width-{width} paths: {exc}") from exc
-        for prefix, width, segments in zip(("rnn", "rnn2"), widths, (cfg.num_segments, cfg.num_segments2)):
-            self.blocks.append((prefix, enumerate_lyndon(width, cfg.degree), segments))
-        # the basis of block 0's raw paths on the mapped route, None on the
-        # per-path route: el-logsig-rnn's [time, 1, frames], or one joint's
-        # graph-mixed [time, coords] in the gcn variants
-        self.raw_basis = None
-        t = int(cfg.use_time)
-        raw_width = (F * D + 1 if cfg.variant == "el-logsig-rnn" else D) + t
-        if cfg.variant == "el-logsig-rnn" and not cfg.use_embedding:
-            self.raw_basis = self.blocks[0][1]
-        elif raw_width**cfg.degree <= MAPPED_TENSOR_LIMIT:
-            self.raw_basis = enumerate_lyndon(raw_width, cfg.degree)
-        if self.raw_basis is not None and cfg.variant != "el-logsig-rnn":
-            # the layer runs on groups of k joints' raw paths [time, joints'
-            # coords], and joint i of a group reads its rows and start points
-            # at its channels [time, t + i * D, ..., t + (i + 1) * D - 1]
-            k = max(k for k in range(1, F + 1) if (t + k * D) ** cfg.degree <= MAPPED_TENSOR_LIMIT)
-            self.joint_groups = []
-            for first in range(0, F, k):
-                count = min(k, F - first)
-                basis = enumerate_lyndon(t + count * D, cfg.degree)
-                gather = []
-                for i in range(count):
-                    letters = np.r_[:t, t + i * D : t + (i + 1) * D]
-                    columns = basis.letter_positions(letters)
-                    gather.append(np.r_[columns, basis.dim + letters] if cfg.use_start_points else columns)
-                self.joint_groups.append((first, count, basis, np.array(gather)))
-        in_dims = [b.dim + (b.width if cfg.use_start_points else 0) for _, b, _ in self.blocks]
-        self.rnn_in = in_dims[0]
-        if len(in_dims) > 1:
-            self.rnn_in2 = in_dims[1]
+                raise ValueError(f"config key 'degree' = {cfg.degree} on width {key} = {width}: {exc}") from exc
+            basis = enumerate_lyndon(width + t, cfg.degree)
+            self.blocks.append(("rnn", basis, cfg.num_segments))
+            if cfg.variant == "gcn-logsig-rnn-2":
+                self.blocks.append(("rnn2", basis, cfg.num_segments2))
+            in_dims = [basis.dim + (basis.width if cfg.use_start_points else 0)] * len(self.blocks)
+        self.rnn_in, self.rnn_in2 = in_dims[0], in_dims[-1]
+        self.param_shapes = self._checked_shapes(in_dims)
+        # on the mapped route path i of a group reads its rows and start points
+        # at its channels [time, t + i * w, ..., t + (i + 1) * w - 1]
+        if cfg.variant == "frame-rnn" or ((t + w) ** cfg.degree > MAPPED_TENSOR_LIMIT and not bare):
+            return
+        self.raw_basis = enumerate_lyndon(t + w, cfg.degree)
+        k = max((k for k in range(1, J + 1) if (t + k * w) ** cfg.degree <= MAPPED_TENSOR_LIMIT), default=1)
+        for first in range(0, J, k):
+            count = min(k, J - first)
+            basis = enumerate_lyndon(t + count * w, cfg.degree)
+            gather = []
+            for i in range(count):
+                letters = np.r_[:t, t + i * w : t + (i + 1) * w]
+                columns = basis.letter_positions(letters)
+                gather.append(np.r_[columns, basis.dim + letters] if cfg.use_start_points else columns)
+            self.joint_groups.append((first, count, basis, np.array(gather)))
+
+    def _checked_shapes(self, in_dims) -> dict:
+        """Every parameter's shape; a ``ValueError`` naming the keys behind any shape past ``MAX_ARRAY_ENTRIES``."""
+        cfg = self.config
+        F, D = self.spec
+        H, C, J = cfg.hidden, cfg.num_classes, self.joints
+        shapes = {}  # name -> (shape, the keys that set it)
+        if cfg.variant == "el-logsig-rnn" and cfg.use_embedding:
+            c1, E = cfg.embed_channels, cfg.embed_dim
+            shapes["embed.point_w"] = (D, c1), ("coords", "embed_channels")
+            shapes["embed.point_b"] = (c1,), ("embed_channels",)
+            shapes["embed.mix_w"] = (F * c1, E), ("joints", "embed_channels", "embed_dim")
+            shapes["embed.mix_b"] = (E,), ("embed_dim",)
+        if cfg.variant.startswith("gcn"):
+            shapes["gcn.theta"] = (D, cfg.gcn_dim), ("coords", "gcn_dim")
+        frame_keys = ("joints", "coords") if cfg.variant == "frame-rnn" else ()
+        streams = {}  # one stream's layer rows and recurrent outputs, or frame-rnn's resampled frames
+        for index, (prefix, _, segments) in enumerate(self.blocks):
+            if index:
+                shapes["gcn2.theta"] = (H, cfg.gcn_dim), ("hidden", "gcn_dim")
+            for name, shape in _rnn_param_shapes(in_dims[index], H, cfg.cell).items():
+                shapes[f"{prefix}.{name}"] = shape, ("hidden",) + (frame_keys if name == "u" else ())
+            if segments is not None:
+                key = "num_segments2" if index else "num_segments"
+                streams[f"each stream's {prefix} rows"] = (J * segments, in_dims[index]), ("joints", key)
+                streams[f"each stream's {prefix} outputs"] = (J * segments, H), ("joints", key, "hidden")
+            elif cfg.resample_frames:
+                streams["each resampled stream"] = (cfg.resample_frames, F * D), ("resample_frames", "joints", "coords")
+        shapes["head.w"] = (H, C), ("hidden", "num_classes")
+        shapes["head.b"] = (C,), ("num_classes",)
+        values = dict(vars(cfg), joints=F, coords=D)
+        for name, (shape, keys) in {**shapes, **streams}.items():
+            if math.prod(shape) > MAX_ARRAY_ENTRIES:
+                named = ", ".join(f"{key!r} = {values[key]}" for key in keys)
+                raise ValueError(
+                    f"{named} make {name} {shape}, past the array size budget of {MAX_ARRAY_ENTRIES} entries"
+                )
+        return {name: shape for name, (shape, _) in shapes.items()}
 
     @classmethod
     def build(cls, config: ModelConfig, spec: tuple[int, int], seed_or_rng=0) -> "StreamClassifier":
-        config.validate()
         rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
         model = cls(config, spec, {})
-        F, D = spec
-        p: dict[str, np.ndarray] = {}
-        cfg = config
-        if cfg.variant == "el-logsig-rnn" and cfg.use_embedding:
-            c1 = cfg.embed_channels
-            p["embed.point_w"] = _glorot(rng, D, c1)
-            p["embed.point_b"] = np.zeros(c1)
-            p["embed.mix_w"] = _glorot(rng, F * c1, cfg.embed_dim)
-            p["embed.mix_b"] = np.zeros(cfg.embed_dim)
-        if cfg.variant.startswith("gcn"):
-            p["gcn.theta"] = _glorot(rng, D, cfg.gcn_dim)
-        for name, shape in _rnn_param_shapes(model.rnn_in, cfg.hidden, cfg.cell).items():
-            p[f"rnn.{name}"] = np.zeros(shape) if len(shape) == 1 else _glorot(rng, *shape, shape=shape)
-        if cfg.variant == "gcn-logsig-rnn-2":
-            p["gcn2.theta"] = _glorot(rng, cfg.hidden, cfg.gcn_dim)
-            for name, shape in _rnn_param_shapes(model.rnn_in2, cfg.hidden, cfg.cell).items():
-                p[f"rnn2.{name}"] = np.zeros(shape) if len(shape) == 1 else _glorot(rng, *shape, shape=shape)
-        p["head.w"] = _glorot(rng, cfg.hidden, cfg.num_classes)
-        p["head.b"] = np.zeros(cfg.num_classes)
-        model.params = p
+        model.params = {
+            name: np.zeros(shape) if len(shape) == 1 else _glorot(rng, *shape)
+            for name, shape in model.param_shapes.items()
+        }
         return model
 
     # -- blocks ---------------------------------------------------------------
 
-    def _as_frames(self, sample):
-        if isinstance(sample, TimedPath):
-            return sample.times, sample.points[:, None, :]
-        return sample.times, sample.frames
-
     @np.errstate(over="ignore", invalid="ignore")  # the layer or map_rows raises on what overflows
     def _block_matrix(self, index):
-        """Block ``index``'s ``L``: ``time (+)`` gcn's ``theta`` or the embedding's matrix.
+        """Block ``index``'s ``L``: ``time (+)`` gcn's ``theta`` or the embedding's matrix (None without it).
 
         The embedding's has ``[1, frames] @ matrix = embedding_forward(frames)``:
         ``(I_F (x) point_w) mix_w`` on the flattened frames, ``point_b mix_w +
@@ -573,6 +581,8 @@ class StreamClassifier:
         """
         cfg, p = self.config, self.params
         if cfg.variant == "el-logsig-rnn":
+            if not cfg.use_embedding:  # nothing in front of the layer to train
+                return None
             F, D = self.spec
             mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
             # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
@@ -620,17 +630,13 @@ class StreamClassifier:
         through block 0's ``L`` with ``map_rows``.  Without the embedding ``L``
         is the identity and the prepared rows are the inputs.
         """
-        cfg = self.config
-        if cfg.variant == "el-logsig-rnn":
-            if not cfg.use_embedding:  # nothing in front of the layer to train
-                return np.stack(prepared), None
-            raw = np.stack(prepared)
-        else:
-            raw = np.stack([entry[0] for entry in prepared])
-        matrix, dim = self._block_matrix(0), self.raw_basis.dim
-        raw = raw.reshape(-1, raw.shape[-1])
+        raw = np.concatenate([rows for rows, _ in prepared])
+        matrix = self._block_matrix(0)
+        if matrix is None:
+            return raw, None
+        raw, dim = raw.reshape(-1, raw.shape[-1]), self.raw_basis.dim
         rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
-        if cfg.use_start_points:
+        if self.config.use_start_points:
             rows = np.concatenate([rows, raw[:, dim:] @ matrix], axis=1)
         return rows.reshape(-1, segments, rows.shape[1]), (raw[:, dim:], map_cache)
 
@@ -649,12 +655,12 @@ class StreamClassifier:
     def _path_inputs(self, index, inputs, basis, segments):
         """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: the layer on each ``raw[j] @ L``.
 
-        Entries are ``(times, raw)`` (el-logsig-rnn) or ``(times, raw, ahat)`` (gcn),
-        with a sample's ``J`` raw paths ``raw`` ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
+        Entries are ``(times, raw, ahat)`` with a sample's ``J`` raw paths ``raw``
+        ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
         """
         matrix = self._block_matrix(index)
         rows, states = [], []
-        for times, raw, *_ in inputs:
+        for times, raw, _ in inputs:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite path raises below
                 paths = raw @ matrix
             if not np.isfinite(paths).all():
@@ -675,14 +681,14 @@ class StreamClassifier:
         inputs, matrix, states = cache
         J, d, sp = self.joints, states[0].rows.shape[1], self.config.use_start_points
         g_matrix, g_frames = 0.0, []
-        for i, (_, raw, *ahat) in enumerate(inputs):
+        for i, (_, raw, ahat) in enumerate(inputs):
             g_points = np.stack([
                 backward_from_state(states[i * J + j], g[:, :d], g[:, d:] if sp else None)
                 for j, g in enumerate(gx[i])
             ])
             g_matrix += raw.reshape(-1, raw.shape[-1]).T @ g_points.reshape(-1, g_points.shape[-1])
             if index:
-                g_frames.append(np.einsum("jg,jnh->gnh", ahat[0], self._tail_backward(g_points @ matrix.T)))
+                g_frames.append(np.einsum("jg,jnh->gnh", ahat, self._tail_backward(g_points @ matrix.T)))
         self._block_matrix_backward(index, g_matrix, grads)
         return np.concatenate(g_frames) if index else None
 
@@ -695,15 +701,16 @@ class StreamClassifier:
             seq = time_incorporated_layer(seq, times)
         return seq
 
-    def _mixed_tail(self, times, ahat, frames):
-        """The tail of the graph-mixed frames ``(n, J, w)``, ``[time, J joints x w]``, in one call."""
-        return self._tail(np.einsum("jg,ngd->njd", ahat, frames).reshape(len(times), -1), times)
+    def _mix(self, ahat, frames):
+        """The graph-mixed frames ``sum_g ahat[j, g] X_g`` of each joint ``j`` side by side, ``(n, J * w)``."""
+        return np.einsum("jg,ngd->njd", ahat, frames).reshape(frames.shape[0], -1)
 
-    def _joint_paths(self, flat, width):
-        """Each joint's raw path ``(J, n, t + width)`` from the raw path ``[time, J joints x width]``."""
-        t, n = int(self.config.use_time), flat.shape[0]
-        coords = flat[:, t:].reshape(n, -1, width).swapaxes(0, 1)
-        paths = np.empty((coords.shape[0], n, t + width))
+    def _joint_paths(self, times, seq):
+        """The ``J`` raw paths ``(J, n, t + w)``, ``[time, tail of its w columns]``, of a sequence ``(n, J * w)``."""
+        flat = self._tail(seq, times)
+        t, n, J = int(self.config.use_time), flat.shape[0], self.joints
+        coords = flat[:, t:].reshape(n, J, -1).swapaxes(0, 1)
+        paths = np.empty((J, n, t + coords.shape[2]))
         paths[..., :t], paths[..., t:] = flat[:, :t], coords
         return paths
 
@@ -730,14 +737,12 @@ class StreamClassifier:
     def _prepare(self, samples) -> list:
         """Check each sample and build its parameter-free inputs, one entry per sample.
 
-        The entry is el-logsig-rnn's raw-path layer rows with the raw start
-        points (mapped route, and without the embedding); frame-rnn's
-        flattened or resampled frames ``(T, F * D)``; the gcn variants' ``(rows,
-        ahat)``, each joint's raw-path rows and raw start points ``(J,
-        segments, c)`` gathered from one layer call per joint group (mapped
-        route); or, on the per-path route, ``(times, raw)`` (el) or ``(times,
-        raw, ahat)`` (gcn) with the sample's ``J`` raw paths ``raw`` ``(J, n,
-        w)``, built from one tail call.
+        The entry is frame-rnn's flattened or resampled frames ``(T, F *
+        D)``; on block 0's mapped route ``(rows, ahat)``, each raw path's
+        layer rows and raw start points ``(J, segments, c)`` gathered from one
+        layer call per group; or on the per-path route ``(times, raw, ahat)``,
+        the ``J`` raw paths ``(J, n, w)`` from one tail call.  ``ahat`` is the
+        gcn variants' normalized adjacency, None in el-logsig-rnn.
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A non-finite layer row is a
         ``FloatingPointError`` naming the stream.
@@ -750,45 +755,38 @@ class StreamClassifier:
                     f"the model takes {tuple(self.spec)}"
                 )
             try:
-                entries.append(self._prepare_one(*self._as_frames(s), getattr(s, "adjacency", None)))
+                frames = s.points[:, None, :] if isinstance(s, TimedPath) else s.frames
+                entries.append(self._prepare_one(s.times, frames, getattr(s, "adjacency", None)))
             except FloatingPointError as exc:
                 raise FloatingPointError(f"stream {i}: {exc}") from exc
         return entries
 
     def _prepare_one(self, times, frames, adjacency):
-        cfg = self.config
+        cfg, n = self.config, len(times)
+        seq = flat = frames.reshape(n, -1)
         if cfg.variant == "frame-rnn":
-            stream = frames.reshape(len(times), -1)
-            n = cfg.resample_frames
-            if n > 0:  # the interpolant on a uniform grid of n frames
-                stream = evaluate(TimedPath(times, stream), np.linspace(times[0], times[-1], n))
-            return stream
-        seq = flat = frames.reshape(frames.shape[0], -1)
+            if cfg.resample_frames > 0:  # the interpolant on a uniform grid of resample_frames frames
+                seq = evaluate(TimedPath(times, seq), np.linspace(times[0], times[-1], cfg.resample_frames))
+            return seq
+        # the sequence in front of the tail: the gcn variants' graph-mixed
+        # frames, or el's [1, frames], in which the embedding is linear (the
+        # frames themselves without it)
+        ahat = None
         if cfg.variant != "el-logsig-rnn":
             if adjacency is None:
                 raise ValueError("gcn variants require an adjacency matrix")
             ahat = normalized_adjacency(adjacency)
-            # the joints' raw paths [time, running sums of sum_g ahat[j, g] X_g]
-            # side by side; on the mapped route the layer runs once per group of
-            # joints and each joint's rows are gathered from it
-            mixed = self._mixed_tail(times, ahat, frames)
-            t, D = int(cfg.use_time), frames.shape[2]
-            if self.raw_basis is None:
-                return times, self._joint_paths(mixed, D), ahat
-            rows = []
-            for first, count, basis, gather in self.joint_groups:
-                group = np.concatenate([mixed[:, :t], mixed[:, t + first * D : t + (first + count) * D]], axis=1)
-                rows.append(self._rows(times, group, basis, self.blocks[0][2])[0][:, gather].swapaxes(0, 1))
-            return np.concatenate(rows), ahat
-        # the raw path: the tail applied to [1, frames], in which the
-        # embedding is linear, or to the frames themselves without it
-        if cfg.use_embedding:
-            seq = np.ones((flat.shape[0], flat.shape[1] + 1))
+            seq = self._mix(ahat, frames)
+        elif cfg.use_embedding:
+            seq = np.ones((n, seq.shape[1] + 1))
             seq[:, 1:] = flat
-        points = self._tail(seq, times)
         if self.raw_basis is None:
-            return times, points[None]
-        return self._rows(times, points, self.raw_basis, self.blocks[0][2])[0]
+            return times, self._joint_paths(times, seq), ahat
+        w, rows = seq.shape[1] // self.joints, []
+        for first, count, basis, gather in self.joint_groups:
+            group = self._tail(seq[:, first * w : (first + count) * w], times)
+            rows.append(self._rows(times, group, basis, self.blocks[0][2])[0].take(gather, axis=1).swapaxes(0, 1))
+        return np.concatenate(rows), ahat
 
     def _forward(self, prepared):
         """Logits ``(B, classes)`` and the backward cache of a list of ``_prepare`` entries."""
@@ -812,7 +810,7 @@ class StreamClassifier:
                 out = out.reshape(B, J, segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
                     times, frames = np.arange(segments, dtype=np.float64), out.swapaxes(1, 2)
-                    inputs = [(times, self._joint_paths(self._mixed_tail(times, entry[-1], f), cfg.hidden), entry[-1])
+                    inputs = [(times, self._joint_paths(times, self._mix(entry[-1], f)), entry[-1])
                               for f, entry in zip(frames, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))

@@ -642,6 +642,64 @@ class TestBasisSizeBudget:
         self._refuse_basis_builds(monkeypatch)
         self._assert_exits_2_naming(argv, named, capsys)
 
+    @pytest.mark.parametrize("variant,key", [("el-logsig-rnn", "embed_dim"), ("gcn-logsig-rnn", "gcn_dim")])
+    def test_the_key_that_set_the_width_is_named(self, monkeypatch, stream_file, tmp_path, capsys, variant, key):
+        data = stream_file(count=8, layout="skeleton" if variant.startswith("gcn") else "path")
+        config = _write_train_config(tmp_path, variant=variant, **{key: 10**9})
+        self._refuse_basis_builds(monkeypatch)
+        self._assert_exits_2_naming(["train", config, data, str(tmp_path / "m.ckpt")], f"'{key}' = {10**9}", capsys)
+
+
+class TestArraySizeBudget:
+    """A config key or checkpoint header that sizes a parameter or one
+    stream's array past ``neural.MAX_ARRAY_ENTRIES`` exits 2 naming the key,
+    before any array is built."""
+
+    @staticmethod
+    def _refuse_array_builds(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array build started")
+
+        monkeypatch.setattr(neural, "_glorot", refuse)  # every 2-D parameter, each before its bias
+        monkeypatch.setattr(neural.StreamClassifier, "_prepare", refuse)  # every stream's arrays
+
+    @staticmethod
+    def _assert_exits_2_naming(argv, named, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_single_error_line(captured.err)
+        assert named in captured.err and "past the array size budget" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"hidden": 10**8},
+            {"num_classes": 10**9},
+            {"num_segments": 10**9},
+            {"embed_channels": 10**9},
+            {"variant": "frame-rnn", "resample_frames": 10**9},
+        ],
+        ids=["hidden", "num_classes", "num_segments", "embed_channels", "resample_frames"],
+    )
+    def test_train_config(self, monkeypatch, stream_file, tmp_path, capsys, overrides):
+        data = stream_file(count=8)
+        config = _write_train_config(tmp_path, **overrides)
+        self._refuse_array_builds(monkeypatch)
+        key, value = list(overrides.items())[-1]
+        target = tmp_path / "m.ckpt"
+        self._assert_exits_2_naming(["train", config, data, str(target)], f"'{key}' = {value}", capsys)
+        assert not target.exists()
+
+    def test_eval_of_a_checkpoint_header(self, monkeypatch, stream_file, tmp_path, capsys):
+        cfg = ModelConfig(num_classes=4, hidden=8, embed_channels=2, embed_dim=3)
+        target = tmp_path / "model.ckpt"
+        save_checkpoint(str(target), cfg, (1, 2), StreamClassifier.build(cfg, (1, 2), 0).params)
+        target.write_text(target.read_text().replace("joints = 1\n", f"joints = {10**9}\n"))
+        data = stream_file()
+        self._refuse_array_builds(monkeypatch)
+        self._assert_exits_2_naming(["eval", str(target), data], f"'joints' = {10**9}", capsys)
+
 
 class TestRobustnessCommand:
     def test_report_shape(self, capture, stream_file, tmp_path):

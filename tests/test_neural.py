@@ -822,6 +822,24 @@ class TestGcnRoute:
             assert basis.width == use_time + count * spec[1]
             assert basis.width**degree <= neural.MAPPED_TENSOR_LIMIT
 
+    @pytest.mark.parametrize(
+        "spec,degree,groups",
+        [
+            ((1, 2), 3, [1]),  # the raw path [time, 1, x, y]: 64 entries
+            ((5, 2), 3, []),  # width 1 + 1 + 10 = 12: 1728 entries, the per-path route
+        ],
+    )
+    def test_el_joint_groups_follow_the_tensor_limit(self, spec, degree, groups):
+        # el-logsig-rnn is the one-path case of the same plan: one group of its
+        # one raw path, gathered whole, while that path fits the limit
+        model = StreamClassifier(ModelConfig(degree=degree, hidden=2, num_classes=3), spec, {})
+        assert [count for _, count, _, _ in model.joint_groups] == groups
+        assert (model.raw_basis is None) == (groups == [])
+        for first, count, basis, gather in model.joint_groups:
+            assert (first, basis) == (0, model.raw_basis)
+            assert basis.width == 2 + spec[0] * spec[1]
+            assert np.array_equal(gather, [np.arange(basis.dim + basis.width)])
+
     # (use_accumulative, use_time, use_start_points): all on keeps the bare
     # route id; the others reach each branch of the tail's adjoint, which
     # gcn-logsig-rnn-2's second block runs on every joint's raw path
