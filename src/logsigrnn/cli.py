@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -22,6 +23,7 @@ from .datasets import LabeledStreamSet, StreamParseError, load_streams
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward
 from .lyndon import check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
 from .neural import (
+    MAX_ARRAY_ENTRIES,
     ModelConfig,
     StreamClassifier,
     TrainSettings,
@@ -267,6 +269,16 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
+        # before any row is computed: each stream's rows and, at degree >= 2,
+        # the layer's (increments, segments, width) mask
+        for i, p in enumerate(paths):
+            n_inc = p.num_samples + args.segments - 2 if args.degree > 1 and p.num_samples > 1 else 0
+            for name, shape in (("rows", (args.segments, basis.dim)), ("layer mask", (n_inc, args.segments, width))):
+                if math.prod(shape) > MAX_ARRAY_ENTRIES:
+                    raise InputError(
+                        f"--segments {args.segments} makes {args.input} sample {i}'s {name} {shape}, "
+                        f"past the array size budget of {MAX_ARRAY_ENTRIES} entries"
+                    )
         for i, p in enumerate(paths):
             part = SegmentPartition.spanning(p, args.segments)
             try:
@@ -397,12 +409,14 @@ def _cmd_train(args) -> tuple[RunReport, int]:
     return report, 0
 
 
-def _evaluate(model: StreamClassifier, data, data_path, checkpoint):
-    """``evaluate_model`` on a loaded stream file; a rejected set names both files."""
+def _evaluate(model: StreamClassifier, samples, labels, data_path, checkpoint):
+    """``evaluate_model`` on streams from a file; a rejected set or an overflow names both files."""
     try:
-        return evaluate_model(model, data.samples, data.labels)
+        return evaluate_model(model, samples, labels)
     except ValueError as exc:
         raise InputError(f"{data_path} with checkpoint {checkpoint}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{data_path} with checkpoint {checkpoint}: {exc}") from exc
 
 
 def _cmd_eval(args) -> tuple[RunReport, int]:
@@ -411,7 +425,7 @@ def _cmd_eval(args) -> tuple[RunReport, int]:
     if len(data) == 0:
         raise InputError(f"{args.data}: empty evaluation set")
     model = StreamClassifier(config, spec, params)
-    result = _evaluate(model, data, args.data, args.checkpoint)
+    result = _evaluate(model, data.samples, data.labels, args.data, args.checkpoint)
     report = RunReport(
         "eval",
         config={"checkpoint": args.checkpoint, "data": args.data},
@@ -446,16 +460,17 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
     model = StreamClassifier(config, spec, params)
     baseline = StreamClassifier(bconfig, bspec, bparams)
     perturb = datasets.perturb_drop if args.mode == "drop" else datasets.perturb_insert
-    base_model = _evaluate(model, data, args.data, args.checkpoint).accuracy
-    base_base = _evaluate(baseline, data, args.data, args.baseline_checkpoint).accuracy
+    base_model = _evaluate(model, data.samples, data.labels, args.data, args.checkpoint).accuracy
+    base_base = _evaluate(baseline, data.samples, data.labels, args.data, args.baseline_checkpoint).accuracy
     rows = [[0.0, base_model, 0.0, base_base, 0.0]]
     for rate in rates:
         if rate == 0.0:
             continue
         rng = np.random.default_rng(args.seed)
         perturbed = [perturb(s, rate, rng) for s in data.samples]
-        am = evaluate_model(model, perturbed, data.labels).accuracy
-        ab = evaluate_model(baseline, perturbed, data.labels).accuracy
+        where = f"{args.data} at rate {rate}"
+        am = _evaluate(model, perturbed, data.labels, where, args.checkpoint).accuracy
+        ab = _evaluate(baseline, perturbed, data.labels, where, args.baseline_checkpoint).accuracy
         rows.append([rate, am, base_model - am, ab, base_base - ab])
     report = RunReport(
         "robustness",
@@ -615,7 +630,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, RuntimeError) as exc:
-        # a numerical check failed: non-finite rows or loss, inexact inverse
+        # a numerical check failed: a value overflowed, a non-finite loss, an inexact inverse
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -80,8 +80,8 @@ CELLS = ("vanilla", "lstm")
 # one gcn joint (degree 3, 40 samples: 228 us at width 3, 283 us at width 7).
 MAPPED_TENSOR_LIMIT = 512
 
-# A model refuses, before any array is built, a parameter or one stream's
-# layer rows, recurrent outputs or resampled frames with more entries (256 MiB).
+# A model refuses, before any array is built, a parameter or one stream's layer
+# rows, layer mask, recurrent outputs or resampled frames with more entries (256 MiB).
 MAX_ARRAY_ENTRIES = 2**25
 
 
@@ -108,10 +108,10 @@ class SkeletonSequence:
             F = frames.shape[1]
             if adjacency.shape != (F, F):
                 raise ValueError("adjacency must be joints x joints")
-            if not np.allclose(adjacency, adjacency.T):
-                raise ValueError("adjacency must be symmetric")
-            if np.any(np.diag(adjacency) != 0):
-                raise ValueError("adjacency diagonal must be zero (self-loops are implicit)")
+            if not np.all(np.isfinite(adjacency) & (adjacency >= 0)):
+                raise ValueError("adjacency weights must be finite and non-negative")
+            if not np.allclose(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
+                raise ValueError("adjacency must be symmetric with a zero diagonal (self-loops are implicit)")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "adjacency", adjacency)
@@ -275,15 +275,8 @@ def _rnn_params(params: dict, prefix: str) -> list:
     return [params[f"{prefix}.{k}"] for k in _RNN_KEYS]
 
 
-@np.errstate(over="raise", invalid="raise")
 def _rnn_forward_batch(x, u, w, b, v, vb, cell, lengths=None):
-    """Unroll a recurrent cell over (B, T, c) input; outputs are V h_t + vb.
-
-    Row r runs ``lengths[r]`` steps (default T), rows longest first.  A
-    pre-activation or output that overflows float64 raises
-    ``FloatingPointError``, so a diverging model fails instead of carrying
-    infinities into the head.
-    """
+    """Outputs V h_t + vb of a cell over (B, T, c) input; row r runs ``lengths[r]`` (default T) steps, longest first."""
     B, T, _ = x.shape
     H = w.shape[0]
     counts = [B] * T if lengths is None else (lengths[:, None] > np.arange(T)).sum(axis=0).tolist()
@@ -355,8 +348,9 @@ def _rnn_backward_batch(cache, g_out):
     return gx, gu, gw, gb, gv, gvb
 
 
+@np.errstate(over="raise", invalid="raise")
 def rnn_forward(seq: np.ndarray, params: dict, cell: str = "vanilla"):
-    """Single-sequence unroll; returns the per-step outputs and final hidden state."""
+    """Single-sequence unroll; the per-step outputs and final hidden state.  Raises where a value overflows."""
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
     out, cache = _rnn_forward_batch(
@@ -465,7 +459,9 @@ class StreamClassifier:
     ``forward_batch(samples)`` is ``_forward(_prepare(samples))``:
     ``_prepare`` builds each sample's parameter-free inputs and ``_forward``
     runs every layer that reads a parameter on them; ``train`` prepares each
-    set once.
+    set once.  Each sample's preparation, ``_forward`` and ``backward_batch``
+    run under ``np.errstate(over="raise", invalid="raise")``: a value that
+    overflows float64 raises ``FloatingPointError`` where it is computed.
 
     Building a model checks every block's basis against
     ``lyndon.check_basis_size`` before any basis is built, and every shape
@@ -504,11 +500,12 @@ class StreamClassifier:
                 self.blocks.append(("rnn2", basis, cfg.num_segments2))
             in_dims = [basis.dim + (basis.width if cfg.use_start_points else 0)] * len(self.blocks)
         self.rnn_in, self.rnn_in2 = in_dims[0], in_dims[-1]
-        self.param_shapes = self._checked_shapes(in_dims)
+        mapped = cfg.variant != "frame-rnn" and ((t + w) ** cfg.degree <= MAPPED_TENSOR_LIMIT or bare)
+        self.param_shapes = self._checked_shapes(in_dims, t + w if mapped else None)
+        if not mapped:
+            return
         # on the mapped route path i of a group reads its rows and start points
         # at its channels [time, t + i * w, ..., t + (i + 1) * w - 1]
-        if cfg.variant == "frame-rnn" or ((t + w) ** cfg.degree > MAPPED_TENSOR_LIMIT and not bare):
-            return
         self.raw_basis = enumerate_lyndon(t + w, cfg.degree)
         k = max((k for k in range(1, J + 1) if (t + k * w) ** cfg.degree <= MAPPED_TENSOR_LIMIT), default=1)
         for first in range(0, J, k):
@@ -521,7 +518,7 @@ class StreamClassifier:
                 gather.append(np.r_[columns, basis.dim + letters] if cfg.use_start_points else columns)
             self.joint_groups.append((first, count, basis, np.array(gather)))
 
-    def _checked_shapes(self, in_dims) -> dict:
+    def _checked_shapes(self, in_dims, mapped_width) -> dict:
         """Every parameter's shape; a ``ValueError`` naming the keys behind any shape past ``MAX_ARRAY_ENTRIES``."""
         cfg = self.config
         F, D = self.spec
@@ -537,7 +534,7 @@ class StreamClassifier:
             shapes["gcn.theta"] = (D, cfg.gcn_dim), ("coords", "gcn_dim")
         frame_keys = ("joints", "coords") if cfg.variant == "frame-rnn" else ()
         streams = {}  # one stream's layer rows and recurrent outputs, or frame-rnn's resampled frames
-        for index, (prefix, _, segments) in enumerate(self.blocks):
+        for index, (prefix, basis, segments) in enumerate(self.blocks):
             if index:
                 shapes["gcn2.theta"] = (H, cfg.gcn_dim), ("hidden", "gcn_dim")
             for name, shape in _rnn_param_shapes(in_dims[index], H, cfg.cell).items():
@@ -546,6 +543,9 @@ class StreamClassifier:
                 key = "num_segments2" if index else "num_segments"
                 streams[f"each stream's {prefix} rows"] = (J * segments, in_dims[index]), ("joints", key)
                 streams[f"each stream's {prefix} outputs"] = (J * segments, H), ("joints", key, "hidden")
+                if cfg.degree > 1:  # the layer's (increments >= segments, segments, narrowest path) mask
+                    width = mapped_width if index == 0 and mapped_width else basis.width
+                    streams[f"each stream's {prefix} layer mask"] = (segments, segments, width), (key,)
             elif cfg.resample_frames:
                 streams["each resampled stream"] = (cfg.resample_frames, F * D), ("resample_frames", "joints", "coords")
         shapes["head.w"] = (H, C), ("hidden", "num_classes")
@@ -571,7 +571,6 @@ class StreamClassifier:
 
     # -- blocks ---------------------------------------------------------------
 
-    @np.errstate(over="ignore", invalid="ignore")  # the layer or map_rows raises on what overflows
     def _block_matrix(self, index):
         """Block ``index``'s ``L``: ``time (+)`` gcn's ``theta`` or the embedding's matrix (None without it).
 
@@ -661,11 +660,7 @@ class StreamClassifier:
         matrix = self._block_matrix(index)
         rows, states = [], []
         for times, raw, _ in inputs:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite path raises below
-                paths = raw @ matrix
-            if not np.isfinite(paths).all():
-                raise FloatingPointError("the block's paths raw @ L are not finite: they overflow float64")
-            for points in paths:
+            for points in raw @ matrix:
                 r, state = self._rows(times, points, basis, segments)
                 rows.append(r)
                 states.append(state)
@@ -703,7 +698,10 @@ class StreamClassifier:
 
     def _mix(self, ahat, frames):
         """The graph-mixed frames ``sum_g ahat[j, g] X_g`` of each joint ``j`` side by side, ``(n, J * w)``."""
-        return np.einsum("jg,ngd->njd", ahat, frames).reshape(frames.shape[0], -1)
+        mixed = np.einsum("jg,ngd->njd", ahat, frames)
+        if not np.isfinite(mixed).all():  # einsum ignores np.errstate
+            raise FloatingPointError("overflow encountered in einsum")
+        return mixed.reshape(frames.shape[0], -1)
 
     def _joint_paths(self, times, seq):
         """The ``J`` raw paths ``(J, n, t + w)``, ``[time, tail of its w columns]``, of a sequence ``(n, J * w)``."""
@@ -744,7 +742,7 @@ class StreamClassifier:
         the ``J`` raw paths ``(J, n, w)`` from one tail call.  ``ahat`` is the
         gcn variants' normalized adjacency, None in el-logsig-rnn.
         ``_forward`` reads any list of entries, so a caller may prepare a set
-        once and run batches of it.  A non-finite layer row is a
+        once and run batches of it.  A value that overflows float64 is a
         ``FloatingPointError`` naming the stream.
         """
         entries = []
@@ -761,6 +759,7 @@ class StreamClassifier:
                 raise FloatingPointError(f"stream {i}: {exc}") from exc
         return entries
 
+    @np.errstate(over="raise", invalid="raise")
     def _prepare_one(self, times, frames, adjacency):
         cfg, n = self.config, len(times)
         seq = flat = frames.reshape(n, -1)
@@ -788,6 +787,7 @@ class StreamClassifier:
             rows.append(self._rows(times, group, basis, self.blocks[0][2])[0].take(gather, axis=1).swapaxes(0, 1))
         return np.concatenate(rows), ahat
 
+    @np.errstate(over="raise", invalid="raise")
     def _forward(self, prepared):
         """Logits ``(B, classes)`` and the backward cache of a list of ``_prepare`` entries."""
         cfg, p = self.config, self.params
@@ -814,8 +814,7 @@ class StreamClassifier:
                               for f, entry in zip(frames, inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
-        with np.errstate(over="ignore", invalid="ignore"):  # train checks the loss
-            logits = feats @ p["head.w"] + p["head.b"]
+        logits = feats @ p["head.w"] + p["head.b"]
         batch_cache["feats"] = feats
         return logits, batch_cache
 
@@ -823,6 +822,7 @@ class StreamClassifier:
         """Logits ``(B, classes)`` of the samples and the cache ``backward_batch`` reads."""
         return self._forward(self._prepare(samples))
 
+    @np.errstate(over="raise", invalid="raise")
     def backward_batch(self, batch_cache, g_logits):
         cfg = self.config
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
@@ -922,19 +922,17 @@ def train(
         epoch_correct = 0
         for start in range(0, count, settings.batch_size):
             idx = order[start : start + settings.batch_size]
-            # map_rows, the layer, _path_inputs and the recurrent unroll raise
-            # FloatingPointError on what overflows, before the loss can go non-finite
+            # _forward and backward_batch raise FloatingPointError where a value overflows
             try:
                 logits, cache = model._forward([prepared[i] for i in idx])
-                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-                    loss, g_logits = cross_entropy(logits, labels[idx])
+                loss, g_logits = cross_entropy(logits, labels[idx])
                 if not np.isfinite(loss):
                     raise FloatingPointError(loss)
+                grads = model.backward_batch(cache, g_logits)
             except FloatingPointError as exc:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}: {exc}"
                 ) from exc
-            grads = model.backward_batch(cache, g_logits)
             if settings.clip_norm is not None:
                 total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
                 if total > settings.clip_norm:

@@ -15,7 +15,8 @@ from logsigrnn.cli import (
     parse_config_text,
     save_checkpoint,
 )
-from logsigrnn.neural import ModelConfig, StreamClassifier
+from logsigrnn.neural import ModelConfig, SkeletonSequence, StreamClassifier
+from logsigrnn.paths import TimedPath
 from logsigrnn.reports import parse_report
 
 
@@ -155,8 +156,15 @@ def _path_record(label):
     return f'{{"kind": "path", "label": {label}, "n": 1, "d": 2, "times": [0.5], "points": [[1.0, -2.0]]}}\n'
 
 
+def _skeleton_record(weight):
+    return (
+        '{"kind": "skeleton", "label": 0, "n": 2, "joints": 2, "coords": 1, "times": [0.0, 1.0],'
+        f' "frames": [[[0.0], [1.0]], [[1.0], [2.0]]], "adjacency": [[0.0, {weight}], [{weight}, 0.0]]}}\n'
+    )
+
+
 class TestStreamFileErrors:
-    """A bad label or header is one error line naming the file and line, and exit 2."""
+    """A bad label, header or adjacency is one error line naming the file and line, and exit 2."""
 
     @pytest.mark.parametrize(
         "text,line",
@@ -171,6 +179,9 @@ class TestStreamFileErrors:
             pytest.param('{"kind": "header", "classes": 0}\n' + _path_record(0), 1, id="header-classes-zero"),
             pytest.param('{"kind": "header", "classes": ["a", 1]}\n' + _path_record(0), 1, id="header-classes-mixed"),
             pytest.param('{"kind": "header", "classes": ["a", "b"]}\n' + _path_record(2), 2, id="label-past-header"),
+            # a negative or infinite bone weight would make the graph normalization take sqrt of a bad row sum
+            pytest.param(_skeleton_record("-3.0"), 1, id="adjacency-negative"),
+            pytest.param(_skeleton_record("1e400"), 1, id="adjacency-infinite"),
         ],
     )
     def test_exits_2_naming_the_line(self, tmp_path, text, line):
@@ -498,27 +509,74 @@ class TestTrainEval:
         assert_single_error_line(result.stderr)
         assert "non-finite loss" in result.stderr
 
-    @pytest.mark.parametrize("where", ["training", "eval"])
-    def test_overflowing_stream_exits_1_naming_the_set_and_stream(self, stream_file, tmp_path, where):
-        # frames near 1e200 overflow the degree-3 rows of the raw path, which
-        # are prepared once, before the first epoch
-        huge = tmp_path / "huge.jsonl"
-        huge.write_text(
-            '{"kind": "header", "classes": ["a", "b", "c", "d"]}\n'
-            + "".join(
-                f'{{"kind": "path", "label": {k}, "n": 3, "d": 2, "times": [0.0, 1.0, 2.0],'
-                f' "points": [[0.0, 0.0], [{scale}, -{scale}], [-{scale}, 3.0]]}}\n'
-                for k, scale in enumerate(["1.0", "2.0", "1e200", "3.0"])
-            )
+    @pytest.mark.parametrize(
+        "where,layout,scale",
+        [
+            # frames near 1e200 overflow the degree-3 rows of the raw path
+            pytest.param("training", "path", 1e200, id="training"),
+            pytest.param("eval", "path", 1e200, id="eval"),
+            # finite frames near 1.7e308 overflow the accumulative layer's running sums
+            pytest.param("training", "path", 1.7e308, id="training-running-sums-el"),
+            pytest.param("eval", "path", 1.7e308, id="eval-running-sums-el"),
+            pytest.param("training", "skeleton", 1e308, id="training-running-sums-gcn"),
+            pytest.param("eval", "skeleton", 1e308, id="eval-running-sums-gcn"),
+            # the gcn graph mix itself overflows
+            pytest.param("training", "skeleton", 1.7e308, id="training-graph-mix-gcn"),
+        ],
+    )
+    def test_overflowing_stream_exits_1_naming_the_set_and_stream(self, stream_file, tmp_path, where, layout, scale):
+        # stream 2 overflows while the sets are prepared, once, before the first epoch
+        streams = gen_synthetic(4, seed=0, layout=layout)
+        times = [0.0, 1.0, 2.0]
+        streams.samples[2] = (
+            TimedPath(times, [[0.0, 0.0], [scale, scale], [scale, 3.0]]) if layout == "path"
+            else SkeletonSequence(times, np.full((3, 5, 2), scale), streams.samples[2].adjacency)
         )
-        config = _write_train_config(tmp_path, degree=3)
-        data, extra = (str(huge), []) if where == "training" else (stream_file(count=8), ["--eval-data", str(huge)])
+        huge = tmp_path / "huge.jsonl"
+        save_streams(streams, str(huge))
+        variant = "el-logsig-rnn" if layout == "path" else "gcn-logsig-rnn"
+        config = _write_train_config(tmp_path, variant=variant, degree=3)
+        if where == "training":
+            data, extra = str(huge), []
+        else:
+            data, extra = stream_file(count=8, layout=layout), ["--eval-data", str(huge)]
         target = tmp_path / "m.ckpt"
         result = run_cli("train", config, data, str(target), *extra)
         assert result.returncode == 1
         assert_single_error_line(result.stderr)
         assert f"{where} stream 2" in result.stderr
         assert result.stdout == "" and not target.exists()
+
+    def test_overflowing_head_exits_1_naming_both_files(self, capture, stream_file, tmp_path):
+        data = stream_file(count=8)
+        ckpt = tmp_path / "model.ckpt"
+        assert capture(["train", _write_train_config(tmp_path), data, str(ckpt)])[0] == 0
+        # a head.w of alternating +-1e308 overflows the logits
+        lines = ckpt.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("param head.w ")) + 1
+        lines[at] = " ".join(repr((-1) ** k * 1e308) for k in range(len(lines[at].split())))
+        ckpt.write_text("\n".join(lines) + "\n")
+        for argv in (["eval", str(ckpt), data], ["robustness", str(ckpt), str(ckpt), data, "--rates", "0.2"]):
+            result = run_cli(*argv)
+            assert result.returncode == 1
+            assert_single_error_line(result.stderr)
+            assert data in result.stderr and str(ckpt) in result.stderr
+            assert result.stdout == ""
+
+    def test_overflowing_perturbed_stream_exits_1_naming_the_files_and_rate(self, capture, stream_file, tmp_path):
+        ckpt = str(tmp_path / "model.ckpt")
+        assert capture(["train", _write_train_config(tmp_path), stream_file(count=8), ckpt])[0] == 0
+        # the running sums stay finite on the stream itself, not once samples are inserted
+        edge = tmp_path / "edge.jsonl"
+        edge.write_text(
+            '{"kind": "path", "label": 0, "n": 3, "d": 2, "times": [0.0, 1.0, 2.0],'
+            ' "points": [[0.0, 0.0], [0.9e308, 0.0], [0.0, 1.0]]}\n'
+        )
+        assert capture(["eval", ckpt, str(edge)])[0] == 0
+        result = run_cli("robustness", ckpt, ckpt, str(edge), "--rates", "0.6", "--mode", "insert")
+        assert result.returncode == 1
+        assert_single_error_line(result.stderr)
+        assert f"{edge} at rate 0.6 with checkpoint {ckpt}: stream 0" in result.stderr
 
     def test_train_report_times_the_preparation(self, capture, stream_file, tmp_path):
         data = stream_file(count=8)
@@ -677,10 +735,12 @@ class TestArraySizeBudget:
             {"hidden": 10**8},
             {"num_classes": 10**9},
             {"num_segments": 10**9},
+            # each stream's rows pass; the layer's (increments, segments, width) mask does not
+            {"num_segments": 300000},
             {"embed_channels": 10**9},
             {"variant": "frame-rnn", "resample_frames": 10**9},
         ],
-        ids=["hidden", "num_classes", "num_segments", "embed_channels", "resample_frames"],
+        ids=["hidden", "num_classes", "num_segments", "num_segments-layer-mask", "embed_channels", "resample_frames"],
     )
     def test_train_config(self, monkeypatch, stream_file, tmp_path, capsys, overrides):
         data = stream_file(count=8)
@@ -699,6 +759,14 @@ class TestArraySizeBudget:
         data = stream_file()
         self._refuse_array_builds(monkeypatch)
         self._assert_exits_2_naming(["eval", str(target), data], f"'joints' = {10**9}", capsys)
+
+    def test_logsig_segments(self, monkeypatch, stream_file, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer call started")
+
+        data = stream_file()
+        monkeypatch.setattr(cli, "logsig_sequence_forward", refuse)
+        self._assert_exits_2_naming(["logsig", data, "--degree", "2", "--segments", "300000"], "--segments 300000", capsys)
 
 
 class TestRobustnessCommand:
