@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 import time
@@ -269,16 +268,11 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
-        # before any row is computed: each stream's rows and, at degree >= 2,
-        # the layer's (increments, segments, width) mask
-        for i, p in enumerate(paths):
-            n_inc = p.num_samples + args.segments - 2 if args.degree > 1 and p.num_samples > 1 else 0
-            for name, shape in (("rows", (args.segments, basis.dim)), ("layer mask", (n_inc, args.segments, width))):
-                if math.prod(shape) > MAX_ARRAY_ENTRIES:
-                    raise InputError(
-                        f"--segments {args.segments} makes {args.input} sample {i}'s {name} {shape}, "
-                        f"past the array size budget of {MAX_ARRAY_ENTRIES} entries"
-                    )
+        if args.segments * basis.dim > MAX_ARRAY_ENTRIES:  # before any row is computed
+            raise InputError(
+                f"--segments {args.segments} makes each {args.input} sample's rows "
+                f"{(args.segments, basis.dim)}, past the array size budget of {MAX_ARRAY_ENTRIES} entries"
+            )
         for i, p in enumerate(paths):
             part = SegmentPartition.spanning(p, args.segments)
             try:
@@ -377,13 +371,15 @@ def _cmd_train(args) -> tuple[RunReport, int]:
         eval_labels=eval_set.labels if eval_set else None,
     )
     spec = input_spec(data.samples)
+    # settled post-training accuracy, taken before the checkpoint is written so
+    # that a failing evaluation leaves none; re-evaluating the checkpoint on the
+    # same data reproduces this number exactly
+    model = StreamClassifier(config, spec, result.params)
+    settled = _evaluate(model, data.samples, data.labels, args.data, args.checkpoint)
     try:
         save_checkpoint(args.checkpoint, config, spec, result.params)
     except OSError as exc:
         raise InputError(f"cannot write checkpoint {args.checkpoint}: {exc}") from exc
-    # settled post-training accuracy: re-evaluating the checkpoint on the
-    # same data reproduces this number exactly
-    settled = evaluate_model(config, data.samples, data.labels, params=result.params)
     report = RunReport(
         "train",
         seed=settings.seed,

@@ -12,10 +12,10 @@ identity to every increment at once: level k of the increments' Chen terms
 is one (increments, d**k) array built from the lower levels' segmented
 prefix sums (one cumulative sum over the flat increment axis minus each
 segment's starting offset), and only the top level's segment totals are
-formed.  The log is one batched power series, the Lyndon projection the
-cached exact level inverse applied as the identity plus its small
-correction block, and the adjoint reverses the levels with reverse
-segmented sums.
+formed, one product per segment.  The log is one batched power series,
+the Lyndon projection the cached exact level inverse applied as the
+identity plus its small correction block, and the adjoint reverses the
+levels with reverse segmented sums.
 
 The log-signature is equivariant under linear maps: the rows of the path
 ``x @ L`` are the image of the rows of ``x`` under the Lie-algebra map that
@@ -26,6 +26,7 @@ The log-signature is equivariant under linear maps: the rows of the path
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class SegmentPartition:
 class _LayerState:
     __slots__ = (
         "path", "degree", "basis", "rows", "starts", "mode", "lo", "hi", "w", "seg_ptr",
-        "aug_points", "deltas", "factors", "powers", "segment", "masked",
+        "aug_points", "deltas", "factors", "powers", "segment",
     )
 
 
@@ -173,7 +174,7 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     basis, M = state.basis, state.degree
     aug, seg_ptr = state.aug_points, state.seg_ptr
     deltas = np.diff(aug, axis=0)
-    (n_inc, d), S = deltas.shape, seg_ptr.size - 1
+    d, S = deltas.shape[1], seg_ptr.size - 1
     segment = np.repeat(np.arange(S), np.diff(seg_ptr))
     first = seg_ptr[segment]
     sig, prefix = [None, aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]], [None, aug[:-1] - aug[first]]
@@ -186,12 +187,11 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
             sums = _cumsum0(_outer(factors[k][-1], deltas))
             sig.append(sums[seg_ptr[1:]] - sums[seg_ptr[:-1]])
             prefix.append(sums[:-1] - sums[first])
-    # top-level totals sum_i F_i (x) delta_i over each segment as one product:
-    # masked[i, s] is delta_i in i's own segment s and zero in the others
-    masked = np.zeros((n_inc, S, d))
-    masked[np.arange(n_inc), segment] = deltas
-    top = factors[M][-1].T @ masked.reshape(n_inc, S * d)
-    sig.append(top.reshape(-1, S, d).transpose(1, 0, 2).reshape(S, -1))
+    # top-level totals sum_i F_{M-1,i} (x) delta_i, one product per segment
+    f_top, top = factors[M][-1], np.empty((S, d ** (M - 1), d))
+    for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
+        np.matmul(f_top[a:b].T, deltas[a:b], out=top[s])
+    sig.append(top.reshape(S, -1))
     # log(1 + t) = sum_m (-1)^(m+1) t^m / m; powers[m] vanishes below level m
     powers = [None, sig]
     for m in range(2, M + 1):
@@ -205,8 +205,7 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
         idx, _ = basis.level_inverse(n)
         log_n = sum((-1) ** (m + 1) / m * powers[m][n] for m in range(1, n + 1))
         rows[:, basis._level_slices[n - 1]] = _to_lyndon(log_n[:, idx], basis, n)
-    state.deltas, state.factors, state.powers = deltas, factors, powers
-    state.segment, state.masked = segment, masked
+    state.deltas, state.factors, state.powers, state.segment = deltas, factors, powers, segment
     return rows
 
 
@@ -234,15 +233,16 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
         gpow = prev
     gsig = [None] + [gs + gp for gs, gp in zip(gsig[1:], gpow[1:])]
 
-    segment, masked = state.segment, state.masked
-    (n_inc, S, d), last = masked.shape, state.seg_ptr[1:][segment]
+    seg_ptr, segment, f_top = state.seg_ptr, state.segment, factors[M][-1]
+    (n_inc, d), last = deltas.shape, seg_ptr[1:][segment]
     gprefix = [None] + [np.zeros((n_inc, level.shape[1])) for level in sig[1:M]]
-    # the top level's masked product, then descending k: only the levels
+    # the top level's per-segment products, then descending k: only the levels
     # above k read P^k, so its gradient is complete when level k is reached
-    top = gsig[M].reshape(S, -1, d)
-    g = masked.reshape(n_inc, -1) @ top.transpose(0, 2, 1).reshape(S * d, -1)
-    gdeltas = factors[M][-1] @ top.transpose(1, 0, 2).reshape(-1, S * d)
-    gdeltas = gdeltas.reshape(n_inc, S, d)[np.arange(n_inc), segment]
+    top = gsig[M].reshape(seg_ptr.size - 1, -1, d)
+    g, gdeltas = np.empty_like(f_top), np.empty_like(deltas)
+    for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
+        np.matmul(deltas[a:b], top[s].T, out=g[a:b])
+        np.matmul(f_top[a:b], top[s], out=gdeltas[a:b])
     for k in range(M, 0, -1):
         if k < M:
             # T^k reaches its segment's total and every later P^k of the segment

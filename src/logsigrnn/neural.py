@@ -81,7 +81,7 @@ CELLS = ("vanilla", "lstm")
 MAPPED_TENSOR_LIMIT = 512
 
 # A model refuses, before any array is built, a parameter or one stream's layer
-# rows, layer mask, recurrent outputs or resampled frames with more entries (256 MiB).
+# rows, recurrent outputs or resampled frames with more entries (256 MiB).
 MAX_ARRAY_ENTRIES = 2**25
 
 
@@ -501,7 +501,7 @@ class StreamClassifier:
             in_dims = [basis.dim + (basis.width if cfg.use_start_points else 0)] * len(self.blocks)
         self.rnn_in, self.rnn_in2 = in_dims[0], in_dims[-1]
         mapped = cfg.variant != "frame-rnn" and ((t + w) ** cfg.degree <= MAPPED_TENSOR_LIMIT or bare)
-        self.param_shapes = self._checked_shapes(in_dims, t + w if mapped else None)
+        self.param_shapes = self._checked_shapes(in_dims)
         if not mapped:
             return
         # on the mapped route path i of a group reads its rows and start points
@@ -518,7 +518,7 @@ class StreamClassifier:
                 gather.append(np.r_[columns, basis.dim + letters] if cfg.use_start_points else columns)
             self.joint_groups.append((first, count, basis, np.array(gather)))
 
-    def _checked_shapes(self, in_dims, mapped_width) -> dict:
+    def _checked_shapes(self, in_dims) -> dict:
         """Every parameter's shape; a ``ValueError`` naming the keys behind any shape past ``MAX_ARRAY_ENTRIES``."""
         cfg = self.config
         F, D = self.spec
@@ -534,7 +534,7 @@ class StreamClassifier:
             shapes["gcn.theta"] = (D, cfg.gcn_dim), ("coords", "gcn_dim")
         frame_keys = ("joints", "coords") if cfg.variant == "frame-rnn" else ()
         streams = {}  # one stream's layer rows and recurrent outputs, or frame-rnn's resampled frames
-        for index, (prefix, basis, segments) in enumerate(self.blocks):
+        for index, (prefix, _, segments) in enumerate(self.blocks):
             if index:
                 shapes["gcn2.theta"] = (H, cfg.gcn_dim), ("hidden", "gcn_dim")
             for name, shape in _rnn_param_shapes(in_dims[index], H, cfg.cell).items():
@@ -543,9 +543,6 @@ class StreamClassifier:
                 key = "num_segments2" if index else "num_segments"
                 streams[f"each stream's {prefix} rows"] = (J * segments, in_dims[index]), ("joints", key)
                 streams[f"each stream's {prefix} outputs"] = (J * segments, H), ("joints", key, "hidden")
-                if cfg.degree > 1:  # the layer's (increments >= segments, segments, narrowest path) mask
-                    width = mapped_width if index == 0 and mapped_width else basis.width
-                    streams[f"each stream's {prefix} layer mask"] = (segments, segments, width), (key,)
             elif cfg.resample_frames:
                 streams["each resampled stream"] = (cfg.resample_frames, F * D), ("resample_frames", "joints", "coords")
         shapes["head.w"] = (H, C), ("hidden", "num_classes")
@@ -683,7 +680,8 @@ class StreamClassifier:
             ])
             g_matrix += raw.reshape(-1, raw.shape[-1]).T @ g_points.reshape(-1, g_points.shape[-1])
             if index:
-                g_frames.append(np.einsum("jg,jnh->gnh", ahat, self._tail_backward(g_points @ matrix.T)))
+                g_tail = self._tail_backward(g_points @ matrix.T)
+                g_frames.append((ahat.T @ g_tail.reshape(J, -1)).reshape(g_tail.shape))
         self._block_matrix_backward(index, g_matrix, grads)
         return np.concatenate(g_frames) if index else None
 
@@ -698,10 +696,7 @@ class StreamClassifier:
 
     def _mix(self, ahat, frames):
         """The graph-mixed frames ``sum_g ahat[j, g] X_g`` of each joint ``j`` side by side, ``(n, J * w)``."""
-        mixed = np.einsum("jg,ngd->njd", ahat, frames)
-        if not np.isfinite(mixed).all():  # einsum ignores np.errstate
-            raise FloatingPointError("overflow encountered in einsum")
-        return mixed.reshape(frames.shape[0], -1)
+        return (ahat @ frames).reshape(frames.shape[0], -1)
 
     def _joint_paths(self, times, seq):
         """The ``J`` raw paths ``(J, n, t + w)``, ``[time, tail of its w columns]``, of a sequence ``(n, J * w)``."""

@@ -563,6 +563,17 @@ class TestTrainEval:
             assert data in result.stderr and str(ckpt) in result.stderr
             assert result.stdout == ""
 
+    def test_overflowing_settled_accuracy_exits_1_without_a_checkpoint(self, stream_file, tmp_path):
+        # the last step's update overflows the parameters; the settled
+        # accuracy is taken before the checkpoint would be written
+        config = _write_train_config(tmp_path, epochs=1, learning_rate="1e308", momentum="1e308")
+        data, ckpt = stream_file(count=8), tmp_path / "m.ckpt"
+        result = run_cli("train", config, data, str(ckpt))
+        assert result.returncode == 1
+        assert_single_error_line(result.stderr)
+        assert data in result.stderr
+        assert not ckpt.exists()
+
     def test_overflowing_perturbed_stream_exits_1_naming_the_files_and_rate(self, capture, stream_file, tmp_path):
         ckpt = str(tmp_path / "model.ckpt")
         assert capture(["train", _write_train_config(tmp_path), stream_file(count=8), ckpt])[0] == 0
@@ -735,12 +746,10 @@ class TestArraySizeBudget:
             {"hidden": 10**8},
             {"num_classes": 10**9},
             {"num_segments": 10**9},
-            # each stream's rows pass; the layer's (increments, segments, width) mask does not
-            {"num_segments": 300000},
             {"embed_channels": 10**9},
             {"variant": "frame-rnn", "resample_frames": 10**9},
         ],
-        ids=["hidden", "num_classes", "num_segments", "num_segments-layer-mask", "embed_channels", "resample_frames"],
+        ids=["hidden", "num_classes", "num_segments", "embed_channels", "resample_frames"],
     )
     def test_train_config(self, monkeypatch, stream_file, tmp_path, capsys, overrides):
         data = stream_file(count=8)
@@ -766,7 +775,8 @@ class TestArraySizeBudget:
 
         data = stream_file()
         monkeypatch.setattr(cli, "logsig_sequence_forward", refuse)
-        self._assert_exits_2_naming(["logsig", data, "--degree", "2", "--segments", "300000"], "--segments 300000", capsys)
+        # width-2 streams: 10**8 segments make rows (10**8, 3)
+        self._assert_exits_2_naming(["logsig", data, "--degree", "2", "--segments", str(10**8)], f"--segments {10**8}", capsys)
 
 
 class TestRobustnessCommand:

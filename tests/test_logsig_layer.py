@@ -1,5 +1,7 @@
 """Log-signature sequence layer: forward contract and analytic adjoint."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,7 +99,7 @@ class TestForward:
         assert np.allclose(rows, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-14)
 
     @pytest.mark.parametrize(
-        "degree,width,squeeze",
+        "degree,width,layout",
         [
             pytest.param(1, 3, 1.0, id="1"),
             pytest.param(2, 3, 1.0, id="2"),
@@ -107,15 +109,20 @@ class TestForward:
             # every sample but the last before t = 0.25: a dense first
             # segment beside three segments that are each a single chord
             pytest.param(3, 3, 0.25, id="3-chords"),
+            # more segments than samples: most segments lie on one chord
+            pytest.param(3, 3, "sparse", id="3-sparse"),
         ],
     )
-    def test_rows_match_restricted_log_signatures(self, degree, width, squeeze):
+    def test_rows_match_restricted_log_signatures(self, degree, width, layout):
         rng = np.random.default_rng(1)
         basis = enumerate_lyndon(width, degree)
         for _ in range(5):
-            p = random_path(rng, int(rng.integers(2, 16)), width)
-            segments = int(rng.integers(1, 5)) if squeeze == 1.0 else 4
-            p = TimedPath(np.append(p.times[:-1] * squeeze, 1.0), p.points)
+            if layout == "sparse":
+                p, segments = random_path(rng, 4, width), 12
+            else:
+                p = random_path(rng, int(rng.integers(2, 16)), width)
+                segments = int(rng.integers(1, 5)) if layout == 1.0 else 4
+                p = TimedPath(np.append(p.times[:-1] * layout, 1.0), p.points)
             part = SegmentPartition.uniform(0.0, 1.0, segments)
             rows = logsig_sequence(p, part, degree, basis)
             v = _boundaries_in_path_time(p, part)
@@ -239,6 +246,8 @@ class TestBackward:
             # the boundary at 0.5 is a sample, so the middle start point is that sample
             pytest.param(2, 2, 3, "on-sample", id="2-on-sample"),
             pytest.param(1, 2, 2, "on-sample", id="1-on-sample"),
+            # more segments than samples: most segments lie on one chord
+            pytest.param(3, 12, 3, "sparse", id="3-sparse"),
         ],
     )
     def test_matches_finite_differences(self, degree, segments, d, layout):
@@ -247,6 +256,8 @@ class TestBackward:
         p = random_path(rng, 12, d)
         if layout == "constant":
             p = TimedPath([0.5], p.points[:1])
+        elif layout == "sparse":
+            p = random_path(rng, 4, d)
         elif layout == "on-sample":
             halves = np.sort(rng.uniform(0.0, 0.5, 4)), np.sort(rng.uniform(0.5, 1.0, 5))
             p = TimedPath(np.concatenate([[0.0], halves[0], [0.5], halves[1], [1.0]]), p.points)
@@ -284,6 +295,22 @@ class TestBackward:
         grad = backward_from_state(state, upstream)
         assert np.allclose(grad[4], 0.0)  # t=0.8 strictly inside segment 1
         assert np.any(grad[3] != 0.0)  # t=0.6 brackets the boundary
+
+    def test_many_segments_on_a_short_path_stay_small(self):
+        # forward plus backward at 2000 segments on 3 samples: the rows take
+        # 94 KiB, and no array may grow with samples times segments
+        rng = np.random.default_rng(9)
+        p = TimedPath([0.0, 0.4, 1.0], rng.normal(0.0, 1.0, (3, 3)))
+        part = SegmentPartition.uniform(0.0, 1.0, 2000)
+        basis = enumerate_lyndon(3, 2)
+        tracemalloc.start()
+        try:
+            rows, state = logsig_sequence_forward(p, part, 2, basis)
+            backward_from_state(state, np.ones_like(rows), np.ones_like(state.starts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_constant_path_backward_is_zero(self):
         p = TimedPath([0.5], [[1.0, 1.0]])
