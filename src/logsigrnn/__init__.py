@@ -34,6 +34,7 @@ from .logsig_layer import (
     SegmentPartition,
     logsig_sequence,
     logsig_sequence_forward,
+    logsig_stack_forward,
     backward_from_state,
 )
 from .neural import (

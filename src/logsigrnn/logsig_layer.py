@@ -1,8 +1,8 @@
 """Log-signature sequence layer: forward map and its reverse-mode adjoint.
 
-The layer maps a timed path to one truncated log-signature per partition
-segment, an (N, d_ls) output whose shape is independent of the number of
-input samples; the backward pass propagates an (N, d_ls) gradient to them.
+The layer maps a timed path, or in one call a stack of paths on one time
+grid, to one truncated log-signature per partition segment: (N, d_ls) per
+path whatever the number of samples; the backward pass maps its gradient back.
 
 Internally the path is augmented with interpolated samples at the interior
 segment boundaries; every augmented point is an affine function of at most
@@ -37,6 +37,7 @@ __all__ = [
     "SegmentPartition",
     "logsig_sequence",
     "logsig_sequence_forward",
+    "logsig_stack_forward",
     "backward_from_state",
     "map_rows",
     "map_rows_backward",
@@ -77,7 +78,7 @@ class SegmentPartition:
 
 class _LayerState:
     __slots__ = (
-        "path", "degree", "basis", "rows", "starts", "mode", "lo", "hi", "w", "seg_ptr",
+        "points", "degree", "basis", "rows", "starts", "mode", "lo", "hi", "w", "seg_ptr",
         "aug_points", "deltas", "factors", "powers", "segment",
     )
 
@@ -95,20 +96,18 @@ def _boundaries_in_path_time(path: TimedPath, partition: SegmentPartition) -> np
     return v
 
 
-def _augment(path: TimedPath, v: np.ndarray):
-    """Merge interpolated boundary samples into the path's sample sequence.
+def _augment(t: np.ndarray, points: np.ndarray, v: np.ndarray):
+    """Merge interpolated boundary samples into the sample sequence of the paths ``points`` on times ``t``.
 
     Returns (lo, hi, w, seg_ptr, aug_points): augmented point j equals
-    (1-w_j) * points[lo_j] + w_j * points[hi_j], and seg_ptr[k] is the
-    augmented index of boundary k.  Boundaries coinciding with a sample are
-    inserted directly after it.
+    (1-w_j) * points[..., lo_j, :] + w_j * points[..., hi_j, :], and
+    seg_ptr[k] is the augmented index of boundary k.  Boundaries coinciding
+    with a sample are inserted directly after it.
     """
-    t, p = path.times, path.points
-    n = t.size
     interior = v[1:-1]
     # the first sample after each boundary; searching the interior samples keeps it in 1..n-1
     ins = np.searchsorted(t[1:-1], interior, side="right") + 1
-    size = n + interior.size
+    size = t.size + interior.size
     pos_b = ins + np.arange(interior.size)
     is_b = np.zeros(size, dtype=bool)
     is_b[pos_b] = True
@@ -117,25 +116,25 @@ def _augment(path: TimedPath, v: np.ndarray):
     w = np.zeros(size)
     w[pos_b] = (interior - t[ins - 1]) / (t[ins] - t[ins - 1])
     seg_ptr = np.concatenate([[0], pos_b, [size - 1]]).astype(np.intp)
-    aug_points = (1.0 - w)[:, None] * p[lo] + w[:, None] * p[hi]
+    aug_points = (1.0 - w)[:, None] * points[..., lo, :] + w[:, None] * points[..., hi, :]
     return lo, hi, w, seg_ptr, aug_points
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise tensor product of (S, p) and (S, q) blocks, flattened to (S, p*q)."""
-    return (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
+    """Row-wise tensor product of (..., S, p) and (..., S, q) blocks, flattened to (..., S, p*q)."""
+    return (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], -1)
 
 
 def _outer_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray):
     """Adjoint of ``_outer`` in both arguments for the upstream block ``g``."""
-    g = g.reshape(u.shape[0], u.shape[1], v.shape[1])
-    return (g @ v[:, :, None])[:, :, 0], (u[:, None, :] @ g)[:, 0, :]
+    g = g.reshape(*u.shape, v.shape[-1])
+    return (g @ v[..., None])[..., 0], (u[..., None, :] @ g)[..., 0, :]
 
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
-    """Cumulative sum along axis 0 with a leading zero row: ``out[i] = x[:i].sum(0)``."""
-    out = np.zeros((x.shape[0] + 1, x.shape[1]))
-    np.cumsum(x, axis=0, out=out[1:])
+    """Cumulative sum along axis -2 with a leading zero row: ``out[..., i, :] = x[..., :i, :].sum(-2)``."""
+    out = np.zeros((*x.shape[:-2], x.shape[-2] + 1, x.shape[-1]))
+    np.cumsum(x, axis=-2, out=out[..., 1:, :])
     return out
 
 
@@ -148,7 +147,7 @@ def _to_lyndon(level: np.ndarray, basis: LyndonBasis, n: int) -> np.ndarray:
     """
     hit, cols, block = basis.level_correction(n)
     if block.size:
-        level[:, hit] += level[:, cols] @ block
+        level[..., hit] += level[..., cols] @ block
     return level
 
 
@@ -158,7 +157,7 @@ def _to_lyndon_backward(upstream: np.ndarray, basis: LyndonBasis, n: int) -> np.
     if not block.size:
         return upstream
     g = upstream.copy()
-    g[:, cols] += upstream[:, hit] @ block.T
+    g[..., cols] += upstream[..., hit] @ block.T
     return g
 
 
@@ -173,11 +172,11 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     """
     basis, M = state.basis, state.degree
     aug, seg_ptr = state.aug_points, state.seg_ptr
-    deltas = np.diff(aug, axis=0)
-    d, S = deltas.shape[1], seg_ptr.size - 1
+    deltas = np.diff(aug, axis=-2)
+    d, S = deltas.shape[-1], seg_ptr.size - 1
     segment = np.repeat(np.arange(S), np.diff(seg_ptr))
     first = seg_ptr[segment]
-    sig, prefix = [None, aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]], [None, aug[:-1] - aug[first]]
+    sig, prefix = [None, aug[..., seg_ptr[1:], :] - state.starts], [None, aug[..., :-1, :] - aug[..., first, :]]
     factors = [None, []]
     for k in range(2, M + 1):
         factors.append([deltas / k + prefix[1]])
@@ -185,13 +184,13 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
             factors[k].append(_outer(factors[k][-1], deltas / (k - i + 1)) + prefix[i])
         if k < M:
             sums = _cumsum0(_outer(factors[k][-1], deltas))
-            sig.append(sums[seg_ptr[1:]] - sums[seg_ptr[:-1]])
-            prefix.append(sums[:-1] - sums[first])
+            sig.append(sums[..., seg_ptr[1:], :] - sums[..., seg_ptr[:-1], :])
+            prefix.append(sums[..., :-1, :] - sums[..., first, :])
     # top-level totals sum_i F_{M-1,i} (x) delta_i, one product per segment
-    f_top, top = factors[M][-1], np.empty((S, d ** (M - 1), d))
+    f_top, top = factors[M][-1], np.empty((*deltas.shape[:-2], S, d ** (M - 1), d))
     for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
-        np.matmul(f_top[a:b].T, deltas[a:b], out=top[s])
-    sig.append(top.reshape(S, -1))
+        np.matmul(f_top[..., a:b, :].swapaxes(-1, -2), deltas[..., a:b, :], out=top[..., s, :, :])
+    sig.append(top.reshape(*top.shape[:-2], -1))
     # log(1 + t) = sum_m (-1)^(m+1) t^m / m; powers[m] vanishes below level m
     powers = [None, sig]
     for m in range(2, M + 1):
@@ -200,11 +199,11 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
             + [sum(_outer(powers[m - 1][i], sig[k - i]) for i in range(m - 1, k))
                for k in range(m, M + 1)]
         )
-    rows = np.empty((S, basis.dim))
+    rows = np.empty((*deltas.shape[:-2], S, basis.dim))
     for n in range(1, M + 1):
         idx, _ = basis.level_inverse(n)
         log_n = sum((-1) ** (m + 1) / m * powers[m][n] for m in range(1, n + 1))
-        rows[:, basis._level_slices[n - 1]] = _to_lyndon(log_n[:, idx], basis, n)
+        rows[..., basis._level_slices[n - 1]] = _to_lyndon(log_n[..., idx], basis, n)
     state.deltas, state.factors, state.powers, state.segment = deltas, factors, powers, segment
     return rows
 
@@ -218,7 +217,7 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     for n in range(1, M + 1):
         idx, _ = basis.level_inverse(n)
         g = np.zeros_like(sig[n])
-        g[:, idx] = _to_lyndon_backward(upstream[:, basis._level_slices[n - 1]], basis, n)
+        g[..., idx] = _to_lyndon_backward(upstream[..., basis._level_slices[n - 1]], basis, n)
         glog.append(g)
     # through the power series: powers[m] = powers[m-1] (x) sig
     gsig = [None] + [np.zeros_like(level) for level in sig[1:]]
@@ -234,20 +233,20 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     gsig = [None] + [gs + gp for gs, gp in zip(gsig[1:], gpow[1:])]
 
     seg_ptr, segment, f_top = state.seg_ptr, state.segment, factors[M][-1]
-    (n_inc, d), last = deltas.shape, seg_ptr[1:][segment]
-    gprefix = [None] + [np.zeros((n_inc, level.shape[1])) for level in sig[1:M]]
+    d, last = deltas.shape[-1], seg_ptr[1:][segment]
+    gprefix = [None] + [np.zeros((*deltas.shape[:-1], level.shape[-1])) for level in sig[1:M]]
     # the top level's per-segment products, then descending k: only the levels
     # above k read P^k, so its gradient is complete when level k is reached
-    top = gsig[M].reshape(seg_ptr.size - 1, -1, d)
+    top = gsig[M].reshape(*gsig[M].shape[:-1], -1, d)
     g, gdeltas = np.empty_like(f_top), np.empty_like(deltas)
     for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
-        np.matmul(deltas[a:b], top[s].T, out=g[a:b])
-        np.matmul(f_top[a:b], top[s], out=gdeltas[a:b])
+        np.matmul(deltas[..., a:b, :], top[..., s, :, :].swapaxes(-1, -2), out=g[..., a:b, :])
+        np.matmul(f_top[..., a:b, :], top[..., s, :, :], out=gdeltas[..., a:b, :])
     for k in range(M, 0, -1):
         if k < M:
             # T^k reaches its segment's total and every later P^k of the segment
             sums = _cumsum0(gprefix[k])
-            gterm = gsig[k][segment] + sums[last] - sums[1:]
+            gterm = gsig[k][..., segment, :] + sums[..., last, :] - sums[..., 1:, :]
             if k == 1:  # T^1 is the increment itself
                 return gdeltas + gterm
             g, gv = _outer_backward(factors[k][-1], deltas, gterm)
@@ -272,7 +271,6 @@ def logsig_sequence(
     return rows
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
 def logsig_sequence_forward(
     path: TimedPath,
     partition: SegmentPartition,
@@ -281,31 +279,58 @@ def logsig_sequence_forward(
 ):
     """Forward pass returning the output rows plus the state for the adjoint.
 
-    ``state.starts`` holds the path's value at each segment's start.
+    ``state.starts`` holds the path's value at each segment's start.  This is
+    ``logsig_stack_forward``'s one-path case.
     """
+    return _forward(path, path.points, partition, degree, basis)
+
+
+def logsig_stack_forward(
+    times: np.ndarray,
+    points: np.ndarray,
+    partition: SegmentPartition,
+    degree: int,
+    basis: LyndonBasis | None = None,
+):
+    """``logsig_sequence_forward`` of the paths ``points`` ``(P, n, d)`` sampled at ``times``, in one call.
+
+    Rows and ``state.starts`` are ``(P, S, .)``, each path's equal to its own
+    call's, and ``backward_from_state`` on the state returns ``(P, n, d)``.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3:
+        raise ValueError(f"points must be (paths, n, d), got {points.shape}")
+    # side by side the paths are one path on the grid, whose checks cover the stack
+    grid = TimedPath(times, points.swapaxes(0, 1).reshape(points.shape[1], -1))
+    return _forward(grid, points, partition, degree, basis)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
+def _forward(grid: TimedPath, points: np.ndarray, partition: SegmentPartition, degree: int, basis: LyndonBasis | None):
+    """The layer on the paths ``points`` ``(..., n, d)`` sampled at ``grid.times``."""
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     if basis is None:
-        basis = enumerate_lyndon(path.width, degree)
-    if basis.width != path.width or basis.degree != degree:
+        basis = enumerate_lyndon(points.shape[-1], degree)
+    if basis.width != points.shape[-1] or basis.degree != degree:
         raise ValueError("basis does not match the path width and requested degree")
 
     state = _LayerState()
-    state.path, state.degree, state.basis = path, degree, basis
-    if path.num_samples < 2:
+    state.points, state.degree, state.basis = points, degree, basis
+    if grid.num_samples < 2:
         state.mode = "constant"
-        state.rows = np.zeros((partition.num_segments, basis.dim))
-        state.starts = np.repeat(path.points, partition.num_segments, axis=0)
+        state.rows = np.zeros((*points.shape[:-2], partition.num_segments, basis.dim))
+        state.starts = np.repeat(points, partition.num_segments, axis=-2)
         return state.rows, state
 
-    v = _boundaries_in_path_time(path, partition)
-    lo, hi, w, seg_ptr, aug = _augment(path, v)
+    v = _boundaries_in_path_time(grid, partition)
+    lo, hi, w, seg_ptr, aug = _augment(grid.times, points, v)
     state.lo, state.hi, state.w, state.seg_ptr, state.aug_points = lo, hi, w, seg_ptr, aug
-    state.starts = aug[seg_ptr[:-1]]
+    state.starts = aug[..., seg_ptr[:-1], :]
 
     if degree == 1:
         state.mode = "m1"
-        state.rows = aug[seg_ptr[1:]] - aug[seg_ptr[:-1]]
+        state.rows = aug[..., seg_ptr[1:], :] - state.starts
     else:
         state.mode = "generic"
         state.rows = _chen_forward(state)
@@ -320,7 +345,7 @@ def logsig_sequence_forward(
 def backward_from_state(
     state: _LayerState, upstream: np.ndarray, starts: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gradient of sum(upstream * rows) with respect to the path's points.
+    """Gradient of sum(upstream * rows) with respect to the path's points (each path's, for a stack).
 
     With ``starts``, an upstream gradient for the start points
     ``state.starts``, the gradient of sum(starts * state.starts) is added.
@@ -330,9 +355,9 @@ def backward_from_state(
     for name, given, value in (("upstream", upstream, state.rows), ("start-point", starts, state.starts)):
         if given.shape != value.shape:
             raise ValueError(f"{name} gradient must have shape {value.shape}, got {given.shape}")
-    grad = np.zeros_like(state.path.points)
+    grad = np.zeros_like(state.points)
     if state.mode == "constant":  # every start point is the one sample
-        grad[0] = starts.sum(axis=0)
+        grad[..., 0, :] = starts.sum(axis=-2)
         return grad
 
     seg_ptr = state.seg_ptr
@@ -340,15 +365,15 @@ def backward_from_state(
 
     if state.mode == "generic":
         gdeltas = _chen_backward(state, upstream)
-        gaug[1:] += gdeltas
-        gaug[:-1] -= gdeltas
+        gaug[..., 1:, :] += gdeltas
+        gaug[..., :-1, :] -= gdeltas
     else:  # degree 1: the rows are the segment increments
-        gaug[seg_ptr[1:]] += upstream
-        gaug[seg_ptr[:-1]] -= upstream
-    gaug[seg_ptr[:-1]] += starts
+        gaug[..., seg_ptr[1:], :] += upstream
+        gaug[..., seg_ptr[:-1], :] -= upstream
+    gaug[..., seg_ptr[:-1], :] += starts
 
-    np.add.at(grad, state.lo, (1.0 - state.w)[:, None] * gaug)
-    np.add.at(grad, state.hi, state.w[:, None] * gaug)
+    np.add.at(grad, (..., state.lo, slice(None)), (1.0 - state.w)[:, None] * gaug)
+    np.add.at(grad, (..., state.hi, slice(None)), state.w[:, None] * gaug)
     return grad
 
 
@@ -372,8 +397,7 @@ def map_rows(rows: np.ndarray, matrix: np.ndarray, source: LyndonBasis, target: 
         )
     out, levels = [rows[:, : source.width] @ matrix], []
     for n in range(2, target.degree + 1):
-        # letters[k, i] is letter k (from 0) of the target's i-th Lyndon word of length n
-        letters = np.array(np.unravel_index(target.level_inverse(n)[0], (target.width,) * n))
+        letters = target.level_letters(n)
         # powers[k][v, w] = prod_{i<=k} matrix[v_i, w_i], v a source word, w a target Lyndon word
         factors = np.take(matrix, letters, axis=1)
         powers = [factors[:, 0]]

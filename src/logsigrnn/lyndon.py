@@ -177,6 +177,7 @@ class LyndonBasis:
         self._inverse_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._correction_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._expansion_cache: dict[int, np.ndarray] = {}
+        self._letters_cache: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -247,6 +248,15 @@ class LyndonBasis:
             )
         self._inverse_cache[n] = (idx, inverse)
         return idx, inverse
+
+    def level_letters(self, n: int) -> np.ndarray:
+        """``(n, words of length n)`` table whose entry ``[k, i]`` is letter k (from 0) of the i-th such Lyndon word.
+
+        Built once per basis and level.
+        """
+        if n not in self._letters_cache:
+            self._letters_cache[n] = np.array(np.unravel_index(self.level_inverse(n)[0], (self.width,) * n))
+        return self._letters_cache[n]
 
     def level_correction(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``level_inverse(n)`` minus the identity, as ``(rows, cols, block)``.

@@ -16,8 +16,8 @@ matrix ``L``: el-logsig-rnn is the one-path case with its embedding as
 mapped route, taken by the first block whenever a raw path is narrow enough
 for the degree, the layer runs on groups of raw paths, each path's rows are
 gathered from its group's and ``logsig_layer.map_rows`` carries them through
-``L``.  Every other block runs the layer on each ``raw @ L``.  See
-``StreamClassifier``.
+``L``.  Every other block runs the layer once per sample on the stack of
+its ``J`` paths ``raw @ L``.  See ``StreamClassifier``.
 
 ``StreamClassifier._prepare`` checks each sample and builds what no
 parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
@@ -38,6 +38,7 @@ from .logsig_layer import (
     SegmentPartition,
     backward_from_state,
     logsig_sequence_forward,
+    logsig_stack_forward,
     map_rows,
     map_rows_backward,
 )
@@ -447,10 +448,10 @@ class StreamClassifier:
     whole.  ``map_rows`` carries the batch's
     ``B * J * segments`` rows through ``L`` in one pass; ``L``'s gradient is
     the map's adjoint plus the start points' term.  Every other block takes
-    the per-path route of ``_path_inputs``: the layer runs on each ``raw[j]
-    @ L``, and ``L``'s gradient is ``sum_j raw[j].T`` times the paths' point
-    gradients.  ``raw_basis`` is None on the per-path route; setting it to
-    None forces that route.
+    the per-path route of ``_path_inputs``: one layer call and one adjoint
+    call per sample on its stack ``raw @ L`` ``(J, n, c)``, and ``L``'s
+    gradient is ``sum_j raw[j].T`` times the paths' point gradients.
+    ``raw_basis`` is None on this route; setting it to None forces it.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
@@ -649,19 +650,14 @@ class StreamClassifier:
         self._block_matrix_backward(0, g_matrix, grads)
 
     def _path_inputs(self, index, inputs, basis, segments):
-        """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: the layer on each ``raw[j] @ L``.
+        """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: one layer call per sample on its ``raw @ L``.
 
         Entries are ``(times, raw, ahat)`` with a sample's ``J`` raw paths ``raw``
         ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
         """
         matrix = self._block_matrix(index)
-        rows, states = [], []
-        for times, raw, _ in inputs:
-            for points in raw @ matrix:
-                r, state = self._rows(times, points, basis, segments)
-                rows.append(r)
-                states.append(state)
-        return np.stack(rows), (inputs, matrix, states)
+        rows, states = zip(*(self._rows(times, raw @ matrix, basis, segments) for times, raw, _ in inputs))
+        return np.concatenate(rows), (inputs, matrix, states)
 
     def _path_inputs_backward(self, index, cache, gx, grads):
         """Add a per-path block's parameter gradients to ``grads``, given its inputs' gradient ``gx``.
@@ -671,13 +667,10 @@ class StreamClassifier:
         segments, hidden)``: ``ahat.T`` on each joint's ``_tail_backward(g_points[j] @ L.T)``.
         """
         inputs, matrix, states = cache
-        J, d, sp = self.joints, states[0].rows.shape[1], self.config.use_start_points
+        J, d, sp = self.joints, states[0].rows.shape[-1], self.config.use_start_points
         g_matrix, g_frames = 0.0, []
-        for i, (_, raw, ahat) in enumerate(inputs):
-            g_points = np.stack([
-                backward_from_state(states[i * J + j], g[:, :d], g[:, d:] if sp else None)
-                for j, g in enumerate(gx[i])
-            ])
+        for (_, raw, ahat), state, g in zip(inputs, states, gx):
+            g_points = backward_from_state(state, g[..., :d], g[..., d:] if sp else None)
             g_matrix += raw.reshape(-1, raw.shape[-1]).T @ g_points.reshape(-1, g_points.shape[-1])
             if index:
                 g_tail = self._tail_backward(g_points @ matrix.T)
@@ -717,12 +710,13 @@ class StreamClassifier:
         return g_points
 
     def _rows(self, times, points, basis, num_segments):
-        """Layer rows of one path over its segments (and start points, if configured) and the layer state."""
-        path = TimedPath(times, points)
-        partition = SegmentPartition.spanning(path, num_segments)
-        rows, state = logsig_sequence_forward(path, partition, self.config.degree, basis)
+        """One layer call's rows (with start points, if configured) and state, on a path (n, c) or a stack (J, n, c)."""
+        stack = points.ndim == 3
+        path = TimedPath(times, points[0] if stack else points)
+        args = SegmentPartition.spanning(path, num_segments), self.config.degree, basis
+        rows, state = logsig_stack_forward(times, points, *args) if stack else logsig_sequence_forward(path, *args)
         if self.config.use_start_points:
-            rows = np.concatenate([rows, state.starts], axis=1)
+            rows = np.concatenate([rows, state.starts], axis=-1)
         return rows, state
 
     # -- forward / backward over a batch -------------------------------------

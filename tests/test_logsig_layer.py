@@ -14,6 +14,7 @@ from logsigrnn import (
     log_signature,
     logsig_sequence,
     logsig_sequence_forward,
+    logsig_stack_forward,
     backward_from_state,
     evaluate,
     restrict,
@@ -187,6 +188,67 @@ class TestForward:
         rows = logsig_sequence(p, SegmentPartition.uniform(0.0, 1.0, 4), 2)
         assert abs(rows[1][2]) <= 1e-15 and abs(rows[2][2]) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "degree,width,n,segments",
+        [
+            pytest.param(1, 3, 15, 3, id="1"),
+            pytest.param(2, 3, 15, 4, id="2"),
+            pytest.param(3, 3, 15, 3, id="3"),
+            pytest.param(4, 3, 15, 2, id="4"),
+            pytest.param(3, 7, 40, 4, id="3-width7"),
+            pytest.param(3, 3, 1, 3, id="3-one-sample"),
+            # more segments than samples: most segments lie on one chord
+            pytest.param(3, 3, 4, 12, id="3-sparse"),
+        ],
+    )
+    def test_stack_rows_equal_one_path_calls(self, degree, width, n, segments):
+        # five paths on one time grid in one call: each path's rows and start
+        # points are those of its own call, bit for bit
+        rng = np.random.default_rng(20 + degree)
+        times = random_path(rng, n, 1).times
+        points = rng.normal(0.0, 1.0, (5, n, width))
+        part = SegmentPartition.uniform(0.0, 1.0, segments)
+        basis = enumerate_lyndon(width, degree)
+        rows, state = logsig_stack_forward(times, points, part, degree, basis)
+        assert rows.shape == (5, segments, basis.dim) and state.starts.shape == (5, segments, width)
+        for path_points, path_rows, path_starts in zip(points, rows, state.starts):
+            ref_rows, ref_state = logsig_sequence_forward(TimedPath(times, path_points), part, degree, basis)
+            assert np.array_equal(path_rows, ref_rows)
+            assert np.array_equal(path_starts, ref_state.starts)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["path", "stack"])
+    def test_overflowing_rows_raise(self, stacked):
+        times = np.array([0.0, 1.0, 2.0])
+        huge = np.array([[0.0, 0.0], [1e200, -1e200], [-1e200, 3e200]])
+        part = SegmentPartition.uniform(0.0, 1.0, 2)
+        with pytest.raises(FloatingPointError, match="rows are not finite"):
+            if stacked:  # one finite path beside the overflowing one
+                logsig_stack_forward(times, np.stack([np.ones((3, 2)), huge]), part, 3)
+            else:
+                logsig_sequence_forward(TimedPath(times, huge), part, 3)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["path", "stack"])
+    def test_basis_of_another_width_rejected(self, stacked):
+        times, points = np.array([0.0, 1.0]), np.zeros((2, 2, 3))
+        part, basis = SegmentPartition.uniform(0.0, 1.0, 2), enumerate_lyndon(4, 2)
+        with pytest.raises(ValueError, match="basis does not match the path width"):
+            if stacked:
+                logsig_stack_forward(times, points, part, 2, basis)
+            else:
+                logsig_sequence_forward(TimedPath(times, points[0]), part, 2, basis)
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            pytest.param(np.zeros((3, 2)), "paths, n, d", id="one-path"),
+            pytest.param(np.zeros((2, 4, 2)), "one row per timestamp", id="other-grid"),
+            pytest.param(np.array([[[0.0], [1.0], [np.inf]]]), "finite", id="not-finite"),
+        ],
+    )
+    def test_stack_must_lie_on_the_grid(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            logsig_stack_forward([0.0, 0.5, 1.0], points, SegmentPartition.uniform(0.0, 1.0, 2), 2)
+
     def test_bad_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             logsig_sequence(
@@ -276,6 +338,37 @@ class TestBackward:
         # without the start points' upstream, the rows' gradient alone
         analytic = backward_from_state(state, upstream)
         assert max_rel_err(analytic, fd_gradient(p, part, degree, basis, upstream)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "degree,n,segments",
+        [
+            pytest.param(1, 12, 3, id="1"),
+            pytest.param(2, 12, 4, id="2"),
+            pytest.param(3, 12, 2, id="3"),
+            pytest.param(4, 12, 2, id="4"),
+            pytest.param(3, 1, 3, id="3-one-sample"),
+            pytest.param(3, 4, 12, id="3-sparse"),
+        ],
+    )
+    def test_stack_adjoint_equals_one_path_adjoints(self, degree, n, segments):
+        # each path's gradient from the stack's one backward call is its own
+        # call's, bit for bit, and meets test_matches_finite_differences's bound
+        rng = np.random.default_rng(30 + degree)
+        times = random_path(rng, n, 1).times
+        points = rng.normal(0.0, 1.0, (3, n, 2))
+        part = SegmentPartition.uniform(0.0, 1.0, segments)
+        basis = enumerate_lyndon(2, degree)
+        rows, state = logsig_stack_forward(times, points, part, degree, basis)
+        upstream = rng.normal(0.0, 1.0, rows.shape)
+        starts = rng.normal(0.0, 1.0, state.starts.shape)
+        grad = backward_from_state(state, upstream, starts)
+        assert grad.shape == points.shape
+        for path_points, path_grad, path_upstream, path_starts in zip(points, grad, upstream, starts):
+            path = TimedPath(times, path_points)
+            _, path_state = logsig_sequence_forward(path, part, degree, basis)
+            assert np.array_equal(path_grad, backward_from_state(path_state, path_upstream, path_starts))
+            reference = fd_gradient(path, part, degree, basis, path_upstream, starts=path_starts)
+            assert max_rel_err(path_grad, reference) <= 1e-5
 
     def test_gradient_locality(self):
         # a sample strictly inside segment k that does not bracket a boundary

@@ -556,19 +556,25 @@ def _assert_rows_close(got, ref, tol=1e-12):
 
 
 def _layer_calls(monkeypatch, model, samples):
-    """Widths of the layer's forward calls and the number of its backward calls in one step."""
-    calls = {"widths": [], "backward": 0}
-    forward, backward = neural.logsig_sequence_forward, neural.backward_from_state
+    """The layer's calls in one step: each one-path forward call's width, each
+    stacked forward call's (paths, width) and each backward call's path count."""
+    calls = {"widths": [], "stacks": [], "backward": []}
+    forward, stack, backward = neural.logsig_sequence_forward, neural.logsig_stack_forward, neural.backward_from_state
 
     def counted_forward(path, *args):
         calls["widths"].append(path.width)
         return forward(path, *args)
 
-    def counted_backward(*args):
-        calls["backward"] += 1
-        return backward(*args)
+    def counted_stack(times, points, *args):
+        calls["stacks"].append((points.shape[0], points.shape[-1]))
+        return stack(times, points, *args)
+
+    def counted_backward(state, upstream, *args):
+        calls["backward"].append(math.prod(upstream.shape[:-2]))
+        return backward(state, upstream, *args)
 
     monkeypatch.setattr(neural, "logsig_sequence_forward", counted_forward)
+    monkeypatch.setattr(neural, "logsig_stack_forward", counted_stack)
     monkeypatch.setattr(neural, "backward_from_state", counted_backward)
     logits, cache = model.forward_batch(samples)
     _, g_logits = cross_entropy(logits, np.arange(len(samples)) % 3)
@@ -628,7 +634,7 @@ class TestElRoutes:
         for use_embedding, width in ((True, 4), (False, 3)):
             model = _el_model(rng, (1, 2), use_embedding=use_embedding)
             calls = _layer_calls(monkeypatch, model, samples)
-            assert calls == {"widths": [width] * 3, "backward": 0}
+            assert calls == {"widths": [width] * 3, "stacks": [], "backward": []}
 
     @pytest.mark.parametrize(
         "spec,embed_dim,degree,mapped",
@@ -650,8 +656,9 @@ class TestElRoutes:
         rng = np.random.default_rng(51)
         samples = [random_skeleton(rng, n, 5, 2) for n in (8, 20, 33)]
         model = _el_model(rng, (5, 2))
+        # el has one path per sample: one call on a stack of one path per sample
         calls = _layer_calls(monkeypatch, model, samples)
-        assert calls == {"widths": [5] * 3, "backward": 3}
+        assert calls == {"widths": [], "stacks": [(1, 5)] * 3, "backward": [1] * 3}
         _, cache = model.forward_batch(samples)
         for i, sample in enumerate(samples):
             rows, starts = _embedded_path_inputs(model, sample)
@@ -889,6 +896,26 @@ class TestGcnRoute:
         cfg = ModelConfig(variant=variant, degree=degree, gcn_dim=2, hidden=2, num_classes=3)
         assert (StreamClassifier(cfg, spec, {}).raw_basis is not None) == mapped
 
+    @pytest.mark.parametrize(
+        "variant,degree,route,groups",
+        [
+            pytest.param("gcn-logsig-rnn", 3, "per-path", [], id="gcn-per-path-d3"),
+            # block 0 on the mapped route: one call per joint group of each
+            # sample, all 5 joints at degree 2, 3 + 2 joints at degree 3
+            pytest.param("gcn-logsig-rnn-2", 2, "mapped", [11], id="gcn-2-d2"),
+            pytest.param("gcn-logsig-rnn-2", 3, "mapped", [7, 5], id="gcn-2-d3"),
+        ],
+    )
+    def test_per_path_block_calls_the_layer_once_per_sample(self, monkeypatch, variant, degree, route, groups):
+        # 5 joints x 2 coords: a per-path block runs one forward call on each
+        # sample's 5 paths [time, gcn_dim columns] and one backward call
+        rng = np.random.default_rng(82)
+        cfg = ModelConfig(variant=variant, degree=degree, num_segments=3, num_segments2=2, gcn_dim=3, hidden=4,
+                          num_classes=3)
+        model = self._model(cfg, rng, route, joints=5)
+        calls = _layer_calls(monkeypatch, model, self._samples(rng, joints=5))
+        assert calls == {"widths": groups * 3, "stacks": [(5, 4)] * 3, "backward": [5] * 3}
+
 
 class TestFrameRnnBatch:
     """frame-rnn unrolls a whole batch at once, each stream for its own frame count."""
@@ -1044,11 +1071,11 @@ class TestPreparedTraining:
             train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs), eval_samples, eval_labels)
             assert calls == [7] * (6 + 2)  # one path per stream, training then eval streams
         model = StreamClassifier.build(cfg, (3, 2), 0)
-        assert _layer_calls(monkeypatch, model, samples[:4]) == {"widths": [7] * 4, "backward": 0}
+        assert _layer_calls(monkeypatch, model, samples[:4]) == {"widths": [7] * 4, "stacks": [], "backward": []}
         # 5 joints x 2 coords at degree 3: groups of 3 and 2 joints, widths 7 and 5
         samples, _ = self._data(rng, (5, 2), 3)
         model = StreamClassifier.build(dataclasses.replace(cfg, degree=3), (5, 2), 0)
-        assert _layer_calls(monkeypatch, model, samples) == {"widths": [7, 5] * 3, "backward": 0}
+        assert _layer_calls(monkeypatch, model, samples) == {"widths": [7, 5] * 3, "stacks": [], "backward": []}
 
     @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
     def test_gcn_prepares_each_raw_path_once(self, monkeypatch, variant):
