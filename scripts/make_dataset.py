@@ -18,14 +18,17 @@ def main():
     parser.add_argument("--joints", type=int, default=5)
     args = parser.parse_args()
 
-    data = gen_synthetic(
-        args.count,
-        seed=args.seed,
-        length_range=(args.min_length, args.max_length),
-        noise=args.noise,
-        layout=args.layout,
-        joints=args.joints,
-    )
+    try:
+        data = gen_synthetic(
+            args.count,
+            seed=args.seed,
+            length_range=(args.min_length, args.max_length),
+            noise=args.noise,
+            layout=args.layout,
+            joints=args.joints,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     save_streams(data, args.output)
     print(f"wrote {len(data)} samples to {args.output}")
 

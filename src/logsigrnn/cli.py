@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datasets
 from .datasets import LabeledStreamSet, StreamParseError, load_streams
-from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward
+from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward, logsig_stack_forward
 from .lyndon import check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
 from .neural import (
     MAX_ARRAY_ENTRIES,
@@ -237,6 +237,15 @@ def _require_basis_size(width: int, degree: int, flags: str) -> None:
         raise InputError(f"{flags}: {exc}") from exc
 
 
+def _require_rows_budget(segments: int, dim: int, whose: str) -> None:
+    """``InputError`` naming ``--segments`` if ``whose`` rows ``(segments, dim)`` are past ``MAX_ARRAY_ENTRIES``."""
+    if segments * dim > MAX_ARRAY_ENTRIES:
+        raise InputError(
+            f"--segments {segments} makes {whose} rows {(segments, dim)}, "
+            f"past the array size budget of {MAX_ARRAY_ENTRIES} entries"
+        )
+
+
 def _cmd_dims(args) -> tuple[RunReport, int]:
     _require_at_least(args, 1, "width", "degree")
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
@@ -268,11 +277,7 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
-        if args.segments * basis.dim > MAX_ARRAY_ENTRIES:  # before any row is computed
-            raise InputError(
-                f"--segments {args.segments} makes each {args.input} sample's rows "
-                f"{(args.segments, basis.dim)}, past the array size budget of {MAX_ARRAY_ENTRIES} entries"
-            )
+        _require_rows_budget(args.segments, basis.dim, f"each {args.input} sample's")  # before any row is computed
         for i, p in enumerate(paths):
             part = SegmentPartition.spanning(p, args.segments)
             try:
@@ -296,6 +301,7 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
     rows = []
     _require_basis_size(args.width, args.degree, f"--width {args.width} --degree {args.degree}")
     basis = enumerate_lyndon(args.width, args.degree)
+    _require_rows_budget(args.segments, basis.dim, "each trial's")
     for trial in range(args.trials):
         n = int(rng.integers(6, 14))
         times = np.sort(rng.uniform(0.0, 1.0, n))
@@ -310,13 +316,12 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
         err = 0.0
         for i in range(n):
             for j in range(args.width):
-                shifted = points.copy()
-                shifted[i, j] += h
-                up = float(np.sum(upstream * logsig_sequence_forward(
-                    TimedPath(times, shifted), part, args.degree, basis)[0]))
-                shifted[i, j] -= 2 * h
-                dn = float(np.sum(upstream * logsig_sequence_forward(
-                    TimedPath(times, shifted), part, args.degree, basis)[0]))
+                # the up and down shifted paths, p + h and (p + h) - 2h, in one layer call
+                shifted = np.stack([points, points])
+                shifted[:, i, j] += h
+                shifted[1, i, j] -= 2 * h
+                rows_up, rows_dn = logsig_stack_forward(times, shifted, part, args.degree, basis)[0]
+                up, dn = float(np.sum(upstream * rows_up)), float(np.sum(upstream * rows_dn))
                 fd = (up - dn) / (2 * h)
                 a = grad[i, j]
                 denom = max(abs(a), abs(fd))
@@ -509,6 +514,14 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
         raise InputError(f"bad --upsample value {args.upsample!r}") from exc
     if not factors or any(f < 1 for f in factors):
         raise InputError("upsample factors must be positive integers")
+    for factor in factors:  # before any stream is upsampled
+        for i, s in enumerate(data.samples):
+            shape = ((s.num_samples - 1) * factor + 1, s.width)
+            if shape[0] * shape[1] > MAX_ARRAY_ENTRIES:
+                raise InputError(
+                    f"--upsample factor {factor} makes {args.data} sample {i} {shape}, "
+                    f"past the array size budget of {MAX_ARRAY_ENTRIES} entries"
+                )
     train_set, eval_set = _split_eval(data, args.eval_fraction, args.seed)
     epochs = args.epochs + args.timed_epochs
     rows = []
@@ -516,10 +529,17 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
         up_train = [datasets.upsample_linear(s, factor) for s in train_set.samples]
         up_eval = [datasets.upsample_linear(s, factor) for s in eval_set.samples]
         results = {}
-        for tag, cfg, st in (("model", config, settings), ("baseline", bconfig, bsettings)):
+        for tag, cfg, st, path in (("model", config, settings, args.config),
+                                   ("baseline", bconfig, bsettings, args.baseline_config)):
             st = dataclasses.replace(st, epochs=epochs, seed=args.seed)
-            res = train(cfg, up_train, train_set.labels, st)
-            acc = evaluate_model(cfg, up_eval, eval_set.labels, params=res.params).accuracy
+            where = f"{path} on {args.data} at --upsample factor {factor}"
+            try:
+                res = train(cfg, up_train, train_set.labels, st)
+                acc = evaluate_model(cfg, up_eval, eval_set.labels, params=res.params).accuracy
+            except (FloatingPointError, RuntimeError) as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from exc
             med = _median_epoch_seconds(res.trace, args.warmup_epochs, args.timed_epochs)
             results[tag] = (med, acc, res.prepare_seconds)
         model, base = results["model"], results["baseline"]

@@ -77,17 +77,17 @@ class StreamParseError(ValueError):
 
 
 def _sorted_times(rng, n: int) -> np.ndarray:
-    # irregular grid on [0, 1] with pinned endpoints and strictly positive gaps
+    # irregular grid on [0, 1] with pinned endpoints and strictly positive gaps; [0] for one sample
     gaps = rng.uniform(0.2, 1.8, size=n - 1)
     t = np.concatenate([[0.0], np.cumsum(gaps)])
-    return t / t[-1]
+    return t / t[-1] if n > 1 else t
 
 
 def _speed_profile(rng, n: int) -> np.ndarray:
-    # monotone warp of [0, 1]: traversal speed varies along the curve
+    # monotone warp of [0, 1]: traversal speed varies along the curve; [0] for one sample
     inc = rng.gamma(2.0, 1.0, size=n - 1) + 1e-3
     s = np.concatenate([[0.0], np.cumsum(inc)])
-    return s / s[-1]
+    return s / s[-1] if n > 1 else s
 
 
 def _class_curve(name: str, s: np.ndarray, rng) -> np.ndarray:
@@ -120,10 +120,15 @@ def gen_synthetic(
 
     ``layout="path"`` yields 2-D :class:`TimedPath` samples; ``"skeleton"``
     yields :class:`SkeletonSequence` samples whose joints trace scaled and
-    shifted copies of the class curve on a chain-graph skeleton.
+    shifted copies of the class curve on a chain-graph skeleton.  Each
+    stream's sample count is drawn from ``length_range``, ``(shortest,
+    longest)`` with ``1 <= shortest <= longest``; a one-sample stream sits at
+    time 0.
     """
     if not classes:
         raise ValueError("need at least one class")
+    if not 1 <= length_range[0] <= length_range[1]:
+        raise ValueError(f"length_range must satisfy 1 <= shortest <= longest, got {tuple(length_range)}")
     rng = np.random.default_rng(seed)
     samples = []
     labels = np.empty(count, dtype=np.intp)

@@ -67,9 +67,10 @@ class SegmentPartition:
         return cls(np.linspace(start, stop, num_segments + 1))
 
     @classmethod
-    def spanning(cls, path: TimedPath, num_segments: int) -> "SegmentPartition":
-        """Uniform partition of the path's time span (the unit span for a single sample)."""
-        return cls.uniform(*(path.span if path.num_samples > 1 else (0.0, 1.0)), num_segments)
+    def spanning(cls, sample, num_segments: int) -> "SegmentPartition":
+        """Uniform partition of the span of a path's or skeleton's ``times`` (the unit span for a single sample)."""
+        t = sample.times
+        return cls.uniform(*((float(t[0]), float(t[-1])) if t.size > 1 else (0.0, 1.0)), num_segments)
 
     @property
     def num_segments(self) -> int:

@@ -88,21 +88,20 @@ MAX_ARRAY_ENTRIES = 2**25
 
 @dataclass(frozen=True)
 class SkeletonSequence:
-    """Frame sequence of joint coordinates plus optional bone adjacency."""
+    """Frame sequence of joint coordinates plus optional bone adjacency.
+
+    ``times`` and the flattened frames ``(n, joints * coords)`` obey ``TimedPath``'s rule.
+    """
 
     times: np.ndarray
     frames: np.ndarray
     adjacency: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64).reshape(-1)
         frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 3 or frames.shape[0] != times.size:
+        if frames.ndim != 3:
             raise ValueError(f"frames must be (n, joints, coords), got {frames.shape}")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(frames)):
-            raise ValueError("frames must be finite")
+        times = TimedPath(self.times, frames.reshape(frames.shape[0], frames.shape[1] * frames.shape[2])).times
         adjacency = self.adjacency
         if adjacency is not None:
             adjacency = np.asarray(adjacency, dtype=np.float64)
@@ -436,6 +435,11 @@ class StreamClassifier:
     gcn-logsig-rnn-2's second block builds its raw paths the same way from
     the first block's outputs.
 
+    A sample's time grid is checked when the sample is built and partitioned
+    when it is prepared, and every layer call on it shares that partition;
+    gcn-logsig-rnn-2's second block reads every sample on block 0's steps
+    ``0 .. num_segments - 1``, partitioned once per model (``grid2``).
+
     Block 0 takes the mapped route of ``_mapped_inputs`` while ``(t + w) **
     degree`` is at most ``MAPPED_TENSOR_LIMIT``, and always when el has no
     embedding.  The layer then runs forward only, when a sample is prepared,
@@ -503,6 +507,9 @@ class StreamClassifier:
         self.rnn_in, self.rnn_in2 = in_dims[0], in_dims[-1]
         mapped = cfg.variant != "frame-rnn" and ((t + w) ** cfg.degree <= MAPPED_TENSOR_LIMIT or bare)
         self.param_shapes = self._checked_shapes(in_dims)
+        if cfg.variant == "gcn-logsig-rnn-2":  # block 0's outputs are block 1's frames, on the grid 0..num_segments-1
+            steps = np.arange(cfg.num_segments, dtype=np.float64)
+            self.grid2 = steps, SegmentPartition.spanning(TimedPath(steps, steps), cfg.num_segments2)
         if not mapped:
             return
         # on the mapped route path i of a group reads its rows and start points
@@ -652,11 +659,12 @@ class StreamClassifier:
     def _path_inputs(self, index, inputs, basis, segments):
         """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: one layer call per sample on its ``raw @ L``.
 
-        Entries are ``(times, raw, ahat)`` with a sample's ``J`` raw paths ``raw``
-        ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
+        Entries are ``(times, partition, raw, ahat)`` with a sample's ``J`` raw
+        paths ``raw`` ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
         """
-        matrix = self._block_matrix(index)
-        rows, states = zip(*(self._rows(times, raw @ matrix, basis, segments) for times, raw, _ in inputs))
+        matrix, degree = self._block_matrix(index), self.config.degree
+        rows, states = zip(*(self._rows(*logsig_stack_forward(times, raw @ matrix, partition, degree, basis))
+                             for times, partition, raw, _ in inputs))
         return np.concatenate(rows), (inputs, matrix, states)
 
     def _path_inputs_backward(self, index, cache, gx, grads):
@@ -669,7 +677,7 @@ class StreamClassifier:
         inputs, matrix, states = cache
         J, d, sp = self.joints, states[0].rows.shape[-1], self.config.use_start_points
         g_matrix, g_frames = 0.0, []
-        for (_, raw, ahat), state, g in zip(inputs, states, gx):
+        for (*_, raw, ahat), state, g in zip(inputs, states, gx):
             g_points = backward_from_state(state, g[..., :d], g[..., d:] if sp else None)
             g_matrix += raw.reshape(-1, raw.shape[-1]).T @ g_points.reshape(-1, g_points.shape[-1])
             if index:
@@ -709,12 +717,8 @@ class StreamClassifier:
             g_points = _accumulative_backward(g_points)
         return g_points
 
-    def _rows(self, times, points, basis, num_segments):
-        """One layer call's rows (with start points, if configured) and state, on a path (n, c) or a stack (J, n, c)."""
-        stack = points.ndim == 3
-        path = TimedPath(times, points[0] if stack else points)
-        args = SegmentPartition.spanning(path, num_segments), self.config.degree, basis
-        rows, state = logsig_stack_forward(times, points, *args) if stack else logsig_sequence_forward(path, *args)
+    def _rows(self, rows, state):
+        """A layer call's rows, with its start points if configured, and its state."""
         if self.config.use_start_points:
             rows = np.concatenate([rows, state.starts], axis=-1)
         return rows, state
@@ -727,9 +731,10 @@ class StreamClassifier:
         The entry is frame-rnn's flattened or resampled frames ``(T, F *
         D)``; on block 0's mapped route ``(rows, ahat)``, each raw path's
         layer rows and raw start points ``(J, segments, c)`` gathered from one
-        layer call per group; or on the per-path route ``(times, raw, ahat)``,
-        the ``J`` raw paths ``(J, n, w)`` from one tail call.  ``ahat`` is the
-        gcn variants' normalized adjacency, None in el-logsig-rnn.
+        layer call per group; or on the per-path route ``(times, partition,
+        raw, ahat)``, the ``J`` raw paths ``(J, n, w)`` from one tail call,
+        with the sample's one partition.  ``ahat`` is the gcn variants'
+        normalized adjacency, None in el-logsig-rnn.
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A value that overflows float64 is a
         ``FloatingPointError`` naming the stream.
@@ -742,15 +747,15 @@ class StreamClassifier:
                     f"the model takes {tuple(self.spec)}"
                 )
             try:
-                frames = s.points[:, None, :] if isinstance(s, TimedPath) else s.frames
-                entries.append(self._prepare_one(s.times, frames, getattr(s, "adjacency", None)))
+                entries.append(self._prepare_one(s))
             except FloatingPointError as exc:
                 raise FloatingPointError(f"stream {i}: {exc}") from exc
         return entries
 
     @np.errstate(over="raise", invalid="raise")
-    def _prepare_one(self, times, frames, adjacency):
-        cfg, n = self.config, len(times)
+    def _prepare_one(self, sample):
+        cfg, times, n = self.config, sample.times, sample.times.size
+        frames = sample.points[:, None, :] if isinstance(sample, TimedPath) else sample.frames
         seq = flat = frames.reshape(n, -1)
         if cfg.variant == "frame-rnn":
             if cfg.resample_frames > 0:  # the interpolant on a uniform grid of resample_frames frames
@@ -759,7 +764,7 @@ class StreamClassifier:
         # the sequence in front of the tail: the gcn variants' graph-mixed
         # frames, or el's [1, frames], in which the embedding is linear (the
         # frames themselves without it)
-        ahat = None
+        ahat, adjacency = None, getattr(sample, "adjacency", None)
         if cfg.variant != "el-logsig-rnn":
             if adjacency is None:
                 raise ValueError("gcn variants require an adjacency matrix")
@@ -768,12 +773,14 @@ class StreamClassifier:
         elif cfg.use_embedding:
             seq = np.ones((n, seq.shape[1] + 1))
             seq[:, 1:] = flat
+        partition = SegmentPartition.spanning(sample, self.blocks[0][2])
         if self.raw_basis is None:
-            return times, self._joint_paths(times, seq), ahat
+            return times, partition, self._joint_paths(times, seq), ahat
         w, rows = seq.shape[1] // self.joints, []
         for first, count, basis, gather in self.joint_groups:
-            group = self._tail(seq[:, first * w : (first + count) * w], times)
-            rows.append(self._rows(times, group, basis, self.blocks[0][2])[0].take(gather, axis=1).swapaxes(0, 1))
+            group = TimedPath(times, self._tail(seq[:, first * w : (first + count) * w], times))
+            group_rows, _ = self._rows(*logsig_sequence_forward(group, partition, cfg.degree, basis))
+            rows.append(group_rows.take(gather, axis=1).swapaxes(0, 1))
         return np.concatenate(rows), ahat
 
     @np.errstate(over="raise", invalid="raise")
@@ -798,9 +805,9 @@ class StreamClassifier:
                 batch_cache["blocks"].append(block_cache)
                 out = out.reshape(B, J, segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
-                    times, frames = np.arange(segments, dtype=np.float64), out.swapaxes(1, 2)
-                    inputs = [(times, self._joint_paths(times, self._mix(entry[-1], f)), entry[-1])
-                              for f, entry in zip(frames, inputs)]
+                    times, partition = self.grid2
+                    inputs = [(times, partition, self._joint_paths(times, self._mix(entry[-1], f)), entry[-1])
+                              for f, entry in zip(out.swapaxes(1, 2), inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
             batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
         logits = feats @ p["head.w"] + p["head.b"]

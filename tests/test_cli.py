@@ -156,11 +156,15 @@ def _path_record(label):
     return f'{{"kind": "path", "label": {label}, "n": 1, "d": 2, "times": [0.5], "points": [[1.0, -2.0]]}}\n'
 
 
-def _skeleton_record(weight):
+def _skeleton_record(weight, n=2, times="[0.0, 1.0]", frames="[[[0.0], [1.0]], [[1.0], [2.0]]]"):
     return (
-        '{"kind": "skeleton", "label": 0, "n": 2, "joints": 2, "coords": 1, "times": [0.0, 1.0],'
-        f' "frames": [[[0.0], [1.0]], [[1.0], [2.0]]], "adjacency": [[0.0, {weight}], [{weight}, 0.0]]}}\n'
+        f'{{"kind": "skeleton", "label": 0, "n": {n}, "joints": 2, "coords": 1, "times": {times},'
+        f' "frames": {frames}, "adjacency": [[0.0, {weight}], [{weight}, 0.0]]}}\n'
     )
+
+
+# a skeleton whose timestamps TimedPath's grid rule refuses
+INFINITE_TIME_SKELETON = _skeleton_record(1.0, times="[0.0, Infinity]")
 
 
 class TestStreamFileErrors:
@@ -182,6 +186,9 @@ class TestStreamFileErrors:
             # a negative or infinite bone weight would make the graph normalization take sqrt of a bad row sum
             pytest.param(_skeleton_record("-3.0"), 1, id="adjacency-negative"),
             pytest.param(_skeleton_record("1e400"), 1, id="adjacency-infinite"),
+            # a skeleton's grid obeys the path rule, so loading names the line
+            pytest.param(INFINITE_TIME_SKELETON, 1, id="skeleton-infinite-time"),
+            pytest.param(_skeleton_record(1.0, n=1, times="[NaN]", frames="[[[0.0], [1.0]]]"), 1, id="skeleton-one-nan-time"),
         ],
     )
     def test_exits_2_naming_the_line(self, tmp_path, text, line):
@@ -192,6 +199,16 @@ class TestStreamFileErrors:
         assert_single_error_line(result.stderr)
         assert f"{path}: line {line}:" in result.stderr
         assert result.stdout == ""
+
+    def test_train_on_an_infinite_time_exits_2_naming_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(INFINITE_TIME_SKELETON)
+        config = _write_train_config(tmp_path, variant="gcn-logsig-rnn", epochs=1)
+        result = run_cli("train", config, str(path), str(tmp_path / "m.ckpt"))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert f"{path}: line 1: timestamps and points must be finite" in result.stderr
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestGradcheck:
@@ -216,6 +233,15 @@ class TestGradcheck:
         _, out1 = capture(["gradcheck", "--trials", "2", "--seed", "5"])
         _, out2 = capture(["gradcheck", "--trials", "2", "--seed", "5"])
         assert strip_timings(out1) == strip_timings(out2)
+
+    def test_a_wrong_adjoint_fails_with_exit_1(self, capture, monkeypatch):
+        backward = cli.backward_from_state
+        monkeypatch.setattr(cli, "backward_from_state", lambda *args: 1.001 * backward(*args))
+        code, out = capture(["gradcheck", "--trials", "2", "--degree", "3", "--seed", "0"])
+        assert code == 1
+        report = parse_report(out)
+        assert report.metrics["passed"] == 0.0
+        assert report.metrics["max_rel_err"] > 1e-4
 
     def test_no_trials_exits_2_naming_the_flag(self, capsys):
         # zero trials would check nothing and report a pass
@@ -778,6 +804,17 @@ class TestArraySizeBudget:
         # width-2 streams: 10**8 segments make rows (10**8, 3)
         self._assert_exits_2_naming(["logsig", data, "--degree", "2", "--segments", str(10**8)], f"--segments {10**8}", capsys)
 
+    def test_gradcheck_segments(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer call started")
+
+        for name in ("logsig_sequence_forward", "logsig_stack_forward", "backward_from_state"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.SegmentPartition, "uniform", refuse)
+        # width 3, degree 2: 10**9 segments make rows (10**9, 6)
+        argv = ["gradcheck", "--trials", "1", "--segments", str(10**9)]
+        self._assert_exits_2_naming(argv, f"--segments {10**9} makes each trial's rows ({10**9}, 6)", capsys)
+
 
 class TestRobustnessCommand:
     def test_report_shape(self, capture, stream_file, tmp_path):
@@ -842,6 +879,33 @@ class TestBenchCommand:
         # each train call's one-time preparation, after the original columns
         assert columns[-2:] == ["model_prepare_seconds", "baseline_prepare_seconds"]
         assert all(float(x) > 0 for r in rows for x in r[-2:])
+
+    def test_upsampled_stream_past_the_budget_exits_2_before_upsampling(self, stream_file, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stream was upsampled")
+
+        monkeypatch.setattr(cli.datasets, "upsample_linear", refuse)
+        data = stream_file(count=8)
+        config = _write_train_config(tmp_path, epochs=1)
+        argv = ["bench", data, "--config", config, "--baseline-config", config, "--upsample", "1,10000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_single_error_line(captured.err)
+        assert "--upsample factor 10000000" in captured.err and "past the array size budget" in captured.err
+        assert captured.out == ""
+
+    def test_diverging_training_exits_1_naming_the_config_data_and_factor(self, stream_file, tmp_path):
+        data = stream_file(count=8)
+        config = _write_train_config(tmp_path, epochs=1, learning_rate=1e300, momentum=1e300)
+        baseline = _write_train_config(tmp_path, name="base.txt", epochs=1)
+        result = run_cli(
+            "bench", data, "--config", config, "--baseline-config", baseline,
+            "--upsample", "1", "--epochs", "1", "--timed-epochs", "1", "--warmup-epochs", "0",
+        )
+        assert result.returncode == 1
+        assert_single_error_line(result.stderr)
+        assert f"{config} on {data} at --upsample factor 1: non-finite loss at epoch" in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "flags,named",

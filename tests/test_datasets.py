@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logsigrnn import (
+    ModelConfig,
     SkeletonSequence,
     StreamParseError,
     TimedPath,
@@ -19,6 +20,9 @@ from logsigrnn import (
     perturb_drop,
     perturb_insert,
     save_streams,
+    TrainSettings,
+    evaluate_model,
+    train,
     upsample_linear,
 )
 from logsigrnn.datasets import LabeledStreamSet
@@ -63,6 +67,20 @@ class TestGeneration:
     def test_requires_classes(self):
         with pytest.raises(ValueError, match="class"):
             gen_synthetic(3, classes=())
+
+    @pytest.mark.parametrize("layout,variant", [("path", "el-logsig-rnn"), ("skeleton", "gcn-logsig-rnn")])
+    def test_one_sample_streams_train_and_evaluate(self, layout, variant):
+        data = gen_synthetic(8, seed=2, length_range=(1, 1), layout=layout, joints=3)
+        assert all(s.times.tolist() == [0.0] for s in data.samples)
+        cfg = ModelConfig(variant=variant, degree=3, num_segments=2, hidden=4, embed_dim=3, gcn_dim=2)
+        result = train(cfg, data.samples, data.labels, TrainSettings(epochs=2, batch_size=4))
+        assert np.isfinite(result.final["loss"])
+        assert 0.0 <= evaluate_model(cfg, data.samples, data.labels, result.params).accuracy <= 1.0
+
+    @pytest.mark.parametrize("length_range", [(0, 5), (-2, -1), (5, 3)])
+    def test_bad_length_range_rejected(self, length_range):
+        with pytest.raises(ValueError, match="length_range"):
+            gen_synthetic(3, length_range=length_range)
 
     def test_skeleton_layout(self):
         data = gen_synthetic(4, seed=3, layout="skeleton", joints=4)
@@ -277,6 +295,8 @@ def _one_record_files(draw):
 class TestStreamFileFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_one_record_files())
+    # one frame has no timestamp gap to check, but its time must still be finite
+    @example('{"kind": "skeleton", "label": 0, "n": 1, "joints": 1, "coords": 1, "times": [NaN], "frames": [[[0.0]]]}\n')
     def test_loads_or_raises_stream_parse_error(self, text):
         try:
             data = load_streams(io.StringIO(text))
@@ -284,6 +304,10 @@ class TestStreamFileFuzz:
             return
         assert len(data) <= 1
         assert all(0 <= label < len(data.class_names) for label in data.labels)
+        # every loaded sample passed TimedPath's grid rule
+        for sample in data.samples:
+            assert sample.times.size >= 1 and np.all(np.isfinite(sample.times))
+            assert np.all(np.diff(sample.times) > 0)
 
 
 class TestDigitPolyline:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from logsigrnn import (
     rnn_forward,
     time_incorporated_layer,
     train,
+    gen_synthetic,
     upsample_linear,
 )
 from logsigrnn import neural
@@ -53,6 +55,31 @@ def random_skeleton(rng, n, F, D):
     times = np.sort(rng.uniform(0.0, 1.0, n))
     times[0], times[-1] = 0.0, 1.0
     return SkeletonSequence(times, rng.normal(0.0, 1.0, (n, F, D)), chain_adjacency(F))
+
+
+class TestSkeletonSequence:
+    """A skeleton's times and frames obey TimedPath's rule on the flattened frames, with its messages."""
+
+    @pytest.mark.parametrize(
+        "times,frames",
+        [
+            pytest.param([], np.zeros((0, 3, 2)), id="zero-frames"),
+            pytest.param([0.0, np.inf], np.zeros((2, 3, 2)), id="infinite-time"),
+            pytest.param([np.nan], np.zeros((1, 3, 2)), id="one-nan-time"),
+            pytest.param([0.0, 0.0], np.zeros((2, 3, 2)), id="repeated-time"),
+            pytest.param([0.0, 1.0], np.full((2, 3, 2), np.inf), id="infinite-frames"),
+            pytest.param([0.0, 1.0], np.zeros((3, 3, 2)), id="other-grid"),
+        ],
+    )
+    def test_refused_with_the_path_rule(self, times, frames):
+        with pytest.raises(ValueError) as path_error:
+            TimedPath(times, frames.reshape(len(frames), 6))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path_error.value))}$"):
+            SkeletonSequence(times, frames, chain_adjacency(3))
+
+    def test_keeps_the_checked_times(self):
+        skeleton = SkeletonSequence([[0.0], [0.5]], np.zeros((2, 3, 2)))
+        assert skeleton.times.dtype == np.float64 and skeleton.times.tolist() == [0.0, 0.5]
 
 
 class TestEmbedding:
@@ -178,6 +205,14 @@ class TestGcn:
         ahat = normalized_adjacency(a)
         assert np.allclose(ahat, ahat.T)
         assert np.all(np.linalg.eigvalsh(ahat) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["path", "skeleton"])
+    def test_a_sample_without_adjacency_is_refused(self, kind):
+        rng = np.random.default_rng(8)
+        sample = random_path(rng, 6, 2) if kind == "path" else SkeletonSequence(np.arange(6.0), np.ones((6, 1, 2)))
+        model = StreamClassifier.build(ModelConfig(variant="gcn-logsig-rnn", hidden=3), (1, 2), 0)
+        with pytest.raises(ValueError, match="gcn variants require an adjacency matrix"):
+            model.logits(sample)
 
 
 class TestRnn:
@@ -1099,6 +1134,37 @@ class TestPreparedTraining:
             train(cfg, samples, labels, TrainSettings(batch_size=4, epochs=epochs))
             block2 = 6 * epochs if variant == "gcn-logsig-rnn-2" else 0
             assert widths == [6] * 6 + [15] * block2
+
+    @pytest.mark.parametrize(
+        "variant,per_path,counts",
+        [
+            # (partitions, TimedPath builds) over 16 streams; with a partition
+            # per layer call they were (32, 32), (32, 64) and (64, 96)
+            ("gcn-logsig-rnn", False, (16, 32)),  # one build per joint group call (2 per stream)
+            ("gcn-logsig-rnn", True, (16, 32)),  # one grid check per stack call (16 per epoch)
+            ("gcn-logsig-rnn-2", False, (17, 65)),  # block 1's grid once per model, checked once
+        ],
+    )
+    def test_each_time_grid_is_partitioned_once(self, monkeypatch, variant, per_path, counts):
+        data = gen_synthetic(16, seed=5, length_range=(20, 60), layout="skeleton", joints=5)
+        partitions, builds = [], []
+        spanning, post_init = SegmentPartition.spanning.__func__, TimedPath.__post_init__
+
+        def counted_spanning(cls, sample, num_segments):
+            partitions.append(num_segments)
+            return spanning(cls, sample, num_segments)
+
+        def counted_post_init(path):
+            builds.append(path)
+            post_init(path)
+
+        monkeypatch.setattr(SegmentPartition, "spanning", classmethod(counted_spanning))
+        monkeypatch.setattr(TimedPath, "__post_init__", counted_post_init)
+        if per_path:
+            monkeypatch.setattr(neural, "MAPPED_TENSOR_LIMIT", 0)
+        cfg = ModelConfig(variant=variant, degree=3, hidden=4, num_classes=4)
+        train(cfg, data.samples, data.labels, TrainSettings(batch_size=8, epochs=2))
+        assert (len(partitions), len(builds)) == counts
 
     @pytest.mark.parametrize("where", ["training", "eval"])
     def test_overflowing_stream_fails_before_any_step_naming_it(self, monkeypatch, where):
