@@ -10,6 +10,7 @@ deterministic on one thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from . import datasets
-from .datasets import LabeledStreamSet, StreamParseError, load_streams
+from .datasets import LabeledStreamSet, load_streams
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward, logsig_stack_forward
 from .lyndon import check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
 from .neural import (
@@ -43,25 +44,39 @@ class InputError(ValueError):
     """Bad file or flag contents; maps to exit code 2."""
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Prefix a failure in the block with ``where``, keeping its exit code.
+
+    ``OSError`` and ``ValueError`` (bad input, exit 2) become ``InputError``;
+    ``FloatingPointError`` and ``RuntimeError`` (a failed numerical check,
+    exit 1) are raised again as the same type.
+    """
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+    except (FloatingPointError, RuntimeError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # config and checkpoint files
 
 
 def _coerce(key: str, value: str, typ: str):
     value = value.strip()
-    if typ == "bool" or typ.startswith("bool"):
-        if value.lower() in ("true", "1", "yes", "on"):
-            return True
-        if value.lower() in ("false", "0", "no", "off"):
-            return False
-        raise InputError(f"config key {key!r}: expected a boolean, got {value!r}")
-    try:
+    with _naming(f"config key {key!r}"):
+        if typ == "bool" or typ.startswith("bool"):
+            if value.lower() in ("true", "1", "yes", "on"):
+                return True
+            if value.lower() in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(f"expected a boolean, got {value!r}")
         if typ == "int":
             return int(value)
         if typ == "float" or typ.startswith("float"):
             return float(value)
-    except ValueError as exc:
-        raise InputError(f"config key {key!r}: {exc}") from exc
     return value
 
 
@@ -85,20 +100,15 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainSettings]:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     config = ModelConfig(**cfg_kwargs)
     settings = TrainSettings(**train_kwargs)
-    try:
+    with _naming("config"):
         config.validate()
         settings.validate()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     return config, settings
 
 
 def load_config_file(path: str) -> tuple[ModelConfig, TrainSettings]:
-    try:
-        with open(path) as handle:
-            return parse_config_text(handle.read())
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
+    with _naming(f"config file {path}"), open(path) as handle:
+        return parse_config_text(handle.read())
 
 
 _CKPT_MAGIC = "logsig-checkpoint v1"
@@ -139,11 +149,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
     line must close the blocks; anything else is an ``InputError`` naming
     the file.
     """
-    try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
+    with _naming(f"checkpoint {path}"), open(path) as handle:
+        lines = handle.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise InputError(f"{path} is not a checkpoint file")
     cfg_kwargs: dict = {}
@@ -189,11 +196,9 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
         raise InputError(f"checkpoint {path}: truncated after line {len(lines)}") from exc
     except ValueError as exc:
         raise InputError(f"checkpoint {path}, line {i + 1}: {exc}") from exc
-    try:
+    with _naming(f"checkpoint {path}"):
         config = ModelConfig(**cfg_kwargs)
         built = StreamClassifier(config, (spec[0], spec[1]), {}).param_shapes
-    except ValueError as exc:
-        raise InputError(f"checkpoint {path}: {exc}") from exc
     for name, shape in built.items():
         if name not in params:
             raise InputError(f"checkpoint {path}: missing param {name}")
@@ -209,12 +214,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
 
 
 def _load_dataset(path: str) -> LabeledStreamSet:
-    try:
+    with _naming(path):
         return load_streams(path)
-    except OSError as exc:
-        raise InputError(f"cannot read stream file {path}: {exc}") from exc
-    except StreamParseError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +228,6 @@ def _require_at_least(args, low: int, *names: str) -> None:
         value = getattr(args, name)
         if value < low:
             raise InputError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
-
-
-def _require_basis_size(width: int, degree: int, flags: str) -> None:
-    """``InputError`` naming ``flags`` if the basis is past ``check_basis_size``'s budget."""
-    try:
-        check_basis_size(width, degree)
-    except ValueError as exc:
-        raise InputError(f"{flags}: {exc}") from exc
 
 
 def _require_rows_budget(segments: int, dim: int, whose: str) -> None:
@@ -272,7 +265,8 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         raise InputError(f"stream file mixes widths {sorted(widths)}")
     if paths:
         width = widths.pop()
-        _require_basis_size(width, args.degree, f"--degree {args.degree} on width-{width} streams")
+        with _naming(f"--degree {args.degree} on width-{width} streams"):
+            check_basis_size(width, args.degree)
         basis = enumerate_lyndon(width, args.degree)
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
@@ -280,10 +274,8 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         _require_rows_budget(args.segments, basis.dim, f"each {args.input} sample's")  # before any row is computed
         for i, p in enumerate(paths):
             part = SegmentPartition.spanning(p, args.segments)
-            try:
+            with _naming(f"{args.input}, sample {i}"):
                 rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{args.input}, sample {i}: {exc}") from exc
             report.add_table(
                 f"sample{i}", labels, [[float(x) for x in row] for row in rows]
             )
@@ -299,7 +291,8 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
     tic = time.perf_counter()
     worst = 0.0
     rows = []
-    _require_basis_size(args.width, args.degree, f"--width {args.width} --degree {args.degree}")
+    with _naming(f"--width {args.width} --degree {args.degree}"):
+        check_basis_size(args.width, args.degree)
     basis = enumerate_lyndon(args.width, args.degree)
     _require_rows_budget(args.segments, basis.dim, "each trial's")
     for trial in range(args.trials):
@@ -370,21 +363,20 @@ def _cmd_train(args) -> tuple[RunReport, int]:
     eval_set = _load_dataset(args.eval_data) if args.eval_data else None
     # before training, so a run is not spent on a checkpoint that cannot be written
     _check_checkpoint_target(args.checkpoint)
-    result = train(
-        config, data.samples, data.labels, settings,
-        eval_samples=eval_set.samples if eval_set else None,
-        eval_labels=eval_set.labels if eval_set else None,
-    )
+    with _naming(f"{args.config} on {args.data}"):
+        result = train(
+            config, data.samples, data.labels, settings,
+            eval_samples=eval_set.samples if eval_set else None,
+            eval_labels=eval_set.labels if eval_set else None,
+        )
     spec = input_spec(data.samples)
     # settled post-training accuracy, taken before the checkpoint is written so
     # that a failing evaluation leaves none; re-evaluating the checkpoint on the
     # same data reproduces this number exactly
     model = StreamClassifier(config, spec, result.params)
     settled = _evaluate(model, data.samples, data.labels, args.data, args.checkpoint)
-    try:
+    with _naming(f"cannot write checkpoint {args.checkpoint}"):
         save_checkpoint(args.checkpoint, config, spec, result.params)
-    except OSError as exc:
-        raise InputError(f"cannot write checkpoint {args.checkpoint}: {exc}") from exc
     report = RunReport(
         "train",
         seed=settings.seed,
@@ -412,12 +404,8 @@ def _cmd_train(args) -> tuple[RunReport, int]:
 
 def _evaluate(model: StreamClassifier, samples, labels, data_path, checkpoint):
     """``evaluate_model`` on streams from a file; a rejected set or an overflow names both files."""
-    try:
+    with _naming(f"{data_path} with checkpoint {checkpoint}"):
         return evaluate_model(model, samples, labels)
-    except ValueError as exc:
-        raise InputError(f"{data_path} with checkpoint {checkpoint}: {exc}") from exc
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{data_path} with checkpoint {checkpoint}: {exc}") from exc
 
 
 def _cmd_eval(args) -> tuple[RunReport, int]:
@@ -441,10 +429,8 @@ def _cmd_eval(args) -> tuple[RunReport, int]:
 
 
 def _parse_rates(text: str) -> list[float]:
-    try:
+    with _naming(f"bad --rates value {text!r}"):
         rates = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad --rates value {text!r}: {exc}") from exc
     if not rates or any(not 0.0 <= r < 1.0 for r in rates):
         raise InputError("rates must lie in [0, 1)")
     return rates
@@ -490,17 +476,14 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
     return report, 0
 
 
-def _median_epoch_seconds(trace: list, warmup: int, timed: int) -> float:
-    """Median wall-clock over the last ``timed`` epochs, warm-up epochs excluded."""
-    spans = [r["seconds"] for r in trace[warmup:]][-timed:]
-    return float(np.median(spans))
+def _median_epoch_seconds(trace: list, timed: int) -> float:
+    """Median wall-clock over the last ``timed`` epochs."""
+    return float(np.median([r["seconds"] for r in trace[-timed:]]))
 
 
 def _cmd_bench(args) -> tuple[RunReport, int]:
     _require_at_least(args, 1, "timed_epochs")
     _require_at_least(args, 0, "seed")
-    if not 0 <= args.warmup_epochs <= args.epochs:
-        raise InputError(f"--warmup-epochs must lie in 0..{args.epochs} (--epochs), got {args.warmup_epochs}")
     if not 0.0 < args.eval_fraction < 1.0:
         raise InputError(f"--eval-fraction must lie in (0, 1), got {args.eval_fraction}")
     config, settings = load_config_file(args.config)
@@ -508,10 +491,8 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     data = _load_dataset(args.data)
     if not all(isinstance(s, TimedPath) for s in data.samples):
         raise InputError("bench expects path records")
-    try:
+    with _naming(f"bad --upsample value {args.upsample!r}"):
         factors = [int(tok) for tok in args.upsample.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad --upsample value {args.upsample!r}") from exc
     if not factors or any(f < 1 for f in factors):
         raise InputError("upsample factors must be positive integers")
     for factor in factors:  # before any stream is upsampled
@@ -532,15 +513,10 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
         for tag, cfg, st, path in (("model", config, settings, args.config),
                                    ("baseline", bconfig, bsettings, args.baseline_config)):
             st = dataclasses.replace(st, epochs=epochs, seed=args.seed)
-            where = f"{path} on {args.data} at --upsample factor {factor}"
-            try:
+            with _naming(f"{path} on {args.data} at --upsample factor {factor}"):
                 res = train(cfg, up_train, train_set.labels, st)
                 acc = evaluate_model(cfg, up_eval, eval_set.labels, params=res.params).accuracy
-            except (FloatingPointError, RuntimeError) as exc:
-                raise type(exc)(f"{where}: {exc}") from exc
-            except ValueError as exc:
-                raise InputError(f"{where}: {exc}") from exc
-            med = _median_epoch_seconds(res.trace, args.warmup_epochs, args.timed_epochs)
+            med = _median_epoch_seconds(res.trace, args.timed_epochs)
             results[tag] = (med, acc, res.prepare_seconds)
         model, base = results["model"], results["baseline"]
         rows.append([factor, model[0], model[1], base[0], base[1], model[2], base[2]])
@@ -551,7 +527,6 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
             "upsample": args.upsample, "data": args.data,
             "config": args.config, "baseline_config": args.baseline_config,
             "epochs": epochs, "timed_epochs": args.timed_epochs,
-            "warmup_epochs": args.warmup_epochs,
         },
     )
     report.add_table(
@@ -627,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upsample", default="1,2,4,8")
     p.add_argument("--epochs", type=int, default=6, help="training epochs before timing")
     p.add_argument("--timed-epochs", type=int, default=3)
-    p.add_argument("--warmup-epochs", type=int, default=1)
     p.add_argument("--eval-fraction", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

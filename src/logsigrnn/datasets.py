@@ -125,6 +125,12 @@ def gen_synthetic(
     longest)`` with ``1 <= shortest <= longest``; a one-sample stream sits at
     time 0.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if layout not in ("path", "skeleton"):
+        raise ValueError(f"unknown layout {layout!r}")
+    if layout == "skeleton" and joints < 1:
+        raise ValueError(f"joints must be >= 1 for the skeleton layout, got {joints}")
     if not classes:
         raise ValueError("need at least one class")
     if not 1 <= length_range[0] <= length_range[1]:
@@ -146,14 +152,12 @@ def gen_synthetic(
         if layout == "path":
             points = base + rng.normal(0.0, noise, size=base.shape)
             samples.append(TimedPath(t, points))
-        elif layout == "skeleton":
+        else:
             scale = 0.5 + 0.15 * np.arange(joints)
             offset = rng.normal(0.0, 0.3, size=(joints, 2))
             frames = base[:, None, :] * scale[None, :, None] + offset[None, :, :]
             frames = frames + rng.normal(0.0, noise, size=frames.shape)
             samples.append(SkeletonSequence(t, frames, adjacency))
-        else:
-            raise ValueError(f"unknown layout {layout!r}")
         labels[i] = label
     return LabeledStreamSet(samples, labels, tuple(classes), seed)
 
@@ -389,7 +393,7 @@ def load_streams(source) -> LabeledStreamSet:
             where = f"line {lineno}"
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # also an integer too long to convert
+            except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
                 raise StreamParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(obj, dict):
                 raise StreamParseError(f"{where}: expected a JSON object")

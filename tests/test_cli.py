@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logsigrnn import cli, gen_synthetic, lyndon, neural, save_streams
 from logsigrnn.cli import (
+    InputError,
     load_checkpoint,
     main,
     parse_config_text,
@@ -189,6 +191,8 @@ class TestStreamFileErrors:
             # a skeleton's grid obeys the path rule, so loading names the line
             pytest.param(INFINITE_TIME_SKELETON, 1, id="skeleton-infinite-time"),
             pytest.param(_skeleton_record(1.0, n=1, times="[NaN]", frames="[[[0.0], [1.0]]]"), 1, id="skeleton-one-nan-time"),
+            # the JSON decoder's recursion limit is a RuntimeError, once an exit 1 naming nothing
+            pytest.param("[" * 100000 + "\n", 1, id="deeply-nested-json"),
         ],
     )
     def test_exits_2_naming_the_line(self, tmp_path, text, line):
@@ -292,6 +296,112 @@ class TestFlags:
         assert result.returncode == 2
         assert_single_error_line(result.stderr)
         assert "seed must be >= 0, got -1" in result.stderr
+
+
+class TestFailureNaming:
+    """A file that cannot be read or used is one error line naming it, and exit 2."""
+
+    @pytest.mark.parametrize("bad", ["stream", "config", "checkpoint", "baseline-config", "mixed-shapes"])
+    def test_exits_2_naming_the_file(self, stream_file, tmp_path, bad):
+        data, config = stream_file(count=8), _write_train_config(tmp_path, epochs=1)
+        target = tmp_path / "bad"
+        if bad in ("stream", "config", "checkpoint"):
+            target.write_bytes(b"\xff\xfe\n")  # not UTF-8
+            argv = {
+                "stream": ["logsig", str(target)],
+                "config": ["train", str(target), data, str(tmp_path / "m.ckpt")],
+                "checkpoint": ["eval", str(target), data],
+            }[bad]
+            named = f"{target}: 'utf-8' codec can't decode"
+        elif bad == "baseline-config":
+            target.write_text("variant = frame-rnn\nbogus = 1\n")
+            argv = ["bench", data, "--config", config, "--baseline-config", str(target)]
+            named = f"config file {target}: config line 2: unknown key 'bogus'"
+        else:
+            target.write_text(Path(data).read_text() + Path(stream_file("skeletons.jsonl", count=2, layout="skeleton")).read_text())
+            argv = ["train", config, str(target), str(tmp_path / "m.ckpt")]
+            named = f"{config} on {target}: mixed input shapes"
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert_single_error_line(result.stderr)
+        assert named in result.stderr
+        assert result.stdout == ""
+
+
+# a value for a config key or a checkpoint token: bounded integers, so no
+# degree, width or segment count makes a parse slow
+_FUZZ_VALUES = (
+    st.integers(-3, 40).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["", "true", "off", "1e400", "el-logsig-rnn", "gcn-logsig-rnn-2", "frame-rnn", "lstm", "param", "end"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """Up to six ``key = value`` lines over the config keys and a few others."""
+    keys = st.sampled_from(sorted(cli._CONFIG_FIELDS) + sorted(cli._TRAIN_FIELDS)) | st.text(max_size=3)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        layout = draw(st.sampled_from(["{} = {}", "{}={}", "{} {}", "{} = {}  # note"]))
+        lines.append(layout.format(draw(keys), draw(_FUZZ_VALUES)))
+    return "\n".join(lines)
+
+
+@st.composite
+def _mutated_checkpoints(draw, lines):
+    """``lines`` of a checkpoint with up to three tokens replaced or lines dropped or repeated, maybe cut short."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["token", "drop", "repeat"]))
+        if how == "token":
+            tokens = lines[at].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_VALUES)
+            lines[at] = " ".join(tokens)
+        elif how == "drop" and len(lines) > 1:
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    text = "\n".join(lines) + "\n"
+    cut = draw(st.none() | st.integers(0, len(text)))
+    return text if cut is None else text[:cut]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_lines(tmp_path_factory):
+    cfg = ModelConfig(num_classes=2, hidden=2, embed_channels=1, embed_dim=2, num_segments=2)
+    target = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(str(target), cfg, (1, 2), StreamClassifier.build(cfg, (1, 2), 0).params)
+    return target.read_text().splitlines()
+
+
+class TestParserFuzz:
+    """Every config or checkpoint text parses or raises ``InputError``, never another exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_config_texts())
+    def test_config_text_parses_or_raises_input_error(self, text):
+        try:
+            config, settings_ = parse_config_text(text)
+        except InputError:
+            return
+        config.validate()
+        settings_.validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_loads_or_raises_input_error(self, checkpoint_lines, tmp_path_factory, data):
+        target = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        target.write_text(data.draw(_mutated_checkpoints(checkpoint_lines)), encoding="utf-8")
+        try:
+            config, spec, params = load_checkpoint(str(target))
+        except InputError:
+            return
+        built = StreamClassifier(config, spec, {}).param_shapes
+        assert {name: p.shape for name, p in params.items()} == built
 
 
 class TestConfigFiles:
@@ -868,7 +978,6 @@ class TestBenchCommand:
             [
                 "bench", data, "--config", config, "--baseline-config", baseline_cfg,
                 "--upsample", "1,2", "--epochs", "1", "--timed-epochs", "1",
-                "--warmup-epochs", "0",
             ]
         )
         assert code == 0
@@ -900,7 +1009,7 @@ class TestBenchCommand:
         baseline = _write_train_config(tmp_path, name="base.txt", epochs=1)
         result = run_cli(
             "bench", data, "--config", config, "--baseline-config", baseline,
-            "--upsample", "1", "--epochs", "1", "--timed-epochs", "1", "--warmup-epochs", "0",
+            "--upsample", "1", "--epochs", "1", "--timed-epochs", "1",
         )
         assert result.returncode == 1
         assert_single_error_line(result.stderr)
@@ -911,8 +1020,6 @@ class TestBenchCommand:
         "flags,named",
         [
             (["--timed-epochs", "0"], "--timed-epochs"),
-            (["--epochs", "1", "--timed-epochs", "1", "--warmup-epochs", "5"], "--warmup-epochs"),
-            (["--warmup-epochs", "-1"], "--warmup-epochs"),
             (["--eval-fraction", "-0.25"], "--eval-fraction"),
             (["--eval-fraction", "1"], "--eval-fraction"),
             (["--eval-fraction", "0.05"], "--eval-fraction"),  # holds out 0 of 8 records

@@ -82,6 +82,15 @@ class TestGeneration:
         with pytest.raises(ValueError, match="length_range"):
             gen_synthetic(3, length_range=length_range)
 
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [({"count": -1}, "count"), ({"layout": "skeleton", "joints": 0}, "joints"), ({"count": 0, "layout": "tree"}, "layout")],
+        ids=["count", "joints", "layout"],
+    )
+    def test_bad_argument_rejected_naming_it(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            gen_synthetic(**{"count": 3, **kwargs})
+
     def test_skeleton_layout(self):
         data = gen_synthetic(4, seed=3, layout="skeleton", joints=4)
         skel = data.samples[0]
@@ -297,6 +306,8 @@ class TestStreamFileFuzz:
     @given(_one_record_files())
     # one frame has no timestamp gap to check, but its time must still be finite
     @example('{"kind": "skeleton", "label": 0, "n": 1, "joints": 1, "coords": 1, "times": [NaN], "frames": [[[0.0]]]}\n')
+    # nesting past the JSON decoder's recursion limit
+    @example("[" * 100000 + "\n")
     def test_loads_or_raises_stream_parse_error(self, text):
         try:
             data = load_streams(io.StringIO(text))

@@ -46,3 +46,22 @@ def test_time_el_routes_forces_both_routes():
 def test_time_el_routes_forces_both_routes_past_the_limit():
     # a default shape whose raw path the model would send down the per-path route
     _assert_times_both_routes(("1", "7", "8", "3"), "raw width 9 (729 entries)")
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        # a zero-joint skeleton file was once written, and refused when read
+        (["--layout", "skeleton", "--joints", "0", "--count", "3"], "joints"),
+        (["--count", "-1"], "count"),
+    ],
+    ids=["joints", "count"],
+)
+def test_make_dataset_bad_argument_exits_2_naming_it(tmp_path, args, named):
+    target = tmp_path / "z.jsonl"
+    result = run_script("make_dataset.py", *args, str(target))
+    assert result.returncode == 2
+    # the usage lines list every flag, so look at the error line alone
+    error = result.stderr.splitlines()[-1]
+    assert error.startswith("make_dataset.py: error: ") and named in error
+    assert not target.exists()
