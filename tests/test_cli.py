@@ -1020,6 +1020,8 @@ class TestBenchCommand:
         "flags,named",
         [
             (["--timed-epochs", "0"], "--timed-epochs"),
+            (["--timed-epochs", "-1"], "--timed-epochs"),
+            (["--seed", "-1"], "--seed"),
             (["--eval-fraction", "-0.25"], "--eval-fraction"),
             (["--eval-fraction", "1"], "--eval-fraction"),
             (["--eval-fraction", "0.05"], "--eval-fraction"),  # holds out 0 of 8 records
