@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from logsigrnn import ModelConfig, SkeletonSequence, StreamClassifier, TimedPath, neural
+from logsigrnn import ModelConfig, StreamClassifier, TimedPath, neural
 from logsigrnn.neural import cross_entropy
 
 # (joints, coords, embed_dim, degree): both sides of the limit, degrees 2-4
@@ -36,8 +36,7 @@ def _streams(rng, count, joints, coords):
     for n in rng.integers(20, 121, count):
         times = np.sort(rng.uniform(0.0, 1.0, n))
         times[0], times[-1] = 0.0, 1.0
-        frames = rng.normal(size=(n, joints, coords))
-        streams.append(TimedPath(times, frames[:, 0]) if joints == 1 else SkeletonSequence(times, frames))
+        streams.append(TimedPath(times, rng.normal(size=(n, joints, coords))))
     return streams
 
 

@@ -176,6 +176,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
             if head[0] != "param":
                 raise InputError(f"expected a param header, got {lines[i]!r}")
             name, ndim = head[1], int(head[2])
+            if len(head) != 3 + ndim:
+                raise InputError(f"param {name} declares {ndim} dimensions, {len(head) - 3} sizes follow")
             if name in params:
                 raise InputError(f"repeated param {name}")
             shape = tuple(int(s) for s in head[3 : 3 + ndim])
@@ -256,14 +258,10 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
     report = RunReport(
         "logsig", config={"degree": args.degree, "segments": args.segments, "input": args.input}
     )
-    paths = [
-        s if isinstance(s, TimedPath) else TimedPath(s.times, s.frames.reshape(s.num_frames, -1))
-        for s in data.samples
-    ]
-    widths = {p.width for p in paths}
+    widths = {p.width for p in data.samples}
     if len(widths) > 1:
         raise InputError(f"stream file mixes widths {sorted(widths)}")
-    if paths:
+    if data.samples:
         width = widths.pop()
         with _naming(f"--degree {args.degree} on width-{width} streams"):
             check_basis_size(width, args.degree)
@@ -272,7 +270,7 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
         _require_rows_budget(args.segments, basis.dim, f"each {args.input} sample's")  # before any row is computed
-        for i, p in enumerate(paths):
+        for i, p in enumerate(data.samples):
             part = SegmentPartition.spanning(p, args.segments)
             with _naming(f"{args.input}, sample {i}"):
                 rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
@@ -280,7 +278,7 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
                 f"sample{i}", labels, [[float(x) for x in row] for row in rows]
             )
         report.metrics["logsig_dim"] = basis.dim
-    report.metrics["samples"] = len(paths)
+    report.metrics["samples"] = len(data.samples)
     return report, 0
 
 
@@ -441,8 +439,6 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
     config, spec, params = load_checkpoint(args.checkpoint)
     bconfig, bspec, bparams = load_checkpoint(args.baseline_checkpoint)
     data = _load_dataset(args.data)
-    if not all(isinstance(s, TimedPath) for s in data.samples):
-        raise InputError("robustness study expects path records")
     rates = _parse_rates(args.rates)
     model = StreamClassifier(config, spec, params)
     baseline = StreamClassifier(bconfig, bspec, bparams)
@@ -489,8 +485,6 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     config, settings = load_config_file(args.config)
     bconfig, bsettings = load_config_file(args.baseline_config)
     data = _load_dataset(args.data)
-    if not all(isinstance(s, TimedPath) for s in data.samples):
-        raise InputError("bench expects path records")
     with _naming(f"bad --upsample value {args.upsample!r}"):
         factors = [int(tok) for tok in args.upsample.split(",") if tok.strip()]
     if not factors or any(f < 1 for f in factors):

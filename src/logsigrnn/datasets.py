@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lyndon import enumerate_lyndon
 from .paths import TimedPath, log_signature, signature
-from .neural import SkeletonSequence
 
 __all__ = [
     "LabeledStreamSet",
@@ -119,7 +118,7 @@ def gen_synthetic(
     """Labeled synthetic streams, deterministic under the seed.
 
     ``layout="path"`` yields 2-D :class:`TimedPath` samples; ``"skeleton"``
-    yields :class:`SkeletonSequence` samples whose joints trace scaled and
+    yields :class:`TimedPath` skeletons whose joints trace scaled and
     shifted copies of the class curve on a chain-graph skeleton.  Each
     stream's sample count is drawn from ``length_range``, ``(shortest,
     longest)`` with ``1 <= shortest <= longest``; a one-sample stream sits at
@@ -157,7 +156,7 @@ def gen_synthetic(
             offset = rng.normal(0.0, 0.3, size=(joints, 2))
             frames = base[:, None, :] * scale[None, :, None] + offset[None, :, :]
             frames = frames + rng.normal(0.0, noise, size=frames.shape)
-            samples.append(SkeletonSequence(t, frames, adjacency))
+            samples.append(TimedPath(t, frames, adjacency))
         labels[i] = label
     return LabeledStreamSet(samples, labels, tuple(classes), seed)
 
@@ -169,7 +168,7 @@ def _drop_indices(path: TimedPath, k: int, rng) -> TimedPath:
         return path
     drop = rng.choice(np.arange(1, n - 1), size=k, replace=False)
     keep = np.setdiff1d(np.arange(n), drop)
-    return TimedPath(path.times[keep], path.points[keep])
+    return replace(path, times=path.times[keep], points=path.points[keep])
 
 
 def perturb_drop(path: TimedPath, rate: float, seed) -> TimedPath:
@@ -205,7 +204,7 @@ def perturb_insert(path: TimedPath, rate: float, seed) -> TimedPath:
     for i in chosen:
         times.insert(i + 1, 0.5 * (times[i] + times[i + 1]))
         points.insert(i + 1, points[i])
-    return TimedPath(np.array(times), np.stack(points))
+    return replace(path, times=np.array(times), points=np.stack(points))
 
 
 def upsample_linear(path: TimedPath, factor: int) -> TimedPath:
@@ -219,7 +218,7 @@ def upsample_linear(path: TimedPath, factor: int) -> TimedPath:
     times = (t[:-1, None] + np.diff(t)[:, None] * frac[None, :]).reshape(-1)
     pts = (p[:-1, None, :] + np.diff(p, axis=0)[:, None, :] * frac[None, :, None])
     pts = pts.reshape(-1, p.shape[1])
-    return TimedPath(np.append(times, t[-1]), np.vstack([pts, p[-1]]))
+    return replace(path, times=np.append(times, t[-1]), points=np.vstack([pts, p[-1]]))
 
 
 def mape(a, b, guard: float = 1e-8) -> float:
@@ -297,7 +296,7 @@ def mape_drop_study(
 
 
 def _record_for(sample, label: int) -> dict:
-    if isinstance(sample, TimedPath):
+    if sample.num_joints == 1 and sample.adjacency is None:
         return {
             "kind": "path",
             "label": int(label),
@@ -309,7 +308,7 @@ def _record_for(sample, label: int) -> dict:
     record = {
         "kind": "skeleton",
         "label": int(label),
-        "n": sample.num_frames,
+        "n": sample.num_samples,
         "joints": sample.num_joints,
         "coords": sample.num_coords,
         "times": sample.times.tolist(),
@@ -359,10 +358,7 @@ def _parse_record(obj: dict, where: str):
             frames = np.asarray(obj["frames"], dtype=np.float64)
             if times.size != obj["n"] or frames.shape != (obj["n"], obj["joints"], obj["coords"]):
                 raise ValueError("declared n/joints/coords do not match the data")
-            adjacency = obj.get("adjacency")
-            if adjacency is not None:
-                adjacency = np.asarray(adjacency, dtype=np.float64)
-            return SkeletonSequence(times, frames, adjacency), _label(obj)
+            return TimedPath(times, frames, obj.get("adjacency")), _label(obj)
         raise ValueError(f"unknown record kind {kind!r}")
     except (KeyError, TypeError) as exc:
         raise StreamParseError(f"{where}: missing or malformed field ({exc})") from exc

@@ -68,7 +68,7 @@ class SegmentPartition:
 
     @classmethod
     def spanning(cls, sample, num_segments: int) -> "SegmentPartition":
-        """Uniform partition of the span of a path's or skeleton's ``times`` (the unit span for a single sample)."""
+        """Uniform partition of the span of a path's ``times`` (the unit span for a single sample)."""
         t = sample.times
         return cls.uniform(*((float(t[0]), float(t[-1])) if t.size > 1 else (0.0, 1.0)), num_segments)
 

@@ -86,47 +86,8 @@ MAPPED_TENSOR_LIMIT = 512
 MAX_ARRAY_ENTRIES = 2**25
 
 
-@dataclass(frozen=True)
-class SkeletonSequence:
-    """Frame sequence of joint coordinates plus optional bone adjacency.
-
-    ``times`` and the flattened frames ``(n, joints * coords)`` obey ``TimedPath``'s rule.
-    """
-
-    times: np.ndarray
-    frames: np.ndarray
-    adjacency: np.ndarray | None = None
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 3:
-            raise ValueError(f"frames must be (n, joints, coords), got {frames.shape}")
-        times = TimedPath(self.times, frames.reshape(frames.shape[0], frames.shape[1] * frames.shape[2])).times
-        adjacency = self.adjacency
-        if adjacency is not None:
-            adjacency = np.asarray(adjacency, dtype=np.float64)
-            F = frames.shape[1]
-            if adjacency.shape != (F, F):
-                raise ValueError("adjacency must be joints x joints")
-            if not np.all(np.isfinite(adjacency) & (adjacency >= 0)):
-                raise ValueError("adjacency weights must be finite and non-negative")
-            if not np.allclose(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
-                raise ValueError("adjacency must be symmetric with a zero diagonal (self-loops are implicit)")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "adjacency", adjacency)
-
-    @property
-    def num_frames(self) -> int:
-        return self.times.size
-
-    @property
-    def num_joints(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def num_coords(self) -> int:
-        return self.frames.shape[2]
+# A skeleton is a ``TimedPath`` whose points are its flattened frames.
+SkeletonSequence = TimedPath
 
 
 @dataclass
@@ -391,16 +352,11 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _sample_spec(sample) -> tuple[int, int]:
-    """(joints, coords) of one sample; a path counts as one joint."""
-    return (1, sample.width) if isinstance(sample, TimedPath) else (sample.num_joints, sample.num_coords)
-
-
 def input_spec(samples) -> tuple[int, int]:
     """(joints, coords) shared by all samples; paths count as one joint."""
     spec = None
     for s in samples:
-        cur = _sample_spec(s)
+        cur = s.num_joints, s.num_coords
         if spec is None:
             spec = cur
         elif cur != spec:
@@ -416,7 +372,7 @@ def _rnn_param_shapes(in_dim, hidden, cell):
 
 
 class StreamClassifier:
-    """Sequence classifier over timed paths or skeleton sequences.
+    """Sequence classifier over timed paths, each with its joint layout.
 
     Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
     basis, segments)``.  A block reads each sample's ``J`` parameter-free raw
@@ -728,7 +684,7 @@ class StreamClassifier:
     def _prepare(self, samples) -> list:
         """Check each sample and build its parameter-free inputs, one entry per sample.
 
-        The entry is frame-rnn's flattened or resampled frames ``(T, F *
+        The entry is frame-rnn's points or resampled points ``(T, F *
         D)``; on block 0's mapped route ``(rows, ahat)``, each raw path's
         layer rows and raw start points ``(J, segments, c)`` gathered from one
         layer call per group; or on the per-path route ``(times, partition,
@@ -741,9 +697,9 @@ class StreamClassifier:
         """
         entries = []
         for i, s in enumerate(samples):
-            if _sample_spec(s) != tuple(self.spec):
+            if (s.num_joints, s.num_coords) != tuple(self.spec):
                 raise ValueError(
-                    f"sample {i} has (joints, coords) {_sample_spec(s)}, "
+                    f"sample {i} has (joints, coords) {s.num_joints, s.num_coords}, "
                     f"the model takes {tuple(self.spec)}"
                 )
             try:
@@ -755,24 +711,23 @@ class StreamClassifier:
     @np.errstate(over="raise", invalid="raise")
     def _prepare_one(self, sample):
         cfg, times, n = self.config, sample.times, sample.times.size
-        frames = sample.points[:, None, :] if isinstance(sample, TimedPath) else sample.frames
-        seq = flat = frames.reshape(n, -1)
+        seq = sample.points
         if cfg.variant == "frame-rnn":
             if cfg.resample_frames > 0:  # the interpolant on a uniform grid of resample_frames frames
-                seq = evaluate(TimedPath(times, seq), np.linspace(times[0], times[-1], cfg.resample_frames))
+                seq = evaluate(sample, np.linspace(times[0], times[-1], cfg.resample_frames))
             return seq
         # the sequence in front of the tail: the gcn variants' graph-mixed
         # frames, or el's [1, frames], in which the embedding is linear (the
         # frames themselves without it)
-        ahat, adjacency = None, getattr(sample, "adjacency", None)
+        ahat = None
         if cfg.variant != "el-logsig-rnn":
-            if adjacency is None:
+            if sample.adjacency is None:
                 raise ValueError("gcn variants require an adjacency matrix")
-            ahat = normalized_adjacency(adjacency)
-            seq = self._mix(ahat, frames)
+            ahat = normalized_adjacency(sample.adjacency)
+            seq = self._mix(ahat, sample.frames)
         elif cfg.use_embedding:
             seq = np.ones((n, seq.shape[1] + 1))
-            seq[:, 1:] = flat
+            seq[:, 1:] = sample.points
         partition = SegmentPartition.spanning(sample, self.blocks[0][2])
         if self.raw_basis is None:
             return times, partition, self._joint_paths(times, seq), ahat

@@ -10,7 +10,7 @@ the timestamps themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,26 +31,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimedPath:
-    """Timestamped point sequence, read as a piecewise-linear path."""
+    """Timestamped point sequence, read as a piecewise-linear path.
+
+    A skeleton is a path whose points are its flattened frames: points
+    ``(n, joints, coords)`` become ``(n, joints * coords)`` with
+    ``num_joints`` recording the layout, and ``adjacency`` is its optional
+    joints x joints bone graph.  A plain path is one joint.
+    """
 
     times: np.ndarray
     points: np.ndarray
+    adjacency: np.ndarray | None = None
+    num_joints: int = 1
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64).reshape(-1)
         points = np.asarray(self.points, dtype=np.float64)
         if points.ndim == 1:
             points = points[:, None]
+        elif points.ndim == 3:
+            object.__setattr__(self, "num_joints", points.shape[1])
+            points = points.reshape(points.shape[0], points.shape[1] * points.shape[2])
         if points.ndim != 2 or points.shape[0] != times.size:
             raise ValueError(
                 f"points must be (n, d) with one row per timestamp, got {points.shape}"
             )
+        joints = self.num_joints
+        if joints < 1 or points.shape[1] % joints:
+            raise ValueError(f"{points.shape[1]} point columns do not split into {joints} joints")
         if times.size < 1:
             raise ValueError("a path needs at least one sample")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
             raise ValueError("timestamps and points must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("timestamps must be strictly increasing")
+        if self.adjacency is not None:
+            adjacency = np.asarray(self.adjacency, dtype=np.float64)
+            if adjacency.shape != (joints, joints):
+                raise ValueError("adjacency must be joints x joints")
+            if not np.all(np.isfinite(adjacency) & (adjacency >= 0)):
+                raise ValueError("adjacency weights must be finite and non-negative")
+            if not np.allclose(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
+                raise ValueError("adjacency must be symmetric with a zero diagonal (self-loops are implicit)")
+            object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 
@@ -61,6 +84,15 @@ class TimedPath:
     @property
     def width(self) -> int:
         return self.points.shape[1]
+
+    @property
+    def num_coords(self) -> int:
+        return self.width // self.num_joints
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The points as frames ``(n, joints, coords)``."""
+        return self.points.reshape(self.num_samples, self.num_joints, self.num_coords)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -121,7 +153,7 @@ def restrict(path: TimedPath, start: float, stop: float) -> TimedPath:
     if t[hi] < stop:
         times.append(np.array([stop]))
         pieces.append(evaluate(path, stop))
-    return TimedPath(np.concatenate(times), np.concatenate(pieces, axis=0))
+    return replace(path, times=np.concatenate(times), points=np.concatenate(pieces, axis=0))
 
 
 def reparameterize(path: TimedPath, new_times) -> TimedPath:
@@ -134,7 +166,7 @@ def reparameterize(path: TimedPath, new_times) -> TimedPath:
         raise ValueError("new time grid must match the number of samples")
     if new_times.size > 1 and not np.all(np.diff(new_times) > 0):
         raise ValueError("time reparameterization must be strictly increasing")
-    return TimedPath(new_times, path.points)
+    return replace(path, times=new_times)
 
 
 def insert_sample_times(path: TimedPath, extra_times) -> TimedPath:
@@ -154,10 +186,10 @@ def insert_sample_times(path: TimedPath, extra_times) -> TimedPath:
     order = np.argsort(times, kind="stable")
     times = times[order]
     points = np.concatenate([path.points, evaluate(path, extra)], axis=0)[order]
-    return TimedPath(times, points)
+    return replace(path, times=times, points=points)
 
 
 def reverse_path(path: TimedPath) -> TimedPath:
     """Traverse the same points backwards on a forward-running clock."""
     t = path.times
-    return TimedPath(t[0] + t[-1] - t[::-1], path.points[::-1].copy())
+    return replace(path, times=t[0] + t[-1] - t[::-1], points=path.points[::-1].copy())

@@ -1,6 +1,7 @@
 """CLI subcommands: reports, exit codes, file formats."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logsigrnn import cli, gen_synthetic, lyndon, neural, save_streams
+from logsigrnn.datasets import LabeledStreamSet
 from logsigrnn.cli import (
     InputError,
     load_checkpoint,
@@ -121,6 +123,22 @@ class TestLogsig:
         _, out = capture(["logsig", str(path), "--degree", "3", "--basis-list"])
         _, rows = parse_report(out).tables["basis"]
         assert [r[1] for r in rows] == ["1", "2", "12", "112", "122"]
+
+    def test_skeleton_file_matches_its_flattened_paths(self, capture, tmp_path):
+        skeletons = gen_synthetic(4, seed=2, layout="skeleton", joints=3, length_range=(5, 12))
+        flat = LabeledStreamSet(
+            [TimedPath(s.times, s.points) for s in skeletons.samples], skeletons.labels, skeletons.class_names, 2
+        )
+        reports = []
+        for name, data in (("skel.jsonl", skeletons), ("flat.jsonl", flat)):
+            save_streams(data, str(tmp_path / name))
+            code, out = capture(["logsig", str(tmp_path / name), "--degree", "2", "--segments", "3"])
+            assert code == 0
+            reports.append(parse_report(out))
+        assert '"kind": "skeleton"' in (tmp_path / "skel.jsonl").read_text()
+        assert '"kind": "skeleton"' not in (tmp_path / "flat.jsonl").read_text()
+        assert len(reports[0].tables) == 4 and reports[0].tables == reports[1].tables
+        assert reports[0].metrics == reports[1].metrics
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -486,6 +504,23 @@ class TestCheckpoints:
         from logsigrnn.cli import InputError
 
         with pytest.raises(InputError, match="head.b"):
+            load_checkpoint(target)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            pytest.param("param head.b 99999999999999999999 4", id="fewer-sizes"),
+            pytest.param("param head.b 1 4 777 5", id="more-sizes"),
+        ],
+    )
+    def test_param_line_without_ndim_sizes_exits_2(self, tmp_path, stream_file, capsys, header):
+        def rewrite_head_b(lines):
+            return [header if ln == "param head.b 1 4" else ln for ln in lines]
+
+        target = self._edited_checkpoint(tmp_path, rewrite_head_b)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        line = Path(target).read_text().splitlines().index(header) + 1
+        with pytest.raises(InputError, match=f"checkpoint {re.escape(target)}, line {line}: param head.b"):
             load_checkpoint(target)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -948,6 +983,20 @@ class TestRobustnessCommand:
         # the r=0 row echoes the plain evaluation accuracy
         assert float(rows[0][1]) == report.metrics["accuracy_at_zero"]
 
+    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    def test_skeleton_file_with_a_gcn_model(self, capture, stream_file, tmp_path, variant):
+        data = stream_file(count=8, layout="skeleton", joints=3)
+        model_ckpt, base_ckpt = str(tmp_path / "m.ckpt"), str(tmp_path / "b.ckpt")
+        config = _write_train_config(tmp_path, variant=variant, degree=3, gcn_dim=2, epochs=1)
+        baseline_cfg = _write_train_config(tmp_path, name="base.txt", variant="frame-rnn", epochs=1)
+        assert capture(["train", config, data, model_ckpt])[0] == 0
+        assert capture(["train", baseline_cfg, data, base_ckpt])[0] == 0
+        for mode in ("drop", "insert"):
+            result = run_cli("robustness", model_ckpt, base_ckpt, data, "--rates", "0.3", "--mode", mode)
+            assert result.returncode == 0 and "Traceback" not in result.stderr
+            _, rows = parse_report(result.stdout).tables["accuracy"]
+            assert [float(r[0]) for r in rows] == [0.0, 0.3]
+
     def test_insert_mode_runs(self, capture, stream_file, tmp_path):
         data = stream_file(count=8)
         config = _write_train_config(tmp_path, epochs=1)
@@ -988,6 +1037,20 @@ class TestBenchCommand:
         # each train call's one-time preparation, after the original columns
         assert columns[-2:] == ["model_prepare_seconds", "baseline_prepare_seconds"]
         assert all(float(x) > 0 for r in rows for x in r[-2:])
+
+    @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
+    def test_skeleton_file_with_a_gcn_model(self, stream_file, tmp_path, variant):
+        data = stream_file(count=10, layout="skeleton", joints=3)
+        config = _write_train_config(tmp_path, variant=variant, degree=3, gcn_dim=2, epochs=1)
+        baseline_cfg = _write_train_config(tmp_path, name="base.txt", variant="frame-rnn")
+        result = run_cli(
+            "bench", data, "--config", config, "--baseline-config", baseline_cfg,
+            "--upsample", "1,2", "--epochs", "1", "--timed-epochs", "1",
+        )
+        assert result.returncode == 0 and "Traceback" not in result.stderr
+        _, rows = parse_report(result.stdout).tables["timing"]
+        assert [int(r[0]) for r in rows] == [1, 2]
+        assert all(float(r[1]) > 0 and float(r[3]) > 0 for r in rows)
 
     def test_upsampled_stream_past_the_budget_exits_2_before_upsampling(self, stream_file, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

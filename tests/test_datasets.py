@@ -223,6 +223,16 @@ class TestStreamFiles:
             assert np.array_equal(s1.frames, s2.frames)
             assert np.array_equal(s1.adjacency, s2.adjacency)
 
+    def test_one_joint_skeleton_without_adjacency_is_a_path_record(self):
+        rng = np.random.default_rng(6)
+        skel = SkeletonSequence(np.linspace(0.0, 1.0, 5), rng.normal(size=(5, 1, 2)))
+        buf = io.StringIO()
+        save_streams(LabeledStreamSet([skel], np.array([0]), ("a",), 0), buf)
+        assert json.loads(buf.getvalue().splitlines()[1])["kind"] == "path"
+        buf.seek(0)
+        back = load_streams(buf).samples[0]
+        assert np.array_equal(back.times, skel.times) and np.array_equal(back.points, skel.points)
+
     def test_empty_file_is_empty_set(self):
         back = load_streams(io.StringIO(""))
         assert len(back) == 0

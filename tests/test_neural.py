@@ -517,7 +517,7 @@ def _el_model(rng, spec, **changes):
 def _embedded_path_inputs(model, sample):
     """Recurrent inputs of one sample through its embedded path, layer call by layer call."""
     cfg, p = model.config, model.params
-    frames = sample.points[:, None, :] if isinstance(sample, TimedPath) else sample.frames
+    frames = sample.frames
     seq = embedding_forward(frames, p["embed.point_w"], p["embed.point_b"], p["embed.mix_w"], p["embed.mix_b"])
     if cfg.use_accumulative:
         seq = accumulative_layer(seq)
@@ -544,7 +544,7 @@ def _exact_el_inputs(model, sample):
     cfg, p = model.config, model.params
     assert cfg.degree == 3 and cfg.use_accumulative and cfg.use_time
     exact = np.vectorize(Fraction, otypes=[object])
-    frames = exact(sample.points[:, None, :] if isinstance(sample, TimedPath) else sample.frames)
+    frames = exact(sample.frames)
     n = frames.shape[0]
     hidden = (frames @ exact(p["embed.point_w"]) + exact(p["embed.point_b"])).reshape(n, -1)
     seq = np.cumsum(hidden @ exact(p["embed.mix_w"]) + exact(p["embed.mix_b"]), axis=0)

@@ -10,12 +10,15 @@ from logsigrnn import (
     enumerate_lyndon,
     insert_sample_times,
     log_signature,
+    perturb_drop,
+    perturb_insert,
     reparameterize,
     restrict,
     reverse_path,
     signature,
     shuffle,
     tensor_mul,
+    upsample_linear,
 )
 
 
@@ -44,6 +47,68 @@ class TestTimedPath:
     def test_duplicate_points_allowed(self):
         p = TimedPath([0.0, 1.0, 2.0], [[0.0], [0.0], [1.0]])
         assert p.num_samples == 3
+
+
+CHAIN_3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+class TestSkeletonLayout:
+    """A skeleton is a path on its flattened frames with a joint layout."""
+
+    def _skeleton(self):
+        rng = np.random.default_rng(4)
+        return TimedPath(np.linspace(0.0, 1.0, 9), rng.normal(size=(9, 3, 2)), CHAIN_3)
+
+    def test_frames_are_the_points_by_joint(self):
+        skel = self._skeleton()
+        assert skel.points.shape == (9, 6) and skel.num_joints == 3 and skel.num_coords == 2
+        assert np.array_equal(skel.frames.reshape(9, 6), skel.points)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            pytest.param(lambda s: perturb_drop(s, 0.4, 0), id="perturb_drop"),
+            pytest.param(lambda s: perturb_insert(s, 0.4, 0), id="perturb_insert"),
+            pytest.param(lambda s: upsample_linear(s, 3), id="upsample_linear"),
+            pytest.param(lambda s: restrict(s, 0.1, 0.7), id="restrict"),
+            pytest.param(lambda s: reparameterize(s, np.arange(9.0) ** 2), id="reparameterize"),
+            pytest.param(lambda s: insert_sample_times(s, [0.05, 0.3]), id="insert_sample_times"),
+            pytest.param(reverse_path, id="reverse_path"),
+        ],
+    )
+    def test_every_transform_keeps_the_layout(self, transform):
+        skel = self._skeleton()
+        out = transform(skel)
+        assert out is not skel
+        assert out.num_joints == 3 and out.num_coords == 2
+        assert np.array_equal(out.adjacency, CHAIN_3)
+        assert out.frames.shape == (out.num_samples, 3, 2)
+
+    @pytest.mark.parametrize(
+        "points,joints",
+        [
+            pytest.param(np.zeros((4, 5)), 2, id="columns-not-divisible"),
+            pytest.param(np.zeros((4, 2)), 0, id="no-joints"),
+            pytest.param(np.zeros((4, 0, 2)), 1, id="zero-joint-frames"),
+        ],
+    )
+    def test_layout_that_does_not_split_the_points_refused(self, points, joints):
+        with pytest.raises(ValueError, match="do not split into"):
+            TimedPath(np.arange(4.0), points, num_joints=joints)
+
+    @pytest.mark.parametrize(
+        "adjacency,message",
+        [
+            pytest.param(np.zeros((2, 2)), "adjacency must be joints x joints", id="shape"),
+            pytest.param(-CHAIN_3, "adjacency weights must be finite and non-negative", id="negative"),
+            pytest.param(np.where(CHAIN_3 > 0, np.nan, 0.0), "adjacency weights must be finite and non-negative", id="nan"),
+            pytest.param(np.triu(CHAIN_3), "adjacency must be symmetric with a zero diagonal", id="asymmetric"),
+            pytest.param(CHAIN_3 + np.eye(3), "adjacency must be symmetric with a zero diagonal", id="self-loop"),
+        ],
+    )
+    def test_bad_adjacency_refused(self, adjacency, message):
+        with pytest.raises(ValueError, match=message):
+            TimedPath(np.arange(4.0), np.zeros((4, 3, 2)), adjacency)
 
 
 class TestSignature:
