@@ -20,9 +20,12 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    out = mape_drop_study(
-        degree=args.degree, trials=args.trials, max_drop=args.max_drop, seed=args.seed
-    )
+    try:
+        out = mape_drop_study(
+            degree=args.degree, trials=args.trials, max_drop=args.max_drop, seed=args.seed
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"degree {out['degree']}, {out['trials']} trials, <= {out['max_drop']} dropped")
     print(f"mean log-signature MAPE: {out['mean_logsig_mape']:.4f}")
     print(f"mean signature MAPE:     {out['mean_sig_mape']:.4f}")

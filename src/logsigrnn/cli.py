@@ -21,16 +21,8 @@ import numpy as np
 from . import datasets
 from .datasets import LabeledStreamSet, load_streams
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward, logsig_stack_forward
-from .lyndon import check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
-from .neural import (
-    MAX_ARRAY_ENTRIES,
-    ModelConfig,
-    StreamClassifier,
-    TrainSettings,
-    evaluate_model,
-    input_spec,
-    train,
-)
+from .lyndon import check_array_size, check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
+from .neural import ModelConfig, StreamClassifier, TrainSettings, evaluate_model, input_spec, train
 from .paths import TimedPath
 from .reports import RunReport, render_report
 
@@ -232,15 +224,6 @@ def _require_at_least(args, low: int, *names: str) -> None:
             raise InputError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
-def _require_rows_budget(segments: int, dim: int, whose: str) -> None:
-    """``InputError`` naming ``--segments`` if ``whose`` rows ``(segments, dim)`` are past ``MAX_ARRAY_ENTRIES``."""
-    if segments * dim > MAX_ARRAY_ENTRIES:
-        raise InputError(
-            f"--segments {segments} makes {whose} rows {(segments, dim)}, "
-            f"past the array size budget of {MAX_ARRAY_ENTRIES} entries"
-        )
-
-
 def _cmd_dims(args) -> tuple[RunReport, int]:
     _require_at_least(args, 1, "width", "degree")
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
@@ -269,7 +252,8 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
-        _require_rows_budget(args.segments, basis.dim, f"each {args.input} sample's")  # before any row is computed
+        # before any row is computed
+        check_array_size((args.segments, basis.dim), f"each {args.input} sample's rows", f"--segments {args.segments}")
         for i, p in enumerate(data.samples):
             part = SegmentPartition.spanning(p, args.segments)
             with _naming(f"{args.input}, sample {i}"):
@@ -292,7 +276,7 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
     with _naming(f"--width {args.width} --degree {args.degree}"):
         check_basis_size(args.width, args.degree)
     basis = enumerate_lyndon(args.width, args.degree)
-    _require_rows_budget(args.segments, basis.dim, "each trial's")
+    check_array_size((args.segments, basis.dim), "each trial's rows", f"--segments {args.segments}")
     for trial in range(args.trials):
         n = int(rng.integers(6, 14))
         times = np.sort(rng.uniform(0.0, 1.0, n))
@@ -492,11 +476,7 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     for factor in factors:  # before any stream is upsampled
         for i, s in enumerate(data.samples):
             shape = ((s.num_samples - 1) * factor + 1, s.width)
-            if shape[0] * shape[1] > MAX_ARRAY_ENTRIES:
-                raise InputError(
-                    f"--upsample factor {factor} makes {args.data} sample {i} {shape}, "
-                    f"past the array size budget of {MAX_ARRAY_ENTRIES} entries"
-                )
+            check_array_size(shape, f"{args.data} sample {i}", f"--upsample factor {factor}")
     train_set, eval_set = _split_eval(data, args.eval_fraction, args.seed)
     epochs = args.epochs + args.timed_epochs
     rows = []

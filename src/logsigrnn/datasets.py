@@ -267,6 +267,9 @@ def mape_drop_study(
     MAPE of the truncated log-signature and of the signature (degree-0 term
     excluded) against the unperturbed features.
     """
+    for name, value in (("trials", trials), ("max_drop", max_drop)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if path is None:
         path = digit_polyline()
     rng = np.random.default_rng(seed)

@@ -30,7 +30,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .lyndon import LyndonBasis, enumerate_lyndon
+from .lyndon import LyndonBasis, check_array_size, enumerate_lyndon
 from .paths import TimedPath
 
 __all__ = [
@@ -309,8 +309,6 @@ def logsig_stack_forward(
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
 def _forward(grid: TimedPath, points: np.ndarray, partition: SegmentPartition, degree: int, basis: LyndonBasis | None):
     """The layer on the paths ``points`` ``(..., n, d)`` sampled at ``grid.times``."""
-    if degree < 1:
-        raise ValueError(f"degree must be at least 1, got {degree}")
     if basis is None:
         basis = enumerate_lyndon(points.shape[-1], degree)
     if basis.width != points.shape[-1] or basis.degree != degree:
@@ -324,6 +322,11 @@ def _forward(grid: TimedPath, points: np.ndarray, partition: SegmentPartition, d
         state.starts = np.repeat(points, partition.num_segments, axis=-2)
         return state.rows, state
 
+    # each path's largest kernel arrays, before any is built (a stack holds every path's)
+    n, d, S = grid.num_samples, points.shape[-1], partition.num_segments
+    by = f"degree {degree} on {n}-sample width-{d} paths in {S} segments"
+    check_array_size((n + S - 1, d ** (degree - 1)), "each path's Chen factors", by)
+    check_array_size((S, d**degree), "each path's top level and log powers", by)
     v = _boundaries_in_path_time(grid, partition)
     lo, hi, w, seg_ptr, aug = _augment(grid.times, points, v)
     state.lo, state.hi, state.w, state.seg_ptr, state.aug_points = lo, hi, w, seg_ptr, aug

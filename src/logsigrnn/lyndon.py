@@ -10,6 +10,7 @@ back-substitution.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "logsig_dim",
     "sig_dim",
     "check_basis_size",
+    "check_array_size",
     "witt_number",
     "project_to_basis",
     "expand_from_basis",
@@ -74,11 +76,12 @@ def sig_dim(width: int, degree: int) -> int:
     return (width ** (degree + 1) - 1) // (width - 1)
 
 
-# The largest basis a model or the logsig and gradcheck commands build, checked
-# from the closed forms before any word is enumerated: the layer holds a
-# (increments, width**n) array per level n and the basis a dense square change
-# of basis per level, so past these sizes a build takes minutes and gigabytes,
-# or never ends (width 9 at degree 40 has about 4.2e36 Lyndon words).
+# The largest basis any build makes, checked by ``LyndonBasis`` (and first by
+# the model and the commands, naming their key or flag) from the closed forms
+# before any word is enumerated: the layer holds a (increments, width**n) array
+# per level n and the basis a dense square change of basis per level, so past
+# these sizes a build takes minutes and gigabytes, or never ends (width 9 at
+# degree 40 has about 4.2e36 Lyndon words).
 MAX_SIG_ENTRIES = 2**16
 MAX_BASIS_WORDS = 2**13
 
@@ -102,6 +105,20 @@ def check_basis_size(width: int, degree: int) -> None:
             f"width {width} at degree {degree} has {words} Lyndon words, more than "
             f"{MAX_BASIS_WORDS}, past the basis size budget"
         )
+
+
+# The largest array a model, the layer or a command builds (256 MiB of float64):
+# a parameter, one stream's rows, a path's kernel arrays or an upsampled stream.
+MAX_ARRAY_ENTRIES = 2**25
+
+
+def check_array_size(shape: tuple[int, ...], what: str, by: str) -> None:
+    """Raise ``ValueError`` if ``what``, of ``shape``, has more than ``MAX_ARRAY_ENTRIES`` entries.
+
+    ``by`` names the keys, flags or sizes that set the shape.
+    """
+    if math.prod(shape) > MAX_ARRAY_ENTRIES:
+        raise ValueError(f"{by} makes {what} {shape}, past the array size budget of {MAX_ARRAY_ENTRIES} entries")
 
 
 def lyndon_words(width: int, degree: int) -> list[Word]:
@@ -153,6 +170,7 @@ class LyndonBasis:
     """Lyndon basis of the free Lie algebra on ``width`` letters up to ``degree``."""
 
     def __init__(self, width: int, degree: int):
+        check_basis_size(width, degree)
         self.width = width
         self.degree = degree
         self.words: tuple[Word, ...] = tuple(lyndon_words(width, degree))
@@ -298,22 +316,17 @@ def enumerate_lyndon(width: int, degree: int) -> LyndonBasis:
     return LyndonBasis(width, degree)
 
 
-def project_to_basis(
-    t: TruncatedTensor,
-    basis: LyndonBasis,
-    check: bool = True,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def project_to_basis(t: TruncatedTensor, basis: LyndonBasis) -> np.ndarray:
     """Coordinates of a Lie element ``t`` in the Lyndon basis.
 
     Solved degree by degree through the triangular structure of the
-    bracket expansions.  With ``check`` enabled the reconstruction residual
-    is verified, so a non-Lie input raises instead of being silently
-    approximated.
+    bracket expansions.  The reconstruction residual is verified, so a
+    non-Lie input raises instead of being silently approximated.
     """
     if t.width != basis.width or t.degree != basis.degree:
         raise ValueError("tensor and basis have mismatched width or degree")
-    if check and abs(t.scalar()) > tol:
+    tol = 1e-10
+    if abs(t.scalar()) > tol:
         raise ValueError("not a Lie element: nonzero degree-0 coefficient")
     coords = np.zeros(basis.dim)
     for n in range(1, basis.degree + 1):
@@ -324,16 +337,15 @@ def project_to_basis(
         block = t.levels[n]
         c = np.linalg.solve(matrix, block[idx])
         coords[sl] = c
-        if check:
-            recon = np.zeros_like(block)
-            for j in range(sl.start, sl.stop):
-                widx, wcoef = basis._flat[j]
-                recon[widx] += coords[j] * wcoef
-            scale = max(1.0, float(np.max(np.abs(block), initial=0.0)))
-            if np.max(np.abs(recon - block), initial=0.0) > tol * scale:
-                raise ValueError(
-                    f"not a Lie element: degree-{n} block is outside the free Lie algebra"
-                )
+        recon = np.zeros_like(block)
+        for j in range(sl.start, sl.stop):
+            widx, wcoef = basis._flat[j]
+            recon[widx] += coords[j] * wcoef
+        scale = max(1.0, float(np.max(np.abs(block), initial=0.0)))
+        if np.max(np.abs(recon - block), initial=0.0) > tol * scale:
+            raise ValueError(
+                f"not a Lie element: degree-{n} block is outside the free Lie algebra"
+            )
     return coords
 
 

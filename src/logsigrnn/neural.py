@@ -28,7 +28,6 @@ the first block's steps on the mapped route run no layer call.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ from .logsig_layer import (
     map_rows,
     map_rows_backward,
 )
-from .lyndon import check_basis_size, enumerate_lyndon
+from .lyndon import check_array_size, check_basis_size, enumerate_lyndon
 from .paths import TimedPath, evaluate
 
 __all__ = [
@@ -80,10 +79,6 @@ CELLS = ("vanilla", "lstm")
 # columns] stays within the limit, where a call costs nearly the same as on
 # one gcn joint (degree 3, 40 samples: 228 us at width 3, 283 us at width 7).
 MAPPED_TENSOR_LIMIT = 512
-
-# A model refuses, before any array is built, a parameter or one stream's layer
-# rows, recurrent outputs or resampled frames with more entries (256 MiB).
-MAX_ARRAY_ENTRIES = 2**25
 
 
 # A skeleton is a ``TimedPath`` whose points are its flattened frames.
@@ -426,7 +421,7 @@ class StreamClassifier:
 
     Building a model checks every block's basis against
     ``lyndon.check_basis_size`` before any basis is built, and every shape
-    against ``MAX_ARRAY_ENTRIES`` before any array is built; a size past a
+    against ``lyndon.check_array_size`` before any array is built; a size past a
     budget is a ``ValueError`` naming the keys that set it.
     """
 
@@ -483,7 +478,7 @@ class StreamClassifier:
             self.joint_groups.append((first, count, basis, np.array(gather)))
 
     def _checked_shapes(self, in_dims) -> dict:
-        """Every parameter's shape; a ``ValueError`` naming the keys behind any shape past ``MAX_ARRAY_ENTRIES``."""
+        """Every parameter's shape; ``lyndon.check_array_size`` refuses any shape, naming the keys behind it."""
         cfg = self.config
         F, D = self.spec
         H, C, J = cfg.hidden, cfg.num_classes, self.joints
@@ -513,11 +508,7 @@ class StreamClassifier:
         shapes["head.b"] = (C,), ("num_classes",)
         values = dict(vars(cfg), joints=F, coords=D)
         for name, (shape, keys) in {**shapes, **streams}.items():
-            if math.prod(shape) > MAX_ARRAY_ENTRIES:
-                named = ", ".join(f"{key!r} = {values[key]}" for key in keys)
-                raise ValueError(
-                    f"{named} make {name} {shape}, past the array size budget of {MAX_ARRAY_ENTRIES} entries"
-                )
+            check_array_size(shape, name, ", ".join(f"{key!r} = {values[key]}" for key in keys))
         return {name: shape for name, (shape, _) in shapes.items()}
 
     @classmethod
@@ -693,7 +684,8 @@ class StreamClassifier:
         normalized adjacency, None in el-logsig-rnn.
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A value that overflows float64 is a
-        ``FloatingPointError`` naming the stream.
+        ``FloatingPointError``, and a layer refusal a ``ValueError``, naming
+        the stream.
         """
         entries = []
         for i, s in enumerate(samples):
@@ -704,8 +696,8 @@ class StreamClassifier:
                 )
             try:
                 entries.append(self._prepare_one(s))
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"stream {i}: {exc}") from exc
+            except (FloatingPointError, ValueError) as exc:
+                raise type(exc)(f"stream {i}: {exc}") from exc
         return entries
 
     @np.errstate(over="raise", invalid="raise")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lyndon import LyndonBasis, enumerate_lyndon, project_to_basis
+from .lyndon import LyndonBasis, check_basis_size, enumerate_lyndon, project_to_basis
 from .tensor_algebra import TruncatedTensor, exp_level_one, tensor_log, tensor_mul
 
 __all__ = [
@@ -114,8 +114,7 @@ def evaluate(path: TimedPath, at: np.ndarray | float) -> np.ndarray:
 
 def signature(path: TimedPath, degree: int) -> TruncatedTensor:
     """Truncated signature of the path, via the segment-exponential fold."""
-    if degree < 1:
-        raise ValueError(f"degree must be at least 1, got {degree}")
+    check_basis_size(path.width, degree)  # MAX_SIG_ENTRIES counts exactly its storage
     out = TruncatedTensor.unit(path.width, degree)
     if path.num_samples < 2:
         return out

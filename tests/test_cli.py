@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logsigrnn import cli, gen_synthetic, lyndon, neural, save_streams
+from logsigrnn import cli, gen_synthetic, logsig_layer, lyndon, neural, save_streams
 from logsigrnn.datasets import LabeledStreamSet
 from logsigrnn.cli import (
     InputError,
@@ -892,7 +892,7 @@ class TestBasisSizeBudget:
 
 class TestArraySizeBudget:
     """A config key or checkpoint header that sizes a parameter or one
-    stream's array past ``neural.MAX_ARRAY_ENTRIES`` exits 2 naming the key,
+    stream's array past ``lyndon.MAX_ARRAY_ENTRIES`` exits 2 naming the key,
     before any array is built."""
 
     @staticmethod
@@ -959,6 +959,42 @@ class TestArraySizeBudget:
         # width 3, degree 2: 10**9 segments make rows (10**9, 6)
         argv = ["gradcheck", "--trials", "1", "--segments", str(10**9)]
         self._assert_exits_2_naming(argv, f"--segments {10**9} makes each trial's rows ({10**9}, 6)", capsys)
+
+
+class TestKernelArrayBudget:
+    """A stream whose layer kernel arrays are past ``lyndon.MAX_ARRAY_ENTRIES``
+    exits 2 with one error line naming the stream, before the layer augments it."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a stream was augmented")
+
+        monkeypatch.setattr(lyndon, "MAX_ARRAY_ENTRIES", 200)
+        monkeypatch.setattr(logsig_layer, "_augment", refuse)
+
+    @staticmethod
+    def _assert_exits_2_naming(argv, named, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_single_error_line(captured.err)
+        assert named in captured.err and "past the array size budget of 200 entries" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_logsig_names_the_file_and_the_sample(self, stream_file, capsys):
+        # width-2 streams of 100+ samples at degree 2 in 4 segments: rows (4, 3), Chen factors (103+, 2)
+        data = stream_file(length_range=(100, 120))
+        argv = ["logsig", data, "--degree", "2", "--segments", "4"]
+        self._assert_exits_2_naming(argv, f"{data}, sample 0: degree 2 on ", capsys)
+
+    def test_train_names_the_stream(self, stream_file, tmp_path, capsys):
+        # el-logsig-rnn's raw paths [time, 1, x, y] of 100+ samples: Chen factors (101+, 4),
+        # while no parameter or stream row array passes 84 entries
+        data = stream_file(count=8, length_range=(100, 120))
+        config = _write_train_config(tmp_path)
+        target = tmp_path / "m.ckpt"
+        self._assert_exits_2_naming(["train", config, data, str(target)], f"{config} on {data}: stream 0: ", capsys)
+        assert not target.exists()
 
 
 class TestRobustnessCommand:

@@ -1,11 +1,13 @@
 """Log-signature sequence layer: forward contract and analytic adjoint."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logsigrnn import logsig_layer, lyndon
 from logsigrnn import (
     SegmentPartition,
     TimedPath,
@@ -226,6 +228,41 @@ class TestForward:
                 logsig_stack_forward(times, np.stack([np.ones((3, 2)), huge]), part, 3)
             else:
                 logsig_sequence_forward(TimedPath(times, huge), part, 3)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["path", "stack"])
+    @pytest.mark.parametrize(
+        "samples,segments,named",
+        [
+            # 40 + 2 - 1 augmented points by width**2
+            (40, 2, "degree 3 on 40-sample width-2 paths in 2 segments makes each path's Chen factors (41, 4)"),
+            # 10 segments by width**3
+            (2, 10, "degree 3 on 2-sample width-2 paths in 10 segments makes each path's top level and log powers "
+                    "(10, 8)"),
+        ],
+        ids=["chen-factors", "top-level"],
+    )
+    def test_kernel_budget_refuses_before_augmenting(self, monkeypatch, stacked, samples, segments, named):
+        def refuse(*args):
+            raise AssertionError("the path was augmented")
+
+        monkeypatch.setattr(lyndon, "MAX_ARRAY_ENTRIES", 64)
+        monkeypatch.setattr(logsig_layer, "_augment", refuse)
+        path = random_path(np.random.default_rng(0), samples, 2)
+        part = SegmentPartition.uniform(0.0, 1.0, segments)
+        with pytest.raises(ValueError, match=re.escape(f"{named}, past the array size budget of 64 entries")):
+            if stacked:
+                logsig_stack_forward(path.times, np.stack([path.points] * 2), part, 3)
+            else:
+                logsig_sequence_forward(path, part, 3)
+
+    def test_stack_within_the_per_path_budget_passes(self, monkeypatch):
+        # each of the 3 paths holds (3 + 2 - 1, 4) Chen factors and (2, 8) top-level entries:
+        # the stack holds three times the budget, which is per path
+        monkeypatch.setattr(lyndon, "MAX_ARRAY_ENTRIES", 16)
+        path = random_path(np.random.default_rng(0), 3, 2)
+        part = SegmentPartition.uniform(0.0, 1.0, 2)
+        rows, _ = logsig_stack_forward(path.times, np.stack([path.points] * 3), part, 3)
+        assert rows.shape == (3, 2, 5)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["path", "stack"])
     def test_basis_of_another_width_rejected(self, stacked):

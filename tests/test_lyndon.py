@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logsigrnn import lyndon
+from logsigrnn import datasets, lyndon, paths
+from logsigrnn.logsig_layer import SegmentPartition, logsig_sequence_forward, logsig_stack_forward
 from logsigrnn.lyndon import (
+    check_array_size,
     check_basis_size,
     enumerate_lyndon,
     expand_from_basis,
@@ -126,6 +128,50 @@ class TestSizeBudget:
         with pytest.raises(ValueError, match=f"width {width} at degree {degree} .*{reason}"):
             check_basis_size(width, degree)
 
+
+def _layer_on_the_digit(degree):
+    path = datasets.digit_polyline()
+    return logsig_sequence_forward(path, SegmentPartition.spanning(path, 4), degree)
+
+
+def _stack_on_the_digit(degree):
+    path = datasets.digit_polyline()
+    return logsig_stack_forward(path.times, path.points[None], SegmentPartition.spanning(path, 4), degree)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda degree: lyndon.LyndonBasis(2, degree),
+        lambda degree: enumerate_lyndon(2, degree),
+        lambda degree: paths.signature(datasets.digit_polyline(), degree),
+        lambda degree: paths.log_signature(datasets.digit_polyline(), degree),
+        _layer_on_the_digit,
+        _stack_on_the_digit,
+        lambda degree: datasets.mape_drop_study(degree=degree, trials=1),
+    ],
+    ids=["LyndonBasis", "enumerate_lyndon", "signature", "log_signature", "sequence", "stack", "mape_drop_study"],
+)
+def test_every_build_refuses_a_basis_past_the_budget_before_any_word(monkeypatch, build):
+    def refuse(*args):
+        raise AssertionError("a word was enumerated")
+
+    monkeypatch.setattr(lyndon, "lyndon_words", refuse)
+    with pytest.raises(ValueError, match="width 2 at degree 40 .*past the basis size budget"):
+        build(40)
+
+
+class TestArraySizeBudget:
+    def test_admits_the_budget_and_refuses_one_entry_more(self):
+        budget = lyndon.MAX_ARRAY_ENTRIES
+        check_array_size((budget,), "each path's rows", "--segments 1")
+        check_array_size((budget // 8, 8), "each path's rows", "--segments 1")
+        with pytest.raises(ValueError) as refused:
+            check_array_size((budget + 1, 1), "each path's rows", f"--segments {budget + 1}")
+        assert str(refused.value) == (
+            f"--segments {budget + 1} makes each path's rows ({budget + 1}, 1), "
+            f"past the array size budget of {budget} entries"
+        )
 
 class TestLetterPositions:
     def test_example(self):

@@ -65,3 +65,21 @@ def test_make_dataset_bad_argument_exits_2_naming_it(tmp_path, args, named):
     error = result.stderr.splitlines()[-1]
     assert error.startswith("make_dataset.py: error: ") and named in error
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["--trials", "0"], "trials"),
+        (["--max-drop", "0"], "max_drop"),
+        (["--degree", "0"], "degree"),
+        # width 2 at degree 40 has about 5.6e10 Lyndon words: refused before any is enumerated
+        (["--degree", "40"], "degree 40"),
+    ],
+    ids=["trials", "max-drop", "degree-0", "degree-40"],
+)
+def test_run_mape_study_bad_argument_exits_2_naming_it(args, named):
+    result = run_script("run_mape_study.py", *args)
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    error = result.stderr.splitlines()[-1]
+    assert error.startswith("run_mape_study.py: error: ") and named in error
