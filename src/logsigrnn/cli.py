@@ -590,6 +590,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report, code = args.func(args)
+        for kind, values in (("metric", report.metrics), ("timing", report.timings)):
+            for key in sorted(values):
+                if not np.isfinite(values[key]):
+                    raise FloatingPointError(f"{report.command} report: {kind}.{key} is not finite")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,18 +4,24 @@ The layer maps a timed path, or in one call a stack of paths on one time
 grid, to one truncated log-signature per partition segment: (N, d_ls) per
 path whatever the number of samples; the backward pass maps its gradient back.
 
-Internally the path is augmented with interpolated samples at the interior
-segment boundaries; every augmented point is an affine function of at most
-two original samples, which is how boundary gradients are distributed.
+Internally the path is augmented with one interpolated sample at each
+interior segment boundary.  The original samples are written through one
+mask (``keep``), and boundary k's point mixes the two samples around it
+(``ins``, the sample after it, and its weight ``wb``), so the adjoint gathers
+each sample's own row and scatters only the boundary rows.
 Degree-1 rows are the segment increments.  Degrees 2 and above apply Chen's
 identity to every increment at once: level k of the increments' Chen terms
 is one (increments, d**k) array built from the lower levels' segmented
 prefix sums (one cumulative sum over the flat increment axis minus each
 segment's starting offset), and only the top level's segment totals are
 formed, one product per segment.  The log is one batched power series,
-the Lyndon projection the cached exact level inverse applied as the
-identity plus its small correction block, and the adjoint reverses the
-levels with reverse segmented sums.
+formed at the Lyndon words only (below the top level the powers are whole,
+as the adjoint reads them), the Lyndon projection the cached exact level
+inverse applied as the identity plus its small correction block, and the
+adjoint reverses the levels with reverse segmented sums.  The forward pass
+is sized for short streams, where a call is mostly numpy's per-call
+overhead: it gathers with ``take`` and updates in place where that leaves
+every result bit for bit the same.
 
 The log-signature is equivariant under linear maps: the rows of the path
 ``x @ L`` are the image of the rows of ``x`` under the Lie-algebra map that
@@ -39,6 +45,7 @@ __all__ = [
     "logsig_sequence_forward",
     "logsig_stack_forward",
     "backward_from_state",
+    "check_kernel_size",
     "map_rows",
     "map_rows_backward",
 ]
@@ -54,9 +61,9 @@ class SegmentPartition:
         b = np.asarray(self.boundaries, dtype=np.float64).reshape(-1)
         if b.size < 2:
             raise ValueError("a partition needs at least two boundaries")
-        if not np.all(np.diff(b) > 0):
+        if not (b[1:] > b[:-1]).all():
             raise ValueError("partition boundaries must be strictly increasing")
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise ValueError("partition boundaries must be finite")
         object.__setattr__(self, "boundaries", b)
 
@@ -79,8 +86,8 @@ class SegmentPartition:
 
 class _LayerState:
     __slots__ = (
-        "points", "degree", "basis", "rows", "starts", "mode", "lo", "hi", "w", "seg_ptr",
-        "aug_points", "deltas", "factors", "powers", "segment",
+        "points", "degree", "basis", "rows", "starts", "mode", "keep", "ins", "wb", "seg_ptr",
+        "aug_points", "deltas", "factors", "powers",
     )
 
 
@@ -100,25 +107,33 @@ def _boundaries_in_path_time(path: TimedPath, partition: SegmentPartition) -> np
 def _augment(t: np.ndarray, points: np.ndarray, v: np.ndarray):
     """Merge interpolated boundary samples into the sample sequence of the paths ``points`` on times ``t``.
 
-    Returns (lo, hi, w, seg_ptr, aug_points): augmented point j equals
-    (1-w_j) * points[..., lo_j, :] + w_j * points[..., hi_j, :], and
-    seg_ptr[k] is the augmented index of boundary k.  Boundaries coinciding
-    with a sample are inserted directly after it.
+    Returns (keep, ins, wb, seg_ptr, aug_points).  The original samples are
+    the augmented points at the mask ``keep``, in order, and seg_ptr[k] is the
+    augmented index of boundary k.  Only the S - 1 interior boundaries are
+    interpolated: boundary k (1 <= k < S) lies in the sample interval ending
+    at sample ``ins[k-1]``, and its point is (1-wb[k-1]) * points[...,
+    ins[k-1]-1, :] + wb[k-1] * points[..., ins[k-1], :].  A boundary on a
+    sample is inserted directly after it, with weight 0; boundaries in one
+    interval share its ``ins``.
     """
     interior = v[1:-1]
     # the first sample after each boundary; searching the interior samples keeps it in 1..n-1
-    ins = np.searchsorted(t[1:-1], interior, side="right") + 1
+    ins = t[1:-1].searchsorted(interior, side="right") + 1
     size = t.size + interior.size
-    pos_b = ins + np.arange(interior.size)
-    is_b = np.zeros(size, dtype=bool)
-    is_b[pos_b] = True
-    lo = np.cumsum(~is_b) - 1  # the last original sample at or before j
-    hi = lo + is_b
-    w = np.zeros(size)
-    w[pos_b] = (interior - t[ins - 1]) / (t[ins] - t[ins - 1])
-    seg_ptr = np.concatenate([[0], pos_b, [size - 1]]).astype(np.intp)
-    aug_points = (1.0 - w)[:, None] * points[..., lo, :] + w[:, None] * points[..., hi, :]
-    return lo, hi, w, seg_ptr, aug_points
+    seg_ptr = np.empty(interior.size + 2, dtype=np.intp)
+    seg_ptr[0], seg_ptr[-1] = 0, size - 1
+    pos_b = seg_ptr[1:-1]
+    np.add(ins, np.arange(interior.size), out=pos_b)
+    keep = np.ones(size, dtype=bool)
+    keep[pos_b] = False
+    before = ins - 1
+    t_lo = t.take(before)
+    wb = (interior - t_lo) / (t.take(ins) - t_lo)
+    aug_points = np.empty((*points.shape[:-2], size, points.shape[-1]))
+    aug_points[..., keep, :] = points
+    lo, hi = points.take(before, axis=-2), points.take(ins, axis=-2)
+    aug_points[..., pos_b, :] = (1.0 - wb)[:, None] * lo + wb[:, None] * hi
+    return keep, ins, wb, seg_ptr, aug_points
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -135,7 +150,7 @@ def _outer_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray):
 def _cumsum0(x: np.ndarray) -> np.ndarray:
     """Cumulative sum along axis -2 with a leading zero row: ``out[..., i, :] = x[..., :i, :].sum(-2)``."""
     out = np.zeros((*x.shape[:-2], x.shape[-2] + 1, x.shape[-1]))
-    np.cumsum(x, axis=-2, out=out[..., 1:, :])
+    x.cumsum(axis=-2, out=out[..., 1:, :])
     return out
 
 
@@ -148,7 +163,7 @@ def _to_lyndon(level: np.ndarray, basis: LyndonBasis, n: int) -> np.ndarray:
     """
     hit, cols, block = basis.level_correction(n)
     if block.size:
-        level[..., hit] += level[..., cols] @ block
+        level[..., hit] = level.take(hit, axis=-1) + level.take(cols, axis=-1) @ block
     return level
 
 
@@ -173,39 +188,63 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     """
     basis, M = state.basis, state.degree
     aug, seg_ptr = state.aug_points, state.seg_ptr
-    deltas = np.diff(aug, axis=-2)
+    deltas = aug[..., 1:, :] - aug[..., :-1, :]
     d, S = deltas.shape[-1], seg_ptr.size - 1
-    segment = np.repeat(np.arange(S), np.diff(seg_ptr))
-    first = seg_ptr[segment]
-    sig, prefix = [None, aug[..., seg_ptr[1:], :] - state.starts], [None, aug[..., :-1, :] - aug[..., first, :]]
+    first = seg_ptr[:-1].repeat(seg_ptr[1:] - seg_ptr[:-1])  # each increment's segment start
+    scaled = [None, deltas] + [deltas / j for j in range(2, M + 1)]
+    sig = [None, aug.take(seg_ptr[1:], axis=-2) - state.starts]
+    prefix = [None, aug[..., :-1, :] - aug.take(first, axis=-2)]
     factors = [None, []]
     for k in range(2, M + 1):
-        factors.append([deltas / k + prefix[1]])
+        f = scaled[k] + prefix[1]
+        factors.append([f])
         for i in range(2, k):
-            factors[k].append(_outer(factors[k][-1], deltas / (k - i + 1)) + prefix[i])
+            f = _outer(f, scaled[k - i + 1])
+            f += prefix[i]
+            factors[k].append(f)
         if k < M:
-            sums = _cumsum0(_outer(factors[k][-1], deltas))
-            sig.append(sums[..., seg_ptr[1:], :] - sums[..., seg_ptr[:-1], :])
-            prefix.append(sums[..., :-1, :] - sums[..., first, :])
+            sums = _cumsum0(_outer(f, deltas))
+            at = sums.take(seg_ptr, axis=-2)
+            sig.append(at[..., 1:, :] - at[..., :-1, :])
+            prefix.append(sums[..., :-1, :] - sums.take(first, axis=-2))
     # top-level totals sum_i F_{M-1,i} (x) delta_i, one product per segment
-    f_top, top = factors[M][-1], np.empty((*deltas.shape[:-2], S, d ** (M - 1), d))
+    f_top, top = factors[M][-1].swapaxes(-1, -2), np.empty((*deltas.shape[:-2], S, d ** (M - 1), d))
     for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
-        np.matmul(f_top[..., a:b, :].swapaxes(-1, -2), deltas[..., a:b, :], out=top[..., s, :, :])
+        np.matmul(f_top[..., a:b], deltas[..., a:b, :], out=top[..., s, :, :])
     sig.append(top.reshape(*top.shape[:-2], -1))
-    # log(1 + t) = sum_m (-1)^(m+1) t^m / m; powers[m] vanishes below level m
+    # log(1 + t) = sum_m (-1)^(m+1) t^m / m, powers[m] = powers[m-1] (x) sig
+    # vanishing below level m.  Below the top level the powers are whole, as
+    # the adjoint reads them; at the top level powers[m][M] holds only the
+    # Lyndon words' entries, entry a * d**j + b of u (x) v being u[a] * v[b].
+    words, _ = basis.level_inverse(M)
+    split = [None] + [np.divmod(words, d**j) for j in range(1, M)]
+    tails = [None] + [sig[j].take(split[j][1], axis=-1) for j in range(1, M)]
+
+    def product(lower, i, k):  # lower[i] (x) sig[k - i]
+        if k < M:
+            return _outer(lower[i], sig[k - i])
+        return lower[i].take(split[k - i][0], axis=-1) * tails[k - i]
+
     powers = [None, sig]
     for m in range(2, M + 1):
-        powers.append(
-            [None] * m
-            + [sum(_outer(powers[m - 1][i], sig[k - i]) for i in range(m - 1, k))
-               for k in range(m, M + 1)]
-        )
-    rows = np.empty((*deltas.shape[:-2], S, basis.dim))
+        level = [None] * m
+        for k in range(m, M + 1):
+            power = product(powers[m - 1], m - 1, k)
+            for i in range(m, k):
+                power += product(powers[m - 1], i, k)
+            level.append(power)
+        powers.append(level)
+    # level n of the log at its Lyndon words, summed onto zeros so that no
+    # entry is -0.0
+    rows = np.zeros((*deltas.shape[:-2], S, basis.dim))
     for n in range(1, M + 1):
         idx, _ = basis.level_inverse(n)
-        log_n = sum((-1) ** (m + 1) / m * powers[m][n] for m in range(1, n + 1))
-        rows[..., basis._level_slices[n - 1]] = _to_lyndon(log_n[..., idx], basis, n)
-    state.deltas, state.factors, state.powers, state.segment = deltas, factors, powers, segment
+        log_n = rows[..., basis._level_slices[n - 1]]
+        log_n += sig[n].take(idx, axis=-1)
+        for m in range(2, n + 1):
+            log_n += (-1) ** (m + 1) / m * (powers[m][n] if n == M else powers[m][n].take(idx, axis=-1))
+        _to_lyndon(log_n, basis, n)
+    state.deltas, state.factors, state.powers = deltas, factors, powers
     return rows
 
 
@@ -233,7 +272,8 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
         gpow = prev
     gsig = [None] + [gs + gp for gs, gp in zip(gsig[1:], gpow[1:])]
 
-    seg_ptr, segment, f_top = state.seg_ptr, state.segment, factors[M][-1]
+    seg_ptr, f_top = state.seg_ptr, factors[M][-1]
+    segment = np.repeat(np.arange(seg_ptr.size - 1), np.diff(seg_ptr))
     d, last = deltas.shape[-1], seg_ptr[1:][segment]
     gprefix = [None] + [np.zeros((*deltas.shape[:-1], level.shape[-1])) for level in sig[1:M]]
     # the top level's per-segment products, then descending k: only the levels
@@ -306,6 +346,21 @@ def logsig_stack_forward(
     return _forward(grid, points, partition, degree, basis)
 
 
+def check_kernel_size(n: int, segments: int, width: int, degree: int) -> None:
+    """Refuse, through ``lyndon.check_array_size``, a layer call whose kernel arrays are too large.
+
+    Each width-``width`` path of ``n`` samples in ``segments`` segments
+    holds Chen factors ``(n + segments - 1, width**(degree - 1))`` and a top
+    level ``(segments, width**degree)`` (a stack holds every path's); a path
+    of one sample builds neither.  The layer checks before it augments a path.
+    """
+    if n < 2:
+        return
+    by = f"degree {degree} on {n}-sample width-{width} paths in {segments} segments"
+    check_array_size((n + segments - 1, width ** (degree - 1)), "each path's Chen factors", by)
+    check_array_size((segments, width**degree), "each path's top level and log powers", by)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
 def _forward(grid: TimedPath, points: np.ndarray, partition: SegmentPartition, degree: int, basis: LyndonBasis | None):
     """The layer on the paths ``points`` ``(..., n, d)`` sampled at ``grid.times``."""
@@ -322,23 +377,19 @@ def _forward(grid: TimedPath, points: np.ndarray, partition: SegmentPartition, d
         state.starts = np.repeat(points, partition.num_segments, axis=-2)
         return state.rows, state
 
-    # each path's largest kernel arrays, before any is built (a stack holds every path's)
-    n, d, S = grid.num_samples, points.shape[-1], partition.num_segments
-    by = f"degree {degree} on {n}-sample width-{d} paths in {S} segments"
-    check_array_size((n + S - 1, d ** (degree - 1)), "each path's Chen factors", by)
-    check_array_size((S, d**degree), "each path's top level and log powers", by)
+    check_kernel_size(grid.num_samples, partition.num_segments, basis.width, degree)
     v = _boundaries_in_path_time(grid, partition)
-    lo, hi, w, seg_ptr, aug = _augment(grid.times, points, v)
-    state.lo, state.hi, state.w, state.seg_ptr, state.aug_points = lo, hi, w, seg_ptr, aug
-    state.starts = aug[..., seg_ptr[:-1], :]
+    state.keep, state.ins, state.wb, seg_ptr, aug = _augment(grid.times, points, v)
+    state.seg_ptr, state.aug_points = seg_ptr, aug
+    state.starts = aug.take(seg_ptr[:-1], axis=-2)
 
     if degree == 1:
         state.mode = "m1"
-        state.rows = aug[..., seg_ptr[1:], :] - state.starts
+        state.rows = aug.take(seg_ptr[1:], axis=-2) - state.starts
     else:
         state.mode = "generic"
         state.rows = _chen_forward(state)
-    if not np.all(np.isfinite(state.rows)):
+    if not np.isfinite(state.rows).all():
         raise FloatingPointError(
             f"degree-{degree} log-signature rows are not finite: the path's "
             "increments overflow float64"
@@ -359,8 +410,8 @@ def backward_from_state(
     for name, given, value in (("upstream", upstream, state.rows), ("start-point", starts, state.starts)):
         if given.shape != value.shape:
             raise ValueError(f"{name} gradient must have shape {value.shape}, got {given.shape}")
-    grad = np.zeros_like(state.points)
     if state.mode == "constant":  # every start point is the one sample
+        grad = np.zeros_like(state.points)
         grad[..., 0, :] = starts.sum(axis=-2)
         return grad
 
@@ -376,8 +427,13 @@ def backward_from_state(
         gaug[..., seg_ptr[:-1], :] -= upstream
     gaug[..., seg_ptr[:-1], :] += starts
 
-    np.add.at(grad, (..., state.lo, slice(None)), (1.0 - state.w)[:, None] * gaug)
-    np.add.at(grad, (..., state.hi, slice(None)), state.w[:, None] * gaug)
+    # a sample's gradient is its own augmented point's, plus the shares of
+    # the boundary points after it (as their interval's left end) and then
+    # before it (as the right end), each in augmented order
+    grad = gaug[..., state.keep, :]
+    gb, ins, wb = gaug.take(seg_ptr[1:-1], axis=-2), state.ins, state.wb
+    np.add.at(grad, (..., ins - 1, slice(None)), (1.0 - wb)[:, None] * gb)
+    np.add.at(grad, (..., ins, slice(None)), wb[:, None] * gb)
     return grad
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .logsig_layer import (
     SegmentPartition,
     backward_from_state,
+    check_kernel_size,
     logsig_sequence_forward,
     logsig_stack_forward,
     map_rows,
@@ -70,14 +71,15 @@ CELLS = ("vanilla", "lstm")
 # Block 0 takes the mapped route while one raw path's top tensor level has
 # at most this many entries: both the layer on the raw path and the map's
 # dense level factors grow with raw_width**degree.  Timed on el-logsig-rnn
-# against the per-path route by scripts/time_el_routes.py: up to 512 entries
-# a training step took 0.23-0.68 of the per-path one and single-stream
-# logits 1.0-1.6x as long; past it logits took 1.6-5.3x as long (112x at
-# 20736 entries), and the step gain shrank (0.33-0.77 up to 1296) and turned
-# into a loss from 1728 (1.0-1.4x; 21x at 20736).  Block 0 also sizes its groups by it:
-# the layer runs on the largest number k of raw paths whose [time, k paths'
-# columns] stays within the limit, where a call costs nearly the same as on
-# one gcn joint (degree 3, 40 samples: 228 us at width 3, 283 us at width 7).
+# against the per-path route by scripts/time_el_routes.py (its default
+# shapes, BLAS 1 thread): up to 512 entries a training step took 0.27-0.74
+# of the per-path one and single-stream logits 0.96-1.6x as long; past it
+# logits took 1.6-5.9x as long, and the step gain shrank (0.37-0.81 up to
+# 1296) and turned into a loss at 1728 (1.3-1.4x).  Block 0 also sizes its
+# groups by it: the layer runs on the largest number k of raw paths whose
+# [time, k paths' columns] stays within the limit, where a call costs
+# little more than on one gcn joint (degree 3, 40 samples, 4 segments:
+# 94 us at width 3, 117 us at width 7).
 MAPPED_TENSOR_LIMIT = 512
 
 
@@ -247,10 +249,9 @@ def _rnn_forward_batch(x, u, w, b, v, vb, cell, lengths=None):
             h = np.tanh(z)
             steps.append((h,))
         else:
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
+            gates = _sigmoid(z)  # elementwise, so the g block's sigmoid is unused
+            i, f, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 3 * H :]
             g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
             c_prev = c_state[:n]
             c_state = f * c_prev + i * g
             tc = np.tanh(c_state)
@@ -459,6 +460,13 @@ class StreamClassifier:
         mapped = cfg.variant != "frame-rnn" and ((t + w) ** cfg.degree <= MAPPED_TENSOR_LIMIT or bare)
         self.param_shapes = self._checked_shapes(in_dims)
         if cfg.variant == "gcn-logsig-rnn-2":  # block 0's outputs are block 1's frames, on the grid 0..num_segments-1
+            try:  # block 1's layer calls all have this one size
+                check_kernel_size(cfg.num_segments, cfg.num_segments2, basis.width, cfg.degree)
+            except ValueError as exc:
+                raise ValueError(
+                    f"config keys 'num_segments' = {cfg.num_segments}, 'num_segments2' = "
+                    f"{cfg.num_segments2} and 'gcn_dim' = {cfg.gcn_dim}: {exc}"
+                ) from exc
             steps = np.arange(cfg.num_segments, dtype=np.float64)
             self.grid2 = steps, SegmentPartition.spanning(TimedPath(steps, steps), cfg.num_segments2)
         if not mapped:
@@ -721,11 +729,15 @@ class StreamClassifier:
             seq = np.ones((n, seq.shape[1] + 1))
             seq[:, 1:] = sample.points
         partition = SegmentPartition.spanning(sample, self.blocks[0][2])
-        if self.raw_basis is None:
+        if self.raw_basis is None:  # the layer runs in _forward; refuse its sizes here, naming the stream
+            check_kernel_size(n, partition.num_segments, self.blocks[0][1].width, cfg.degree)
             return times, partition, self._joint_paths(times, seq), ahat
+        # the tail is columnwise, so a group's raw paths are columns of the whole sequence's
+        flat, t = self._tail(seq, times), int(cfg.use_time)
         w, rows = seq.shape[1] // self.joints, []
         for first, count, basis, gather in self.joint_groups:
-            group = TimedPath(times, self._tail(seq[:, first * w : (first + count) * w], times))
+            columns = flat[:, t + first * w : t + (first + count) * w]
+            group = TimedPath(times, np.concatenate([flat[:, :t], columns], axis=1))
             group_rows, _ = self._rows(*logsig_sequence_forward(group, partition, cfg.degree, basis))
             rows.append(group_rows.take(gather, axis=1).swapaxes(0, 1))
         return np.concatenate(rows), ahat

@@ -61,9 +61,9 @@ class TimedPath:
             raise ValueError(f"{points.shape[1]} point columns do not split into {joints} joints")
         if times.size < 1:
             raise ValueError("a path needs at least one sample")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
+        if not (np.isfinite(times).all() and np.isfinite(points).all()):
             raise ValueError("timestamps and points must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("timestamps must be strictly increasing")
         if self.adjacency is not None:
             adjacency = np.asarray(self.adjacency, dtype=np.float64)

@@ -101,6 +101,24 @@ class TestDims:
         assert out == "" and "--degree" in err
 
 
+class TestReportValues:
+    @pytest.mark.parametrize("kind,value", [("metric", float("nan")), ("timing", float("inf"))])
+    def test_non_finite_value_exits_1_without_a_report(self, monkeypatch, capsys, kind, value):
+        original = cli._cmd_dims
+
+        def dims(args):
+            report, code = original(args)
+            getattr(report, f"{kind}s")["forced"] = value
+            return report, code
+
+        monkeypatch.setattr(cli, "_cmd_dims", dims)
+        assert main(["dims", "--width", "2", "--degree", "2"]) == 1
+        captured = capsys.readouterr()
+        assert_single_error_line(captured.err)
+        assert captured.err == f"error: dims report: {kind}.forced is not finite\n"
+        assert captured.out == ""
+
+
 class TestLogsig:
     def test_corner_path_values(self, capture, tmp_path):
         path = tmp_path / "corner.jsonl"
@@ -986,6 +1004,22 @@ class TestKernelArrayBudget:
         data = stream_file(length_range=(100, 120))
         argv = ["logsig", data, "--degree", "2", "--segments", "4"]
         self._assert_exits_2_naming(argv, f"{data}, sample 0: degree 2 on ", capsys)
+
+    def test_per_path_train_names_the_stream(self, monkeypatch, stream_file, tmp_path, capsys):
+        # 5-joint 2-D skeletons take el-logsig-rnn's per-path route at degree 3 (raw
+        # width 12), whose layer runs in the forward pass: the embedded paths [time,
+        # 3 channels] of 100+ samples hold Chen factors (101+, 16), past a budget of
+        # 1000 entries that every parameter and stream row array stays within
+        monkeypatch.setattr(lyndon, "MAX_ARRAY_ENTRIES", 1000)
+        data = stream_file(count=8, layout="skeleton", length_range=(100, 120))
+        config = _write_train_config(tmp_path, degree=3)
+        target = tmp_path / "m.ckpt"
+        assert main(["train", config, data, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert_single_error_line(captured.err)
+        assert f"{config} on {data}: stream " in captured.err and "Chen factors" in captured.err
+        assert "past the array size budget of 1000 entries" in captured.err
+        assert captured.out == "" and not target.exists()
 
     def test_train_names_the_stream(self, stream_file, tmp_path, capsys):
         # el-logsig-rnn's raw paths [time, 1, x, y] of 100+ samples: Chen factors (101+, 4),

@@ -451,6 +451,48 @@ class TestBackward:
         assert np.allclose(grad, 0.0)
 
 
+class TestAugmentedBoundaries:
+    """Boundary layouts of the augmentation, each on a stack of three paths:
+    rows against restricted log-signatures, the adjoint against central
+    differences, and the stack against one-path calls bit for bit."""
+
+    @pytest.mark.parametrize(
+        "times,layout",
+        [
+            # every interior boundary of 4 segments is a sample
+            pytest.param(np.linspace(0.0, 1.0, 9), "on-sample", id="on-sample"),
+            # the three interior boundaries share one sample interval
+            pytest.param(np.array([0.0, 0.1, 0.8, 0.9, 1.0]), "one-interval", id="one-interval"),
+            pytest.param(np.array([0.0, 1.0]), "one-interval", id="two-samples"),
+        ],
+    )
+    def test_layout(self, times, layout):
+        rng = np.random.default_rng(40)
+        degree, segments = 3, 4
+        points = rng.normal(0.0, 1.0, (3, times.size, 2))
+        part = SegmentPartition.uniform(0.0, 1.0, segments)
+        basis = enumerate_lyndon(2, degree)
+        rows, state = logsig_stack_forward(times, points, part, degree, basis)
+        assert state.keep.sum() == times.size and state.ins.size == segments - 1
+        if layout == "on-sample":  # each boundary point is the sample before it
+            assert np.all(state.wb == 0.0) and np.unique(state.ins).size == segments - 1
+        else:
+            assert np.unique(state.ins).size == 1
+        upstream = rng.normal(0.0, 1.0, rows.shape)
+        starts = rng.normal(0.0, 1.0, state.starts.shape)
+        grad = backward_from_state(state, upstream, starts)
+        v = _boundaries_in_path_time(TimedPath(times, points[0]), part)
+        for path_points, path_rows, path_grad, path_upstream, path_starts in zip(points, rows, grad, upstream, starts):
+            path = TimedPath(times, path_points)
+            direct = np.stack([log_signature(restrict(path, v[k], v[k + 1]), degree, basis) for k in range(segments)])
+            assert np.max(np.abs(path_rows - direct)) <= 1e-12
+            one_rows, one_state = logsig_sequence_forward(path, part, degree, basis)
+            assert np.array_equal(path_rows, one_rows)
+            assert np.array_equal(path_grad, backward_from_state(one_state, path_upstream, path_starts))
+            reference = fd_gradient(path, part, degree, basis, path_upstream, starts=path_starts)
+            assert max_rel_err(path_grad, reference) <= 1e-5
+
+
 class TestChannelSubsets:
     """The rows of a path's channels ``letters`` are the full path's rows at
     ``LyndonBasis.letter_positions(letters)``, and its start points the full

@@ -27,7 +27,7 @@ from logsigrnn import (
     gen_synthetic,
     upsample_linear,
 )
-from logsigrnn import neural
+from logsigrnn import lyndon, neural
 from logsigrnn.logsig_layer import _boundaries_in_path_time
 from logsigrnn.neural import (
     cross_entropy,
@@ -950,6 +950,20 @@ class TestGcnRoute:
         model = self._model(cfg, rng, route, joints=5)
         calls = _layer_calls(monkeypatch, model, self._samples(rng, joints=5))
         assert calls == {"widths": groups * 3, "stacks": [(5, 4)] * 3, "backward": [5] * 3}
+
+    def test_second_block_layer_size_is_checked_at_build(self, monkeypatch):
+        # gcn-logsig-rnn-2's second block reads every sample on num_segments
+        # steps: at width 7 and degree 3 its top level (4, 343) is past a
+        # budget of 1200 entries that every parameter and stream array stays within
+        cfg = ModelConfig(variant="gcn-logsig-rnn-2", degree=3, num_segments=2, num_segments2=4, gcn_dim=6, hidden=2)
+        StreamClassifier.build(cfg, (1, 2), 0)
+        monkeypatch.setattr(lyndon, "MAX_ARRAY_ENTRIES", 1200)
+        named = (
+            "config keys 'num_segments' = 2, 'num_segments2' = 4 and 'gcn_dim' = 6: degree 3 on 2-sample "
+            "width-7 paths in 4 segments makes each path's top level and log powers (4, 343)"
+        )
+        with pytest.raises(ValueError, match=re.escape(named)):
+            StreamClassifier.build(cfg, (1, 2), 0)
 
 
 class TestFrameRnnBatch:
