@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from . import datasets
 from .datasets import LabeledStreamSet, load_streams
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward, logsig_stack_forward
-from .lyndon import check_array_size, check_basis_size, enumerate_lyndon, logsig_dim, sig_dim
+from .lyndon import check_array_size, check_basis_size, enumerate_lyndon, sig_dim, witt_number
 from .neural import ModelConfig, StreamClassifier, TrainSettings, evaluate_model, input_spec, train
 from .paths import TimedPath
 from .reports import RunReport, render_report
@@ -226,10 +227,21 @@ def _require_at_least(args, low: int, *names: str) -> None:
 
 def _cmd_dims(args) -> tuple[RunReport, int]:
     _require_at_least(args, 1, "width", "degree")
+    # before any row: one row per level, and every entry is below 2 * width**degree
+    max_degree = max_digits = 1000
+    if args.degree > max_degree:
+        raise InputError(f"--degree {args.degree} is past the {max_degree} levels that dims tabulates")
+    digits = int(args.degree * math.log10(args.width)) + 1
+    if digits > max_digits:
+        raise InputError(
+            f"--width {args.width} at --degree {args.degree}: width**degree has {digits} digits, "
+            f"past the {max_digits} that dims prints"
+        )
     report = RunReport("dims", config={"width": args.width, "degree": args.degree})
-    rows = []
+    rows, l = [], 0
     for m in range(1, args.degree + 1):
-        s, l = sig_dim(args.width, m), logsig_dim(args.width, m)
+        s = sig_dim(args.width, m)
+        l += witt_number(args.width, m)  # logsig_dim is the running sum of the levels' Witt numbers
         rows.append([m, s, l, s - l])
     report.add_table("dims", ["degree", "sig_dim", "logsig_dim", "gap"], rows)
     return report, 0
@@ -254,10 +266,10 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
         # before any row is computed
         check_array_size((args.segments, basis.dim), f"each {args.input} sample's rows", f"--segments {args.segments}")
+        partition = SegmentPartition.uniform(0.0, 1.0, args.segments)  # the layer maps it onto each sample's span
         for i, p in enumerate(data.samples):
-            part = SegmentPartition.spanning(p, args.segments)
             with _naming(f"{args.input}, sample {i}"):
-                rows, _ = logsig_sequence_forward(p, part, args.degree, basis)
+                rows, _ = logsig_sequence_forward(p, partition, args.degree, basis)
             report.add_table(
                 f"sample{i}", labels, [[float(x) for x in row] for row in rows]
             )
@@ -277,13 +289,13 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
         check_basis_size(args.width, args.degree)
     basis = enumerate_lyndon(args.width, args.degree)
     check_array_size((args.segments, basis.dim), "each trial's rows", f"--segments {args.segments}")
+    part = SegmentPartition.uniform(0.0, 1.0, args.segments)
     for trial in range(args.trials):
         n = int(rng.integers(6, 14))
         times = np.sort(rng.uniform(0.0, 1.0, n))
         times[0], times[-1] = 0.0, 1.0
         points = rng.normal(0.0, 1.0, (n, args.width))
         path = TimedPath(times, points)
-        part = SegmentPartition.uniform(0.0, 1.0, args.segments)
         rows_out, state = logsig_sequence_forward(path, part, args.degree, basis)
         upstream = rng.normal(0.0, 1.0, rows_out.shape)
         grad = backward_from_state(state, upstream)

@@ -73,12 +73,6 @@ class SegmentPartition:
             raise ValueError("need at least one segment")
         return cls(np.linspace(start, stop, num_segments + 1))
 
-    @classmethod
-    def spanning(cls, sample, num_segments: int) -> "SegmentPartition":
-        """Uniform partition of the span of a path's ``times`` (the unit span for a single sample)."""
-        t = sample.times
-        return cls.uniform(*((float(t[0]), float(t[-1])) if t.size > 1 else (0.0, 1.0)), num_segments)
-
     @property
     def num_segments(self) -> int:
         return self.boundaries.size - 1

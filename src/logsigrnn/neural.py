@@ -72,10 +72,11 @@ CELLS = ("vanilla", "lstm")
 # at most this many entries: both the layer on the raw path and the map's
 # dense level factors grow with raw_width**degree.  Timed on el-logsig-rnn
 # against the per-path route by scripts/time_el_routes.py (its default
-# shapes, BLAS 1 thread): up to 512 entries a training step took 0.27-0.74
-# of the per-path one and single-stream logits 0.96-1.6x as long; past it
-# logits took 1.6-5.9x as long, and the step gain shrank (0.37-0.81 up to
-# 1296) and turned into a loss at 1728 (1.3-1.4x).  Block 0 also sizes its
+# shapes, BLAS 1 thread, with the per-sample stack call and the lean layer
+# forward): up to 512 entries a training step took 0.29-0.69 of the
+# per-path one and single-stream logits 0.98-1.64x as long; past it logits
+# took 1.65-5.98x as long, and the step gain shrank (0.36-0.78 up to 1296)
+# and turned into a loss at 1728 (1.31-1.41x).  Block 0 also sizes its
 # groups by it: the layer runs on the largest number k of raw paths whose
 # [time, k paths' columns] stays within the limit, where a call costs
 # little more than on one gcn joint (degree 3, 40 samples, 4 segments:
@@ -371,7 +372,7 @@ class StreamClassifier:
     """Sequence classifier over timed paths, each with its joint layout.
 
     Every logsig variant is a stack of blocks ``(rnn param prefix, Lyndon
-    basis, segments)``.  A block reads each sample's ``J`` parameter-free raw
+    basis, partition)``.  A block reads each sample's ``J`` parameter-free raw
     paths and one matrix ``L`` for the whole block (``_block_matrix``), so
     path ``j`` is ``raw[j] @ L``.  It runs the layer (and start points) on
     each path's segments and one recurrent unroll over all ``B * J`` rows of
@@ -387,10 +388,10 @@ class StreamClassifier:
     gcn-logsig-rnn-2's second block builds its raw paths the same way from
     the first block's outputs.
 
-    A sample's time grid is checked when the sample is built and partitioned
-    when it is prepared, and every layer call on it shares that partition;
-    gcn-logsig-rnn-2's second block reads every sample on block 0's steps
-    ``0 .. num_segments - 1``, partitioned once per model (``grid2``).
+    One grid rule: a block's partition is one ``SegmentPartition.uniform(0,
+    1, segments)`` per model, which the layer maps affinely onto each path's
+    own time span in every call.  gcn-logsig-rnn-2's second block reads
+    every sample on block 0's steps ``0 .. num_segments - 1`` (``grid2``).
 
     Block 0 takes the mapped route of ``_mapped_inputs`` while ``(t + w) **
     degree`` is at most ``MAPPED_TENSOR_LIMIT``, and always when el has no
@@ -459,6 +460,9 @@ class StreamClassifier:
         self.rnn_in, self.rnn_in2 = in_dims[0], in_dims[-1]
         mapped = cfg.variant != "frame-rnn" and ((t + w) ** cfg.degree <= MAPPED_TENSOR_LIMIT or bare)
         self.param_shapes = self._checked_shapes(in_dims)
+        # after _checked_shapes, which refuses a segment count past the array budget
+        self.blocks = [(prefix, basis, None if basis is None else SegmentPartition.uniform(0.0, 1.0, segments))
+                       for prefix, basis, segments in self.blocks]
         if cfg.variant == "gcn-logsig-rnn-2":  # block 0's outputs are block 1's frames, on the grid 0..num_segments-1
             try:  # block 1's layer calls all have this one size
                 check_kernel_size(cfg.num_segments, cfg.num_segments2, basis.width, cfg.degree)
@@ -467,8 +471,7 @@ class StreamClassifier:
                     f"config keys 'num_segments' = {cfg.num_segments}, 'num_segments2' = "
                     f"{cfg.num_segments2} and 'gcn_dim' = {cfg.gcn_dim}: {exc}"
                 ) from exc
-            steps = np.arange(cfg.num_segments, dtype=np.float64)
-            self.grid2 = steps, SegmentPartition.spanning(TimedPath(steps, steps), cfg.num_segments2)
+            self.grid2 = np.arange(cfg.num_segments, dtype=np.float64)
         if not mapped:
             return
         # on the mapped route path i of a group reads its rows and start points
@@ -611,15 +614,15 @@ class StreamClassifier:
             g_matrix += starts.T @ gx[:, dim:]
         self._block_matrix_backward(0, g_matrix, grads)
 
-    def _path_inputs(self, index, inputs, basis, segments):
+    def _path_inputs(self, index, inputs, basis, partition):
         """Recurrent inputs ``(B * J, segments, c)`` of a per-path block: one layer call per sample on its ``raw @ L``.
 
-        Entries are ``(times, partition, raw, ahat)`` with a sample's ``J`` raw
-        paths ``raw`` ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
+        Entries are ``(times, raw, ahat)`` with a sample's ``J`` raw paths
+        ``raw`` ``(J, n, w)``; ``L`` is ``_block_matrix(index)``.
         """
         matrix, degree = self._block_matrix(index), self.config.degree
         rows, states = zip(*(self._rows(*logsig_stack_forward(times, raw @ matrix, partition, degree, basis))
-                             for times, partition, raw, _ in inputs))
+                             for times, raw, _ in inputs))
         return np.concatenate(rows), (inputs, matrix, states)
 
     def _path_inputs_backward(self, index, cache, gx, grads):
@@ -632,7 +635,7 @@ class StreamClassifier:
         inputs, matrix, states = cache
         J, d, sp = self.joints, states[0].rows.shape[-1], self.config.use_start_points
         g_matrix, g_frames = 0.0, []
-        for (*_, raw, ahat), state, g in zip(inputs, states, gx):
+        for (_, raw, ahat), state, g in zip(inputs, states, gx):
             g_points = backward_from_state(state, g[..., :d], g[..., d:] if sp else None)
             g_matrix += raw.reshape(-1, raw.shape[-1]).T @ g_points.reshape(-1, g_points.shape[-1])
             if index:
@@ -686,10 +689,11 @@ class StreamClassifier:
         The entry is frame-rnn's points or resampled points ``(T, F *
         D)``; on block 0's mapped route ``(rows, ahat)``, each raw path's
         layer rows and raw start points ``(J, segments, c)`` gathered from one
-        layer call per group; or on the per-path route ``(times, partition,
-        raw, ahat)``, the ``J`` raw paths ``(J, n, w)`` from one tail call,
-        with the sample's one partition.  ``ahat`` is the gcn variants'
-        normalized adjacency, None in el-logsig-rnn.
+        layer call per group; or on the per-path route ``(times, raw,
+        ahat)``, the ``J`` raw paths ``(J, n, w)`` from one tail call.  No
+        entry holds a partition: the layer maps the block's one onto each
+        sample.  ``ahat`` is the gcn variants' normalized adjacency, None in
+        el-logsig-rnn.
         ``_forward`` reads any list of entries, so a caller may prepare a set
         once and run batches of it.  A value that overflows float64 is a
         ``FloatingPointError``, and a layer refusal a ``ValueError``, naming
@@ -728,10 +732,10 @@ class StreamClassifier:
         elif cfg.use_embedding:
             seq = np.ones((n, seq.shape[1] + 1))
             seq[:, 1:] = sample.points
-        partition = SegmentPartition.spanning(sample, self.blocks[0][2])
+        partition = self.blocks[0][2]
         if self.raw_basis is None:  # the layer runs in _forward; refuse its sizes here, naming the stream
             check_kernel_size(n, partition.num_segments, self.blocks[0][1].width, cfg.degree)
-            return times, partition, self._joint_paths(times, seq), ahat
+            return times, self._joint_paths(times, seq), ahat
         # the tail is columnwise, so a group's raw paths are columns of the whole sequence's
         flat, t = self._tail(seq, times), int(cfg.use_time)
         w, rows = seq.shape[1] // self.joints, []
@@ -755,20 +759,20 @@ class StreamClassifier:
             batch_cache["last"] = (lengths - 1, order)
         else:
             inputs = prepared
-            for index, (prefix, basis, segments) in enumerate(self.blocks):
+            for index, (prefix, basis, partition) in enumerate(self.blocks):
                 if index == 0 and self.raw_basis is not None:
-                    x, block_cache = self._mapped_inputs(inputs, basis, segments)
+                    x, block_cache = self._mapped_inputs(inputs, basis, partition.num_segments)
                 else:
-                    x, block_cache = self._path_inputs(index, inputs, basis, segments)
+                    x, block_cache = self._path_inputs(index, inputs, basis, partition)
                 out, batch_cache[prefix] = _rnn_forward_batch(x, *_rnn_params(p, prefix), cfg.cell)
                 batch_cache["blocks"].append(block_cache)
-                out = out.reshape(B, J, segments, cfg.hidden)
+                out = out.reshape(B, J, partition.num_segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
-                    times, partition = self.grid2
-                    inputs = [(times, partition, self._joint_paths(times, self._mix(entry[-1], f)), entry[-1])
+                    times = self.grid2
+                    inputs = [(times, self._joint_paths(times, self._mix(entry[-1], f)), entry[-1])
                               for f, entry in zip(out.swapaxes(1, 2), inputs)]
             feats = out[:, :, -1, :].mean(axis=1)
-            batch_cache["last"] = (segments - 1, np.repeat(np.arange(B), J))
+            batch_cache["last"] = (partition.num_segments - 1, np.repeat(np.arange(B), J))
         logits = feats @ p["head.w"] + p["head.b"]
         batch_cache["feats"] = feats
         return logits, batch_cache
@@ -790,14 +794,14 @@ class StreamClassifier:
         g_out = np.zeros((len(sample), np.max(last) + 1, cfg.hidden))
         g_out[np.arange(len(sample)), last] = g_feats[sample] / J
         for index in range(len(self.blocks) - 1, -1, -1):
-            prefix, basis, segments = self.blocks[index]
+            prefix, basis, partition = self.blocks[index]
             gx, *g_rnn = _rnn_backward_batch(batch_cache[prefix], g_out)
             for name, g in zip(_RNN_KEYS, g_rnn):
                 grads[f"{prefix}.{name}"] += g
             if basis is None:  # frame-rnn's cell reads the frames themselves
                 continue
             block_cache = batch_cache["blocks"][index]
-            gx = gx.reshape(B, J, segments, -1)
+            gx = gx.reshape(B, J, partition.num_segments, -1)
             if index == 0 and self.raw_basis is not None:
                 self._mapped_inputs_backward(block_cache, gx, grads)
                 continue

@@ -65,6 +65,9 @@ class TimedPath:
             raise ValueError("timestamps and points must be finite")
         if not (times[1:] > times[:-1]).all():
             raise ValueError("timestamps must be strictly increasing")
+        t0, t1 = float(times[0]), float(times[-1])  # Python floats: no numpy overflow warning or error
+        if not np.isfinite(t1 - t0):
+            raise ValueError(f"the time span {t0!r} .. {t1!r} overflows float64")
         if self.adjacency is not None:
             adjacency = np.asarray(self.adjacency, dtype=np.float64)
             if adjacency.shape != (joints, joints):

@@ -100,6 +100,25 @@ class TestDims:
         out, err = capsys.readouterr()
         assert out == "" and "--degree" in err
 
+    @pytest.mark.parametrize(
+        "width,degree,message",
+        [
+            # width 1 keeps every entry small: only the row count is past the bound
+            pytest.param("1", "1001", "--degree 1001 is past the 1000 levels", id="degree"),
+            # once Python's "Exceeds the limit (4300 digits) for integer string conversion"
+            pytest.param(
+                "100000000000000000000", "300",
+                "--width 100000000000000000000 at --degree 300: width**degree has 6001 digits", id="digits-wide",
+            ),
+            pytest.param("10", "1000", "--width 10 at --degree 1000: width**degree has 1001 digits", id="digits"),
+        ],
+    )
+    def test_table_past_the_bounds_exits_2_naming_the_flag(self, capsys, width, degree, message):
+        assert main(["dims", "--width", width, "--degree", degree]) == 2
+        out, err = capsys.readouterr()
+        assert_single_error_line(err)
+        assert out == "" and message in err
+
 
 class TestReportValues:
     @pytest.mark.parametrize("kind,value", [("metric", float("nan")), ("timing", float("inf"))])
@@ -204,6 +223,12 @@ def _skeleton_record(weight, n=2, times="[0.0, 1.0]", frames="[[[0.0], [1.0]], [
 # a skeleton whose timestamps TimedPath's grid rule refuses
 INFINITE_TIME_SKELETON = _skeleton_record(1.0, times="[0.0, Infinity]")
 
+# every timestamp is finite, but the clock's span, last minus first, is not
+OVERFLOWING_SPAN_PATH = (
+    '{"kind": "path", "label": 0, "n": 3, "d": 2, "times": [-1e308, 0.0, 1e308],'
+    ' "points": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]}\n'
+)
+
 
 class TestStreamFileErrors:
     """A bad label, header or adjacency is one error line naming the file and line, and exit 2."""
@@ -227,6 +252,8 @@ class TestStreamFileErrors:
             # a skeleton's grid obeys the path rule, so loading names the line
             pytest.param(INFINITE_TIME_SKELETON, 1, id="skeleton-infinite-time"),
             pytest.param(_skeleton_record(1.0, n=1, times="[NaN]", frames="[[[0.0], [1.0]]]"), 1, id="skeleton-one-nan-time"),
+            # once two numpy warnings and an error naming neither file nor line
+            pytest.param(OVERFLOWING_SPAN_PATH, 1, id="path-overflowing-time-span"),
             # the JSON decoder's recursion limit is a RuntimeError, once an exit 1 naming nothing
             pytest.param("[" * 100000 + "\n", 1, id="deeply-nested-json"),
         ],
@@ -248,6 +275,17 @@ class TestStreamFileErrors:
         assert result.returncode == 2
         assert_single_error_line(result.stderr)
         assert f"{path}: line 1: timestamps and points must be finite" in result.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_on_an_overflowing_time_span_exits_2_naming_the_line(self, tmp_path):
+        # once exit 1, naming the stream but not the file or the line
+        path = tmp_path / "bad.jsonl"
+        path.write_text(_path_record(0) + OVERFLOWING_SPAN_PATH)
+        config = _write_train_config(tmp_path, epochs=1)
+        result = run_cli("train", config, str(path), str(tmp_path / "m.ckpt"))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert f"{path}: line 2: the time span -1e+308 .. 1e+308 overflows float64" in result.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -506,7 +506,7 @@ class TestChannelSubsets:
         width, degree = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         letters = np.sort(rng.choice(width, int(rng.integers(1, width + 1)), replace=False))
         path = random_path(rng, int(rng.integers(1, 25)), width)
-        partition = SegmentPartition.spanning(path, int(rng.integers(1, 5)))
+        partition = SegmentPartition.uniform(0.0, 1.0, int(rng.integers(1, 5)))
         rows, state = logsig_sequence_forward(path, partition, degree)
         sub_rows, sub_state = logsig_sequence_forward(TimedPath(path.times, path.points[:, letters]), partition, degree)
         got = rows[:, enumerate_lyndon(width, degree).letter_positions(letters)]

@@ -131,12 +131,12 @@ class TestSizeBudget:
 
 def _layer_on_the_digit(degree):
     path = datasets.digit_polyline()
-    return logsig_sequence_forward(path, SegmentPartition.spanning(path, 4), degree)
+    return logsig_sequence_forward(path, SegmentPartition.uniform(0.0, 1.0, 4), degree)
 
 
 def _stack_on_the_digit(degree):
     path = datasets.digit_polyline()
-    return logsig_stack_forward(path.times, path.points[None], SegmentPartition.spanning(path, 4), degree)
+    return logsig_stack_forward(path.times, path.points[None], SegmentPartition.uniform(0.0, 1.0, 4), degree)
 
 
 @pytest.mark.parametrize(

@@ -524,9 +524,9 @@ def _embedded_path_inputs(model, sample):
     if cfg.use_time:
         seq = time_incorporated_layer(seq, sample.times)
     path = TimedPath(sample.times, seq)
-    partition = SegmentPartition.spanning(path, cfg.num_segments)
+    partition = SegmentPartition.uniform(0.0, 1.0, cfg.num_segments)
     rows = logsig_sequence(path, partition, cfg.degree, model.blocks[0][1])
-    starts = add_start_points(rows, path, partition.boundaries)[:, rows.shape[1] :]
+    starts = add_start_points(rows, path, _boundaries_in_path_time(path, partition))[:, rows.shape[1] :]
     return rows, starts if cfg.use_start_points else starts[:, :0]
 
 
@@ -552,7 +552,7 @@ def _exact_el_inputs(model, sample):
     points = np.concatenate([exact(channel), seq], axis=1)
     times = exact(sample.times)
     path = TimedPath(sample.times, channel)
-    v = exact(_boundaries_in_path_time(path, SegmentPartition.spanning(path, cfg.num_segments)))
+    v = exact(_boundaries_in_path_time(path, model.blocks[0][2]))
 
     def at(s):
         i = int(np.searchsorted(times, s, side="left"))
@@ -758,9 +758,10 @@ def _paper_order_inputs(cfg, basis, segments, times, frames, adjacency, theta):
         if cfg.use_time:
             seq = time_incorporated_layer(seq, times)
         path = TimedPath(times, seq)
-        partition = SegmentPartition.spanning(path, segments)
+        partition = SegmentPartition.uniform(0.0, 1.0, segments)
         rows = logsig_sequence(path, partition, cfg.degree, basis)
-        inputs.append(add_start_points(rows, path, partition.boundaries) if cfg.use_start_points else rows)
+        boundaries = _boundaries_in_path_time(path, partition)
+        inputs.append(add_start_points(rows, path, boundaries) if cfg.use_start_points else rows)
     return np.stack(inputs)
 
 
@@ -1152,28 +1153,31 @@ class TestPreparedTraining:
     @pytest.mark.parametrize(
         "variant,per_path,counts",
         [
-            # (partitions, TimedPath builds) over 16 streams; with a partition
-            # per layer call they were (32, 32), (32, 64) and (64, 96)
-            ("gcn-logsig-rnn", False, (16, 32)),  # one build per joint group call (2 per stream)
-            ("gcn-logsig-rnn", True, (16, 32)),  # one grid check per stack call (16 per epoch)
-            ("gcn-logsig-rnn-2", False, (17, 65)),  # block 1's grid once per model, checked once
+            # (partitions, TimedPath builds) over 16 streams: one partition per
+            # block and none per stream; with one per stream they were (16,
+            # 32), (16, 32) and (17, 65), block 1's built on a throwaway path
+            # one build per joint group call (2 per stream)
+            pytest.param("gcn-logsig-rnn", False, (1, 32), id="gcn-mapped"),
+            # one grid check per stack call (16 per epoch)
+            pytest.param("gcn-logsig-rnn", True, (1, 32), id="gcn-per-path"),
+            pytest.param("gcn-logsig-rnn-2", False, (2, 64), id="gcn-2-mapped"),
         ],
     )
-    def test_each_time_grid_is_partitioned_once(self, monkeypatch, variant, per_path, counts):
+    def test_each_block_is_partitioned_once_per_model(self, monkeypatch, variant, per_path, counts):
         data = gen_synthetic(16, seed=5, length_range=(20, 60), layout="skeleton", joints=5)
         partitions, builds = [], []
-        spanning, post_init = SegmentPartition.spanning.__func__, TimedPath.__post_init__
+        partition_init, path_init = SegmentPartition.__post_init__, TimedPath.__post_init__
 
-        def counted_spanning(cls, sample, num_segments):
-            partitions.append(num_segments)
-            return spanning(cls, sample, num_segments)
+        def counted_partition(partition):
+            partitions.append(partition)
+            partition_init(partition)
 
-        def counted_post_init(path):
+        def counted_path(path):
             builds.append(path)
-            post_init(path)
+            path_init(path)
 
-        monkeypatch.setattr(SegmentPartition, "spanning", classmethod(counted_spanning))
-        monkeypatch.setattr(TimedPath, "__post_init__", counted_post_init)
+        monkeypatch.setattr(SegmentPartition, "__post_init__", counted_partition)
+        monkeypatch.setattr(TimedPath, "__post_init__", counted_path)
         if per_path:
             monkeypatch.setattr(neural, "MAPPED_TENSOR_LIMIT", 0)
         cfg = ModelConfig(variant=variant, degree=3, hidden=4, num_classes=4)

@@ -1,5 +1,7 @@
 """Path signatures: worked examples, Chen's identity, invariances."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,15 @@ class TestTimedPath:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             TimedPath([0.0, 1.0], [[0.0], [np.inf]])
+
+    def test_rejects_a_time_span_that_overflows(self):
+        # every timestamp is finite, but the last minus the first is not; the
+        # check raises no numpy warning, and no error under numpy's raise policy
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"time span -1e\+308 \.\. 1e\+308 overflows float64"):
+                TimedPath([-1e308, 0.0, 1e308], np.zeros((3, 2)))
+        TimedPath([1e308, 1.7e308], np.zeros((2, 1)))  # far from zero, but a finite span
 
     def test_one_dimensional_points_promoted(self):
         p = TimedPath([0.0, 1.0], [1.0, 2.0])
