@@ -336,8 +336,8 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
     return report, 0 if passed else 1
 
 
-def _split_eval(data: LabeledStreamSet, fraction: float, seed: int):
-    count = len(data)
+def _split_eval(count: int, fraction: float, seed: int):
+    """Indices of the training and the held-out records."""
     held = int(round(count * fraction))
     if not 0 < held < count:
         raise InputError(
@@ -346,7 +346,7 @@ def _split_eval(data: LabeledStreamSet, fraction: float, seed: int):
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(count)
-    return data.subset(order[held:]), data.subset(order[:held])
+    return order[held:], order[:held]
 
 
 def _cmd_train(args) -> tuple[RunReport, int]:
@@ -446,7 +446,10 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
         if rate == 0.0:
             continue
         rng = np.random.default_rng(args.seed)
-        perturbed = [perturb(s, rate, rng) for s in data.samples]
+        perturbed = []
+        for i, s in enumerate(data.samples):
+            with _naming(f"{args.data}, sample {i} at rate {rate}"):
+                perturbed.append(perturb(s, rate, rng))
         where = f"{args.data} at rate {rate}"
         am = _evaluate(model, perturbed, data.labels, where, args.checkpoint).accuracy
         ab = _evaluate(baseline, perturbed, data.labels, where, args.baseline_checkpoint).accuracy
@@ -489,19 +492,22 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
         for i, s in enumerate(data.samples):
             shape = ((s.num_samples - 1) * factor + 1, s.width)
             check_array_size(shape, f"{args.data} sample {i}", f"--upsample factor {factor}")
-    train_set, eval_set = _split_eval(data, args.eval_fraction, args.seed)
+    train_idx, eval_idx = _split_eval(len(data), args.eval_fraction, args.seed)
     epochs = args.epochs + args.timed_epochs
     rows = []
     for factor in factors:
-        up_train = [datasets.upsample_linear(s, factor) for s in train_set.samples]
-        up_eval = [datasets.upsample_linear(s, factor) for s in eval_set.samples]
+        up = []
+        for i, s in enumerate(data.samples):
+            with _naming(f"{args.data}, sample {i} at --upsample factor {factor}"):
+                up.append(datasets.upsample_linear(s, factor))
+        up_train, up_eval = [up[i] for i in train_idx], [up[i] for i in eval_idx]
         results = {}
         for tag, cfg, st, path in (("model", config, settings, args.config),
                                    ("baseline", bconfig, bsettings, args.baseline_config)):
             st = dataclasses.replace(st, epochs=epochs, seed=args.seed)
             with _naming(f"{path} on {args.data} at --upsample factor {factor}"):
-                res = train(cfg, up_train, train_set.labels, st)
-                acc = evaluate_model(cfg, up_eval, eval_set.labels, params=res.params).accuracy
+                res = train(cfg, up_train, data.labels[train_idx], st)
+                acc = evaluate_model(cfg, up_eval, data.labels[eval_idx], params=res.params).accuracy
             med = _median_epoch_seconds(res.trace, args.timed_epochs)
             results[tag] = (med, acc, res.prepare_seconds)
         model, base = results["model"], results["baseline"]

@@ -189,6 +189,8 @@ def perturb_insert(path: TimedPath, rate: float, seed) -> TimedPath:
     Each duplicate repeats the chosen point with a timestamp midway to the
     next sample, keeping the grid strictly increasing.  The traversed curve
     is unchanged, so whole-path log-signatures are exactly preserved.
+    Raises ``ValueError`` naming the two samples when no float64 lies
+    strictly between their times.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"insert rate must be in [0, 1), got {rate}")
@@ -202,23 +204,41 @@ def perturb_insert(path: TimedPath, rate: float, seed) -> TimedPath:
     times = list(path.times)
     points = list(path.points)
     for i in chosen:
-        times.insert(i + 1, 0.5 * (times[i] + times[i + 1]))
+        # TimedPath keeps the span, and so every gap, finite
+        mid = times[i] + 0.5 * (times[i + 1] - times[i])
+        if not times[i] < mid < times[i + 1]:
+            raise ValueError(_too_narrow(path.times, i))
+        times.insert(i + 1, mid)
         points.insert(i + 1, points[i])
     return replace(path, times=np.array(times), points=np.stack(points))
 
 
+def _too_narrow(times, i: int) -> str:
+    return (
+        f"the interval between samples {i} and {i + 1} (times {float(times[i])!r} and "
+        f"{float(times[i + 1])!r}) is too narrow to split"
+    )
+
+
 def upsample_linear(path: TimedPath, factor: int) -> TimedPath:
-    """Insert factor-1 equally spaced interpolated samples per segment."""
+    """Insert factor-1 equally spaced interpolated samples per segment.
+
+    Raises ``ValueError`` naming the first two samples whose interval has
+    too few float64 times to split ``factor`` ways.
+    """
     if factor < 1:
         raise ValueError(f"upsample factor must be >= 1, got {factor}")
     if factor == 1 or path.num_samples < 2:
         return path
     t, p = path.times, path.points
     frac = np.arange(factor) / factor
-    times = (t[:-1, None] + np.diff(t)[:, None] * frac[None, :]).reshape(-1)
+    times = np.append((t[:-1, None] + np.diff(t)[:, None] * frac[None, :]).reshape(-1), t[-1])
+    flat = np.flatnonzero(np.diff(times) <= 0)
+    if flat.size:
+        raise ValueError(_too_narrow(t, int(flat[0]) // factor))
     pts = (p[:-1, None, :] + np.diff(p, axis=0)[:, None, :] * frac[None, :, None])
     pts = pts.reshape(-1, p.shape[1])
-    return replace(path, times=np.append(times, t[-1]), points=np.vstack([pts, p[-1]]))
+    return replace(path, times=times, points=np.vstack([pts, p[-1]]))
 
 
 def mape(a, b, guard: float = 1e-8) -> float:

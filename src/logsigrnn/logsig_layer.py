@@ -210,7 +210,7 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     # vanishing below level m.  Below the top level the powers are whole, as
     # the adjoint reads them; at the top level powers[m][M] holds only the
     # Lyndon words' entries, entry a * d**j + b of u (x) v being u[a] * v[b].
-    words, _ = basis.level_inverse(M)
+    words = basis.level_words(M)
     split = [None] + [np.divmod(words, d**j) for j in range(1, M)]
     tails = [None] + [sig[j].take(split[j][1], axis=-1) for j in range(1, M)]
 
@@ -232,7 +232,7 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     # entry is -0.0
     rows = np.zeros((*deltas.shape[:-2], S, basis.dim))
     for n in range(1, M + 1):
-        idx, _ = basis.level_inverse(n)
+        idx = basis.level_words(n)
         log_n = rows[..., basis._level_slices[n - 1]]
         log_n += sig[n].take(idx, axis=-1)
         for m in range(2, n + 1):
@@ -249,7 +249,7 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     sig = powers[1]
     glog = [None]
     for n in range(1, M + 1):
-        idx, _ = basis.level_inverse(n)
+        idx = basis.level_words(n)
         g = np.zeros_like(sig[n])
         g[..., idx] = _to_lyndon_backward(upstream[..., basis._level_slices[n - 1]], basis, n)
         glog.append(g)

@@ -5,13 +5,13 @@ fixes the public coordinate layout of every log-signature vector produced
 by the library.  Each Lyndon word carries the tensor expansion of its
 standard right bracketing, which is unitriangular against the words
 themselves and therefore supports exact coordinate extraction by
-back-substitution.
+substitution over its nonzeros.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,17 +185,20 @@ class LyndonBasis:
             count = sum(1 for w in self.words[start:] if len(w) == n)
             self._level_slices.append(slice(start, start + count))
             start += count
-        # per word: flat indices and coefficients of its expansion
-        self._flat: list[tuple[np.ndarray, np.ndarray]] = []
-        for w, exp in zip(self.words, self.expansions):
-            idx = np.array([word_index(u, width) for u in exp], dtype=np.intp)
-            coef = np.array(list(exp.values()), dtype=np.float64)
-            self._flat.append((idx, coef))
         self._level_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._inverse_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._words_cache: dict[int, np.ndarray] = {}
         self._correction_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._expansion_cache: dict[int, np.ndarray] = {}
         self._letters_cache: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def _flat(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per word: flat indices and coefficients of its expansion."""
+        flat = []
+        for exp in self.expansions:
+            idx = np.array([word_index(u, self.width) for u in exp], dtype=np.intp)
+            flat.append((idx, np.array(list(exp.values()), dtype=np.float64)))
+        return flat
 
     @property
     def dim(self) -> int:
@@ -226,12 +229,21 @@ class LyndonBasis:
             dtype=np.intp,
         )
 
+    def level_words(self, n: int) -> np.ndarray:
+        """Flat indices of the Lyndon words of length n, in basis order.  Built once per basis and level."""
+        if n not in self._words_cache:
+            self._words_cache[n] = np.array(
+                [word_index(w, self.width) for w in self.words_of_length(n)], dtype=np.intp
+            )
+        return self._words_cache[n]
+
     def level_system(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Lyndon flat indices and the unitriangular change-of-basis matrix at degree n.
 
         ``matrix[i, j]`` is the coefficient of Lyndon word i (as a plain word)
         in the bracket expansion of Lyndon word j; it is lower triangular with
-        unit diagonal in the lexicographic order.
+        unit diagonal in the lexicographic order.  Dense, for the reference
+        ``project_to_basis``: the layer reads ``level_correction`` instead.
         """
         if n in self._level_cache:
             return self._level_cache[n]
@@ -239,33 +251,14 @@ class LyndonBasis:
         words = self.words[sl]
         pos = {w: i for i, w in enumerate(words)}
         r = len(words)
-        idx = np.array([word_index(w, self.width) for w in words], dtype=np.intp)
         matrix = np.zeros((r, r))
         for j, w in enumerate(words):
             for u, c in self.expansions[sl.start + j].items():
                 i = pos.get(u)
                 if i is not None:
                     matrix[i, j] = c
-        self._level_cache[n] = (idx, matrix)
-        return idx, matrix
-
-    def level_inverse(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lyndon flat indices and the exact inverse of ``level_system(n)``'s matrix.
-
-        The matrix is integer and unitriangular, so its inverse is integer:
-        the rounded floating-point inverse is kept only when it reproduces
-        the identity exactly.  Built once per basis and level.
-        """
-        if n in self._inverse_cache:
-            return self._inverse_cache[n]
-        idx, matrix = self.level_system(n)
-        inverse = np.rint(np.linalg.inv(matrix))
-        if not np.array_equal(inverse @ matrix, np.eye(matrix.shape[0])):
-            raise RuntimeError(
-                f"rounded inverse of the degree-{n} Lyndon change of basis is not exact"
-            )
-        self._inverse_cache[n] = (idx, inverse)
-        return idx, inverse
+        self._level_cache[n] = (self.level_words(n), matrix)
+        return self._level_cache[n]
 
     def level_letters(self, n: int) -> np.ndarray:
         """``(n, words of length n)`` table whose entry ``[k, i]`` is letter k (from 0) of the i-th such Lyndon word.
@@ -273,22 +266,57 @@ class LyndonBasis:
         Built once per basis and level.
         """
         if n not in self._letters_cache:
-            self._letters_cache[n] = np.array(np.unravel_index(self.level_inverse(n)[0], (self.width,) * n))
+            self._letters_cache[n] = np.array(np.unravel_index(self.level_words(n), (self.width,) * n))
         return self._letters_cache[n]
 
     def level_correction(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``level_inverse(n)`` minus the identity, as ``(rows, cols, block)``.
+        """The inverse of ``level_system(n)``'s matrix minus the identity, as ``(rows, cols, block)``.
 
         ``x @ inverse.T`` equals ``x`` with ``x[:, cols] @ block`` added to
         its columns ``rows``.  The block is empty at levels 1 and 2, where the
         inverse is the identity; at level 3 it holds one entry per row and
-        per column.  Built once per basis and level.
+        per column.
+
+        The system is integer and unitriangular, so its inverse is integer:
+        with ``system = I + L``, column j of the inverse is ``e_j - sum_i
+        L[i, j] * column i`` over the nonzeros of column j of ``L`` (read
+        from the bracket expansions, ``i > j``), built from the last column
+        back in exact integer arithmetic.  No dense (words x words) array is
+        formed.  The product ``system @ inverse`` is checked to be exactly
+        the identity, and every entry to be exact in float64, or
+        ``RuntimeError`` is raised.  Built once per basis and level.
         """
         if n not in self._correction_cache:
-            _, inverse = self.level_inverse(n)
-            off = inverse - np.eye(inverse.shape[0])
-            rows, cols = np.flatnonzero(off.any(axis=1)), np.flatnonzero(off.any(axis=0))
-            self._correction_cache[n] = (rows, cols, np.ascontiguousarray(off[np.ix_(rows, cols)].T))
+            sl = self._level_slices[n - 1]
+            pos = {w: i for i, w in enumerate(self.words[sl])}
+            # system[j]: the nonzeros (i, system[i, j]) of column j, the diagonal first
+            system = [
+                sorted((pos[u], c) for u, c in exp.items() if u in pos) for exp in self.expansions[sl]
+            ]
+            columns: list[dict[int, int]] = [{}] * len(system)
+            for j in range(len(system) - 1, -1, -1):  # from the columns i > j, already built
+                col = {j: 1}
+                for i, c in system[j][1:]:
+                    for k, v in columns[i].items():
+                        col[k] = col.get(k, 0) - c * v
+                columns[j] = {k: v for k, v in col.items() if v}
+            for j, col in enumerate(columns):  # system @ column j must be e_j
+                product: dict[int, int] = {}
+                for k, v in col.items():
+                    for i, c in system[k]:
+                        product[i] = product.get(i, 0) + c * v
+                if {k: v for k, v in product.items() if v} != {j: 1} or any(
+                    int(float(v)) != v for v in col.values()
+                ):
+                    raise RuntimeError(f"the inverse of the degree-{n} Lyndon change of basis is not exact")
+            off = [(i, j, v) for j, col in enumerate(columns) for i, v in col.items() if i != j]
+            rows = np.array(sorted({i for i, _, _ in off}), dtype=np.intp)
+            cols = np.array(sorted({j for _, j, _ in off}), dtype=np.intp)
+            block = np.zeros((cols.size, rows.size))
+            if off:
+                i, j, v = (np.array(x) for x in zip(*off))
+                block[np.searchsorted(cols, j), np.searchsorted(rows, i)] = v
+            self._correction_cache[n] = (rows, cols, block)
         return self._correction_cache[n]
 
     def level_expansion(self, n: int) -> np.ndarray:

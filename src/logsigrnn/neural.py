@@ -76,12 +76,22 @@ CELLS = ("vanilla", "lstm")
 # forward): up to 512 entries a training step took 0.29-0.69 of the
 # per-path one and single-stream logits 0.98-1.64x as long; past it logits
 # took 1.65-5.98x as long, and the step gain shrank (0.36-0.78 up to 1296)
-# and turned into a loss at 1728 (1.31-1.41x).  Block 0 also sizes its
-# groups by it: the layer runs on the largest number k of raw paths whose
-# [time, k paths' columns] stays within the limit, where a call costs
-# little more than on one gcn joint (degree 3, 40 samples, 4 segments:
-# 94 us at width 3, 117 us at width 7).
+# and turned into a loss at 1728 (1.31-1.41x).  It decides the route only;
+# GROUP_TENSOR_LIMIT sizes the groups on the mapped route.
 MAPPED_TENSOR_LIMIT = 512
+
+# On the mapped route block 0 runs the layer on the largest number k of raw
+# paths whose [time, k paths' columns] has at most this many top-level
+# entries: a call is mostly fixed cost, and joints are merged while one call
+# on the group costs at most two one-joint calls.  Timed by
+# scripts/time_group_widths.py (one path of 40 samples, 4 segments, BLAS 1
+# thread; four runs), as a multiple of the width-3 call (one 2-D joint and
+# time): degree 2 up to width 45 (2025 entries) 1.64-1.75x; degree 3 width 9
+# (729) 1.37-1.44x, 11 (1331) 1.72-1.78x, 12 (1728) 1.91-2.00x, 13 (2197)
+# 2.21-2.36x; degree 4 width 6 (1296) 1.68-1.81x, 7 (2401) 2.51-2.69x.  So
+# 2x is crossed near 1728 entries at degree 3 and, interpolating, between
+# 1490 and 1720 at degree 4; the limit sits at the lower crossing.
+GROUP_TENSOR_LIMIT = 1500
 
 
 # A skeleton is a ``TimedPath`` whose points are its flattened frames.
@@ -401,8 +411,8 @@ class StreamClassifier:
     one time channel, and path ``first + i``'s rows and start points are the
     group's columns ``gather[i]`` (``LyndonBasis.letter_positions``).  A
     group holds the largest number ``k`` of paths with ``(t + k * w) **
-    degree`` within the limit; el's one group is its one path, gathered
-    whole.  ``map_rows`` carries the batch's
+    degree`` within ``GROUP_TENSOR_LIMIT``; el's one group is its one path,
+    gathered whole.  ``map_rows`` carries the batch's
     ``B * J * segments`` rows through ``L`` in one pass; ``L``'s gradient is
     the map's adjoint plus the start points' term.  Every other block takes
     the per-path route of ``_path_inputs``: one layer call and one adjoint
@@ -477,7 +487,7 @@ class StreamClassifier:
         # on the mapped route path i of a group reads its rows and start points
         # at its channels [time, t + i * w, ..., t + (i + 1) * w - 1]
         self.raw_basis = enumerate_lyndon(t + w, cfg.degree)
-        k = max((k for k in range(1, J + 1) if (t + k * w) ** cfg.degree <= MAPPED_TENSOR_LIMIT), default=1)
+        k = max((k for k in range(1, J + 1) if (t + k * w) ** cfg.degree <= GROUP_TENSOR_LIMIT), default=1)
         for first in range(0, J, k):
             count = min(k, J - first)
             basis = enumerate_lyndon(t + count * w, cfg.degree)

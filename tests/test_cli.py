@@ -1,5 +1,6 @@
 """CLI subcommands: reports, exit codes, file formats."""
 
+import json
 import os
 import re
 import subprocess
@@ -1069,6 +1070,25 @@ class TestKernelArrayBudget:
         assert not target.exists()
 
 
+def _clock_file(tmp_path, times, count=8):
+    """``count`` 2-D paths, labels 0 and 1 in turn, on the one clock ``times``."""
+    lines = ['{"kind": "header", "classes": ["a", "b"]}\n']
+    for k in range(count):
+        points = [[float(k + j), float(j * j - k)] for j in range(len(times))]
+        record = {"kind": "path", "label": k % 2, "n": len(times), "d": 2, "times": times, "points": points}
+        lines.append(json.dumps(record) + "\n")
+    path = tmp_path / "clock.jsonl"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+# valid clocks at either end of float64: near its largest value, where a
+# midpoint (a + b) / 2 overflows, and on its smallest subnormals, which no
+# time splits
+LARGE_CLOCK = [1.6e308, 1.63e308, 1.66e308, 1.7e308]
+SUBNORMAL_CLOCK = [0.0, 5e-324, 1e-323]
+
+
 class TestRobustnessCommand:
     def test_report_shape(self, capture, stream_file, tmp_path):
         data = stream_file(count=14)
@@ -1115,6 +1135,30 @@ class TestRobustnessCommand:
         )
         assert code == 0
         assert len(parse_report(out).tables["accuracy"][1]) == 3
+
+    def _checkpoint(self, capture, tmp_path, data):
+        ckpt = str(tmp_path / "m.ckpt")
+        config = _write_train_config(tmp_path, epochs=1, num_classes=2)
+        assert capture(["train", config, data, ckpt])[0] == 0
+        return ckpt
+
+    def test_insert_on_a_clock_near_the_float64_limit(self, capture, tmp_path):
+        data = _clock_file(tmp_path, LARGE_CLOCK)
+        ckpt = self._checkpoint(capture, tmp_path, data)
+        result = run_cli("robustness", ckpt, ckpt, data, "--rates", "0.5", "--mode", "insert")
+        assert result.returncode == 0 and result.stderr == ""
+        _, rows = parse_report(result.stdout).tables["accuracy"]
+        assert [float(r[0]) for r in rows] == [0.0, 0.5]
+
+    def test_insert_into_an_unsplittable_interval_exits_2_naming_the_sample_and_rate(self, capture, tmp_path):
+        data = _clock_file(tmp_path, SUBNORMAL_CLOCK)
+        ckpt = self._checkpoint(capture, tmp_path, data)
+        result = run_cli("robustness", ckpt, ckpt, data, "--rates", "0.5", "--mode", "insert")
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert f"error: {data}, sample 0 at rate 0.5: the interval between samples " in result.stderr
+        assert "too narrow to split" in result.stderr
+        assert result.stdout == ""
 
     def test_bad_rates_exit_2(self, stream_file, tmp_path, capsys):
         data = stream_file(count=4)
@@ -1173,6 +1217,21 @@ class TestBenchCommand:
         assert_single_error_line(captured.err)
         assert "--upsample factor 10000000" in captured.err and "past the array size budget" in captured.err
         assert captured.out == ""
+
+    def test_unsplittable_interval_exits_2_naming_the_sample_and_factor(self, tmp_path):
+        data = _clock_file(tmp_path, SUBNORMAL_CLOCK)
+        config = _write_train_config(tmp_path, epochs=1, num_classes=2)
+        result = run_cli(
+            "bench", data, "--config", config, "--baseline-config", config,
+            "--upsample", "1,2", "--epochs", "1", "--timed-epochs", "1",
+        )
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert result.stderr.startswith(
+            f"error: {data}, sample 0 at --upsample factor 2: the interval between samples 0 and 1 "
+            "(times 0.0 and 5e-324) is too narrow to split"
+        )
+        assert result.stdout == ""
 
     def test_diverging_training_exits_1_naming_the_config_data_and_factor(self, stream_file, tmp_path):
         data = stream_file(count=8)

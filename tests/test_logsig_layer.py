@@ -109,6 +109,9 @@ class TestForward:
             pytest.param(3, 3, 1.0, id="3"),
             pytest.param(4, 3, 1.0, id="4"),
             pytest.param(3, 9, 1.0, id="3-width9"),
+            # the widest bases a gcn joint group takes at degrees 3 and 4
+            pytest.param(3, 11, 1.0, id="3-width11"),
+            pytest.param(4, 6, 1.0, id="4-width6"),
             # every sample but the last before t = 0.25: a dense first
             # segment beside three segments that are each a single chord
             pytest.param(3, 3, 0.25, id="3-chords"),

@@ -1,6 +1,8 @@
 """Lyndon basis: enumeration, dimension formulas, projection/expansion."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,13 @@ from logsigrnn.lyndon import (
     witt_number,
 )
 from logsigrnn.tensor_algebra import TruncatedTensor, word_index
+
+
+def _dense_inverse(matrix):
+    """The exact inverse of an integer unitriangular level system, by a dense float inverse."""
+    inverse = np.rint(np.linalg.inv(matrix))
+    assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
+    return inverse
 
 
 def is_lyndon_by_rotation(word):
@@ -216,33 +225,69 @@ class TestBasisStructure:
 
     @pytest.mark.parametrize("width,degree", [(2, 6), (3, 5), (9, 3), (9, 4)])
     def test_level_inverse_is_exact_integer_and_cached(self, width, degree):
+        # the reference inverse is dense and computed here, apart from the basis's sparse build
         basis = enumerate_lyndon(width, degree)
         for n in range(1, degree + 1):
-            idx, inverse = basis.level_inverse(n)
-            system_idx, matrix = basis.level_system(n)
-            assert np.array_equal(idx, system_idx)
-            assert np.array_equal(inverse, np.rint(inverse))
-            assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
-            assert basis.level_inverse(n)[1] is inverse
+            idx, matrix = basis.level_system(n)
+            assert np.array_equal(idx, basis.level_words(n))
+            inverse = _dense_inverse(matrix)
+            rows, cols, block = basis.level_correction(n)
+            built = np.eye(matrix.shape[0])
+            built[np.ix_(rows, cols)] += block.T
+            assert np.array_equal(built, inverse)
+            assert block.flags.c_contiguous and block.dtype == np.float64
+            assert basis.level_correction(n)[2] is block
+            assert basis.level_words(n) is basis.level_words(n)
 
-    @pytest.mark.parametrize("width,degree", [(2, 4), (3, 3), (9, 3)])
+    @pytest.mark.parametrize(
+        "width,degree",
+        [(2, 4), (3, 3), (9, 3), pytest.param(11, 3, id="11-3"), pytest.param(16, 3, id="16-3"),
+         pytest.param(6, 4, id="6-4")],
+    )
     def test_level_correction_reproduces_the_inverse(self, width, degree):
         basis = enumerate_lyndon(width, degree)
         rng = np.random.default_rng(width + degree)
         for n in range(1, degree + 1):
-            _, inverse = basis.level_inverse(n)
+            inverse = _dense_inverse(basis.level_system(n)[1])
             rows, cols, block = basis.level_correction(n)
             x = rng.normal(size=(3, inverse.shape[0]))
             corrected = x.copy()
             corrected[:, rows] += x[:, cols] @ block
             assert np.allclose(corrected, x @ inverse.T, rtol=0.0, atol=1e-12)
+            # rows and columns of the block are those of the inverse's off-diagonal nonzeros
+            off = inverse - np.eye(inverse.shape[0])
+            assert np.array_equal(rows, np.flatnonzero(off.any(axis=1)))
+            assert np.array_equal(cols, np.flatnonzero(off.any(axis=0)))
             if n <= 2:
                 assert block.size == 0
             assert basis.level_correction(n)[2] is block
-        # level 3 at width 9: one entry per row and per column, one per triple a < b < c
-        if width == 9:
+        # level 3: one entry per row and per column, one per triple a < b < c
+        if degree == 3:
             rows, cols, block = basis.level_correction(3)
-            assert rows.size == cols.size == np.count_nonzero(block) == 84
+            assert rows.size == cols.size == np.count_nonzero(block) == math.comb(width, 3)
+
+    def test_wide_basis_builds_its_corrections_in_little_memory(self):
+        # width 24 at degree 3 has 4600 words of length 3: a dense inverse of
+        # that level is a 161 MiB array, and its solve several more
+        tracemalloc.start()
+        try:
+            basis = lyndon.LyndonBasis(24, 3)
+            for n in range(1, 4):
+                basis.level_correction(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.level_correction(3)[0].size == math.comb(24, 3)
+        assert peak < 64 * 2**20, peak / 2**20
+
+    def test_an_inexact_inverse_raises(self, monkeypatch):
+        # an expansion whose level system is not unitriangular has no exact integer inverse
+        basis = lyndon.LyndonBasis(2, 3)
+        expansions = list(basis.expansions)
+        expansions[basis.word_position((1, 1, 2))] = {(1, 1, 2): 2}
+        monkeypatch.setattr(basis, "expansions", tuple(expansions))
+        with pytest.raises(RuntimeError, match="degree-3 Lyndon change of basis is not exact"):
+            basis.level_correction(3)
 
     def test_level_expansion_rows_are_the_bracket_expansions(self):
         basis = enumerate_lyndon(3, 4)

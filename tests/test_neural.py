@@ -579,7 +579,9 @@ def _exact_el_inputs(model, sample):
         logs = (s1, s2 - sq / 2, s3 - (np.multiply.outer(s1, s2) + np.multiply.outer(s2, s1)) / 2 + np.multiply.outer(sq, s1) / 3)
         row = []
         for level, log in enumerate(logs, start=1):
-            idx, inverse = basis.level_inverse(level)
+            idx, matrix = basis.level_system(level)
+            inverse = np.rint(np.linalg.inv(matrix))
+            assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
             row.extend(inverse.astype(np.int64).astype(object) @ log.reshape(-1)[idx])
         rows.append(row + list(at(a)))
     return np.array(rows, dtype=np.float64)
@@ -848,10 +850,10 @@ class TestGcnRoute:
         "spec,degree,use_time,groups",
         [
             ((3, 2), 3, True, [3]),  # width 1 + 3 * 2 = 7: 343 entries
-            ((5, 2), 3, True, [3, 2]),  # 4 joints would be width 9: 729
-            ((5, 2), 3, False, [4, 1]),  # width 8: 512, the limit
+            ((5, 2), 3, True, [5]),  # width 11: 1331 entries, one call per stream
+            ((5, 2), 3, False, [5]),  # width 10: 1000
             ((5, 2), 2, True, [5]),  # width 11: 121
-            ((5, 2), 4, True, [1] * 5),  # width 3: 81; width 5 would be 625
+            ((5, 2), 4, True, [2, 2, 1]),  # width 5: 625; 3 joints would be width 7: 2401
             ((2, 3), 3, True, [2]),
         ],
     )
@@ -863,7 +865,7 @@ class TestGcnRoute:
         assert [first for first, *_ in model.joint_groups] == list(np.cumsum([0] + groups[:-1]))
         for _, count, basis, _ in model.joint_groups:
             assert basis.width == use_time + count * spec[1]
-            assert basis.width**degree <= neural.MAPPED_TENSOR_LIMIT
+            assert basis.width**degree <= neural.GROUP_TENSOR_LIMIT
 
     @pytest.mark.parametrize(
         "spec,degree,groups",
@@ -937,9 +939,9 @@ class TestGcnRoute:
         [
             pytest.param("gcn-logsig-rnn", 3, "per-path", [], id="gcn-per-path-d3"),
             # block 0 on the mapped route: one call per joint group of each
-            # sample, all 5 joints at degree 2, 3 + 2 joints at degree 3
+            # sample, all 5 joints at degrees 2 and 3
             pytest.param("gcn-logsig-rnn-2", 2, "mapped", [11], id="gcn-2-d2"),
-            pytest.param("gcn-logsig-rnn-2", 3, "mapped", [7, 5], id="gcn-2-d3"),
+            pytest.param("gcn-logsig-rnn-2", 3, "mapped", [11], id="gcn-2-d3"),
         ],
     )
     def test_per_path_block_calls_the_layer_once_per_sample(self, monkeypatch, variant, degree, route, groups):
@@ -1122,10 +1124,10 @@ class TestPreparedTraining:
             assert calls == [7] * (6 + 2)  # one path per stream, training then eval streams
         model = StreamClassifier.build(cfg, (3, 2), 0)
         assert _layer_calls(monkeypatch, model, samples[:4]) == {"widths": [7] * 4, "stacks": [], "backward": []}
-        # 5 joints x 2 coords at degree 3: groups of 3 and 2 joints, widths 7 and 5
+        # 5 joints x 2 coords at degree 3: one group of all 5 joints, width 11
         samples, _ = self._data(rng, (5, 2), 3)
         model = StreamClassifier.build(dataclasses.replace(cfg, degree=3), (5, 2), 0)
-        assert _layer_calls(monkeypatch, model, samples) == {"widths": [7, 5] * 3, "stacks": [], "backward": []}
+        assert _layer_calls(monkeypatch, model, samples) == {"widths": [11] * 3, "stacks": [], "backward": []}
 
     @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
     def test_gcn_prepares_each_raw_path_once(self, monkeypatch, variant):
@@ -1156,11 +1158,11 @@ class TestPreparedTraining:
             # (partitions, TimedPath builds) over 16 streams: one partition per
             # block and none per stream; with one per stream they were (16,
             # 32), (16, 32) and (17, 65), block 1's built on a throwaway path
-            # one build per joint group call (2 per stream)
-            pytest.param("gcn-logsig-rnn", False, (1, 32), id="gcn-mapped"),
+            # one build per joint group call (1 per stream: all 5 joints)
+            pytest.param("gcn-logsig-rnn", False, (1, 16), id="gcn-mapped"),
             # one grid check per stack call (16 per epoch)
             pytest.param("gcn-logsig-rnn", True, (1, 32), id="gcn-per-path"),
-            pytest.param("gcn-logsig-rnn-2", False, (2, 64), id="gcn-2-mapped"),
+            pytest.param("gcn-logsig-rnn-2", False, (2, 48), id="gcn-2-mapped"),
         ],
     )
     def test_each_block_is_partitioned_once_per_model(self, monkeypatch, variant, per_path, counts):

@@ -19,7 +19,9 @@ def run_script(name, *args):
     )
 
 
-@pytest.mark.parametrize("name", ["make_dataset.py", "train_toy.py", "run_mape_study.py", "time_el_routes.py"])
+@pytest.mark.parametrize(
+    "name", ["make_dataset.py", "train_toy.py", "run_mape_study.py", "time_el_routes.py", "time_group_widths.py"]
+)
 def test_help_exits_0(name):
     result = run_script(name, "--help")
     assert result.returncode == 0, result.stderr
@@ -46,6 +48,15 @@ def test_time_el_routes_forces_both_routes():
 def test_time_el_routes_forces_both_routes_past_the_limit():
     # a default shape whose raw path the model would send down the per-path route
     _assert_times_both_routes(("1", "7", "8", "3"), "raw width 9 (729 entries)")
+
+
+def test_time_group_widths_times_each_width():
+    result = run_script("time_group_widths.py", "--degree", "2", "--widths", "3", "5", "--calls", "1", "--reps", "1")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "one-path layer call, median over repetitions, 4 segments" and len(lines) == 3
+    assert lines[1].startswith("degree 2 width 3 (9 entries): ") and lines[1].endswith(" 1.00x width 3")
+    assert lines[2].startswith("degree 2 width 5 (25 entries): ")
 
 
 @pytest.mark.parametrize(
