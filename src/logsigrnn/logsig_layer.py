@@ -24,9 +24,10 @@ overhead: it gathers with ``take`` and updates in place where that leaves
 every result bit for bit the same.
 
 The log-signature is equivariant under linear maps: the rows of the path
-``x @ L`` are the image of the rows of ``x`` under the Lie-algebra map that
-``L`` induces.  ``map_rows`` applies that map to whole batches of rows, and
-``map_rows_backward`` is its adjoint with respect to ``L``.
+``x @ L`` are the rows of ``x`` times the matrix of the Lie-algebra map that
+``L`` induces.  ``lie_map`` builds that matrix from ``L`` alone, whatever
+the number of rows, and ``lie_map_backward`` is its adjoint with respect to
+``L``.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ __all__ = [
     "logsig_stack_forward",
     "backward_from_state",
     "check_kernel_size",
-    "map_rows",
-    "map_rows_backward",
+    "lie_map",
+    "lie_map_backward",
 ]
 
 
@@ -431,25 +432,31 @@ def backward_from_state(
     return grad
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
-def map_rows(rows: np.ndarray, matrix: np.ndarray, source: LyndonBasis, target: LyndonBasis):
-    """Rows of the path ``x @ matrix`` from the rows ``(R, source.dim)`` of the path ``x``.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite map raises below
+def lie_map(matrix: np.ndarray, source: LyndonBasis, target: LyndonBasis, out: np.ndarray | None = None):
+    """The ``(source.dim, target.dim)`` matrix of the Lie-algebra map that ``matrix`` induces.
 
-    Level n is ``Proj_n . matrix^(x)n . Expand_n``: level 1 is ``rows_1 @
-    matrix``; above it, the rows' level-n tensor ``rows_n @
-    source.level_expansion(n)`` times the n-fold tensor power of ``matrix``
-    at the target's Lyndon words only, then the target's level inverse
-    (``_to_lyndon``).
+    The rows of the path ``x @ matrix`` are the rows of the path ``x`` times
+    this map.  It is block diagonal by level: level 1 is ``matrix``; level
+    ``n`` is ``source.level_expansion(n)`` times the n-fold tensor power of
+    ``matrix`` at the target's Lyndon words only, then the target's level
+    inverse (``_to_lyndon``).  Its cost does not depend on how many rows it
+    maps.  ``out``, if given, is a zeroed ``(source.dim, target.dim)`` array
+    (a view is fine) that the levels are written into.
 
-    Returns the ``(R, target.dim)`` rows and the cache ``map_rows_backward``
-    needs; raises ``FloatingPointError`` on non-finite rows, as the layer does.
+    Returns the map and the cache ``lie_map_backward`` needs; raises
+    ``FloatingPointError`` on a non-finite map, as the layer does on
+    non-finite rows.
     """
     if matrix.shape != (source.width, target.width) or source.degree != target.degree:
         raise ValueError(
             f"mapping {source!r} rows to {target!r} rows needs a "
             f"({source.width}, {target.width}) matrix, got {matrix.shape}"
         )
-    out, levels = [rows[:, : source.width] @ matrix], []
+    if out is None:
+        out = np.zeros((source.dim, target.dim))
+    out[: source.width, : target.width] = matrix
+    levels = []
     for n in range(2, target.degree + 1):
         letters = target.level_letters(n)
         # powers[k][v, w] = prod_{i<=k} matrix[v_i, w_i], v a source word, w a target Lyndon word
@@ -457,27 +464,28 @@ def map_rows(rows: np.ndarray, matrix: np.ndarray, source: LyndonBasis, target: 
         powers = [factors[:, 0]]
         for k in range(1, n):
             powers.append((powers[-1][:, None, :] * factors[None, :, k]).reshape(-1, letters.shape[1]))
-        tensor = rows[:, source._level_slices[n - 1]] @ source.level_expansion(n)
-        out.append(_to_lyndon(tensor @ powers[-1], target, n))
-        levels.append((letters, tensor, factors, powers))
-    out = np.concatenate(out, axis=1)
+        level = out[source._level_slices[n - 1], target._level_slices[n - 1]]
+        np.matmul(source.level_expansion(n), powers[-1], out=level)
+        _to_lyndon(level, target, n)
+        levels.append((letters, factors, powers))
     if not np.isfinite(out).all():
         raise FloatingPointError(
-            f"degree-{target.degree} log-signature rows are not finite: the mapped "
-            "increments overflow float64"
+            f"the degree-{target.degree} Lie map of a {matrix.shape} matrix is not finite: "
+            "its tensor powers overflow float64"
         )
-    return out, (rows[:, : source.width], target, levels)
+    return out, (source, target, levels)
 
 
-def map_rows_backward(cache, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum(upstream * map_rows(rows, matrix, ...)[0])`` with respect to ``matrix``."""
-    rows_1, target, levels = cache
-    grad = rows_1.T @ upstream[:, : target.width]
-    for n, (letters, tensor, factors, powers) in enumerate(levels, start=2):
-        g = tensor.T @ _to_lyndon_backward(upstream[:, target._level_slices[n - 1]], target, n)
+def lie_map_backward(cache, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(g * lie_map(matrix, ...)[0])`` with respect to ``matrix``."""
+    source, target, levels = cache
+    grad = g[: source.width, : target.width].copy()
+    for n, (letters, factors, powers) in enumerate(levels, start=2):
+        level = g[source._level_slices[n - 1], target._level_slices[n - 1]]
+        t = source.level_expansion(n).T @ _to_lyndon_backward(level, target, n)
         for k in range(n - 1, 0, -1):
-            g = g.reshape(-1, grad.shape[0], g.shape[-1])
-            np.add.at(grad, (slice(None), letters[k]), (g * powers[k - 1][:, None, :]).sum(axis=0))
-            g = (g * factors[None, :, k]).sum(axis=1)
-        np.add.at(grad, (slice(None), letters[0]), g)
+            t = t.reshape(-1, grad.shape[0], t.shape[-1])
+            np.add.at(grad, (slice(None), letters[k]), (t * powers[k - 1][:, None, :]).sum(axis=0))
+            t = (t * factors[None, :, k]).sum(axis=1)
+        np.add.at(grad, (slice(None), letters[0]), t)
     return grad

@@ -14,10 +14,14 @@ Every block reads each sample's ``J`` parameter-free raw paths and one
 matrix ``L``: el-logsig-rnn is the one-path case with its embedding as
 ``L``, a gcn block has one path per joint and ``L = time (+) theta``.  On the
 mapped route, taken by the first block whenever a raw path is narrow enough
-for the degree, the layer runs on groups of raw paths, each path's rows are
-gathered from its group's and ``logsig_layer.map_rows`` carries them through
-``L``.  Every other block runs the layer once per sample on the stack of
-its ``J`` paths ``raw @ L``.  See ``StreamClassifier``.
+for the degree, the layer runs on groups of raw paths and each path's rows
+are gathered from its group's.  The recurrent inputs are then a linear
+function of those rows, ``rows @ K`` with ``K = lie_map(L) (+) L``
+(``logsig_layer.lie_map``), so ``K`` is folded into the first cell's input
+projection and the inputs themselves are never formed.  Every other block
+runs the layer once per sample on the stack of its ``J`` paths ``raw @ L``.
+Each cell reads one input projection of all its steps.  See
+``StreamClassifier``.
 
 ``StreamClassifier._prepare`` checks each sample and builds what no
 parameter changes (raw-path rows or raw paths, gcn's normalized adjacency,
@@ -37,10 +41,10 @@ from .logsig_layer import (
     SegmentPartition,
     backward_from_state,
     check_kernel_size,
+    lie_map,
+    lie_map_backward,
     logsig_sequence_forward,
     logsig_stack_forward,
-    map_rows,
-    map_rows_backward,
 )
 from .lyndon import check_array_size, check_basis_size, enumerate_lyndon
 from .paths import TimedPath, evaluate
@@ -72,12 +76,15 @@ CELLS = ("vanilla", "lstm")
 # at most this many entries: both the layer on the raw path and the map's
 # dense level factors grow with raw_width**degree.  Timed on el-logsig-rnn
 # against the per-path route by scripts/time_el_routes.py (its default
-# shapes, BLAS 1 thread, with the per-sample stack call and the lean layer
-# forward): up to 512 entries a training step took 0.29-0.69 of the
-# per-path one and single-stream logits 0.98-1.64x as long; past it logits
-# took 1.65-5.98x as long, and the step gain shrank (0.36-0.78 up to 1296)
-# and turned into a loss at 1728 (1.31-1.41x).  It decides the route only;
-# GROUP_TENSOR_LIMIT sizes the groups on the mapped route.
+# shapes, BLAS 1 thread, two runs, with the Lie map folded into the first
+# cell's input projection): up to 512 entries a training step took
+# 0.19-0.70 of the per-path one and single-stream logits 1.08-2.47x as
+# long; past it logits took 2.72-41x as long, and the step gain shrank
+# (0.41-0.98 up to 1296) and turned into a loss at 1728 (1.30-2.67x).
+# Single-stream logits lose at every timed shape, since the map costs the
+# same whatever the row count; the step's crossing lies between 1296 and
+# 1728.  It decides the route only; GROUP_TENSOR_LIMIT sizes the groups on
+# the mapped route.
 MAPPED_TENSOR_LIMIT = 512
 
 # On the mapped route block 0 runs the layer on the largest number k of raw
@@ -233,10 +240,6 @@ def gcn_forward(frames: np.ndarray, adjacency: np.ndarray, theta: np.ndarray) ->
 # recurrent cells
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 _RNN_KEYS = ("u", "w", "b", "v", "vb")
 
 
@@ -244,76 +247,85 @@ def _rnn_params(params: dict, prefix: str) -> list:
     return [params[f"{prefix}.{k}"] for k in _RNN_KEYS]
 
 
-def _rnn_forward_batch(x, u, w, b, v, vb, cell, lengths=None):
-    """Outputs V h_t + vb of a cell over (B, T, c) input; row r runs ``lengths[r]`` (default T) steps, longest first."""
-    B, T, _ = x.shape
+def _rnn_forward_batch(xu, w, b, v, vb, cell, lengths=None):
+    """Outputs V h_t + vb of a cell over the input projection ``xu`` ``(B, T, gates)``.
+
+    Row r runs ``lengths[r]`` (default T) steps, rows longest first; its
+    outputs past them are zero.  Step t reads ``xu[:, t]`` in place of the
+    input's ``x_t @ u``, so each block forms its own projection in one
+    product over all steps; the output projection is one product too.
+    """
+    B, T, G = xu.shape
     H = w.shape[0]
-    counts = [B] * T if lengths is None else (lengths[:, None] > np.arange(T)).sum(axis=0).tolist()
-    h = np.zeros((B, H))
-    c_state = np.zeros((B, H))
-    hs = [h]
+    valid = None if lengths is None else lengths[:, None] > np.arange(T)
+    counts = [B] * T if valid is None else valid.sum(axis=0).tolist()
+    hs = np.zeros((B, T + 1, H))  # hs[:, t + 1] is h_t, hs[:, 0] the zero start
+    if cell == "lstm":
+        # one tanh gives every gate: sigmoid(z) = (1 + tanh(z / 2)) / 2 off the g block
+        scale = np.full(G, 0.5)
+        scale[2 * H : 3 * H] = 1.0
+        c_state = np.zeros((B, H))
     steps = []
-    outputs = np.zeros((B, T, H))
     for t, n in enumerate(counts):
-        z = x[:n, t] @ u + h[:n] @ w + b
+        z = hs[:n, t] @ w
+        z += xu[:n, t]
+        z += b
+        h = hs[:n, t + 1]
         if cell == "vanilla":
-            h = np.tanh(z)
-            steps.append((h,))
-        else:
-            gates = _sigmoid(z)  # elementwise, so the g block's sigmoid is unused
-            i, f, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 3 * H :]
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            c_prev = c_state[:n]
-            c_state = f * c_prev + i * g
-            tc = np.tanh(c_state)
-            h = o * tc
-            steps.append((i, f, g, o, c_prev, c_state, tc))
-        hs.append(h)
-        outputs[:n, t] = h @ v + vb
-    cache = (x, u, w, v, cell, hs, steps, counts)
-    return outputs, cache
+            np.tanh(z, out=h)
+            continue
+        z *= scale
+        th = np.tanh(z, out=z)
+        gates = th * 0.5
+        gates += 0.5
+        i, f, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 3 * H :]
+        g = th[:, 2 * H : 3 * H]
+        c_prev = c_state[:n]
+        c_state = f * c_prev
+        c_state += i * g
+        tc = np.tanh(c_state)
+        np.multiply(o, tc, out=h)
+        steps.append((i, f, g, o, c_prev, c_state, tc))
+    outputs = (hs[:, 1:].reshape(-1, H) @ v + vb).reshape(B, T, H)
+    if valid is not None:
+        outputs[~valid] = 0.0
+    return outputs, (w, v, cell, hs, steps, valid, counts)
 
 
 def _rnn_backward_batch(cache, g_out):
-    x, u, w, v, cell, hs, steps, counts = cache
-    B, T, _ = x.shape
+    """Gradients ``(gz, gw, gb, gv, gvb)`` of ``_rnn_forward_batch``'s outputs; ``gz`` is the input projection's."""
+    w, v, cell, hs, steps, valid, counts = cache
+    B, T = hs.shape[0], hs.shape[1] - 1
     H = w.shape[0]
-    gx = np.zeros_like(x)
-    gu = np.zeros_like(u)
-    gw = np.zeros_like(w)
-    gb = np.zeros(u.shape[1])
-    gv = np.zeros_like(v)
-    gvb = np.zeros(H)
+    if valid is not None:  # outputs past a row's steps are constant
+        g_out = np.where(valid[..., None], g_out, 0.0)
+    g_flat = g_out.reshape(-1, H)
+    gv = hs[:, 1:].reshape(-1, H).T @ g_flat
+    gvb = g_flat.sum(axis=0)
+    g_hs = (g_flat @ v.T).reshape(B, T, H)
+    gz = np.zeros((B, T, w.shape[1]))
     gh_carry = np.zeros((B, H))
     gc_carry = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
         n = counts[t]
-        go = g_out[:n, t]
-        gv += hs[t + 1].T @ go
-        gvb += go.sum(axis=0)
-        gh = go @ v.T + gh_carry[:n]
+        gh = g_hs[:n, t] + gh_carry[:n]
+        gzt = gz[:n, t]
         if cell == "vanilla":
-            (h,) = steps[t]
-            gz = gh * (1.0 - h * h)
+            h = hs[:n, t + 1]
+            gzt[...] = gh * (1.0 - h * h)
         else:
             i, f, g, o, c_prev, c_state, tc = steps[t]
             gc = gc_carry[:n] + gh * o * (1.0 - tc * tc)
-            gz = np.concatenate(
-                [
-                    gc * g * i * (1.0 - i),
-                    gc * c_prev * f * (1.0 - f),
-                    gc * i * (1.0 - g * g),
-                    gh * tc * o * (1.0 - o),
-                ],
-                axis=1,
-            )
+            gzt[:, :H] = gc * g * i * (1.0 - i)
+            gzt[:, H : 2 * H] = gc * c_prev * f * (1.0 - f)
+            gzt[:, 2 * H : 3 * H] = gc * i * (1.0 - g * g)
+            gzt[:, 3 * H :] = gh * tc * o * (1.0 - o)
             gc_carry[:n] = gc * f
-        gu += x[:n, t].T @ gz
-        gw += hs[t][:n].T @ gz
-        gb += gz.sum(axis=0)
-        gx[:n, t] = gz @ u.T
-        gh_carry[:n] = gz @ w.T
-    return gx, gu, gw, gb, gv, gvb
+        gh_carry[:n] = gzt @ w.T
+    gz_flat = gz.reshape(-1, gz.shape[-1])
+    gw = hs[:, :-1].reshape(-1, H).T @ gz_flat
+    gb = gz_flat.sum(axis=0)
+    return gz, gw, gb, gv, gvb
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -321,11 +333,10 @@ def rnn_forward(seq: np.ndarray, params: dict, cell: str = "vanilla"):
     """Single-sequence unroll; the per-step outputs and final hidden state.  Raises where a value overflows."""
     if cell not in CELLS:
         raise ValueError(f"unknown cell {cell!r}")
-    out, cache = _rnn_forward_batch(
-        np.asarray(seq, dtype=np.float64)[None], *(params[k] for k in _RNN_KEYS), cell
-    )
-    hs = cache[5]
-    return out[0], hs[-1][0]
+    u, w, b, v, vb = (params[k] for k in _RNN_KEYS)
+    out, cache = _rnn_forward_batch((np.asarray(seq, dtype=np.float64) @ u)[None], w, b, v, vb, cell)
+    hs = cache[3]
+    return out[0], hs[0, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +423,17 @@ class StreamClassifier:
     group's columns ``gather[i]`` (``LyndonBasis.letter_positions``).  A
     group holds the largest number ``k`` of paths with ``(t + k * w) **
     degree`` within ``GROUP_TENSOR_LIMIT``; el's one group is its one path,
-    gathered whole.  ``map_rows`` carries the batch's
-    ``B * J * segments`` rows through ``L`` in one pass; ``L``'s gradient is
-    the map's adjoint plus the start points' term.  Every other block takes
-    the per-path route of ``_path_inputs``: one layer call and one adjoint
-    call per sample on its stack ``raw @ L`` ``(J, n, c)``, and ``L``'s
-    gradient is ``sum_j raw[j].T`` times the paths' point gradients.
-    ``raw_basis`` is None on this route; setting it to None forces it.
+    gathered whole.  The recurrent inputs are the batch's ``B * J *
+    segments`` prepared rows times ``K = lie_map(L) (+) L``, built once per
+    call, and the cell reads ``rows @ K @ u`` (``_unroll``); its backward
+    forms ``A = rows.T @ gz`` for the input projection's gradient ``gz``,
+    so ``u``'s gradient is ``K.T @ A``, ``K``'s is ``A @ u.T`` and ``L``'s is
+    the map's adjoint plus the start points' block.  Without the embedding
+    ``K`` is the identity and is not formed.  Every other block takes the
+    per-path route of ``_path_inputs``: one layer call and one adjoint call
+    per sample on its stack ``raw @ L`` ``(J, n, c)``, and ``L``'s gradient
+    is ``sum_j raw[j].T`` times the paths' point gradients.  ``raw_basis``
+    is None on this route; setting it to None forces it.
 
     frame-rnn has one block with no basis: its cell reads the flattened
     frames of every stream in one ragged unroll, rows longest first, and the
@@ -595,33 +610,31 @@ class StreamClassifier:
             x[row, : lengths[i]] = prepared[i]
         return x, lengths[order], order
 
-    def _mapped_inputs(self, prepared, basis, segments):
-        """Recurrent inputs ``(B * J, segments, c)`` of block 0's mapped route from the prepared rows.
+    def _mapped_inputs(self, prepared, basis):
+        """Block 0's prepared rows ``(B * J, segments, c)``, its fold ``K`` and ``lie_map``'s cache, on the mapped route.
 
-        The prepared rows of all ``B * J`` raw paths are stacked and carried
-        through block 0's ``L`` with ``map_rows``.  Without the embedding ``L``
-        is the identity and the prepared rows are the inputs.
+        The recurrent inputs are ``rows @ K`` with ``K = lie_map(L) (+) L``
+        for block 0's ``L`` (the start points' image is ``L``'s), built in
+        place once per call.  Without the embedding ``L`` is the identity and
+        ``K`` None: the prepared rows are the inputs.
         """
-        raw = np.concatenate([rows for rows, _ in prepared])
+        rows = np.concatenate([rows for rows, _ in prepared])
         matrix = self._block_matrix(0)
         if matrix is None:
-            return raw, None
-        raw, dim = raw.reshape(-1, raw.shape[-1]), self.raw_basis.dim
-        rows, map_cache = map_rows(raw[:, :dim], matrix, self.raw_basis, basis)
-        if self.config.use_start_points:
-            rows = np.concatenate([rows, raw[:, dim:] @ matrix], axis=1)
-        return rows.reshape(-1, segments, rows.shape[1]), (raw[:, dim:], map_cache)
+            return rows, None, None
+        source, sp = self.raw_basis, self.config.use_start_points
+        fold = np.zeros((source.dim + sp * source.width, basis.dim + sp * basis.width))
+        _, map_cache = lie_map(matrix, source, basis, out=fold[: source.dim, : basis.dim])
+        if sp:
+            fold[source.dim :, basis.dim :] = matrix
+        return rows, fold, map_cache
 
-    def _mapped_inputs_backward(self, cache, gx, grads):
-        """Add the gradients of block 0's ``L`` on the mapped route for the recurrent inputs' gradient ``gx``."""
-        if cache is None:
-            return
-        starts, map_cache = cache  # the raw start points and the map's cache
-        gx = gx.reshape(-1, gx.shape[-1])
-        dim = self.blocks[0][1].dim
-        g_matrix = map_rows_backward(map_cache, gx[:, :dim])
+    def _mapped_inputs_backward(self, map_cache, g_fold, grads):
+        """Add the gradients of block 0's ``L`` on the mapped route, given ``K``'s gradient ``g_fold``."""
+        source, target, _ = map_cache
+        g_matrix = lie_map_backward(map_cache, g_fold[: source.dim, : target.dim])
         if self.config.use_start_points:
-            g_matrix += starts.T @ gx[:, dim:]
+            g_matrix += g_fold[source.dim :, target.dim :]
         self._block_matrix_backward(0, g_matrix, grads)
 
     def _path_inputs(self, index, inputs, basis, partition):
@@ -764,28 +777,43 @@ class StreamClassifier:
         batch_cache = {"blocks": []}
         if cfg.variant == "frame-rnn":
             x, lengths, order = self._frame_inputs(prepared)
-            out, batch_cache["rnn"] = _rnn_forward_batch(x, *_rnn_params(p, "rnn"), cfg.cell, lengths)
+            out = self._unroll(batch_cache, "rnn", x, None, lengths)
             feats = out[np.arange(B), lengths - 1][np.argsort(order)]
             batch_cache["last"] = (lengths - 1, order)
         else:
             inputs = prepared
             for index, (prefix, basis, partition) in enumerate(self.blocks):
                 if index == 0 and self.raw_basis is not None:
-                    x, block_cache = self._mapped_inputs(inputs, basis, partition.num_segments)
+                    x, fold, block_cache = self._mapped_inputs(inputs, basis)
                 else:
+                    fold = None
                     x, block_cache = self._path_inputs(index, inputs, basis, partition)
-                out, batch_cache[prefix] = _rnn_forward_batch(x, *_rnn_params(p, prefix), cfg.cell)
+                out = self._unroll(batch_cache, prefix, x, fold)
                 batch_cache["blocks"].append(block_cache)
                 out = out.reshape(B, J, partition.num_segments, cfg.hidden)
                 if index + 1 < len(self.blocks):  # this block's outputs are the next one's frames
                     times = self.grid2
                     inputs = [(times, self._joint_paths(times, self._mix(entry[-1], f)), entry[-1])
                               for f, entry in zip(out.swapaxes(1, 2), inputs)]
-            feats = out[:, :, -1, :].mean(axis=1)
+            feats = out[:, :, -1, :].sum(axis=1) / J
             batch_cache["last"] = (partition.num_segments - 1, np.repeat(np.arange(B), J))
         logits = feats @ p["head.w"] + p["head.b"]
         batch_cache["feats"] = feats
         return logits, batch_cache
+
+    def _unroll(self, batch_cache, prefix, x, fold, lengths=None):
+        """Outputs of block ``prefix``'s cell over the inputs ``x @ fold`` (``x`` without ``fold``), ``x`` ``(rows, steps, c)``.
+
+        The input projection is one product over all steps:
+        ``multi_dot`` takes ``(x @ fold) @ u`` or ``x @ (fold @ u)``,
+        whichever costs less at these shapes.
+        """
+        u, w, b, v, vb = _rnn_params(self.params, prefix)
+        flat = x.reshape(-1, x.shape[-1])
+        xu = flat @ u if fold is None else np.linalg.multi_dot([flat, fold, u])
+        out, cache = _rnn_forward_batch(xu.reshape(*x.shape[:2], -1), w, b, v, vb, self.config.cell, lengths)
+        batch_cache[prefix] = (x, fold, *cache)
+        return out
 
     def forward_batch(self, samples):
         """Logits ``(B, classes)`` of the samples and the cache ``backward_batch`` reads."""
@@ -805,16 +833,23 @@ class StreamClassifier:
         g_out[np.arange(len(sample)), last] = g_feats[sample] / J
         for index in range(len(self.blocks) - 1, -1, -1):
             prefix, basis, partition = self.blocks[index]
-            gx, *g_rnn = _rnn_backward_batch(batch_cache[prefix], g_out)
-            for name, g in zip(_RNN_KEYS, g_rnn):
+            x, fold, *rnn_cache = batch_cache[prefix]
+            gz, *g_rnn = _rnn_backward_batch(rnn_cache, g_out)
+            gz = gz.reshape(-1, gz.shape[-1])
+            # A = x.T @ gz is u's gradient without a fold; with one, u's is K.T @ A and K's A @ u.T
+            a = x.reshape(-1, x.shape[-1]).T @ gz
+            u = self.params[f"{prefix}.u"]
+            grads[f"{prefix}.u"] += a if fold is None else fold.T @ a
+            for name, g in zip(_RNN_KEYS[1:], g_rnn):
                 grads[f"{prefix}.{name}"] += g
             if basis is None:  # frame-rnn's cell reads the frames themselves
                 continue
             block_cache = batch_cache["blocks"][index]
-            gx = gx.reshape(B, J, partition.num_segments, -1)
-            if index == 0 and self.raw_basis is not None:
-                self._mapped_inputs_backward(block_cache, gx, grads)
+            if index == 0 and self.raw_basis is not None:  # only L is trained, through the fold
+                if fold is not None:
+                    self._mapped_inputs_backward(block_cache, a @ u.T, grads)
                 continue
+            gx = (gz @ u.T).reshape(B, J, partition.num_segments, -1)
             g_out = self._path_inputs_backward(index, block_cache, gx, grads)
         return grads
 

@@ -46,6 +46,7 @@ from logsigrnn import (
     upsample_linear,
 )
 from logsigrnn.neural import StreamClassifier, cross_entropy, input_spec
+from test_neural import block_inputs
 
 RESULTS = []
 
@@ -437,7 +438,7 @@ def test_criterion_8_shape_contract(trained_model):
     for n in (8, 64, 256):
         p = random_path(rng, n, 2)
         _, cache = model.forward_batch([p])
-        shapes.append(cache["rnn"][0].shape[1:])
+        shapes.append(block_inputs(cache).shape[1:])
     shape_ok = all(s == expected for s in shapes)
 
     src = Path(__file__).resolve().parent.parent / "src" / "logsigrnn"

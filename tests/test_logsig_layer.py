@@ -21,7 +21,7 @@ from logsigrnn import (
     evaluate,
     restrict,
 )
-from logsigrnn.logsig_layer import _boundaries_in_path_time, map_rows, map_rows_backward
+from logsigrnn.logsig_layer import _boundaries_in_path_time, lie_map, lie_map_backward
 
 
 def random_path(rng, n, d, span=(0.0, 1.0)):
@@ -530,9 +530,8 @@ class TestLinearMap:
         partition = SegmentPartition.uniform(0.0, 1.0, 3)
         rows = logsig_sequence(path, partition, degree)
         ref = logsig_sequence(TimedPath(path.times, path.points @ matrix), partition, degree)
-        mapped, _ = map_rows(
-            rows, matrix, enumerate_lyndon(source, degree), enumerate_lyndon(target, degree)
-        )
+        lie, _ = lie_map(matrix, enumerate_lyndon(source, degree), enumerate_lyndon(target, degree))
+        mapped = rows @ lie
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.all(np.abs(mapped - ref) <= 1e-12 * scale)
 
@@ -540,11 +539,10 @@ class TestLinearMap:
     def test_backward_matches_finite_differences(self, degree, source, target):
         rng = np.random.default_rng(degree * 100 + source * 10 + target + 1)
         src, tgt = enumerate_lyndon(source, degree), enumerate_lyndon(target, degree)
-        rows = rng.normal(size=(5, src.dim))
         matrix = rng.normal(size=(source, target))
-        mapped, cache = map_rows(rows, matrix, src, tgt)
-        upstream = rng.normal(size=mapped.shape)
-        grad = map_rows_backward(cache, upstream)
+        lie, cache = lie_map(matrix, src, tgt)
+        upstream = rng.normal(size=lie.shape)
+        grad = lie_map_backward(cache, upstream)
         h = 1e-6
         fd = np.zeros_like(matrix)
         for i in range(source):
@@ -552,16 +550,15 @@ class TestLinearMap:
                 for sign in (1.0, -1.0):
                     shifted = matrix.copy()
                     shifted[i, j] += sign * h
-                    fd[i, j] += sign * np.sum(upstream * map_rows(rows, shifted, src, tgt)[0]) / (2 * h)
+                    fd[i, j] += sign * np.sum(upstream * lie_map(shifted, src, tgt)[0]) / (2 * h)
         assert max_rel_err(grad, fd) <= 1e-6
 
     def test_overflowing_map_raises(self):
         src, tgt = enumerate_lyndon(2, 3), enumerate_lyndon(3, 3)
-        rows = np.ones((2, src.dim))
         with pytest.raises(FloatingPointError, match="not finite"):
-            map_rows(rows, np.full((2, 3), 1e150), src, tgt)
+            lie_map(np.full((2, 3), 1e150), src, tgt)
 
     def test_mismatched_matrix_rejected(self):
         src, tgt = enumerate_lyndon(3, 2), enumerate_lyndon(4, 2)
         with pytest.raises(ValueError, match="matrix"):
-            map_rows(np.zeros((1, src.dim)), np.zeros((4, 3)), src, tgt)
+            lie_map(np.zeros((4, 3)), src, tgt)

@@ -28,7 +28,7 @@ from logsigrnn import (
     upsample_linear,
 )
 from logsigrnn import lyndon, neural
-from logsigrnn.logsig_layer import _boundaries_in_path_time
+from logsigrnn.logsig_layer import _boundaries_in_path_time, lie_map, lie_map_backward
 from logsigrnn.neural import (
     cross_entropy,
     input_spec,
@@ -36,6 +36,16 @@ from logsigrnn.neural import (
     softmax,
     _rnn_param_shapes,
 )
+
+
+def block_inputs(cache, prefix="rnn"):
+    """Block ``prefix``'s recurrent inputs ``x`` ``(rows, steps, c)`` from a forward cache.
+
+    On block 0's mapped route the cache holds the prepared rows and the fold
+    ``K`` (``x = rows @ K``); every other block holds its own ``x`` and None.
+    """
+    x, fold = cache[prefix][:2]
+    return x if fold is None else x @ fold
 
 
 def random_path(rng, n, d):
@@ -261,6 +271,151 @@ class TestRnn:
         assert np.array_equal(out1, out2) and np.array_equal(h1, h2)
 
 
+def _oracle_rnn_forward(x, u, w, b, v, vb, cell, lengths=None):
+    """Per-step unroll over ``x`` ``(B, T, c)``: each step projects its own input, ``x_t @ u``, inside the loop.
+
+    Row r runs ``lengths[r]`` (default T) steps, rows longest first.  The
+    reference for ``neural._rnn_forward_batch``, which reads one projection
+    of all steps.
+    """
+    B, T, _ = x.shape
+    H = w.shape[0]
+    counts = [B] * T if lengths is None else (lengths[:, None] > np.arange(T)).sum(axis=0).tolist()
+    h, c_state, hs, steps = np.zeros((B, H)), np.zeros((B, H)), [np.zeros((B, H))], []
+    outputs = np.zeros((B, T, H))
+    for t, n in enumerate(counts):
+        z = x[:n, t] @ u + h[:n] @ w + b
+        if cell == "vanilla":
+            h = np.tanh(z)
+            steps.append((h,))
+        else:
+            gates = 0.5 * (1.0 + np.tanh(0.5 * z))
+            i, f, o = gates[:, :H], gates[:, H : 2 * H], gates[:, 3 * H :]
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            c_prev = c_state[:n]
+            c_state = f * c_prev + i * g
+            tc = np.tanh(c_state)
+            h = o * tc
+            steps.append((i, f, g, o, c_prev, c_state, tc))
+        hs.append(h)
+        outputs[:n, t] = h @ v + vb
+    return outputs, (x, u, w, v, cell, hs, steps, counts)
+
+
+def _oracle_rnn_backward(cache, g_out):
+    """Gradients ``(gx, gu, gw, gb, gv, gvb)`` of ``_oracle_rnn_forward``, step by step in reverse."""
+    x, u, w, v, cell, hs, steps, counts = cache
+    B, T, _ = x.shape
+    H = w.shape[0]
+    gx, gu, gw, gb = np.zeros_like(x), np.zeros_like(u), np.zeros_like(w), np.zeros(u.shape[1])
+    gv, gvb = np.zeros_like(v), np.zeros(H)
+    gh_carry, gc_carry = np.zeros((B, H)), np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        n = counts[t]
+        go = g_out[:n, t]
+        gv += hs[t + 1].T @ go
+        gvb += go.sum(axis=0)
+        gh = go @ v.T + gh_carry[:n]
+        if cell == "vanilla":
+            (h,) = steps[t]
+            gz = gh * (1.0 - h * h)
+        else:
+            i, f, g, o, c_prev, c_state, tc = steps[t]
+            gc = gc_carry[:n] + gh * o * (1.0 - tc * tc)
+            gz = np.concatenate(
+                [
+                    gc * g * i * (1.0 - i),
+                    gc * c_prev * f * (1.0 - f),
+                    gc * i * (1.0 - g * g),
+                    gh * tc * o * (1.0 - o),
+                ],
+                axis=1,
+            )
+            gc_carry[:n] = gc * f
+        gu += x[:n, t].T @ gz
+        gw += hs[t][:n].T @ gz
+        gb += gz.sum(axis=0)
+        gx[:n, t] = gz @ u.T
+        gh_carry[:n] = gz @ w.T
+    return gx, gu, gw, gb, gv, gvb
+
+
+def _assert_relative(got, ref, tol=1e-12, what=""):
+    """Every entry within ``tol`` of the reference's largest entry."""
+    scale = max(float(np.max(np.abs(ref))), 1e-300)
+    assert got.shape == ref.shape, what
+    assert np.max(np.abs(got - ref)) <= tol * scale, (what, np.max(np.abs(got - ref)) / scale)
+
+
+class TestBatchedUnroll:
+    """The recurrence reads one input projection ``xu = x @ u`` of all steps and
+    returns its gradient; against the per-step oracle, which projects inside the loop."""
+
+    @pytest.mark.parametrize("cell", ["vanilla", "lstm"])
+    @pytest.mark.parametrize("lengths", [None, [7, 6, 6, 3, 1]], ids=["equal", "ragged"])
+    def test_matches_the_per_step_oracle(self, cell, lengths):
+        rng = np.random.default_rng(90)
+        B, T, c, H = 5, 7, 6, 4
+        lengths = None if lengths is None else np.array(lengths)
+        shapes = _rnn_param_shapes(c, H, cell)
+        u, w, b, v, vb = (rng.normal(size=shapes[k]) * 0.7 for k in ("u", "w", "b", "v", "vb"))
+        x, g_out = rng.normal(size=(B, T, c)), rng.normal(size=(B, T, H))
+        ref_out, ref_cache = _oracle_rnn_forward(x, u, w, b, v, vb, cell, lengths)
+        ref = _oracle_rnn_backward(ref_cache, g_out)
+        flat = x.reshape(-1, c)
+        out, cache = neural._rnn_forward_batch((flat @ u).reshape(B, T, -1), w, b, v, vb, cell, lengths)
+        gz, *g_rnn = neural._rnn_backward_batch(cache, g_out)
+        gz = gz.reshape(-1, gz.shape[-1])
+        got = ((gz @ u.T).reshape(x.shape), flat.T @ gz, *g_rnn)
+        _assert_relative(out, ref_out, what="outputs")
+        for name, a, r in zip(("x", "u", "w", "b", "v", "vb"), got, ref):
+            _assert_relative(a, r, what=name)
+
+
+class TestMappedFold:
+    """Block 0's mapped route folds ``L``'s Lie map into the first cell's input
+    projection, ``xu = raw @ K @ u`` with ``K = lie_map(L) (+) L``; logits and
+    gradients equal the unfolded computation, ``rows @ lie_map`` then the per-step
+    oracle.  One stream and 64 streams give ``multi_dot`` its two orders."""
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_fold_equals_the_unfolded_computation(self, batch):
+        rng = np.random.default_rng(91)
+        model = _el_model(rng, (1, 2), num_segments=4, embed_dim=8, hidden=32, cell="lstm", num_classes=4)
+        samples = [random_path(rng, int(n), 2) for n in rng.integers(20, 121, batch)]
+        labels = np.arange(batch) % 4
+        logits, cache = model.forward_batch(samples)
+        grads = model.backward_batch(cache, cross_entropy(logits, labels)[1])
+
+        p, cell = model.params, model.config.cell
+        source, basis = model.raw_basis, model.blocks[0][1]
+        raw = np.concatenate([rows for rows, _ in model._prepare(samples)])
+        matrix = model._block_matrix(0)
+        lie, lie_cache = lie_map(matrix, source, basis)
+        x = np.concatenate([raw[..., : source.dim] @ lie, raw[..., source.dim :] @ matrix], axis=-1)
+        out, rnn_cache = _oracle_rnn_forward(x, *(p[f"rnn.{k}"] for k in ("u", "w", "b", "v", "vb")), cell)
+        feats = out[:, -1]
+        ref_logits = feats @ p["head.w"] + p["head.b"]
+        _, g_logits = cross_entropy(ref_logits, labels)
+        g_out = np.zeros_like(out)
+        g_out[:, -1] = g_logits @ p["head.w"].T
+        gx, *g_rnn = _oracle_rnn_backward(rnn_cache, g_out)
+        ref = {name: np.zeros_like(value) for name, value in p.items()}
+        ref["head.w"] += feats.T @ g_logits
+        ref["head.b"] += g_logits.sum(axis=0)
+        for name, g in zip(("u", "w", "b", "v", "vb"), g_rnn):
+            ref[f"rnn.{name}"] += g
+        gx, flat = gx.reshape(-1, gx.shape[-1]), raw.reshape(-1, raw.shape[-1])
+        g_matrix = lie_map_backward(lie_cache, flat[:, : source.dim].T @ gx[:, : basis.dim])
+        g_matrix += flat[:, source.dim :].T @ gx[:, basis.dim :]
+        model._block_matrix_backward(0, g_matrix, ref)
+
+        _assert_relative(logits, ref_logits, what="logits")
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            _assert_relative(grads[name], ref[name], what=name)
+
+
 class TestSoftmaxLoss:
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(9)
@@ -290,7 +445,7 @@ class TestModels:
         for n in (8, 64, 256):
             p = random_path(rng, n, 2)
             _, cache = model.forward_batch([p])
-            assert cache["rnn"][0].shape == (1, 5, model.rnn_in)
+            assert block_inputs(cache).shape == (1, 5, model.rnn_in)
 
     def test_matches_rnn_on_increments_when_degree_one(self):
         # uniform timestamps, one segment per gap, all transforms off: the
@@ -386,8 +541,8 @@ class TestModels:
         skel = random_skeleton(rng, 12, 3, 2)
         model = StreamClassifier.build(cfg, (3, 2), 6)
         _, cache = model.forward_batch([skel])
-        assert cache["rnn"][0].shape == (3, 4, model.rnn_in)
-        assert cache["rnn2"][0].shape == (3, 2, model.rnn_in2)
+        assert block_inputs(cache).shape == (3, 4, model.rnn_in)
+        assert block_inputs(cache, "rnn2").shape == (3, 2, model.rnn_in2)
         assert model.logits(skel).shape == (3,)
 
     @pytest.mark.parametrize(
@@ -417,7 +572,7 @@ class TestModels:
         base = model.logits(p)
         assert np.max(np.abs(model.logits(upsample_linear(p, 3)) - base)) <= 1e-12
         _, cache = model.forward_batch([p])
-        assert cache["rnn"][0].shape == (1, 16, 2)
+        assert block_inputs(cache).shape == (1, 16, 2)
 
     def test_input_shape_checked_against_the_model(self):
         cfg = ModelConfig(num_classes=3, hidden=4, embed_channels=2, embed_dim=3)
@@ -636,7 +791,7 @@ class TestElRoutes:
         for i, sample in enumerate(samples):
             rows, starts = _embedded_path_inputs(model, sample)
             _, single = model.forward_batch([sample])
-            for got in (cache["rnn"][0][i], single["rnn"][0][0]):
+            for got in (block_inputs(cache)[i], block_inputs(single)[0]):
                 _assert_rows_close(got[:, :dim], rows)
                 if sp:
                     _assert_rows_close(got[:, dim:], starts)
@@ -658,11 +813,11 @@ class TestElRoutes:
         sample = TimedPath(times, 1e3 + np.cumsum(rng.normal(size=(2000, 2)), axis=0))
         exact = _exact_el_inputs(model, sample)
         _, cache = model.forward_batch([sample])
-        _assert_rows_close(cache["rnn"][0][0], exact, tol=1e-9)
+        _assert_rows_close(block_inputs(cache)[0], exact, tol=1e-9)
         _assert_rows_close(np.concatenate(_embedded_path_inputs(model, sample), axis=1), exact, tol=1e-8)
         model.raw_basis = None  # the per-path route
         _, cache = model.forward_batch([sample])
-        _assert_rows_close(cache["rnn"][0][0], exact, tol=1e-8)
+        _assert_rows_close(block_inputs(cache)[0], exact, tol=1e-8)
 
     def test_mapped_route_runs_no_per_path_backward(self, monkeypatch):
         rng = np.random.default_rng(50)
@@ -699,7 +854,7 @@ class TestElRoutes:
         _, cache = model.forward_batch(samples)
         for i, sample in enumerate(samples):
             rows, starts = _embedded_path_inputs(model, sample)
-            _assert_rows_close(cache["rnn"][0][i], np.concatenate([rows, starts], axis=1))
+            _assert_rows_close(block_inputs(cache)[i], np.concatenate([rows, starts], axis=1))
 
     @pytest.mark.parametrize("cell", ["vanilla", "lstm"])
     @pytest.mark.parametrize("layout", ["mapped", "per-path"])
@@ -743,8 +898,8 @@ class TestElRoutes:
         assert np.all(np.isfinite(logits))
         rows, starts = _embedded_path_inputs(model, one)
         dim = model.blocks[0][1].dim
-        assert np.array_equal(cache["rnn"][0][0][:, :dim], rows)
-        _assert_rows_close(cache["rnn"][0][0][:, dim:], starts)
+        assert np.array_equal(block_inputs(cache)[0][:, :dim], rows)
+        _assert_rows_close(block_inputs(cache)[0][:, dim:], starts)
 
 
 def _paper_order_inputs(cfg, basis, segments, times, frames, adjacency, theta):
@@ -837,14 +992,14 @@ class TestGcnRoute:
         for i, s in enumerate(samples):
             ref = _paper_order_inputs(cfg, model.blocks[0][1], 3, s.times, s.frames, s.adjacency, p["gcn.theta"])
             for j in range(J):
-                _assert_rows_close(cache["rnn"][0][J * i + j], ref[j])
+                _assert_rows_close(block_inputs(cache)[J * i + j], ref[j])
             if variant == "gcn-logsig-rnn-2":  # the first block's outputs are the second's frames
                 frames = np.stack([rnn_forward(rows, rnn, cfg.cell)[0] for rows in ref], axis=1)
                 ref = _paper_order_inputs(
                     cfg, model.blocks[1][1], 2, np.arange(3.0), frames, s.adjacency, p["gcn2.theta"]
                 )
                 for j in range(J):
-                    _assert_rows_close(cache["rnn2"][0][J * i + j], ref[j])
+                    _assert_rows_close(block_inputs(cache, "rnn2")[J * i + j], ref[j])
 
     @pytest.mark.parametrize(
         "spec,degree,use_time,groups",
@@ -985,12 +1140,12 @@ class TestFrameRnnBatch:
         unroll = neural._rnn_forward_batch
 
         def counted(*args):
-            unrolls.append(args[0].shape)
+            unrolls.append(args[0].shape[:2])
             return unroll(*args)
 
         monkeypatch.setattr(neural, "_rnn_forward_batch", counted)
         logits, cache = model.forward_batch(samples)
-        assert unrolls == [(7, resample or 9, 4)]
+        assert unrolls == [(7, resample or 9)]
         # step t runs only on the streams that have a t-th frame
         assert list(cache["rnn"][-1]) == ([7, 6, 5, 4, 2, 2, 2, 2, 2] if resample == 0 else [7] * 5)
         _, g_logits = cross_entropy(logits, labels)
@@ -1110,7 +1265,7 @@ class TestPreparedTraining:
 
     def test_gcn_layer_runs_once_per_stream_per_train_call(self, monkeypatch):
         # block 0's joint raw paths [time, mixed running sums] read no
-        # parameter; only time (+) theta, applied by map_rows, is trained.
+        # parameter; only time (+) theta, applied through lie_map, is trained.
         # The layer runs once per joint group: here all 3 joints side by side,
         # [time, 3 joints x 2 coords], width 7 (49 entries at degree 2)
         rng = np.random.default_rng(72)
