@@ -16,9 +16,9 @@ prefix sums (one cumulative sum over the flat increment axis minus each
 segment's starting offset), and only the top level's segment totals are
 formed, one product per segment.  The log is one batched power series,
 formed at the Lyndon words only (below the top level the powers are whole,
-as the adjoint reads them), the Lyndon projection the cached exact level
-inverse applied as the identity plus its small correction block, and the
-adjoint reverses the levels with reverse segmented sums.  The forward pass
+as the adjoint reads them), the Lyndon projection the basis's one change of
+basis (``LyndonBasis.to_lyndon``, which ``project_to_basis`` applies too),
+and the adjoint reverses the levels with reverse segmented sums.  The forward pass
 is sized for short streams, where a call is mostly numpy's per-call
 overhead: it gathers with ``take`` and updates in place where that leaves
 every result bit for bit the same.
@@ -149,29 +149,6 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _to_lyndon(level: np.ndarray, basis: LyndonBasis, n: int) -> np.ndarray:
-    """Lyndon coordinates from a Lie element's level-n entries at the Lyndon words.
-
-    That is ``level @ inverse.T`` for the basis's exact level inverse,
-    applied as the identity plus its correction block; ``level`` is updated
-    in place.
-    """
-    hit, cols, block = basis.level_correction(n)
-    if block.size:
-        level[..., hit] = level.take(hit, axis=-1) + level.take(cols, axis=-1) @ block
-    return level
-
-
-def _to_lyndon_backward(upstream: np.ndarray, basis: LyndonBasis, n: int) -> np.ndarray:
-    """Adjoint of ``_to_lyndon``: ``upstream @ inverse``."""
-    hit, cols, block = basis.level_correction(n)
-    if not block.size:
-        return upstream
-    g = upstream.copy()
-    g[..., cols] += upstream[..., hit] @ block.T
-    return g
-
-
 def _chen_forward(state: _LayerState) -> np.ndarray:
     """Rows of every segment at degree >= 2, every increment at once.
 
@@ -238,7 +215,7 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
         log_n += sig[n].take(idx, axis=-1)
         for m in range(2, n + 1):
             log_n += (-1) ** (m + 1) / m * (powers[m][n] if n == M else powers[m][n].take(idx, axis=-1))
-        _to_lyndon(log_n, basis, n)
+        basis.to_lyndon(log_n, n)
     state.deltas, state.factors, state.powers = deltas, factors, powers
     return rows
 
@@ -252,7 +229,7 @@ def _chen_backward(state: _LayerState, upstream: np.ndarray) -> np.ndarray:
     for n in range(1, M + 1):
         idx = basis.level_words(n)
         g = np.zeros_like(sig[n])
-        g[..., idx] = _to_lyndon_backward(upstream[..., basis._level_slices[n - 1]], basis, n)
+        g[..., idx] = basis.to_lyndon_backward(upstream[..., basis._level_slices[n - 1]], n)
         glog.append(g)
     # through the power series: powers[m] = powers[m-1] (x) sig
     gsig = [None] + [np.zeros_like(level) for level in sig[1:]]
@@ -440,9 +417,9 @@ def lie_map(matrix: np.ndarray, source: LyndonBasis, target: LyndonBasis, out: n
     this map.  It is block diagonal by level: level 1 is ``matrix``; level
     ``n`` is ``source.level_expansion(n)`` times the n-fold tensor power of
     ``matrix`` at the target's Lyndon words only, then the target's level
-    inverse (``_to_lyndon``).  Its cost does not depend on how many rows it
-    maps.  ``out``, if given, is a zeroed ``(source.dim, target.dim)`` array
-    (a view is fine) that the levels are written into.
+    inverse (``target.to_lyndon``).  Its cost does not depend on how many
+    rows it maps.  ``out``, if given, is a zeroed ``(source.dim,
+    target.dim)`` array (a view is fine) that the levels are written into.
 
     Returns the map and the cache ``lie_map_backward`` needs; raises
     ``FloatingPointError`` on a non-finite map, as the layer does on
@@ -466,7 +443,7 @@ def lie_map(matrix: np.ndarray, source: LyndonBasis, target: LyndonBasis, out: n
             powers.append((powers[-1][:, None, :] * factors[None, :, k]).reshape(-1, letters.shape[1]))
         level = out[source._level_slices[n - 1], target._level_slices[n - 1]]
         np.matmul(source.level_expansion(n), powers[-1], out=level)
-        _to_lyndon(level, target, n)
+        target.to_lyndon(level, n)
         levels.append((letters, factors, powers))
     if not np.isfinite(out).all():
         raise FloatingPointError(
@@ -482,7 +459,7 @@ def lie_map_backward(cache, g: np.ndarray) -> np.ndarray:
     grad = g[: source.width, : target.width].copy()
     for n, (letters, factors, powers) in enumerate(levels, start=2):
         level = g[source._level_slices[n - 1], target._level_slices[n - 1]]
-        t = source.level_expansion(n).T @ _to_lyndon_backward(level, target, n)
+        t = source.level_expansion(n).T @ target.to_lyndon_backward(level, n)
         for k in range(n - 1, 0, -1):
             t = t.reshape(-1, grad.shape[0], t.shape[-1])
             np.add.at(grad, (slice(None), letters[k]), (t * powers[k - 1][:, None, :]).sum(axis=0))

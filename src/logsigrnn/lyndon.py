@@ -4,8 +4,10 @@ Basis words are ordered by length and then lexicographically; this ordering
 fixes the public coordinate layout of every log-signature vector produced
 by the library.  Each Lyndon word carries the tensor expansion of its
 standard right bracketing, which is unitriangular against the words
-themselves and therefore supports exact coordinate extraction by
-substitution over its nonzeros.
+themselves, so each level has an exact integer inverse, built once by
+substitution over the expansions' nonzeros.  That inverse is the one change
+of basis: the log-signature layer, the Lie map and the reference
+``project_to_basis`` all apply it through ``LyndonBasis.to_lyndon``.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def sig_dim(width: int, degree: int) -> int:
 # The largest basis any build makes, checked by ``LyndonBasis`` (and first by
 # the model and the commands, naming their key or flag) from the closed forms
 # before any word is enumerated: the layer holds a (increments, width**n) array
-# per level n and the basis a dense square change of basis per level, so past
-# these sizes a build takes minutes and gigabytes, or never ends (width 9 at
-# degree 40 has about 4.2e36 Lyndon words).
+# per level n and the basis a dense correction block per level (up to one
+# entry per pair of words of that length), so past these sizes a build takes
+# minutes and gigabytes, or never ends (width 9 at degree 40 has about 4.2e36
+# Lyndon words).
 MAX_SIG_ENTRIES = 2**16
 MAX_BASIS_WORDS = 2**13
 
@@ -185,7 +188,6 @@ class LyndonBasis:
             count = sum(1 for w in self.words[start:] if len(w) == n)
             self._level_slices.append(slice(start, start + count))
             start += count
-        self._level_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._words_cache: dict[int, np.ndarray] = {}
         self._correction_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._expansion_cache: dict[int, np.ndarray] = {}
@@ -237,29 +239,6 @@ class LyndonBasis:
             )
         return self._words_cache[n]
 
-    def level_system(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lyndon flat indices and the unitriangular change-of-basis matrix at degree n.
-
-        ``matrix[i, j]`` is the coefficient of Lyndon word i (as a plain word)
-        in the bracket expansion of Lyndon word j; it is lower triangular with
-        unit diagonal in the lexicographic order.  Dense, for the reference
-        ``project_to_basis``: the layer reads ``level_correction`` instead.
-        """
-        if n in self._level_cache:
-            return self._level_cache[n]
-        sl = self._level_slices[n - 1]
-        words = self.words[sl]
-        pos = {w: i for i, w in enumerate(words)}
-        r = len(words)
-        matrix = np.zeros((r, r))
-        for j, w in enumerate(words):
-            for u, c in self.expansions[sl.start + j].items():
-                i = pos.get(u)
-                if i is not None:
-                    matrix[i, j] = c
-        self._level_cache[n] = (self.level_words(n), matrix)
-        return self._level_cache[n]
-
     def level_letters(self, n: int) -> np.ndarray:
         """``(n, words of length n)`` table whose entry ``[k, i]`` is letter k (from 0) of the i-th such Lyndon word.
 
@@ -270,12 +249,16 @@ class LyndonBasis:
         return self._letters_cache[n]
 
     def level_correction(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The inverse of ``level_system(n)``'s matrix minus the identity, as ``(rows, cols, block)``.
+        """The exact inverse of level n's change of basis minus the identity, as ``(rows, cols, block)``.
 
-        ``x @ inverse.T`` equals ``x`` with ``x[:, cols] @ block`` added to
-        its columns ``rows``.  The block is empty at levels 1 and 2, where the
-        inverse is the identity; at level 3 it holds one entry per row and
-        per column.
+        The change of basis is the level's ``system``: ``system[i, j]`` is
+        the coefficient of Lyndon word i (as a plain word) in the bracket
+        expansion of Lyndon word j, both of length n; it is lower triangular
+        with unit diagonal in the lexicographic order.  ``x @ inverse.T``
+        equals ``x`` with ``x[:, cols] @ block`` added to its columns
+        ``rows`` (``to_lyndon``).  The block is empty at levels 1 and 2,
+        where the inverse is the identity; at level 3 it holds one entry per
+        row and per column.
 
         The system is integer and unitriangular, so its inverse is integer:
         with ``system = I + L``, column j of the inverse is ``e_j - sum_i
@@ -319,6 +302,26 @@ class LyndonBasis:
             self._correction_cache[n] = (rows, cols, block)
         return self._correction_cache[n]
 
+    def to_lyndon(self, level: np.ndarray, n: int) -> np.ndarray:
+        """Lyndon coordinates from a Lie element's level-n entries at the Lyndon words.
+
+        That is ``level @ inverse.T`` for the exact level inverse, applied as
+        the identity plus its correction block; ``level`` is updated in place.
+        """
+        hit, cols, block = self.level_correction(n)
+        if block.size:
+            level[..., hit] = level.take(hit, axis=-1) + level.take(cols, axis=-1) @ block
+        return level
+
+    def to_lyndon_backward(self, upstream: np.ndarray, n: int) -> np.ndarray:
+        """Adjoint of ``to_lyndon``: ``upstream @ inverse``."""
+        hit, cols, block = self.level_correction(n)
+        if not block.size:
+            return upstream
+        g = upstream.copy()
+        g[..., cols] += upstream[..., hit] @ block.T
+        return g
+
     def level_expansion(self, n: int) -> np.ndarray:
         """Dense ``(words of length n, width**n)`` matrix of their bracket expansions.
 
@@ -347,30 +350,26 @@ def enumerate_lyndon(width: int, degree: int) -> LyndonBasis:
 def project_to_basis(t: TruncatedTensor, basis: LyndonBasis) -> np.ndarray:
     """Coordinates of a Lie element ``t`` in the Lyndon basis.
 
-    Solved degree by degree through the triangular structure of the
-    bracket expansions.  The reconstruction residual is verified, so a
-    non-Lie input raises instead of being silently approximated.
+    Level by level, the entries at the Lyndon words through the basis's
+    exact level inverse (``LyndonBasis.to_lyndon``), as in the layer.  The
+    reconstruction residual is verified, so a non-Lie or non-finite input
+    raises ``ValueError`` instead of being silently approximated.
     """
     if t.width != basis.width or t.degree != basis.degree:
         raise ValueError("tensor and basis have mismatched width or degree")
     tol = 1e-10
-    if abs(t.scalar()) > tol:
+    if not abs(t.scalar()) <= tol:
         raise ValueError("not a Lie element: nonzero degree-0 coefficient")
     coords = np.zeros(basis.dim)
     for n in range(1, basis.degree + 1):
-        sl = basis._level_slices[n - 1]
-        if sl.start == sl.stop:
-            continue
-        idx, matrix = basis.level_system(n)
+        if not np.isfinite(t.levels[n]).all():
+            raise ValueError(f"not a Lie element: degree-{n} block is not finite")
+        coords[basis._level_slices[n - 1]] = basis.to_lyndon(t.levels[n][basis.level_words(n)], n)
+    recon = expand_from_basis(coords, basis)
+    for n in range(1, basis.degree + 1):
         block = t.levels[n]
-        c = np.linalg.solve(matrix, block[idx])
-        coords[sl] = c
-        recon = np.zeros_like(block)
-        for j in range(sl.start, sl.stop):
-            widx, wcoef = basis._flat[j]
-            recon[widx] += coords[j] * wcoef
         scale = max(1.0, float(np.max(np.abs(block), initial=0.0)))
-        if np.max(np.abs(recon - block), initial=0.0) > tol * scale:
+        if not np.all(np.abs(recon.levels[n] - block) <= tol * scale):  # a NaN fails too
             raise ValueError(
                 f"not a Lie element: degree-{n} block is outside the free Lie algebra"
             )

@@ -115,8 +115,12 @@ def evaluate(path: TimedPath, at: np.ndarray | float) -> np.ndarray:
     return (1.0 - w)[:, None] * p[idx] + w[:, None] * p[idx + 1]
 
 
+@np.errstate(over="raise", invalid="raise")
 def signature(path: TimedPath, degree: int) -> TruncatedTensor:
-    """Truncated signature of the path, via the segment-exponential fold."""
+    """Truncated signature of the path, via the segment-exponential fold.
+
+    Raises ``FloatingPointError`` where the fold overflows float64.
+    """
     check_basis_size(path.width, degree)  # MAX_SIG_ENTRIES counts exactly its storage
     out = TruncatedTensor.unit(path.width, degree)
     if path.num_samples < 2:
@@ -128,10 +132,15 @@ def signature(path: TimedPath, degree: int) -> TruncatedTensor:
     return out
 
 
+@np.errstate(over="raise", invalid="raise")
 def log_signature(
     path: TimedPath, degree: int, basis: LyndonBasis | None = None
 ) -> np.ndarray:
-    """Lyndon-basis coordinates of the truncated log-signature."""
+    """Lyndon-basis coordinates of the truncated log-signature.
+
+    Raises ``FloatingPointError`` where the signature or its log overflows
+    float64, as the layer does.
+    """
     if basis is None:
         basis = enumerate_lyndon(path.width, degree)
     if path.num_samples < 2:

@@ -21,14 +21,29 @@ from logsigrnn.lyndon import (
     sig_dim,
     witt_number,
 )
-from logsigrnn.tensor_algebra import TruncatedTensor, word_index
+from logsigrnn.tensor_algebra import TruncatedTensor, tensor_log, word_index
 
 
-def _dense_inverse(matrix):
-    """The exact inverse of an integer unitriangular level system, by a dense float inverse."""
+def dense_level_system(basis, n):
+    """The dense oracle for level n's change of basis, apart from the basis's sparse build.
+
+    Built from ``basis.expansions`` alone.  Returns the flat indices of the
+    Lyndon words of length n, the unitriangular ``matrix`` (``matrix[i, j]``
+    is the coefficient of Lyndon word i, as a plain word, in the bracket
+    expansion of Lyndon word j) and its inverse, a dense float inverse
+    rounded and asserted to be exact.
+    """
+    words = basis.words_of_length(n)
+    pos = {w: i for i, w in enumerate(words)}
+    matrix = np.zeros((len(words), len(words)))
+    for j, w in enumerate(words):
+        for u, c in basis.expansions[basis.word_position(w)].items():
+            if u in pos:
+                matrix[pos[u], j] = c
     inverse = np.rint(np.linalg.inv(matrix))
-    assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
-    return inverse
+    assert np.array_equal(inverse @ matrix, np.eye(len(words)))
+    idx = np.array([word_index(w, basis.width) for w in words], dtype=np.intp)
+    return idx, matrix, inverse
 
 
 def is_lyndon_by_rotation(word):
@@ -219,7 +234,7 @@ class TestBasisStructure:
     def test_level_system_unitriangular(self):
         basis = enumerate_lyndon(3, 4)
         for n in range(1, 5):
-            _, matrix = basis.level_system(n)
+            _, matrix, _ = dense_level_system(basis, n)
             assert np.allclose(np.diag(matrix), 1.0)
             assert np.allclose(np.triu(matrix, k=1), 0.0)
 
@@ -228,9 +243,8 @@ class TestBasisStructure:
         # the reference inverse is dense and computed here, apart from the basis's sparse build
         basis = enumerate_lyndon(width, degree)
         for n in range(1, degree + 1):
-            idx, matrix = basis.level_system(n)
+            idx, matrix, inverse = dense_level_system(basis, n)
             assert np.array_equal(idx, basis.level_words(n))
-            inverse = _dense_inverse(matrix)
             rows, cols, block = basis.level_correction(n)
             built = np.eye(matrix.shape[0])
             built[np.ix_(rows, cols)] += block.T
@@ -248,7 +262,7 @@ class TestBasisStructure:
         basis = enumerate_lyndon(width, degree)
         rng = np.random.default_rng(width + degree)
         for n in range(1, degree + 1):
-            inverse = _dense_inverse(basis.level_system(n)[1])
+            inverse = dense_level_system(basis, n)[2]
             rows, cols, block = basis.level_correction(n)
             x = rng.normal(size=(3, inverse.shape[0]))
             corrected = x.copy()
@@ -268,7 +282,7 @@ class TestBasisStructure:
 
     def test_wide_basis_builds_its_corrections_in_little_memory(self):
         # width 24 at degree 3 has 4600 words of length 3: a dense inverse of
-        # that level is a 161 MiB array, and its solve several more
+        # that level is a 161 MiB array
         tracemalloc.start()
         try:
             basis = lyndon.LyndonBasis(24, 3)
@@ -346,6 +360,57 @@ class TestProjection:
         t2 = TruncatedTensor.unit(2, 2)
         with pytest.raises(ValueError, match="not a Lie element"):
             project_to_basis(t2, basis)
+
+    def test_non_finite_input_rejected(self):
+        # the level is named before any coordinate or residual is formed
+        basis = enumerate_lyndon(2, 2)
+        t = TruncatedTensor.zero(2, 2)
+        t.levels[2][:] = [0.0, np.nan, np.nan, 0.0]
+        with pytest.raises(ValueError, match="degree-2 block is not finite"):
+            project_to_basis(t, basis)
+        t = TruncatedTensor.zero(2, 2)
+        t.levels[1][:] = [np.inf, 0.0]
+        with pytest.raises(ValueError, match="degree-1 block is not finite"):
+            project_to_basis(t, basis)
+
+    @pytest.mark.parametrize(
+        "width,degree,rtol",
+        [(3, 3, 0.0), (7, 3, 0.0), (9, 3, 0.0), (11, 3, 0.0), (16, 3, 0.0), (9, 4, 1e-15), (3, 5, 1e-15),
+         (2, 6, 1e-15)],
+    )
+    def test_projection_agrees_with_the_dense_solve(self, width, degree, rtol):
+        # byte-equal up to degree 3, where each corrected coordinate adds one
+        # term; above it a coordinate sums several, in another order than the solve
+        rng = np.random.default_rng(10 * width + degree)
+        basis = enumerate_lyndon(width, degree)
+        t = tensor_log(paths.signature(paths.TimedPath(np.linspace(0.0, 1.0, 30), rng.normal(size=(30, width))), degree))
+        coords = project_to_basis(t, basis)
+        start = 0
+        for n in range(1, degree + 1):
+            idx, matrix, _ = dense_level_system(basis, n)
+            solved = np.linalg.solve(matrix, t.levels[n][idx])
+            got, start = coords[start : start + idx.size], start + idx.size
+            if rtol:
+                assert np.max(np.abs(got - solved)) <= rtol * np.max(np.abs(solved))
+            else:
+                assert got.tobytes() == solved.tobytes()
+
+    def test_wide_projection_runs_in_little_memory(self):
+        # once the basis's level corrections are built, projecting reads them
+        # only: a dense level-3 system at width 24 is a 161 MiB array
+        rng = np.random.default_rng(24)
+        basis = enumerate_lyndon(24, 3)
+        for n in range(1, 4):
+            basis.level_correction(n)
+        t = tensor_log(paths.signature(paths.TimedPath(np.linspace(0.0, 1.0, 30), rng.normal(size=(30, 24))), 3))
+        tracemalloc.start()
+        try:
+            coords = project_to_basis(t, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(coords[:24], t.levels[1])
+        assert peak < 8 * 2**20, peak / 2**20
 
     def test_length_mismatch_rejected(self):
         basis = enumerate_lyndon(2, 2)

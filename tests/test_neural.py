@@ -36,6 +36,7 @@ from logsigrnn.neural import (
     softmax,
     _rnn_param_shapes,
 )
+from test_lyndon import dense_level_system
 
 
 def block_inputs(cache, prefix="rnn"):
@@ -734,9 +735,7 @@ def _exact_el_inputs(model, sample):
         logs = (s1, s2 - sq / 2, s3 - (np.multiply.outer(s1, s2) + np.multiply.outer(s2, s1)) / 2 + np.multiply.outer(sq, s1) / 3)
         row = []
         for level, log in enumerate(logs, start=1):
-            idx, matrix = basis.level_system(level)
-            inverse = np.rint(np.linalg.inv(matrix))
-            assert np.array_equal(inverse @ matrix, np.eye(matrix.shape[0]))
+            idx, _, inverse = dense_level_system(basis, level)
             row.extend(inverse.astype(np.int64).astype(object) @ log.reshape(-1)[idx])
         rows.append(row + list(at(a)))
     return np.array(rows, dtype=np.float64)

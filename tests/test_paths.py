@@ -22,6 +22,7 @@ from logsigrnn import (
     tensor_mul,
     upsample_linear,
 )
+from logsigrnn.logsig_layer import SegmentPartition, logsig_sequence
 
 
 def random_path(rng, n, d):
@@ -173,6 +174,19 @@ class TestLogSignature:
         p = random_path(rng, 10, 3)
         coords = log_signature(p, 3)
         assert np.allclose(coords[:3], p.points[-1] - p.points[0], atol=1e-14)
+
+    def test_an_overflowing_path_raises_where_it_overflows(self):
+        # every point is finite, but the level-2 and level-3 products are not:
+        # the reference raises as the layer does, and no numpy warning is printed
+        p = TimedPath([0.0, 1.0, 2.0, 3.0], [[0.0, 0.0], [1e120, 1.0], [0.0, 2e120], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                signature(p, 3)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                log_signature(p, 3)
+            with pytest.raises(FloatingPointError):
+                logsig_sequence(p, SegmentPartition.uniform(0.0, 3.0, 1), 3)
 
 
 class TestRestrict:
