@@ -39,16 +39,11 @@ from .logsig_layer import (
 )
 from .neural import (
     ModelConfig,
-    SkeletonSequence,
     StreamClassifier,
     TrainSettings,
     TrainResult,
     accumulative_layer,
-    add_start_points,
-    embedding_forward,
     evaluate_model,
-    gcn_forward,
-    rnn_forward,
     time_incorporated_layer,
     train,
 )

@@ -50,18 +50,13 @@ from .lyndon import check_array_size, check_basis_size, enumerate_lyndon
 from .paths import TimedPath, evaluate
 
 __all__ = [
-    "SkeletonSequence",
     "ModelConfig",
     "TrainSettings",
     "TrainResult",
     "StreamClassifier",
-    "embedding_forward",
     "accumulative_layer",
     "time_incorporated_layer",
-    "add_start_points",
     "normalized_adjacency",
-    "gcn_forward",
-    "rnn_forward",
     "softmax",
     "cross_entropy",
     "train",
@@ -74,35 +69,28 @@ CELLS = ("vanilla", "lstm")
 
 # Block 0 takes the mapped route while one raw path's top tensor level has
 # at most this many entries: both the layer on the raw path and the map's
-# dense level factors grow with raw_width**degree.  Timed on el-logsig-rnn
-# against the per-path route by scripts/time_el_routes.py (its default
-# shapes, BLAS 1 thread, two runs, with the Lie map folded into the first
-# cell's input projection): up to 512 entries a training step took
-# 0.19-0.70 of the per-path one and single-stream logits 1.08-2.47x as
-# long; past it logits took 2.72-41x as long, and the step gain shrank
-# (0.41-0.98 up to 1296) and turned into a loss at 1728 (1.30-2.67x).
-# Single-stream logits lose at every timed shape, since the map costs the
-# same whatever the row count; the step's crossing lies between 1296 and
-# 1728.  It decides the route only; GROUP_TENSOR_LIMIT sizes the groups on
-# the mapped route.
+# dense level factors grow with raw_width**degree.  It decides the route
+# only; GROUP_TENSOR_LIMIT sizes the groups on the mapped route.  Table
+# ``routes`` of scripts/time_rules.report times both routes' training step
+# and one-stream logits for el-logsig-rnn and gcn-logsig-rnn on each side of
+# this limit.  Its rows do not bear the limit out: the mapped step is the
+# faster one past it too (rows "el 5 2 4 3" at 1728 entries, "gcn 5 3 2 5"
+# and "gcn 5 3 6 5" at 1024), and per-path logits are the faster ones at
+# most shapes within it (rows "el 1 2 8 4", "gcn 5 3 2 4").
 MAPPED_TENSOR_LIMIT = 512
 
 # On the mapped route block 0 runs the layer on the largest number k of raw
 # paths whose [time, k paths' columns] has at most this many top-level
 # entries: a call is mostly fixed cost, and joints are merged while one call
-# on the group costs at most two one-joint calls.  Timed by
-# scripts/time_group_widths.py (one path of 40 samples, 4 segments, BLAS 1
-# thread; four runs), as a multiple of the width-3 call (one 2-D joint and
-# time): degree 2 up to width 45 (2025 entries) 1.64-1.75x; degree 3 width 9
-# (729) 1.37-1.44x, 11 (1331) 1.72-1.78x, 12 (1728) 1.91-2.00x, 13 (2197)
-# 2.21-2.36x; degree 4 width 6 (1296) 1.68-1.81x, 7 (2401) 2.51-2.69x.  So
-# 2x is crossed near 1728 entries at degree 3 and, interpolating, between
-# 1490 and 1720 at degree 4; the limit sits at the lower crossing.
+# on the group costs at most two one-joint calls.  Table ``groups`` of
+# scripts/time_rules.report times, at degrees 2-4 on paths of 40 and 320
+# samples, one call on k 2-D joints, one stacked call of the k one-joint
+# paths and k one-joint calls.  On 40 samples its rows cross two one-joint
+# calls around this limit (rows "3 40 5" and "3 40 6", "4 40 2" and
+# "4 40 3"); on 320 samples they cross well within it (rows "3 320 3" and
+# "3 320 4", "4 320 2"), and the stacked call costs less than the group
+# (rows "3 320 4", "4 320 2").
 GROUP_TENSOR_LIMIT = 1500
-
-
-# A skeleton is a ``TimedPath`` whose points are its flattened frames.
-SkeletonSequence = TimedPath
 
 
 @dataclass
@@ -182,17 +170,6 @@ class TrainResult:
 # layers
 
 
-def embedding_forward(frames, point_w, point_b, mix_w, mix_b) -> np.ndarray:
-    """Pointwise per-joint linear map, then one joint-mixing linear map.
-
-    The same two maps are applied at every frame, so the output at frame t
-    depends only on the input at frame t.
-    """
-    n = frames.shape[0]
-    hidden = frames @ point_w + point_b
-    return hidden.reshape(n, -1) @ mix_w + mix_b
-
-
 def accumulative_layer(seq: np.ndarray) -> np.ndarray:
     """Running partial sums along the frame axis."""
     return np.cumsum(seq, axis=0)
@@ -213,27 +190,11 @@ def time_incorporated_layer(seq: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.concatenate([channel[:, None], seq], axis=1)
 
 
-def add_start_points(rows: np.ndarray, path: TimedPath, boundaries: np.ndarray) -> np.ndarray:
-    """Append the path value at each segment start to the matching row."""
-    # a single sample spans no time, so every segment starts at that instant
-    at = boundaries[:-1] if path.num_samples > 1 else np.full(boundaries.size - 1, path.times[0])
-    starts = evaluate(path, at)
-    if starts.shape[0] != rows.shape[0]:
-        raise ValueError("one start point per row is required")
-    return np.concatenate([rows, starts], axis=1)
-
-
 def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of adjacency-plus-self-loops."""
     s = adjacency + np.eye(adjacency.shape[0])
     inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
     return s * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def gcn_forward(frames: np.ndarray, adjacency: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per-frame graph convolution: mix joints with the normalized adjacency, then map coords."""
-    ahat = normalized_adjacency(adjacency)
-    return np.einsum("fg,ngd,dc->nfc", ahat, frames, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +287,6 @@ def _rnn_backward_batch(cache, g_out):
     gw = hs[:, :-1].reshape(-1, H).T @ gz_flat
     gb = gz_flat.sum(axis=0)
     return gz, gw, gb, gv, gvb
-
-
-@np.errstate(over="raise", invalid="raise")
-def rnn_forward(seq: np.ndarray, params: dict, cell: str = "vanilla"):
-    """Single-sequence unroll; the per-step outputs and final hidden state.  Raises where a value overflows."""
-    if cell not in CELLS:
-        raise ValueError(f"unknown cell {cell!r}")
-    u, w, b, v, vb = (params[k] for k in _RNN_KEYS)
-    out, cache = _rnn_forward_batch((np.asarray(seq, dtype=np.float64) @ u)[None], w, b, v, vb, cell)
-    hs = cache[3]
-    return out[0], hs[0, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +512,8 @@ class StreamClassifier:
     def _block_matrix(self, index):
         """Block ``index``'s ``L``: ``time (+)`` gcn's ``theta`` or the embedding's matrix (None without it).
 
-        The embedding's has ``[1, frames] @ matrix = embedding_forward(frames)``:
+        The embedding's has ``[1, frames] @ matrix`` equal to the pointwise
+        per-joint map then the joint mix of the frames:
         ``(I_F (x) point_w) mix_w`` on the flattened frames, ``point_b mix_w +
         mix_b`` on the constant channel.
         """
@@ -856,9 +807,6 @@ class StreamClassifier:
     def logits(self, sample) -> np.ndarray:
         out, _ = self.forward_batch([sample])
         return out[0]
-
-    def predict(self, samples, batch_size: int = 64) -> np.ndarray:
-        return self._predict(self._prepare(samples), batch_size)
 
     def _predict(self, prepared, batch_size: int = 64) -> np.ndarray:
         preds = np.empty(len(prepared), dtype=np.intp)

@@ -16,7 +16,6 @@ import pytest
 from logsigrnn import (
     ModelConfig,
     SegmentPartition,
-    SkeletonSequence,
     TimedPath,
     TrainSettings,
     TruncatedTensor,
@@ -292,7 +291,7 @@ def test_criterion_3_gradient_correctness():
                 for _ in range(2):
                     n = int(rng.integers(6, 10))
                     samples.append(
-                        SkeletonSequence(
+                        TimedPath(
                             np.linspace(0.0, 1.0, n),
                             rng.normal(0.0, 1.0, (n, 2, 2)),
                             adjacency,

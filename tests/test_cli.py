@@ -20,7 +20,7 @@ from logsigrnn.cli import (
     parse_config_text,
     save_checkpoint,
 )
-from logsigrnn.neural import ModelConfig, SkeletonSequence, StreamClassifier
+from logsigrnn.neural import ModelConfig, StreamClassifier
 from logsigrnn.paths import TimedPath
 from logsigrnn.reports import parse_report
 
@@ -177,6 +177,13 @@ class TestLogsig:
         assert '"kind": "skeleton"' not in (tmp_path / "flat.jsonl").read_text()
         assert len(reports[0].tables) == 4 and reports[0].tables == reports[1].tables
         assert reports[0].metrics == reports[1].metrics
+
+    def test_mixed_widths_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "mixed.jsonl"
+        wide = '{"kind": "path", "label": 0, "n": 1, "d": 3, "times": [0.0], "points": [[1.0, 2.0, 3.0]]}\n'
+        path.write_text(CORNER_RECORD + wide)
+        assert main(["logsig", str(path)]) == 2
+        assert "stream file mixes widths [2, 3]" in capsys.readouterr().err
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -632,6 +639,19 @@ class TestCheckpoints:
         with pytest.raises(InputError, match="repeated param embed.point_w"):
             load_checkpoint(target)
 
+    def test_unexpected_param_exits_2(self, tmp_path, stream_file, capsys):
+        def add_extra_block(lines):
+            count = next(ln for ln in lines if ln.startswith("params "))
+            lines = lines[:-1] + ["param extra.w 1 2", "0.0 0.0", "end"]
+            return [f"params {int(ln.split()[1]) + 1}" if ln == count else ln for ln in lines]
+
+        target = self._edited_checkpoint(tmp_path, add_extra_block)
+        self._assert_eval_exits_2(target, stream_file(), capsys)
+        from logsigrnn.cli import InputError
+
+        with pytest.raises(InputError, match=r"unexpected params \['extra.w'\]"):
+            load_checkpoint(target)
+
     @pytest.mark.parametrize("ending", ["file twice", "no end", "text after end"])
     def test_anything_but_end_after_the_params_exits_2(self, tmp_path, stream_file, capsys, ending):
         def edit(lines):
@@ -758,7 +778,7 @@ class TestTrainEval:
         times = [0.0, 1.0, 2.0]
         streams.samples[2] = (
             TimedPath(times, [[0.0, 0.0], [scale, scale], [scale, 3.0]]) if layout == "path"
-            else SkeletonSequence(times, np.full((3, 5, 2), scale), streams.samples[2].adjacency)
+            else TimedPath(times, np.full((3, 5, 2), scale), streams.samples[2].adjacency)
         )
         huge = tmp_path / "huge.jsonl"
         save_streams(streams, str(huge))

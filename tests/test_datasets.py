@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from logsigrnn import (
     ModelConfig,
-    SkeletonSequence,
     StreamParseError,
     TimedPath,
     digit_polyline,
@@ -84,8 +83,11 @@ class TestGeneration:
 
     @pytest.mark.parametrize(
         "kwargs,named",
-        [({"count": -1}, "count"), ({"layout": "skeleton", "joints": 0}, "joints"), ({"count": 0, "layout": "tree"}, "layout")],
-        ids=["count", "joints", "layout"],
+        [
+            ({"count": -1}, "count"), ({"layout": "skeleton", "joints": 0}, "joints"),
+            ({"count": 0, "layout": "tree"}, "layout"), ({"classes": ("spiral",)}, "unknown class 'spiral'"),
+        ],
+        ids=["count", "joints", "layout", "class"],
     )
     def test_bad_argument_rejected_naming_it(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
@@ -94,7 +96,7 @@ class TestGeneration:
     def test_skeleton_layout(self):
         data = gen_synthetic(4, seed=3, layout="skeleton", joints=4)
         skel = data.samples[0]
-        assert isinstance(skel, SkeletonSequence)
+        assert isinstance(skel, TimedPath)
         assert skel.num_joints == 4
         assert skel.adjacency is not None
 
@@ -156,6 +158,10 @@ class TestInsert:
         p = digit_polyline()
         q = perturb_insert(p, 0.8, 9)
         assert np.all(np.diff(q.times) > 0)
+
+    def test_rate_bounds(self):
+        with pytest.raises(ValueError, match=r"insert rate must be in \[0, 1\), got 1.0"):
+            perturb_insert(digit_polyline(), 1.0, 0)
 
 
 class TestUpsample:
@@ -225,7 +231,7 @@ class TestStreamFiles:
 
     def test_one_joint_skeleton_without_adjacency_is_a_path_record(self):
         rng = np.random.default_rng(6)
-        skel = SkeletonSequence(np.linspace(0.0, 1.0, 5), rng.normal(size=(5, 1, 2)))
+        skel = TimedPath(np.linspace(0.0, 1.0, 5), rng.normal(size=(5, 1, 2)))
         buf = io.StringIO()
         save_streams(LabeledStreamSet([skel], np.array([0]), ("a",), 0), buf)
         assert json.loads(buf.getvalue().splitlines()[1])["kind"] == "path"
@@ -267,6 +273,10 @@ class TestStreamFiles:
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="label"):
             LabeledStreamSet([digit_polyline()], [7], ("a", "b"))
+
+    def test_one_label_per_sample(self):
+        with pytest.raises(ValueError, match="one label per sample is required"):
+            LabeledStreamSet([digit_polyline()], [0, 1], ("a", "b"))
 
 
 # any small JSON value, for a field that should hold something else

@@ -69,6 +69,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             SegmentPartition.uniform(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "boundaries,message",
+        [([0.0], "at least two boundaries"), ([0.0, np.inf], "must be finite")],
+        ids=["one-boundary", "infinite"],
+    )
+    def test_rejects_a_bad_boundary_list(self, boundaries, message):
+        with pytest.raises(ValueError, match=message):
+            SegmentPartition(boundaries)
+
 
 class TestForward:
     def test_degree_one_rows_are_segment_increments(self):

@@ -11,17 +11,12 @@ import pytest
 from logsigrnn import (
     ModelConfig,
     SegmentPartition,
-    SkeletonSequence,
     StreamClassifier,
     TimedPath,
     TrainSettings,
     accumulative_layer,
-    add_start_points,
-    embedding_forward,
     evaluate_model,
-    gcn_forward,
     logsig_sequence,
-    rnn_forward,
     time_incorporated_layer,
     train,
     gen_synthetic,
@@ -36,6 +31,7 @@ from logsigrnn.neural import (
     softmax,
     _rnn_param_shapes,
 )
+from reference import add_start_points, embedding_forward, gcn_forward
 from test_lyndon import dense_level_system
 
 
@@ -65,7 +61,7 @@ def chain_adjacency(F):
 def random_skeleton(rng, n, F, D):
     times = np.sort(rng.uniform(0.0, 1.0, n))
     times[0], times[-1] = 0.0, 1.0
-    return SkeletonSequence(times, rng.normal(0.0, 1.0, (n, F, D)), chain_adjacency(F))
+    return TimedPath(times, rng.normal(0.0, 1.0, (n, F, D)), chain_adjacency(F))
 
 
 class TestSkeletonSequence:
@@ -86,10 +82,10 @@ class TestSkeletonSequence:
         with pytest.raises(ValueError) as path_error:
             TimedPath(times, frames.reshape(len(frames), 6))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path_error.value))}$"):
-            SkeletonSequence(times, frames, chain_adjacency(3))
+            TimedPath(times, frames, chain_adjacency(3))
 
     def test_keeps_the_checked_times(self):
-        skeleton = SkeletonSequence([[0.0], [0.5]], np.zeros((2, 3, 2)))
+        skeleton = TimedPath([[0.0], [0.5]], np.zeros((2, 3, 2)))
         assert skeleton.times.dtype == np.float64 and skeleton.times.tolist() == [0.0, 0.5]
 
 
@@ -220,16 +216,23 @@ class TestGcn:
     @pytest.mark.parametrize("kind", ["path", "skeleton"])
     def test_a_sample_without_adjacency_is_refused(self, kind):
         rng = np.random.default_rng(8)
-        sample = random_path(rng, 6, 2) if kind == "path" else SkeletonSequence(np.arange(6.0), np.ones((6, 1, 2)))
+        sample = random_path(rng, 6, 2) if kind == "path" else TimedPath(np.arange(6.0), np.ones((6, 1, 2)))
         model = StreamClassifier.build(ModelConfig(variant="gcn-logsig-rnn", hidden=3), (1, 2), 0)
         with pytest.raises(ValueError, match="gcn variants require an adjacency matrix"):
             model.logits(sample)
 
 
+def _unroll(x, params, cell):
+    """One sequence through ``neural._rnn_forward_batch``: its outputs and final hidden state."""
+    u, w, b, v, vb = (params[k] for k in ("u", "w", "b", "v", "vb"))
+    out, cache = neural._rnn_forward_batch((x @ u)[None], w, b, v, vb, cell)
+    return out[0], cache[3][0, -1]
+
+
 class TestRnn:
     def test_zero_weights_give_zero_outputs(self):
         params = {k: np.zeros(v) for k, v in _rnn_param_shapes(3, 4, "vanilla").items()}
-        out, h = rnn_forward(np.ones((5, 3)), params, "vanilla")
+        out, h = _unroll(np.ones((5, 3)), params, "vanilla")
         assert np.allclose(out, 0.0) and np.allclose(h, 0.0)
 
     def test_single_step_identity_maps(self):
@@ -241,7 +244,7 @@ class TestRnn:
             "vb": np.zeros(2),
         }
         x = np.array([[0.3, -1.2]])
-        out, h = rnn_forward(x, params, "vanilla")
+        out, h = _unroll(x, params, "vanilla")
         assert np.allclose(out[0], np.tanh(x[0]), atol=1e-15)
         assert np.allclose(h, np.tanh(x[0]), atol=1e-15)
 
@@ -255,7 +258,7 @@ class TestRnn:
         x = np.array([[1.0, 2.0], [0.5, -0.5]])
         h1 = np.tanh(x[0] @ u + b)
         h2 = np.tanh(x[1] @ u + h1 @ w + b)
-        out, h_final = rnn_forward(x, params, "vanilla")
+        out, h_final = _unroll(x, params, "vanilla")
         assert np.allclose(out[0], h1 @ v + vb, atol=1e-12)
         assert np.allclose(out[1], h2 @ v + vb, atol=1e-12)
         assert np.allclose(h_final, h2, atol=1e-12)
@@ -266,8 +269,8 @@ class TestRnn:
             k: rng.normal(size=v) * 0.3 for k, v in _rnn_param_shapes(3, 5, "lstm").items()
         }
         x = rng.normal(size=(7, 3))
-        out1, h1 = rnn_forward(x, params, "lstm")
-        out2, h2 = rnn_forward(x, params, "lstm")
+        out1, h1 = _unroll(x, params, "lstm")
+        out2, h2 = _unroll(x, params, "lstm")
         assert out1.shape == (7, 5)
         assert np.array_equal(out1, out2) and np.array_equal(h1, h2)
 
@@ -462,12 +465,10 @@ class TestModels:
         model = StreamClassifier.build(cfg, (1, 2), 3)
         logits = model.logits(p)
         increments = np.diff(p.points, axis=0)
-        out, _ = rnn_forward(
-            increments,
-            {k: model.params[f"rnn.{k}"] for k in ("u", "w", "b", "v", "vb")},
-            "vanilla",
+        out, _ = _oracle_rnn_forward(
+            increments[None], *(model.params[f"rnn.{k}"] for k in ("u", "w", "b", "v", "vb")), "vanilla"
         )
-        expected = out[-1] @ model.params["head.w"] + model.params["head.b"]
+        expected = out[0, -1] @ model.params["head.w"] + model.params["head.b"]
         assert np.allclose(logits, expected, atol=1e-12)
 
     def test_upsampling_leaves_logits_unchanged_without_accumulation(self):
@@ -508,7 +509,7 @@ class TestModels:
             use_accumulative=False, use_time=False, use_start_points=False,
         )
         model = StreamClassifier.build(cfg, (1, 2), 4)
-        skel = SkeletonSequence(
+        skel = TimedPath(
             np.linspace(0, 1, 10), rng.normal(size=(10, 1, 2)), np.zeros((1, 1))
         )
         logits = model.logits(skel)
@@ -528,7 +529,7 @@ class TestModels:
         model = StreamClassifier.build(cfg, (4, 3), 5)
         base = model.logits(skel)
         perm = np.array([2, 0, 3, 1])
-        permuted = SkeletonSequence(
+        permuted = TimedPath(
             skel.times, skel.frames[:, perm, :], skel.adjacency[np.ix_(perm, perm)]
         )
         assert np.max(np.abs(model.logits(permuted) - base)) <= 1e-12
@@ -578,14 +579,14 @@ class TestModels:
     def test_input_shape_checked_against_the_model(self):
         cfg = ModelConfig(num_classes=3, hidden=4, embed_channels=2, embed_dim=3)
         model = StreamClassifier.build(cfg, (1, 2), 0)
-        skel = SkeletonSequence(np.linspace(0, 1, 5), np.zeros((5, 2, 1)))
+        skel = TimedPath(np.linspace(0, 1, 5), np.zeros((5, 2, 1)))
         with pytest.raises(ValueError, match=r"\(2, 1\).*\(1, 2\)"):
             model.logits(skel)
 
     def test_gcn_requires_adjacency(self):
         cfg = ModelConfig(variant="gcn-logsig-rnn", num_classes=3)
         model = StreamClassifier.build(cfg, (2, 2), 0)
-        skel = SkeletonSequence(np.linspace(0, 1, 5), np.zeros((5, 2, 2)), None)
+        skel = TimedPath(np.linspace(0, 1, 5), np.zeros((5, 2, 2)), None)
         with pytest.raises(ValueError, match="adjacency"):
             model.logits(skel)
 
@@ -657,6 +658,16 @@ class TestTraining:
         mixed = [random_path(rng, 6, 2), random_path(rng, 6, 3)]
         with pytest.raises(ValueError, match="mixed"):
             input_spec(mixed)
+
+    def test_empty_sets_rejected(self):
+        with pytest.raises(ValueError, match="empty training set"):
+            train(ModelConfig(), [], [])
+        with pytest.raises(ValueError, match="empty dataset"):
+            input_spec([])
+
+    def test_stacked_variant_without_second_segments_rejected(self):
+        with pytest.raises(ValueError, match="num_segments2 >= 1"):
+            ModelConfig(variant="gcn-logsig-rnn-2", num_segments2=0).validate()
 
 
 def _el_model(rng, spec, **changes):
@@ -950,7 +961,7 @@ class TestGcnRoute:
             adjacencies = (chain, np.ones((joints, joints)) - np.eye(joints), chain * np.arange(1.0, joints + 1))
             adjacencies = (*adjacencies[:2], (adjacencies[2] + adjacencies[2].T) / 2)
         return [
-            SkeletonSequence(np.sort(rng.uniform(0.0, 1.0, n)), rng.normal(size=(n, joints, 2)), adjacency)
+            TimedPath(np.sort(rng.uniform(0.0, 1.0, n)), rng.normal(size=(n, joints, 2)), adjacency)
             for n, adjacency in zip((6, 17, 1), adjacencies)
         ]
 
@@ -993,7 +1004,7 @@ class TestGcnRoute:
             for j in range(J):
                 _assert_rows_close(block_inputs(cache)[J * i + j], ref[j])
             if variant == "gcn-logsig-rnn-2":  # the first block's outputs are the second's frames
-                frames = np.stack([rnn_forward(rows, rnn, cfg.cell)[0] for rows in ref], axis=1)
+                frames = _oracle_rnn_forward(ref, *rnn.values(), cfg.cell)[0].swapaxes(0, 1)
                 ref = _paper_order_inputs(
                     cfg, model.blocks[1][1], 2, np.arange(3.0), frames, s.adjacency, p["gcn2.theta"]
                 )

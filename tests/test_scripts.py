@@ -1,4 +1,4 @@
-"""The scripts under scripts/ still import and parse their arguments."""
+"""The scripts under scripts/ still import and parse their arguments, and the committed sweep matches the rules."""
 
 import os
 import subprocess
@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from logsigrnn import neural
+from logsigrnn.reports import parse_report
+
 ROOT = Path(__file__).resolve().parent.parent
+ROUTE_COLUMNS = ("variant joints coords dim degree samples entries route prepare_ms_mapped prepare_ms_per_path "
+                 "step_ms_mapped step_ms_per_path logits_ms_mapped logits_ms_per_path logits_gap gradient_gap").split()
+GROUP_COLUMNS = "degree samples joints width entries group_us stack_us singles_us".split()
 
 
 def run_script(name, *args):
@@ -19,44 +25,42 @@ def run_script(name, *args):
     )
 
 
-@pytest.mark.parametrize(
-    "name", ["make_dataset.py", "train_toy.py", "run_mape_study.py", "time_el_routes.py", "time_group_widths.py"]
-)
+@pytest.mark.parametrize("name", ["make_dataset.py", "train_toy.py", "run_mape_study.py", "time_rules.py"])
 def test_help_exits_0(name):
     result = run_script(name, "--help")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
 
 
-def _assert_times_both_routes(shape, raw):
-    """The script times ``shape`` on both routes, which the model plans itself, and they agree."""
-    result = run_script("time_el_routes.py", "--shape", *shape, "--reps", "1")
+def _route_rows(report):
+    assert report.tables["routes"][0] == ROUTE_COLUMNS and report.tables["groups"][0] == GROUP_COLUMNS
+    return [dict(zip(ROUTE_COLUMNS, row)) for row in report.tables["routes"][1]]
+
+
+def test_committed_report_matches_the_rules():
+    """A rule changed without a fresh report fails here."""
+    report = parse_report((ROOT / "scripts" / "time_rules.report").read_text())
+    routes = _route_rows(report)
+    assert {report.config[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} == {"1"}
+    assert report.timings["wall_s"] > 0
+    assert report.config["MAPPED_TENSOR_LIMIT"] == str(neural.MAPPED_TENSOR_LIMIT)
+    assert report.config["GROUP_TENSOR_LIMIT"] == str(neural.GROUP_TENSOR_LIMIT)
+    for variant in ("el", "gcn"):  # both routes timed on both sides of the limit
+        assert {row["route"] for row in routes if row["variant"] == variant} == {"mapped", "per_path"}
+    assert {row[0] for row in report.tables["groups"][1]} == {"2", "3", "4"}
+
+
+def test_time_rules_times_both_routes_and_groups():
+    # an el shape past the limit (729 entries) and a gcn shape within it (27), on both routes
+    result = run_script("time_rules.py", "--shape", "el", "1", "7", "8", "3", "--shape", "gcn", "5", "2", "2", "3",
+                        "--degree", "2", "--reps", "1", "--calls", "1")
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "mapped / per-path, medians over repetitions" and len(lines) == 2
-    joints, coords, embed_dim, degree = shape
-    assert lines[1].startswith(f"joints {joints} coords {coords} embed_dim {embed_dim} degree {degree}: {raw}")
-    gaps = [float(part.split()[-1]) for part in lines[1].split(",")[-2:]]
-    assert all(gap < 1e-9 for gap in gaps), lines[1]
-
-
-def test_time_el_routes_forces_both_routes():
-    # a shape within neural.MAPPED_TENSOR_LIMIT
-    _assert_times_both_routes(("1", "2", "2", "2"), "raw width 4 (16 entries)")
-
-
-def test_time_el_routes_forces_both_routes_past_the_limit():
-    # a default shape whose raw path the model would send down the per-path route
-    _assert_times_both_routes(("1", "7", "8", "3"), "raw width 9 (729 entries)")
-
-
-def test_time_group_widths_times_each_width():
-    result = run_script("time_group_widths.py", "--degree", "2", "--widths", "3", "5", "--calls", "1", "--reps", "1")
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "one-path layer call, median over repetitions, 4 segments" and len(lines) == 3
-    assert lines[1].startswith("degree 2 width 3 (9 entries): ") and lines[1].endswith(" 1.00x width 3")
-    assert lines[2].startswith("degree 2 width 5 (25 entries): ")
+    report = parse_report(result.stdout)
+    routes = _route_rows(report)
+    assert [(row["variant"], row["entries"], row["route"]) for row in routes] == [
+        ("el", "729", "per_path")] * 2 + [("gcn", "27", "mapped")] * 2
+    assert all(float(row[gap]) <= 1e-9 for row in routes for gap in ("logits_gap", "gradient_gap")), routes
+    assert [row[:3] for row in report.tables["groups"][1][:2]] == [["2", "40", "1"], ["2", "40", "2"]]
 
 
 @pytest.mark.parametrize(
