@@ -17,14 +17,14 @@ Table ``groups``: per degree, path length and k joints of 2 coords with a
 time channel, medians of the mean time of one layer call on the k-joint group
 ``[time, k joints' columns]``, of one ``logsig_stack_forward`` of the k
 one-joint paths and of k one-joint calls, in 4 segments.
-
-BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
 """
 
 import argparse
 import os
 import time
+from unittest import mock
 
+# BLAS is pinned to one thread before numpy loads, as in perfbench/run.py
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
     os.environ[_var] = "1"
@@ -77,11 +77,8 @@ def time_routes(variant, joints, coords, dim, degree, lengths, reps):
     models = {"per_path": StreamClassifier(config, (joints, coords), params)}
     rule = ROUTES[models["per_path"].raw_basis is None]
     models["per_path"].raw_basis = None
-    neural.MAPPED_TENSOR_LIMIT, limit = np.inf, neural.MAPPED_TENSOR_LIMIT
-    try:
+    with mock.patch.object(neural, "MAPPED_TENSOR_LIMIT", np.inf):
         models["mapped"] = StreamClassifier(config, (joints, coords), params)
-    finally:
-        neural.MAPPED_TENSOR_LIMIT = limit
     times, results = {(what, route): [] for what in TIMED for route in ROUTES}, {}
     for rep in range(reps):
         for route in ROUTES[:: 1 - 2 * (rep % 2)]:
@@ -145,19 +142,16 @@ def main():
     args = parser.parse_args()
     if args.calls < 1 or args.reps < 1:
         parser.error("--calls and --reps must be at least 1")
-    try:
-        runs = [((v, *map(int, rest)), lengths) for v, *rest in args.shape or [] for lengths in LENGTHS]
-    except ValueError as exc:
-        parser.error(f"--shape: {exc}")
-    if any(shape[0] not in ("el", "gcn") for shape, _ in runs):
-        parser.error("--shape VARIANT must be el or gcn")
     wall = time.perf_counter()
     report = RunReport("time_rules", seed=7, config={
         "numpy": np.__version__, "nproc": len(os.sched_getaffinity(0)), "reps": args.reps, "calls": args.calls,
         "MAPPED_TENSOR_LIMIT": neural.MAPPED_TENSOR_LIMIT, "GROUP_TENSOR_LIMIT": neural.GROUP_TENSOR_LIMIT,
         **{var: os.environ[var] for var in THREAD_VARS},
     })
-    try:  # a shape past a size budget
+    try:  # a --shape that is not numeric, or past a size budget
+        runs = [((v, *map(int, rest)), lengths) for v, *rest in args.shape or [] for lengths in LENGTHS]
+        if any(shape[0] not in ("el", "gcn") for shape, _ in runs):
+            parser.error("--shape VARIANT must be el or gcn")
         rows = [time_routes(*shape, lengths, args.reps) for shape, lengths in runs or ROUTE_RUNS]
         report.add_table("routes", ROUTE_COLUMNS, rows)
         report.add_table("groups", GROUP_COLUMNS, [

@@ -50,28 +50,40 @@ def test_committed_report_matches_the_rules():
     assert {row[0] for row in report.tables["groups"][1]} == {"2", "3", "4"}
 
 
-def test_time_rules_times_both_routes_and_groups():
-    # an el shape past the limit (729 entries) and a gcn shape within it (27), on both routes
-    result = run_script("time_rules.py", "--shape", "el", "1", "7", "8", "3", "--shape", "gcn", "5", "2", "2", "3",
-                        "--degree", "2", "--reps", "1", "--calls", "1")
+@pytest.fixture(scope="module")
+def swept():
+    """One ``--reps 1`` run: el shapes on both sides of the limit (16 and 729 entries), a gcn one within it (27)."""
+    result = run_script("time_rules.py", *"--shape el 1 2 2 2 --shape el 1 7 8 3 --shape gcn 5 2 2 3".split(),
+                        *"--degree 2 --reps 1 --calls 1".split())
     assert result.returncode == 0, result.stderr
-    report = parse_report(result.stdout)
-    routes = _route_rows(report)
-    assert [(row["variant"], row["entries"], row["route"]) for row in routes] == [
-        ("el", "729", "per_path")] * 2 + [("gcn", "27", "mapped")] * 2
-    assert all(float(row[gap]) <= 1e-9 for row in routes for gap in ("logits_gap", "gradient_gap")), routes
-    assert [row[:3] for row in report.tables["groups"][1][:2]] == [["2", "40", "1"], ["2", "40", "2"]]
+    return parse_report(result.stdout)
 
 
-@pytest.mark.parametrize(
-    "args,named",
-    [
-        # a zero-joint skeleton file was once written, and refused when read
-        (["--layout", "skeleton", "--joints", "0", "--count", "3"], "joints"),
-        (["--count", "-1"], "count"),
-    ],
-    ids=["joints", "count"],
-)
+def _planned_routes(report, past_the_limit):  # rows on one side of the limit, whose two routes agree
+    rows = [row for row in _route_rows(report) if (int(row["entries"]) > neural.MAPPED_TENSOR_LIMIT) == past_the_limit]
+    assert all(float(row[gap]) <= 1e-9 for row in rows for gap in ("logits_gap", "gradient_gap")), rows
+    return [(row["variant"], row["entries"], row["route"]) for row in rows]
+
+
+def test_time_el_routes_forces_both_routes(swept):
+    assert _planned_routes(swept, False) == [("el", "16", "mapped")] * 2 + [("gcn", "27", "mapped")] * 2
+
+
+def test_time_el_routes_forces_both_routes_past_the_limit(swept):
+    assert _planned_routes(swept, True) == [("el", "729", "per_path")] * 2
+
+
+def test_time_group_widths_times_each_width(swept):
+    groups = swept.tables["groups"][1]
+    assert [row[:3] for row in groups] == [["2", n, str(k)] for n in ("40", "320") for k in (1, 2, 5, 10, 18, 19, 25)]
+    assert all(float(us) > 0 for row in groups for us in row[5:]), groups
+
+
+@pytest.mark.parametrize("args,named", [
+    # a zero-joint skeleton file was once written, and refused when read
+    (["--layout", "skeleton", "--joints", "0", "--count", "3"], "joints"),
+    (["--count", "-1"], "count"),
+], ids=["joints", "count"])
 def test_make_dataset_bad_argument_exits_2_naming_it(tmp_path, args, named):
     target = tmp_path / "z.jsonl"
     result = run_script("make_dataset.py", *args, str(target))
@@ -82,17 +94,11 @@ def test_make_dataset_bad_argument_exits_2_naming_it(tmp_path, args, named):
     assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "args,named",
-    [
-        (["--trials", "0"], "trials"),
-        (["--max-drop", "0"], "max_drop"),
-        (["--degree", "0"], "degree"),
-        # width 2 at degree 40 has about 5.6e10 Lyndon words: refused before any is enumerated
-        (["--degree", "40"], "degree 40"),
-    ],
-    ids=["trials", "max-drop", "degree-0", "degree-40"],
-)
+@pytest.mark.parametrize("args,named", [
+    (["--trials", "0"], "trials"), (["--max-drop", "0"], "max_drop"), (["--degree", "0"], "degree"),
+    # width 2 at degree 40 has about 5.6e10 Lyndon words: refused before any is enumerated
+    (["--degree", "40"], "degree 40"),
+], ids=["trials", "max-drop", "degree-0", "degree-40"])
 def test_run_mape_study_bad_argument_exits_2_naming_it(args, named):
     result = run_script("run_mape_study.py", *args)
     assert result.returncode == 2 and "Traceback" not in result.stderr
