@@ -148,10 +148,17 @@ def main():
         "MAPPED_TENSOR_LIMIT": neural.MAPPED_TENSOR_LIMIT, "GROUP_TENSOR_LIMIT": neural.GROUP_TENSOR_LIMIT,
         **{var: os.environ[var] for var in THREAD_VARS},
     })
-    try:  # a --shape that is not numeric, or past a size budget
-        runs = [((v, *map(int, rest)), lengths) for v, *rest in args.shape or [] for lengths in LENGTHS]
-        if any(shape[0] not in ("el", "gcn") for shape, _ in runs):
-            parser.error("--shape VARIANT must be el or gcn")
+    shapes = []
+    for variant, *sizes in args.shape or []:  # refused before any model is built
+        given = " ".join([variant, *sizes])
+        if variant not in ("el", "gcn"):
+            parser.error(f"--shape {given}: VARIANT must be el or gcn, got {variant!r}")
+        for name, size in zip(("JOINTS", "COORDS", "DIM", "DEGREE"), sizes):
+            if not (size.isdecimal() and int(size) >= 1):
+                parser.error(f"--shape {given}: {name} must be an integer >= 1, got {size!r}")
+        shapes.append((variant, *map(int, sizes)))
+    try:  # a --shape past a size budget
+        runs = [(shape, lengths) for shape in shapes for lengths in LENGTHS]
         rows = [time_routes(*shape, lengths, args.reps) for shape, lengths in runs or ROUTE_RUNS]
         report.add_table("routes", ROUTE_COLUMNS, rows)
         report.add_table("groups", GROUP_COLUMNS, [

@@ -612,9 +612,6 @@ def main(argv=None) -> int:
             for key in sorted(values):
                 if not np.isfinite(values[key]):
                     raise FloatingPointError(f"{report.command} report: {kind}.{key} is not finite")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FloatingPointError, RuntimeError) as exc:
         # a numerical check failed: a value overflowed, a non-finite loss, an inexact inverse
         print(f"error: {exc}", file=sys.stderr)

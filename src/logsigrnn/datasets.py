@@ -13,6 +13,7 @@ trip exactly (shortest-roundtrip decimal).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -167,8 +168,7 @@ def _drop_indices(path: TimedPath, k: int, rng) -> TimedPath:
     if k == 0:
         return path
     drop = rng.choice(np.arange(1, n - 1), size=k, replace=False)
-    keep = np.setdiff1d(np.arange(n), drop)
-    return replace(path, times=path.times[keep], points=path.points[keep])
+    return replace(path, times=np.delete(path.times, drop), points=np.delete(path.points, drop, axis=0))
 
 
 def perturb_drop(path: TimedPath, rate: float, seed) -> TimedPath:
@@ -178,9 +178,8 @@ def perturb_drop(path: TimedPath, rate: float, seed) -> TimedPath:
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"drop rate must be in [0, 1), got {rate}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = int(math.floor(rate * path.num_samples + 1e-9))
-    return _drop_indices(path, k, rng)
+    return _drop_indices(path, k, np.random.default_rng(seed))
 
 
 def perturb_insert(path: TimedPath, rate: float, seed) -> TimedPath:
@@ -190,27 +189,25 @@ def perturb_insert(path: TimedPath, rate: float, seed) -> TimedPath:
     next sample, keeping the grid strictly increasing.  The traversed curve
     is unchanged, so whole-path log-signatures are exactly preserved.
     Raises ``ValueError`` naming the two samples when no float64 lies
-    strictly between their times.
+    strictly between their times, the last such pair when there are several.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"insert rate must be in [0, 1), got {rate}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = path.num_samples
     k = int(math.floor(rate * n + 1e-9))
     k = min(k, n - 1)
     if k == 0 or n < 2:
         return path
-    chosen = np.sort(rng.choice(np.arange(n - 1), size=k, replace=False))[::-1]
-    times = list(path.times)
-    points = list(path.points)
-    for i in chosen:
-        # TimedPath keeps the span, and so every gap, finite
-        mid = times[i] + 0.5 * (times[i + 1] - times[i])
-        if not times[i] < mid < times[i + 1]:
-            raise ValueError(_too_narrow(path.times, i))
-        times.insert(i + 1, mid)
-        points.insert(i + 1, points[i])
-    return replace(path, times=np.array(times), points=np.stack(points))
+    chosen = np.sort(rng.choice(np.arange(n - 1), size=k, replace=False))
+    t = path.times
+    # TimedPath keeps the span, and so every gap, finite
+    mid = t[chosen] + 0.5 * (t[chosen + 1] - t[chosen])
+    narrow = chosen[~((t[chosen] < mid) & (mid < t[chosen + 1]))]
+    if narrow.size:
+        raise ValueError(_too_narrow(t, int(narrow[-1])))
+    points = np.insert(path.points, chosen + 1, path.points[chosen], axis=0)
+    return replace(path, times=np.insert(t, chosen + 1, mid), points=points)
 
 
 def _too_narrow(times, i: int) -> str:
@@ -342,11 +339,16 @@ def _record_for(sample, label: int) -> dict:
     return record
 
 
+def _opened(file, mode: str):
+    """``file`` opened in ``mode`` when it is a path; a caller's handle, left open, otherwise."""
+    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
+        return open(file, mode)
+    return contextlib.nullcontext(file)
+
+
 def save_streams(dataset: LabeledStreamSet, target) -> None:
     """Write a stream set as JSON lines (header object first)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    handle = open(target, "w") if own else target
-    try:
+    with _opened(target, "w") as handle:
         header = {
             "kind": "header",
             "classes": list(dataset.class_names),
@@ -355,9 +357,6 @@ def save_streams(dataset: LabeledStreamSet, target) -> None:
         handle.write(json.dumps(header) + "\n")
         for sample, label in zip(dataset.samples, dataset.labels):
             handle.write(json.dumps(_record_for(sample, label)) + "\n")
-    finally:
-        if own:
-            handle.close()
 
 
 def _label(obj: dict) -> int:
@@ -397,14 +396,12 @@ def load_streams(source) -> LabeledStreamSet:
     and a header whose ``classes`` is not a list of strings raise
     :class:`StreamParseError` with the offending line number.
     """
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    handle = open(source, "r") if own else source
-    try:
-        samples = []
-        labels = []
-        lines = []
-        classes: tuple[str, ...] = ()
-        seed = None
+    samples = []
+    labels = []
+    lines = []
+    classes: tuple[str, ...] = ()
+    seed = None
+    with _opened(source, "r") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -426,9 +423,6 @@ def load_streams(source) -> LabeledStreamSet:
             samples.append(sample)
             labels.append(label)
             lines.append(lineno)
-    finally:
-        if own:
-            handle.close()
     if classes:
         for label, lineno in zip(labels, lines):
             if label >= len(classes):

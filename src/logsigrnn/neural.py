@@ -8,7 +8,9 @@ recurrent part unrolls over the fixed number of partition segments, never
 over the raw frame count, so streams of any length share one parameter
 shape.  The frame-rnn baseline unrolls over each stream's frames, the whole
 batch at once in lockstep by frame count (longest first, each step on the
-streams that still have a frame); no filler frame is computed anywhere.
+streams that still have a frame).  No step reads a filler frame, but the
+frames are one zero-filled ``(B, T, F * D)`` array, whose filler rows the
+input projection ``x @ u`` and its adjoint ``x.T @ gz`` multiply too.
 
 Every block reads each sample's ``J`` parameter-free raw paths and one
 matrix ``L``: el-logsig-rnn is the one-path case with its embedding as
@@ -499,7 +501,7 @@ class StreamClassifier:
 
     @classmethod
     def build(cls, config: ModelConfig, spec: tuple[int, int], seed_or_rng=0) -> "StreamClassifier":
-        rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+        rng = np.random.default_rng(seed_or_rng)
         model = cls(config, spec, {})
         model.params = {
             name: np.zeros(shape) if len(shape) == 1 else _glorot(rng, *shape)

@@ -61,6 +61,8 @@ class TimedPath:
             raise ValueError(f"{points.shape[1]} point columns do not split into {joints} joints")
         if times.size < 1:
             raise ValueError("a path needs at least one sample")
+        if points.shape[1] == 0:
+            raise ValueError("a point needs at least one coordinate")
         if not (np.isfinite(times).all() and np.isfinite(points).all()):
             raise ValueError("timestamps and points must be finite")
         if not (times[1:] > times[:-1]).all():
@@ -149,22 +151,15 @@ def log_signature(
 
 
 def restrict(path: TimedPath, start: float, stop: float) -> TimedPath:
-    """Sub-path over [start, stop], interpolating the boundary points as needed."""
+    """Sub-path over [start, stop]: the path refined at both ends, cut to the interval."""
     t = path.times
     if not (t[0] <= start < stop <= t[-1]):
         raise ValueError(
             f"restriction interval [{start}, {stop}] outside time span [{t[0]}, {t[-1]}]"
         )
-    lo = int(np.searchsorted(t, start, side="left"))
-    hi = int(np.searchsorted(t, stop, side="right")) - 1
-    times = [np.array([start])] if t[lo] > start else []
-    pieces = [evaluate(path, start)] if t[lo] > start else []
-    times.append(t[lo : hi + 1])
-    pieces.append(path.points[lo : hi + 1])
-    if t[hi] < stop:
-        times.append(np.array([stop]))
-        pieces.append(evaluate(path, stop))
-    return replace(path, times=np.concatenate(times), points=np.concatenate(pieces, axis=0))
+    refined = insert_sample_times(path, [start, stop])
+    inside = (refined.times >= start) & (refined.times <= stop)
+    return replace(refined, times=refined.times[inside], points=refined.points[inside])
 
 
 def reparameterize(path: TimedPath, new_times) -> TimedPath:
@@ -190,14 +185,15 @@ def insert_sample_times(path: TimedPath, extra_times) -> TimedPath:
     lo, hi = path.span
     if extra.size and (extra.min() < lo or extra.max() > hi):
         raise ValueError("inserted times must lie inside the path's time span")
-    extra = np.setdiff1d(extra, path.times)
-    if extra.size == 0:
-        return path
     times = np.concatenate([path.times, extra])
     order = np.argsort(times, kind="stable")
-    times = times[order]
+    # a time already on the grid, or repeated, sorts right after its first copy, the one kept
+    # (np.setdiff1d or np.unique would import numpy.ma on first use, about 1.8 MiB resident)
+    order = order[np.append(True, times[order[1:]] != times[order[:-1]])]
+    if order.size == path.num_samples:
+        return path
     points = np.concatenate([path.points, evaluate(path, extra)], axis=0)[order]
-    return replace(path, times=times, points=points)
+    return replace(path, times=times[order], points=points)
 
 
 def reverse_path(path: TimedPath) -> TimedPath:

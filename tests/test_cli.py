@@ -237,6 +237,13 @@ OVERFLOWING_SPAN_PATH = (
     ' "points": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]}\n'
 )
 
+# points without coordinates: once loaded, then refused by the model's reshape naming neither line nor cause
+ZERO_WIDTH_PATH = '{"kind": "path", "label": 0, "n": 2, "d": 0, "times": [0.0, 1.0], "points": [[], []]}\n'
+ZERO_COORD_SKELETON = (
+    '{"kind": "skeleton", "label": 0, "n": 2, "joints": 2, "coords": 0, "times": [0.0, 1.0],'
+    ' "frames": [[[], []], [[], []]]}\n'
+)
+
 
 class TestStreamFileErrors:
     """A bad label, header or adjacency is one error line naming the file and line, and exit 2."""
@@ -295,6 +302,21 @@ class TestStreamFileErrors:
         assert_single_error_line(result.stderr)
         assert f"{path}: line 2: the time span -1e+308 .. 1e+308 overflows float64" in result.stderr
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "logsig"])
+    @pytest.mark.parametrize("text", [ZERO_WIDTH_PATH, ZERO_COORD_SKELETON], ids=["path-d-0", "skeleton-coords-0"])
+    def test_points_without_coordinates_exit_2_naming_the_line(self, tmp_path, command, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        ckpt = tmp_path / "m.ckpt"
+        if command == "train":
+            result = run_cli("train", _write_train_config(tmp_path, epochs=1), str(path), str(ckpt))
+        else:
+            result = run_cli("logsig", str(path))
+        assert result.returncode == 2
+        assert_single_error_line(result.stderr)
+        assert f"{path}: line 1: a point needs at least one coordinate" in result.stderr
+        assert result.stdout == "" and not ckpt.exists()
 
 
 class TestGradcheck:

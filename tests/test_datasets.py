@@ -163,6 +163,34 @@ class TestInsert:
         with pytest.raises(ValueError, match=r"insert rate must be in \[0, 1\), got 1.0"):
             perturb_insert(digit_polyline(), 1.0, 0)
 
+    @staticmethod
+    def _insert_one_at_a_time(path, rate, rng):
+        """The list-insertion loop ``perturb_insert`` vectorizes, as its reference."""
+        k = min(int(np.floor(rate * path.num_samples + 1e-9)), path.num_samples - 1)
+        if k < 1:
+            return path
+        times, points = list(path.times), list(path.points)
+        for i in np.sort(rng.choice(np.arange(path.num_samples - 1), size=k, replace=False))[::-1]:
+            times.insert(i + 1, times[i] + 0.5 * (times[i + 1] - times[i]))
+            points.insert(i + 1, points[i])
+        return TimedPath(np.array(times), np.stack(points), path.adjacency, path.num_joints)
+
+    def test_matches_inserting_one_at_a_time(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 61):
+            layout = (n, 2) if n % 2 else (n, 3, 2)
+            p = TimedPath(np.cumsum(rng.uniform(0.01, 2.0, n)), rng.normal(size=layout))
+            for rate in (0.0, 0.2, 0.4, 0.6, 0.99):
+                q, ref = perturb_insert(p, rate, n), self._insert_one_at_a_time(p, rate, np.random.default_rng(n))
+                assert q.times.tobytes() == ref.times.tobytes() and q.points.tobytes() == ref.points.tobytes()
+                assert q.num_joints == p.num_joints
+
+    def test_names_the_last_interval_too_narrow_to_split(self):
+        # adjacent float64 pairs at 0 and 1: at rate 0.99 all three intervals are chosen, two too narrow
+        p = TimedPath([0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0)], np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"^the interval between samples 2 and 3 \(times 1\.0 and 1\.0000000000000002\)"):
+            perturb_insert(p, 0.99, 0)
+
 
 class TestUpsample:
     def test_factor_one_is_identity(self):
@@ -258,6 +286,14 @@ class TestStreamFiles:
         )
         with pytest.raises(StreamParseError, match="declared"):
             load_streams(io.StringIO(record + "\n"))
+
+    @pytest.mark.parametrize("record", [
+        '{"kind": "path", "label": 0, "n": 2, "d": 0, "times": [0.0, 1.0], "points": [[], []]}',
+        '{"kind": "skeleton", "label": 0, "n": 2, "joints": 2, "coords": 0, "times": [0.0, 1.0], "frames": [[[], []], [[], []]]}',
+    ], ids=["path-d-0", "skeleton-coords-0"])
+    def test_points_without_coordinates_rejected_with_line(self, record):
+        with pytest.raises(StreamParseError, match="^line 2: a point needs at least one coordinate"):
+            load_streams(io.StringIO('{"kind": "header", "classes": ["a"]}\n' + record + "\n"))
 
     def test_invalid_json_rejected_with_line(self):
         with pytest.raises(StreamParseError, match="line 2"):

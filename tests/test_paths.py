@@ -109,6 +109,14 @@ class TestSkeletonLayout:
             TimedPath(np.arange(4.0), points, num_joints=joints)
 
     @pytest.mark.parametrize(
+        "points", [pytest.param(np.zeros((4, 0)), id="path"), pytest.param(np.zeros((4, 3, 0)), id="skeleton")]
+    )
+    def test_points_without_coordinates_refused(self, points):
+        # such a path once loaded, and the model's reshape then refused it naming no cause
+        with pytest.raises(ValueError, match="a point needs at least one coordinate"):
+            TimedPath(np.arange(4.0), points)
+
+    @pytest.mark.parametrize(
         "adjacency,message",
         [
             pytest.param(np.zeros((2, 2)), "adjacency must be joints x joints", id="shape"),

@@ -94,6 +94,19 @@ def test_make_dataset_bad_argument_exits_2_naming_it(tmp_path, args, named):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("shape", [
+    "el x 2 8 3",  # once "invalid literal for int() with base 10: 'x'"
+    "el 1 0 8 3",  # once a reshape error from inside the model
+    "gcn 0 2 2 3",  # once "0 point columns do not split into 0 joints"
+    "el 1 2 0 3", "el 1 2 8 0", "rnn 1 2 8 3",
+], ids=["joints-not-a-number", "coords-0", "joints-0", "dim-0", "degree-0", "variant"])
+def test_time_rules_bad_shape_exits_2_naming_it(shape):
+    result = run_script("time_rules.py", "--shape", *shape.split())
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    error = result.stderr.splitlines()[-1]
+    assert error.startswith(f"time_rules.py: error: --shape {shape}: "), error
+
+
 @pytest.mark.parametrize("args,named", [
     (["--trials", "0"], "trials"), (["--max-drop", "0"], "max_drop"), (["--degree", "0"], "degree"),
     # width 2 at degree 40 has about 5.6e10 Lyndon words: refused before any is enumerated
