@@ -10,8 +10,10 @@ parameters over the same 32 random streams, one forced onto each route of
 block 0 (mapped by building under a patched ``MAPPED_TENSOR_LIMIT``, per-path
 by ``raw_basis = None``), taking turns per repetition.  Medians of preparing
 the streams, of one training step on them (``_forward``, loss,
-``backward_batch``) and of a one-stream ``logits`` call; the largest gaps
-between the routes' logits and gradients, relative to the per-path ones.
+``backward_batch``; the step builds block 0's fold ``K``, as after a parameter
+update) and of a one-stream ``logits`` call (on the step's parameters, whose
+``K`` the model holds); the largest gaps between the routes' logits and
+gradients, relative to the per-path ones.
 
 Table ``groups``: per degree, path length and k joints of 2 coords with a
 time channel, medians of the mean time of one layer call on the k-joint group
@@ -25,8 +27,7 @@ import time
 from unittest import mock
 
 # BLAS is pinned to one thread before numpy loads, as in perfbench/run.py
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
@@ -34,7 +35,7 @@ import numpy as np  # noqa: E402
 from logsigrnn import ModelConfig, SegmentPartition, StreamClassifier, TimedPath, neural  # noqa: E402
 from logsigrnn.logsig_layer import logsig_sequence_forward, logsig_stack_forward  # noqa: E402
 from logsigrnn.lyndon import enumerate_lyndon  # noqa: E402
-from logsigrnn.reports import RunReport, render_report  # noqa: E402
+from logsigrnn.reports import RunReport, environment, render_report  # noqa: E402
 
 # (variant, joints, coords, embed_dim or gcn_dim, degree): both sides of MAPPED_TENSOR_LIMIT
 SHAPES = [
@@ -84,6 +85,7 @@ def time_routes(variant, joints, coords, dim, degree, lengths, reps):
         for route in ROUTES[:: 1 - 2 * (rep % 2)]:
             model, start = models[route], time.perf_counter()
             prepared = model._prepare(samples)
+            model._fold_memo = None  # a training step changes L
             middle = time.perf_counter()
             logits, cache = model._forward(prepared)
             results[route] = logits, model.backward_batch(cache, neural.cross_entropy(logits, labels)[1])
@@ -144,9 +146,8 @@ def main():
         parser.error("--calls and --reps must be at least 1")
     wall = time.perf_counter()
     report = RunReport("time_rules", seed=7, config={
-        "numpy": np.__version__, "nproc": len(os.sched_getaffinity(0)), "reps": args.reps, "calls": args.calls,
+        **environment(), "reps": args.reps, "calls": args.calls,
         "MAPPED_TENSOR_LIMIT": neural.MAPPED_TENSOR_LIMIT, "GROUP_TENSOR_LIMIT": neural.GROUP_TENSOR_LIMIT,
-        **{var: os.environ[var] for var in THREAD_VARS},
     })
     shapes = []
     for variant, *sizes in args.shape or []:  # refused before any model is built

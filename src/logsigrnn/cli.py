@@ -25,7 +25,7 @@ from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence
 from .lyndon import check_array_size, check_basis_size, enumerate_lyndon, sig_dim, witt_number
 from .neural import ModelConfig, StreamClassifier, TrainSettings, evaluate_model, input_spec, train
 from .paths import TimedPath
-from .reports import RunReport, render_report
+from .reports import RunReport, environment, render_report
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -323,7 +323,7 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
         seed=args.seed,
         config={
             "trials": args.trials, "width": args.width,
-            "degree": args.degree, "segments": args.segments,
+            "degree": args.degree, "segments": args.segments, **environment(),
         },
         metrics={
             "max_rel_err": worst,
@@ -375,7 +375,7 @@ def _cmd_train(args) -> tuple[RunReport, int]:
         "train",
         seed=settings.seed,
         config={**dataclasses.asdict(config), **dataclasses.asdict(settings),
-                "data": args.data, "checkpoint": args.checkpoint},
+                "data": args.data, "checkpoint": args.checkpoint, **environment()},
         metrics={
             "final_loss": result.final["loss"],
             "final_accuracy": settled.accuracy,
@@ -518,7 +518,7 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
         config={
             "upsample": args.upsample, "data": args.data,
             "config": args.config, "baseline_config": args.baseline_config,
-            "epochs": epochs, "timed_epochs": args.timed_epochs,
+            "epochs": epochs, "timed_epochs": args.timed_epochs, **environment(),
         },
     )
     report.add_table(

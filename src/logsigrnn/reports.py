@@ -8,9 +8,12 @@ external tooling without scraping free-form logs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
-__all__ = ["RunReport", "render_report", "parse_report"]
+import numpy as np
+
+__all__ = ["RunReport", "environment", "render_report", "parse_report"]
 
 _MAGIC = "logsig-report v1"
 
@@ -26,6 +29,17 @@ class RunReport:
 
     def add_table(self, name: str, columns: list[str], rows: list[list]) -> None:
         self.tables[name] = ([str(c) for c in columns], [[_cell(v) for v in r] for r in rows])
+
+
+def environment() -> dict:
+    """What a timing depends on, for a report's ``config.*`` lines.
+
+    numpy's version, ``nproc``, the CPUs this process may run on, and the
+    three BLAS thread variables, ``unset`` where one is not set.
+    """
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "nproc": nproc, **{var: os.environ.get(var, "unset") for var in blas}}
 
 
 def _cell(value) -> str:

@@ -56,6 +56,13 @@ def run_cli(*argv):
     )
 
 
+def assert_environment(report, **blas):
+    """The report's ``config.*`` lines carry the environment: numpy, the usable CPUs and each BLAS variable as set."""
+    assert report.config["numpy"] == np.__version__
+    assert int(report.config["nproc"]) >= 1
+    assert {var: report.config[var] for var in blas} == blas
+
+
 def assert_single_error_line(stderr):
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
@@ -328,6 +335,7 @@ class TestGradcheck:
         report = parse_report(out)
         assert report.metrics["max_rel_err"] <= 1e-5
         assert report.metrics["passed"] == 1.0
+        assert_environment(report)
 
     def test_degree_one_far_below_tolerance(self, capture):
         # linear map: only finite-difference roundoff remains
@@ -715,6 +723,7 @@ class TestTrainEval:
         assert code == 0
         train_report = parse_report(out)
         assert "final_accuracy" in train_report.metrics
+        assert_environment(train_report)
         assert len(train_report.tables["trace"][1]) == 2
 
         code, out = capture(["eval", ckpt, data])
@@ -1231,6 +1240,21 @@ class TestBenchCommand:
         # each train call's one-time preparation, after the original columns
         assert columns[-2:] == ["model_prepare_seconds", "baseline_prepare_seconds"]
         assert all(float(x) > 0 for r in rows for x in r[-2:])
+
+    def test_report_records_the_environment(self, capture, stream_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        config = _write_train_config(tmp_path, epochs=1)
+        code, out = capture(["bench", stream_file(count=8), "--config", config, "--baseline-config", config,
+                             "--upsample", "1", "--epochs", "1", "--timed-epochs", "1"])
+        assert code == 0
+        report = parse_report(out)
+        assert_environment(report, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2", MKL_NUM_THREADS="unset")
+        assert set(report.config) == {
+            "upsample", "data", "config", "baseline_config", "epochs", "timed_epochs",
+            "numpy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
 
     @pytest.mark.parametrize("variant", ["gcn-logsig-rnn", "gcn-logsig-rnn-2"])
     def test_skeleton_file_with_a_gcn_model(self, stream_file, tmp_path, variant):

@@ -325,9 +325,16 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def _one_record_files(draw):
-    """An optional header and one path or skeleton record with up to two fields malformed or missing."""
-    n, joints, coords = draw(st.integers(0, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    """An optional header and one path or skeleton record with up to two fields malformed or missing.
+
+    The arrays have ``n`` in 0..3 and ``joints`` and ``coords`` in 0..2, and
+    each declared size is the array's or, drawn apart from it, any of -2..3.
+    """
+    n, joints, coords = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
     numbers = st.floats(-10.0, 10.0) | st.floats()
+
+    def declared(size):
+        return st.just(size) | st.integers(-2, 3)
 
     def array(*shape):
         return st.lists(array(*shape[1:]), min_size=shape[0], max_size=shape[0]) if shape else numbers
@@ -335,10 +342,10 @@ def _one_record_files(draw):
     fields = {
         "kind": st.sampled_from(["path", "skeleton"]),
         "label": st.integers(-1, 3) | st.integers() | st.floats() | st.booleans(),
-        "n": st.just(n),
-        "d": st.just(coords),
-        "joints": st.just(joints),
-        "coords": st.just(coords),
+        "n": declared(n),
+        "d": declared(coords),
+        "joints": declared(joints),
+        "coords": declared(coords),
         "times": st.just(list(range(n))) | array(n),
         "points": array(n, coords),
         "frames": array(n, joints, coords),
@@ -375,6 +382,7 @@ class TestStreamFileFuzz:
         for sample in data.samples:
             assert sample.times.size >= 1 and np.all(np.isfinite(sample.times))
             assert np.all(np.diff(sample.times) > 0)
+            assert sample.num_joints >= 1 and sample.num_coords >= 1
 
 
 class TestDigitPolyline:

@@ -420,6 +420,124 @@ class TestMappedFold:
             _assert_relative(grads[name], ref[name], what=name)
 
 
+class TestFoldMemo:
+    """Block 0's fold ``K`` is built once per value of ``L``: calls on unchanged
+    parameters reuse it, a parameter update (in place, as ``train`` makes it)
+    builds a new one, and every result is byte-equal to a fresh model's."""
+
+    CASES = {
+        "el-d2": (dict(degree=2), (1, 2)),
+        "el-d3": (dict(degree=3), (1, 2)),
+        "el-d4": (dict(degree=4), (1, 2)),  # raw width 4: 256 entries
+        "gcn-d3": (dict(variant="gcn-logsig-rnn", degree=3), (3, 2)),
+        "gcn-d4": (dict(variant="gcn-logsig-rnn", degree=4), (3, 2)),  # raw width 3: 81 entries
+    }
+
+    @staticmethod
+    def _counted_map(monkeypatch):
+        calls = []
+        lie = neural.lie_map
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lie(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "lie_map", counted)
+        return calls
+
+    def _setup(self, monkeypatch, case, count=6):
+        fields, spec = self.CASES[case]
+        rng = np.random.default_rng(74)
+        samples, labels = TestPreparedTraining._data(rng, spec, count)
+        cfg = ModelConfig(num_segments=3, embed_channels=2, embed_dim=4, gcn_dim=3, hidden=5, num_classes=3, **fields)
+        model = StreamClassifier.build(cfg, spec, rng)
+        assert model.raw_basis is not None and model._block_matrix(0) is not None  # the mapped route, with an L
+        return model, samples, labels, self._counted_map(monkeypatch)
+
+    @staticmethod
+    def _fresh(model):
+        return StreamClassifier(model.config, model.spec, {name: p.copy() for name, p in model.params.items()})
+
+    @staticmethod
+    def _assert_bytes_equal(got, ref):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_repeated_logits_build_the_map_once(self, monkeypatch, case):
+        model, samples, _, calls = self._setup(monkeypatch, case)
+        first = [model.logits(s) for s in samples]
+        again = [model.logits(s) for s in samples]
+        model._predict(model._prepare(samples), batch_size=4)
+        assert len(calls) == 1
+        fresh = self._fresh(model)
+        for got, hit, s in zip(first, again, samples):
+            self._assert_bytes_equal(hit, got)
+            self._assert_bytes_equal(hit, fresh.logits(s))
+        assert len(calls) == 2  # the fresh model's one build
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_train_builds_the_map_once_per_step(self, monkeypatch, case):
+        model, samples, labels, calls = self._setup(monkeypatch, case, count=10)
+        settings = TrainSettings(learning_rate=0.05, batch_size=4, epochs=2, seed=4)
+        train(model.config, samples, labels, settings)
+        assert len(calls) == 2 * 3  # 2 epochs of 3 steps
+        calls.clear()
+        train(model.config, samples, labels, settings, samples[:5], labels[:5])
+        # each epoch's evaluation builds one after the epoch's last step, and
+        # the next epoch's first step, on the same parameters, reuses it
+        assert len(calls) == 2 * 3 + 2 - 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_an_in_place_update_misses(self, monkeypatch, case):
+        model, samples, labels, calls = self._setup(monkeypatch, case)
+        _, cache = model.forward_batch(samples[:1])
+        held = cache["rnn"][1].copy()
+        rng = np.random.default_rng(75)
+        for p in model.params.values():  # as train updates them
+            p += 0.01 * rng.normal(size=p.shape)
+        got = model.logits(samples[1])
+        assert len(calls) == 2
+        self._assert_bytes_equal(got, self._fresh(model).logits(samples[1]))
+        self._assert_bytes_equal(cache["rnn"][1], held)  # the new K did not overwrite the old cache's
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradients_after_a_hit_equal_those_after_a_miss(self, monkeypatch, case):
+        model, samples, labels, calls = self._setup(monkeypatch, case)
+        runs = []
+        for _ in range(2):
+            logits, cache = model.forward_batch(samples)
+            runs.append((logits, model.backward_batch(cache, cross_entropy(logits, labels)[1])))
+        assert len(calls) == 1
+        (l_miss, g_miss), (l_hit, g_hit) = runs
+        self._assert_bytes_equal(l_hit, l_miss)
+        assert g_hit.keys() == g_miss.keys()
+        for name in g_miss:
+            self._assert_bytes_equal(g_hit[name], g_miss[name])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_signed_zero_misses(self, monkeypatch, case):
+        model, samples, _, calls = self._setup(monkeypatch, case)
+        matrix = model._block_matrix(0)
+        monkeypatch.setattr(model, "_block_matrix", lambda index: matrix.copy())
+        for zero in (0.0, -0.0, 0.0):
+            matrix[-1, -1] = zero
+            model.logits(samples[0])
+        assert len(calls) == 3  # equal values, different bytes
+
+    @pytest.mark.parametrize("case", ["el-d4", "gcn-d4"])
+    def test_a_non_finite_map_keeps_the_held_fold(self, monkeypatch, case):
+        model, samples, _, calls = self._setup(monkeypatch, case)
+        before = model.logits(samples[0])
+        name = "gcn.theta" if case.startswith("gcn") else "embed.mix_w"
+        kept = model.params[name].copy()
+        model.params[name][...] = 1e150  # its fourth tensor power overflows float64
+        with pytest.raises(FloatingPointError):
+            model.logits(samples[0])
+        model.params[name][...] = kept
+        self._assert_bytes_equal(model.logits(samples[0]), before)
+        assert len(calls) == 2  # the refused build only
+
+
 class TestSoftmaxLoss:
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(9)
