@@ -14,11 +14,17 @@ identity to every increment at once: level k of the increments' Chen terms
 is one (increments, d**k) array built from the lower levels' segmented
 prefix sums (one cumulative sum over the flat increment axis minus each
 segment's starting offset), and only the top level's segment totals are
-formed, one product per segment.  The log is one batched power series,
-formed at the Lyndon words only (below the top level the powers are whole,
-as the adjoint reads them), the Lyndon projection the basis's one change of
-basis (``LyndonBasis.to_lyndon``, which ``project_to_basis`` applies too),
-and the adjoint reverses the levels with reverse segmented sums.  The forward pass
+formed, one product per segment.  The log is one batched power series at
+the Lyndon words, read through the basis's ``log_series`` tables, which
+replace per-call ``divmod`` splits and per-level, per-power product
+chains: with the signature levels side by side in one array, the linear
+term is one gather and each power one gather per factor, their product and
+one sum over each word's compositions.  Below the top level the powers are
+also formed whole, as the adjoint reads them.  The Lyndon projection is
+the basis's one change of basis (``LyndonBasis.to_lyndon``, which
+``project_to_basis`` applies too), gather tables in place of a dense
+correction block, and the adjoint reverses the levels with reverse
+segmented sums.  The forward pass
 is sized for short streams, where a call is mostly numpy's per-call
 overhead: it gathers with ``take`` and updates in place where that leaves
 every result bit for bit the same.
@@ -27,7 +33,9 @@ The log-signature is equivariant under linear maps: the rows of the path
 ``x @ L`` are the rows of ``x`` times the matrix of the Lie-algebra map that
 ``L`` induces.  ``lie_map`` builds that matrix from ``L`` alone, whatever
 the number of rows, and ``lie_map_backward`` is its adjoint with respect to
-``L``.
+``L``, which adds each letter position's term onto ``L``'s columns with one
+product by the target basis's one-hot matrix of that position
+(``LyndonBasis.level_one_hots``) in place of a scatter.
 """
 
 from __future__ import annotations
@@ -164,7 +172,13 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     d, S = deltas.shape[-1], seg_ptr.size - 1
     first = seg_ptr[:-1].repeat(seg_ptr[1:] - seg_ptr[:-1])  # each increment's segment start
     scaled = [None, deltas] + [deltas / j for j in range(2, M + 1)]
-    sig = [None, aug.take(seg_ptr[1:], axis=-2) - state.starts]
+    # the signature's levels 1..M side by side and one 0.0, as the basis's
+    # log_series tables index them
+    offsets, linear, series = basis.log_series
+    levels = np.empty((*deltas.shape[:-2], S, offsets[-1] + 1))
+    levels[..., -1] = 0.0
+    sig = [None] + [levels[..., a:b] for a, b in pairwise(offsets)]
+    np.subtract(aug.take(seg_ptr[1:], axis=-2), state.starts, out=sig[1])
     prefix = [None, aug[..., :-1, :] - aug.take(first, axis=-2)]
     factors = [None, []]
     for k in range(2, M + 1):
@@ -177,45 +191,39 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
         if k < M:
             sums = _cumsum0(_outer(f, deltas))
             at = sums.take(seg_ptr, axis=-2)
-            sig.append(at[..., 1:, :] - at[..., :-1, :])
+            np.subtract(at[..., 1:, :], at[..., :-1, :], out=sig[k])
             prefix.append(sums[..., :-1, :] - sums.take(first, axis=-2))
     # top-level totals sum_i F_{M-1,i} (x) delta_i, one product per segment
-    f_top, top = factors[M][-1].swapaxes(-1, -2), np.empty((*deltas.shape[:-2], S, d ** (M - 1), d))
+    # top is a view of the levels array, which receives the products
+    f_top, top = factors[M][-1].swapaxes(-1, -2), sig[M].reshape(*sig[M].shape[:-1], -1, d)
     for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
         np.matmul(f_top[..., a:b], deltas[..., a:b, :], out=top[..., s, :, :])
-    sig.append(top.reshape(*top.shape[:-2], -1))
-    # log(1 + t) = sum_m (-1)^(m+1) t^m / m, powers[m] = powers[m-1] (x) sig
-    # vanishing below level m.  Below the top level the powers are whole, as
-    # the adjoint reads them; at the top level powers[m][M] holds only the
-    # Lyndon words' entries, entry a * d**j + b of u (x) v being u[a] * v[b].
-    words = basis.level_words(M)
-    split = [None] + [np.divmod(words, d**j) for j in range(1, M)]
-    tails = [None] + [sig[j].take(split[j][1], axis=-1) for j in range(1, M)]
-
-    def product(lower, i, k):  # lower[i] (x) sig[k - i]
-        if k < M:
-            return _outer(lower[i], sig[k - i])
-        return lower[i].take(split[k - i][0], axis=-1) * tails[k - i]
-
+    # log(1 + t) = sum_m (-1)^(m+1) t^m / m at the Lyndon words, gathered
+    # from the levels: the linear term, then each power's products summed
+    # over each word's compositions (LyndonBasis.log_series), all summed
+    # onto zeros so that no entry is -0.0
+    rows = levels.take(linear, axis=-1)
+    rows += 0.0
+    for m, parts in enumerate(series, start=2):
+        term = levels.take(parts[0], axis=-1)
+        for part in parts[1:]:
+            term *= levels.take(part, axis=-1)
+        if parts.ndim == 3:  # several compositions per word
+            term = term.sum(axis=-2)
+        rows[..., basis._level_slices[m - 1].start :] += (-1) ** (m + 1) / m * term
+    for n in range(3, M + 1):  # levels 1 and 2 are their own Lyndon coordinates
+        basis.to_lyndon(rows[..., basis._level_slices[n - 1]], n)
+    # the whole powers below the top level, powers[m] = powers[m-1] (x) sig
+    # vanishing below level m, which the adjoint reads
     powers = [None, sig]
-    for m in range(2, M + 1):
+    for m in range(2, M):
         level = [None] * m
-        for k in range(m, M + 1):
-            power = product(powers[m - 1], m - 1, k)
+        for k in range(m, M):
+            power = _outer(powers[m - 1][m - 1], sig[k - m + 1])
             for i in range(m, k):
-                power += product(powers[m - 1], i, k)
+                power += _outer(powers[m - 1][i], sig[k - i])
             level.append(power)
         powers.append(level)
-    # level n of the log at its Lyndon words, summed onto zeros so that no
-    # entry is -0.0
-    rows = np.zeros((*deltas.shape[:-2], S, basis.dim))
-    for n in range(1, M + 1):
-        idx = basis.level_words(n)
-        log_n = rows[..., basis._level_slices[n - 1]]
-        log_n += sig[n].take(idx, axis=-1)
-        for m in range(2, n + 1):
-            log_n += (-1) ** (m + 1) / m * (powers[m][n] if n == M else powers[m][n].take(idx, axis=-1))
-        basis.to_lyndon(log_n, n)
     state.deltas, state.factors, state.powers = deltas, factors, powers
     return rows
 
@@ -444,7 +452,7 @@ def lie_map(matrix: np.ndarray, source: LyndonBasis, target: LyndonBasis, out: n
         level = out[source._level_slices[n - 1], target._level_slices[n - 1]]
         np.matmul(source.level_expansion(n), powers[-1], out=level)
         target.to_lyndon(level, n)
-        levels.append((letters, factors, powers))
+        levels.append((factors, powers))
     if not np.isfinite(out).all():
         raise FloatingPointError(
             f"the degree-{target.degree} Lie map of a {matrix.shape} matrix is not finite: "
@@ -457,12 +465,14 @@ def lie_map_backward(cache, g: np.ndarray) -> np.ndarray:
     """Gradient of ``sum(g * lie_map(matrix, ...)[0])`` with respect to ``matrix``."""
     source, target, levels = cache
     grad = g[: source.width, : target.width].copy()
-    for n, (letters, factors, powers) in enumerate(levels, start=2):
+    for n, (factors, powers) in enumerate(levels, start=2):
         level = g[source._level_slices[n - 1], target._level_slices[n - 1]]
         t = source.level_expansion(n).T @ target.to_lyndon_backward(level, n)
+        # one_hots[k] adds column i onto the matrix's column of word i's letter k
+        one_hots = target.level_one_hots(n)
         for k in range(n - 1, 0, -1):
             t = t.reshape(-1, grad.shape[0], t.shape[-1])
-            np.add.at(grad, (slice(None), letters[k]), (t * powers[k - 1][:, None, :]).sum(axis=0))
-            t = (t * factors[None, :, k]).sum(axis=1)
-        np.add.at(grad, (slice(None), letters[0]), t)
+            grad += np.einsum("pvi,pi->vi", t, powers[k - 1]) @ one_hots[k]
+            t = np.einsum("pvi,vi->pi", t, factors[:, k])
+        grad += t @ one_hots[0]
     return grad

@@ -8,12 +8,28 @@ themselves, so each level has an exact integer inverse, built once by
 substitution over the expansions' nonzeros.  That inverse is the one change
 of basis: the log-signature layer, the Lie map and the reference
 ``project_to_basis`` all apply it through ``LyndonBasis.to_lyndon``.
+
+Each basis instance builds the index tables its hot paths read, once and
+with array operations on ``level_words`` (divmod by powers of the width),
+so no call re-derives an index:
+
+* ``level_correction``: each corrected word's source words and integer
+  coefficients, and the transposed tables for the adjoint, in place of a
+  dense (words x words) block; at level 3 each word has one ``+1`` source,
+  so ``to_lyndon`` is a gather and an add;
+* ``log_series``: the layer's log power series at the Lyndon words as
+  gathers from the concatenated signature levels, one factor table per
+  power over each word's compositions, in place of per-call ``divmod``
+  splits and per-level, per-power product chains;
+* ``level_one_hots``: each letter position's one-hot matrix, which turns
+  ``lie_map_backward``'s scatters onto the matrix's columns into products.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, pairwise
 
 import numpy as np
 
@@ -81,8 +97,8 @@ def sig_dim(width: int, degree: int) -> int:
 # The largest basis any build makes, checked by ``LyndonBasis`` (and first by
 # the model and the commands, naming their key or flag) from the closed forms
 # before any word is enumerated: the layer holds a (increments, width**n) array
-# per level n and the basis a dense correction block per level (up to one
-# entry per pair of words of that length), so past these sizes a build takes
+# per level n and the basis correction tables per level (up to one entry
+# per pair of words of that length), so past these sizes a build takes
 # minutes and gigabytes, or never ends (width 9 at degree 40 has about 4.2e36
 # Lyndon words).
 MAX_SIG_ENTRIES = 2**16
@@ -169,6 +185,76 @@ def _bracket_expansion(word: Word) -> dict[Word, int]:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _gather_tables(rows: np.ndarray, sources: np.ndarray, values: np.ndarray) -> tuple:
+    """The gather table ``(rows, sources, coefficients)`` adding ``values[t] * x[sources[t]]`` to ``x[rows[t]]``.
+
+    See ``LyndonBasis.level_correction``.  Array operations only: the terms
+    are sorted by row and source, and each row's terms fill one table row.
+    """
+    if not rows.size:
+        return rows, sources, None
+    order = np.lexsort((sources, rows))
+    rows, sources, values = rows[order], sources[order], values[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = rows[1:] != rows[:-1]
+    if new.all() and (values == 1).all():
+        return rows, sources, None
+    first = np.flatnonzero(new)  # each row's first term
+    targets, counts = rows[first], np.diff(first, append=rows.size)
+    slot = np.arange(rows.size) - first.repeat(counts)
+    row = np.arange(targets.size).repeat(counts)
+    table = sources[first].repeat(counts.max()).reshape(targets.size, -1)
+    table[row, slot] = sources
+    coefficients = np.zeros(table.shape)
+    coefficients[row, slot] = values
+    return targets, table, coefficients
+
+
+def _apply_correction(x: np.ndarray, table: tuple) -> np.ndarray:
+    """Add a gather table of ``LyndonBasis.level_correction`` to ``x`` along its last axis, in place.
+
+    Every gathered entry is read before any is written.
+    """
+    rows, sources, coefficients = table
+    if rows.size:
+        gathered = x.take(sources, axis=-1)
+        if coefficients is not None:  # several sources or other coefficients: one signed sum
+            gathered *= coefficients
+            gathered = gathered.sum(axis=-1)
+        x[..., rows] = x.take(rows, axis=-1) + gathered
+    return x
+
+
+def _log_series_tables(basis: "LyndonBasis") -> tuple:
+    """``LyndonBasis.log_series``, from ``level_words`` by divmod: one array expression per part of each composition."""
+    width, degree = basis.width, basis.degree
+    offsets = list(accumulate((width**k for k in range(1, degree + 1)), initial=0))  # level k at offsets[k - 1]
+    zero = offsets[-1]  # the entry after the top level, which the layer holds at 0.0
+    words = [basis.level_words(n) for n in range(1, degree + 1)]
+    linear = np.concatenate([offsets[n - 1] + w for n, w in enumerate(words, start=1)])
+    powers = []
+    for m in range(2, degree + 1):
+        compositions = math.comb(degree - 1, m - 1)  # at the top level, the most of any word
+        factors = np.full((m, compositions, sum(w.size for w in words[m - 1 :])), zero, dtype=np.intp)
+        start = 0
+        for n, w in enumerate(words[m - 1 :], start=m):
+            # cuts c_1 < ... < c_{m-1} in lexicographic order: part j of the word is [c_j, c_{j+1})
+            for c, cuts in enumerate(combinations(range(1, n), m - 1)):
+                for j, (a, b) in enumerate(pairwise((0, *cuts, n))):
+                    factors[j, c, start : start + w.size] = offsets[b - a - 1] + w // width ** (n - b) % width ** (b - a)
+            start += w.size
+        powers.append(factors if compositions > 1 else factors[:, 0])
+    return offsets, linear, tuple(powers)
+
+
+def _one_hots(letters: np.ndarray, width: int) -> np.ndarray:
+    """``LyndonBasis.level_one_hots`` from the level's ``(n, words)`` letter table."""
+    n, count = letters.shape
+    out = np.zeros((n, count, width))
+    out[np.arange(n)[:, None], np.arange(count), letters] = 1.0
+    return out
+
+
 class LyndonBasis:
     """Lyndon basis of the free Lie algebra on ``width`` letters up to ``degree``."""
 
@@ -189,7 +275,8 @@ class LyndonBasis:
             self._level_slices.append(slice(start, start + count))
             start += count
         self._words_cache: dict[int, np.ndarray] = {}
-        self._correction_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._correction_cache: dict[int, tuple[tuple, tuple]] = {}
+        self._one_hots_cache: dict[int, np.ndarray] = {}
         self._expansion_cache: dict[int, np.ndarray] = {}
         self._letters_cache: dict[int, np.ndarray] = {}
 
@@ -248,17 +335,23 @@ class LyndonBasis:
             self._letters_cache[n] = np.array(np.unravel_index(self.level_words(n), (self.width,) * n))
         return self._letters_cache[n]
 
-    def level_correction(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exact inverse of level n's change of basis minus the identity, as ``(rows, cols, block)``.
+    def level_correction(self, n: int) -> tuple[tuple, tuple]:
+        """The exact inverse of level n's change of basis minus the identity, as gather tables ``(forward, adjoint)``.
 
         The change of basis is the level's ``system``: ``system[i, j]`` is
         the coefficient of Lyndon word i (as a plain word) in the bracket
         expansion of Lyndon word j, both of length n; it is lower triangular
-        with unit diagonal in the lexicographic order.  ``x @ inverse.T``
-        equals ``x`` with ``x[:, cols] @ block`` added to its columns
-        ``rows`` (``to_lyndon``).  The block is empty at levels 1 and 2,
-        where the inverse is the identity; at level 3 it holds one entry per
-        row and per column.
+        with unit diagonal in the lexicographic order.  Each table is
+        ``(rows, sources, coefficients)``, applied by ``_apply_correction``:
+        entry ``rows[r]`` gains ``sum_s coefficients[r, s] *
+        x[sources[r, s]]``, each row's sources in increasing order and
+        filled to the level's largest count with a repeat of its first
+        source at coefficient 0.  Where every row has one source of
+        coefficient ``+1`` (level 3), ``sources`` is one index per row and
+        ``coefficients`` None.  ``forward`` turns ``x`` into ``x @
+        inverse.T`` (``to_lyndon``), ``adjoint`` into ``x @ inverse``
+        (``to_lyndon_backward``).  Both are empty at levels 1 and 2, where
+        the inverse is the identity.
 
         The system is integer and unitriangular, so its inverse is integer:
         with ``system = I + L``, column j of the inverse is ``e_j - sum_i
@@ -293,34 +386,52 @@ class LyndonBasis:
                 ):
                     raise RuntimeError(f"the inverse of the degree-{n} Lyndon change of basis is not exact")
             off = [(i, j, v) for j, col in enumerate(columns) for i, v in col.items() if i != j]
-            rows = np.array(sorted({i for i, _, _ in off}), dtype=np.intp)
-            cols = np.array(sorted({j for _, j, _ in off}), dtype=np.intp)
-            block = np.zeros((cols.size, rows.size))
-            if off:
-                i, j, v = (np.array(x) for x in zip(*off))
-                block[np.searchsorted(cols, j), np.searchsorted(rows, i)] = v
-            self._correction_cache[n] = (rows, cols, block)
+            i, j, v = np.array(off, dtype=np.intp).reshape(-1, 3).T
+            v = v.astype(np.float64)
+            self._correction_cache[n] = _gather_tables(i, j, v), _gather_tables(j, i, v)
         return self._correction_cache[n]
 
     def to_lyndon(self, level: np.ndarray, n: int) -> np.ndarray:
         """Lyndon coordinates from a Lie element's level-n entries at the Lyndon words.
 
         That is ``level @ inverse.T`` for the exact level inverse, applied as
-        the identity plus its correction block; ``level`` is updated in place.
+        the identity plus the forward gather table of ``level_correction``;
+        ``level`` is updated in place.
         """
-        hit, cols, block = self.level_correction(n)
-        if block.size:
-            level[..., hit] = level.take(hit, axis=-1) + level.take(cols, axis=-1) @ block
-        return level
+        return _apply_correction(level, self.level_correction(n)[0])
 
     def to_lyndon_backward(self, upstream: np.ndarray, n: int) -> np.ndarray:
-        """Adjoint of ``to_lyndon``: ``upstream @ inverse``."""
-        hit, cols, block = self.level_correction(n)
-        if not block.size:
-            return upstream
-        g = upstream.copy()
-        g[..., cols] += upstream[..., hit] @ block.T
-        return g
+        """Adjoint of ``to_lyndon``: ``upstream @ inverse``, through the transposed tables."""
+        table = self.level_correction(n)[1]
+        return _apply_correction(upstream.copy(), table) if table[0].size else upstream
+
+    @cached_property
+    def log_series(self) -> tuple[list[int], np.ndarray, tuple[np.ndarray, ...]]:
+        """Gather tables of the log power series at the Lyndon words, ``(offsets, linear, powers)``.
+
+        They index the concatenation of a signature's levels 1..degree,
+        level k from ``offsets[k - 1]`` to ``offsets[k]``, followed by one
+        entry that holds 0.0.  ``linear`` is each Lyndon word's own entry.
+        ``powers[m - 2]`` is the m-th tensor power's: word w of length n >=
+        m (in basis order) has one term per composition of n into m parts,
+        in lexicographic order, the product of the entries at its m
+        consecutive sub-words.  It is ``(m, compositions, words)``, ``[j,
+        c, w]`` being factor j of term c, where the words with fewer
+        compositions than the top level fill the rest with the zero entry;
+        a power with one composition per word (m = degree) is ``(m,
+        words)``.  Built once per basis.
+        """
+        return _log_series_tables(self)
+
+    def level_one_hots(self, n: int) -> np.ndarray:
+        """``(n, words of length n, width)`` table whose slice k is the one-hot matrix of each word's letter k.
+
+        ``x @ level_one_hots(n)[k]`` adds column i of ``x`` onto column
+        ``level_letters(n)[k, i]``.  Built once per basis and level.
+        """
+        if n not in self._one_hots_cache:
+            self._one_hots_cache[n] = _one_hots(self.level_letters(n), self.width)
+        return self._one_hots_cache[n]
 
     def level_expansion(self, n: int) -> np.ndarray:
         """Dense ``(words of length n, width**n)`` matrix of their bracket expansions.

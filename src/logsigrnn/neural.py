@@ -77,8 +77,9 @@ CELLS = ("vanilla", "lstm")
 # ``routes`` of scripts/time_rules.report times both routes' training step
 # and one-stream logits for el-logsig-rnn and gcn-logsig-rnn on each side of
 # this limit.  Its rows do not bear the limit out: the mapped step is the
-# faster one past it too (rows "el 5 2 4 3" at 1728 entries, "gcn 5 3 2 5"
-# and "gcn 5 3 6 5" at 1024).  With block 0's fold held between calls,
+# faster one past it too (rows "el 5 2 4 3" at 1728 entries, 14.4 against
+# 18.0 ms on 20-120 samples; "gcn 5 3 2 5" and "gcn 5 3 6 5" at 1024, 12.3
+# against 121 and 408 against 3119 ms).  With block 0's fold held between calls,
 # one-stream logits are faster on the mapped route at half the rows within
 # it (rows "el 1 2 8 3", "el 1 2 8 4", "gcn 5 3 6 4") and on the per-path
 # route at the other half (rows "el 2 2 4 3", "gcn 5 2 2 5", "gcn 5 3 2 4").
@@ -90,11 +91,13 @@ MAPPED_TENSOR_LIMIT = 512
 # on the group costs at most two one-joint calls.  Table ``groups`` of
 # scripts/time_rules.report times, at degrees 2-4 on paths of 40 and 320
 # samples, one call on k 2-D joints, one stacked call of the k one-joint
-# paths and k one-joint calls.  On 40 samples its rows cross two one-joint
-# calls around this limit (rows "3 40 5" and "3 40 6", "4 40 2" and
-# "4 40 3"); on 320 samples they cross well within it (rows "3 320 3" and
-# "3 320 4", "4 320 2"), and the stacked call costs less than the group
-# (rows "3 320 4", "4 320 2").
+# paths and k one-joint calls.  On 40 samples its degree-3 rows cross two
+# one-joint calls around this limit (rows "3 40 5", 197 us, and "3 40 6",
+# 246 us, against 2 x 114), its degree-4 rows well within it (row "4 40 2",
+# 482 us against 2 x 195); on 320 samples they cross well within it (rows
+# "3 320 2", 387 us against 2 x 171, and "4 320 2", 1014 us against 2 x
+# 435), and the stacked call costs less than the group (rows "3 320 4",
+# "4 320 2").
 GROUP_TENSOR_LIMIT = 1500
 
 
@@ -383,11 +386,11 @@ class StreamClassifier:
     reads ``rows @ K @ u`` (``_unroll``); its backward forms ``A = rows.T @
     gz`` for the input projection's gradient ``gz``, so ``u``'s gradient is
     ``K.T @ A``, ``K``'s is ``A @ u.T`` and ``L``'s is the map's adjoint plus
-    the start points' block.  The model holds one ``K``, with its ``L`` and
-    the map's cache, and builds a new one only when ``L``'s bytes differ
-    from the held ``L``'s: ``logits`` and batched prediction on unchanged
-    parameters build none, and a training step builds one.  The slot holds
-    one more ``K`` and map cache, at ``embed_dim`` 8 on 2-D paths (raw width
+    the start points' block.  The model holds one ``K`` and the map's cache,
+    keyed on the bytes of the parameters ``L`` is built from, and builds
+    ``L`` and a new ``K`` only when those bytes change: ``logits`` and
+    batched prediction on unchanged parameters build neither, and a
+    training step builds one.  The slot holds one more ``K`` and map cache, at ``embed_dim`` 8 on 2-D paths (raw width
     4, width 9) 80 and 199 KB at degree 3, 1.4 and 4.9 MB at degree 4.
     Without the embedding ``K`` is the identity and is not formed.
 
@@ -419,7 +422,7 @@ class StreamClassifier:
         self.config = config
         self.spec = spec
         self.params = params
-        self._fold_memo = None  # block 0's last (L, K, lie_map cache), see _mapped_inputs
+        self._fold_memo = None  # block 0's last (parameter bytes, K, lie_map cache), see _mapped_inputs
         self._plan()
 
     def _plan(self):
@@ -547,6 +550,13 @@ class StreamClassifier:
         out[t:, t:] = matrix
         return out
 
+    def _block_params(self, index):
+        """Names of the parameters ``_block_matrix(index)`` reads (none when it is None)."""
+        cfg = self.config
+        if cfg.variant == "el-logsig-rnn":
+            return ("embed.point_b", "embed.point_w", "embed.mix_w", "embed.mix_b") if cfg.use_embedding else ()
+        return ("gcn2.theta",) if index else ("gcn.theta",)
+
     def _block_matrix_backward(self, index, g_matrix, grads):
         """Add block ``index``'s parameter gradients, given the gradient of ``_block_matrix(index)``."""
         cfg, p = self.config, self.params
@@ -579,28 +589,32 @@ class StreamClassifier:
 
         The recurrent inputs are ``rows @ K`` with ``K = lie_map(L) (+) L``
         for block 0's ``L`` (the start points' image is ``L``'s).  ``K`` is a
-        function of ``L`` alone, so the model keeps one slot ``(L, K, cache)``
-        and builds ``K`` afresh only when ``L``'s bytes differ from the held
-        one's (``-0.0`` against ``0.0`` differs): repeated calls on unchanged
-        parameters reuse it, and each training step, which changes ``L``,
-        builds one.  The slot costs one more ``K`` and map cache, 280 KB at
-        ``train-el-d3``'s shape.  A held ``K`` is never written to, since a
-        backward cache may still read it.  Without the embedding ``L`` is the
-        identity and ``K`` None: the prepared rows are the inputs.
+        function of the parameters ``L`` is built from (``_block_params``)
+        alone, so the model keeps one slot ``(their bytes, K, cache)`` and
+        builds ``L`` and ``K`` afresh only when those bytes differ from the
+        held ones (``-0.0`` against ``0.0`` differs): repeated calls on
+        unchanged parameters reuse it, and each training step, which updates
+        them in place, builds one.  The slot costs one more ``K`` and map
+        cache, 280 KB at ``train-el-d3``'s shape.  A held ``K`` is never
+        written to, since a backward cache may still read it.  Without the
+        embedding ``L`` is the identity and ``K`` None: the prepared rows are
+        the inputs.
         """
         rows = np.concatenate([rows for rows, _ in prepared])
-        matrix = self._block_matrix(0)
-        if matrix is None:
+        names = self._block_params(0)
+        if not names:
             return rows, None, None
+        key = tuple(self.params[name].tobytes() for name in names)
         held = self._fold_memo
-        if held is not None and held[0].shape == matrix.shape and held[0].tobytes() == matrix.tobytes():
+        if held is not None and held[0] == key:
             return rows, *held[1:]
+        matrix = self._block_matrix(0)
         source, sp = self.raw_basis, self.config.use_start_points
         fold = np.zeros((source.dim + sp * source.width, basis.dim + sp * basis.width))
         _, map_cache = lie_map(matrix, source, basis, out=fold[: source.dim, : basis.dim])
         if sp:
             fold[source.dim :, basis.dim :] = matrix
-        self._fold_memo = matrix, fold, map_cache  # _block_matrix built matrix afresh: the slot owns it
+        self._fold_memo = key, fold, map_cache
         return rows, fold, map_cache
 
     def _mapped_inputs_backward(self, map_cache, g_fold, grads):
@@ -914,9 +928,11 @@ def train(
                     scale = settings.clip_norm / total
                     for g in grads.values():
                         g *= scale
-            for name, p in model.params.items():
-                velocity[name] = settings.momentum * velocity[name] - settings.learning_rate * grads[name]
-                p += velocity[name]
+            for name, p in model.params.items():  # v = momentum * v - learning_rate * g, in place
+                v = velocity[name]
+                v *= settings.momentum
+                v -= settings.learning_rate * grads[name]
+                p += v
             epoch_loss += loss * len(idx)
             epoch_correct += int((logits.argmax(axis=1) == labels[idx]).sum())
         record = {

@@ -76,7 +76,9 @@ class TimedPath:
                 raise ValueError("adjacency must be joints x joints")
             if not np.all(np.isfinite(adjacency) & (adjacency >= 0)):
                 raise ValueError("adjacency weights must be finite and non-negative")
-            if not np.allclose(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
+            # np.allclose's own test at its default tolerances, on entries already checked finite
+            asymmetric = not np.all(np.abs(adjacency - adjacency.T) <= 1e-8 + 1e-5 * np.abs(adjacency.T))
+            if asymmetric or np.any(np.diag(adjacency) != 0):
                 raise ValueError("adjacency must be symmetric with a zero diagonal (self-loops are implicit)")
             object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "times", times)

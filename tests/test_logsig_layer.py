@@ -22,6 +22,9 @@ from logsigrnn import (
     restrict,
 )
 from logsigrnn.logsig_layer import _boundaries_in_path_time, lie_map, lie_map_backward
+from logsigrnn.paths import signature
+from logsigrnn.tensor_algebra import tensor_log
+from reference import lie_map_backward_scatter, log_rows
 
 
 def random_path(rng, n, d, span=(0.0, 1.0)):
@@ -527,8 +530,88 @@ class TestChannelSubsets:
         assert np.array_equal(state.starts[:, letters], sub_state.starts)
 
 
+class TestGatherTables:
+    """The layer's log series and level inverses read each basis's index
+    tables: its rows equal the level-by-level assembly through the dense
+    correction block (``reference.log_rows``), and the tables are built once
+    per basis."""
+
+    # widths 1..WIDTHS[degree]: past them the oracle's dense level inverse takes seconds
+    WIDTHS = {1: 11, 2: 11, 3: 11, 4: 9, 5: 5}
+
+    @staticmethod
+    def _signature_levels(state):
+        if state.mode == "m1":  # the rows are the segment increments
+            return [None, state.aug_points.take(state.seg_ptr[1:], axis=-2) - state.starts]
+        return state.powers[1]
+
+    @pytest.mark.parametrize("entry", ["sequence", "stack"])
+    @pytest.mark.parametrize("layout", [1.0, 0.25, "sparse"], ids=["plain", "chords", "sparse"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_rows_equal_the_level_by_level_assembly(self, degree, layout, entry):
+        # byte-equal up to degree 3, where every coordinate sums its terms in
+        # the same order; above it a power's products group otherwise
+        rng = np.random.default_rng(40 + degree)
+        for width in range(1, self.WIDTHS[degree] + 1):
+            basis = enumerate_lyndon(width, degree)
+            if layout == "sparse":
+                p, segments = random_path(rng, 4, width), 12
+            else:
+                p = random_path(rng, int(rng.integers(2, 30)), width)
+                p, segments = TimedPath(np.append(p.times[:-1] * layout, 1.0), p.points), 4
+            part = SegmentPartition.uniform(0.0, 1.0, segments)
+            if entry == "sequence":
+                rows, state = logsig_sequence_forward(p, part, degree, basis)
+            else:
+                points = np.stack([p.points, p.points[::-1] * 0.5])
+                rows, state = logsig_stack_forward(p.times, points, part, degree, basis)
+            ref = log_rows(self._signature_levels(state), basis)
+            if degree <= 3:
+                assert rows.tobytes() == ref.tobytes(), width
+            else:
+                scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+                assert np.all(np.abs(rows - ref) <= 1e-13 * scale), width
+
+    def test_tables_are_built_once_per_basis(self, monkeypatch):
+        builds = {}
+
+        def counted(name):
+            build = getattr(lyndon, name)
+
+            def wrapper(*args):
+                builds[name] = builds.get(name, 0) + 1
+                return build(*args)
+
+            monkeypatch.setattr(lyndon, name, wrapper)
+
+        for name in ("_log_series_tables", "_gather_tables", "_one_hots"):
+            counted(name)
+        rng = np.random.default_rng(41)
+        source, target = lyndon.LyndonBasis(2, 4), lyndon.LyndonBasis(3, 4)
+        for _ in range(3):
+            path = random_path(rng, 20, 3)
+            rows, state = logsig_sequence_forward(path, SegmentPartition.uniform(0.0, 1.0, 3), 4, target)
+            backward_from_state(state, rng.normal(size=rows.shape))
+            lie, cache = lie_map(rng.normal(size=(2, 3)), source, target)
+            lie_map_backward(cache, rng.normal(size=lie.shape))
+            lyndon.project_to_basis(tensor_log(signature(path, 4)), target)
+        # all on the target, the layer's basis: one log series, the forward
+        # and adjoint tables of levels 1..4 and the one-hots of levels 2..4
+        # (the source is only expanded)
+        assert builds == {"_log_series_tables": 1, "_gather_tables": 2 * 4, "_one_hots": 3}
+
+
 class TestLinearMap:
     CASES = [(1, 4, 3), (2, 4, 9), (3, 4, 9), (3, 3, 2), (4, 3, 4), (4, 2, 2)]
+
+    @pytest.mark.parametrize("degree,source,target", CASES)
+    def test_backward_matches_the_scatters(self, degree, source, target):
+        # one product per letter position against np.add.at's column scatters
+        rng = np.random.default_rng(degree * 100 + source * 10 + target + 2)
+        lie, cache = lie_map(rng.normal(size=(source, target)), enumerate_lyndon(source, degree), enumerate_lyndon(target, degree))
+        upstream = rng.normal(size=lie.shape)
+        grad, ref = lie_map_backward(cache, upstream), lie_map_backward_scatter(cache, upstream)
+        assert np.max(np.abs(grad - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("degree,source,target", CASES)
     def test_rows_of_the_mapped_path(self, degree, source, target):

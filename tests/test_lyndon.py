@@ -22,28 +22,17 @@ from logsigrnn.lyndon import (
     witt_number,
 )
 from logsigrnn.tensor_algebra import TruncatedTensor, tensor_log, word_index
+from reference import dense_level_system, to_lyndon_dense
 
 
-def dense_level_system(basis, n):
-    """The dense oracle for level n's change of basis, apart from the basis's sparse build.
-
-    Built from ``basis.expansions`` alone.  Returns the flat indices of the
-    Lyndon words of length n, the unitriangular ``matrix`` (``matrix[i, j]``
-    is the coefficient of Lyndon word i, as a plain word, in the bracket
-    expansion of Lyndon word j) and its inverse, a dense float inverse
-    rounded and asserted to be exact.
-    """
-    words = basis.words_of_length(n)
-    pos = {w: i for i, w in enumerate(words)}
-    matrix = np.zeros((len(words), len(words)))
-    for j, w in enumerate(words):
-        for u, c in basis.expansions[basis.word_position(w)].items():
-            if u in pos:
-                matrix[pos[u], j] = c
-    inverse = np.rint(np.linalg.inv(matrix))
-    assert np.array_equal(inverse @ matrix, np.eye(len(words)))
-    idx = np.array([word_index(w, basis.width) for w in words], dtype=np.intp)
-    return idx, matrix, inverse
+def _dense_from_table(table, size):
+    """The identity plus a gather table of ``LyndonBasis.level_correction``, as a dense matrix."""
+    rows, sources, coefficients = table
+    built = np.eye(size)
+    if coefficients is None:
+        coefficients = np.ones(sources.shape)
+    np.add.at(built, (rows.reshape(-1, *(1,) * (sources.ndim - 1)), sources), coefficients)
+    return built
 
 
 def is_lyndon_by_rotation(word):
@@ -245,12 +234,14 @@ class TestBasisStructure:
         for n in range(1, degree + 1):
             idx, matrix, inverse = dense_level_system(basis, n)
             assert np.array_equal(idx, basis.level_words(n))
-            rows, cols, block = basis.level_correction(n)
-            built = np.eye(matrix.shape[0])
-            built[np.ix_(rows, cols)] += block.T
-            assert np.array_equal(built, inverse)
-            assert block.flags.c_contiguous and block.dtype == np.float64
-            assert basis.level_correction(n)[2] is block
+            forward, adjoint = tables = basis.level_correction(n)
+            assert np.array_equal(_dense_from_table(forward, matrix.shape[0]), inverse)
+            assert np.array_equal(_dense_from_table(adjoint, matrix.shape[0]), inverse.T)
+            for rows, sources, coefficients in tables:
+                assert rows.dtype == sources.dtype == np.intp
+                if coefficients is not None:
+                    assert coefficients.dtype == np.float64 and np.array_equal(coefficients, np.rint(coefficients))
+            assert basis.level_correction(n) is tables
             assert basis.level_words(n) is basis.level_words(n)
 
     @pytest.mark.parametrize(
@@ -263,35 +254,56 @@ class TestBasisStructure:
         rng = np.random.default_rng(width + degree)
         for n in range(1, degree + 1):
             inverse = dense_level_system(basis, n)[2]
-            rows, cols, block = basis.level_correction(n)
+            forward, adjoint = tables = basis.level_correction(n)
             x = rng.normal(size=(3, inverse.shape[0]))
-            corrected = x.copy()
-            corrected[:, rows] += x[:, cols] @ block
-            assert np.allclose(corrected, x @ inverse.T, rtol=0.0, atol=1e-12)
-            # rows and columns of the block are those of the inverse's off-diagonal nonzeros
+            assert np.allclose(basis.to_lyndon(x.copy(), n), x @ inverse.T, rtol=0.0, atol=1e-12)
+            assert np.allclose(basis.to_lyndon_backward(x, n), x @ inverse, rtol=0.0, atol=1e-12)
+            # the tables' rows are the inverse's rows and columns with off-diagonal nonzeros
             off = inverse - np.eye(inverse.shape[0])
-            assert np.array_equal(rows, np.flatnonzero(off.any(axis=1)))
-            assert np.array_equal(cols, np.flatnonzero(off.any(axis=0)))
+            assert np.array_equal(forward[0], np.flatnonzero(off.any(axis=1)))
+            assert np.array_equal(adjoint[0], np.flatnonzero(off.any(axis=0)))
             if n <= 2:
-                assert block.size == 0
-            assert basis.level_correction(n)[2] is block
-        # level 3: one entry per row and per column, one per triple a < b < c
+                assert forward[0].size == adjoint[0].size == 0
+            assert basis.level_correction(n) is tables
+        # level 3: one +1 source per corrected word and one corrected word per
+        # source, one of each per triple a < b < c
         if degree == 3:
-            rows, cols, block = basis.level_correction(3)
-            assert rows.size == cols.size == np.count_nonzero(block) == math.comb(width, 3)
+            for rows, sources, coefficients in basis.level_correction(3):
+                assert coefficients is None
+                assert rows.size == np.unique(sources).size == sources.size == math.comb(width, 3)
+
+    @pytest.mark.parametrize("width,degree", [(3, 3), (9, 3), (11, 3), (16, 3), (4, 4), (9, 4), (3, 5), (2, 6)])
+    def test_to_lyndon_matches_the_dense_block(self, width, degree):
+        # byte-equal at level 3 but for the sign of a zero (x + 0.0 turns
+        # -0.0 into 0.0); above it a coordinate sums several terms, in
+        # another order than the dense product
+        basis = enumerate_lyndon(width, degree)
+        rng = np.random.default_rng(3 * width + degree)
+        for n in range(3, degree + 1):
+            x = rng.normal(size=(4, len(basis.words_of_length(n))))
+            x[0, ::3] = 0.0
+            x[1, ::5] = -0.0
+            got = basis.to_lyndon(x.copy(), n)
+            ref = to_lyndon_dense(basis, x.copy(), n)
+            if n == 3:
+                assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_wide_basis_builds_its_corrections_in_little_memory(self):
         # width 24 at degree 3 has 4600 words of length 3: a dense inverse of
-        # that level is a 161 MiB array
+        # that level is a 161 MiB array, and the dense correction block 31 MiB
         tracemalloc.start()
         try:
             basis = lyndon.LyndonBasis(24, 3)
             for n in range(1, 4):
                 basis.level_correction(n)
+                basis.level_one_hots(n)
+            basis.log_series
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert basis.level_correction(3)[0].size == math.comb(24, 3)
+        assert basis.level_correction(3)[0][0].size == math.comb(24, 3)
         assert peak < 64 * 2**20, peak / 2**20
 
     def test_an_inexact_inverse_raises(self, monkeypatch):

@@ -517,12 +517,29 @@ class TestFoldMemo:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_a_signed_zero_misses(self, monkeypatch, case):
         model, samples, _, calls = self._setup(monkeypatch, case)
-        matrix = model._block_matrix(0)
-        monkeypatch.setattr(model, "_block_matrix", lambda index: matrix.copy())
+        param = model.params["gcn.theta" if case.startswith("gcn") else "embed.mix_b"]
         for zero in (0.0, -0.0, 0.0):
-            matrix[-1, -1] = zero
+            param.flat[-1] = zero
             model.logits(samples[0])
         assert len(calls) == 3  # equal values, different bytes
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_hit_builds_no_block_matrix(self, monkeypatch, case):
+        # the slot is keyed on the bytes of the parameters L is built from,
+        # so a hit reads them and builds neither L nor K
+        model, samples, _, calls = self._setup(monkeypatch, case)
+        built = []
+        block_matrix = model._block_matrix
+        monkeypatch.setattr(model, "_block_matrix", lambda index: built.append(index) or block_matrix(index))
+        model.logits(samples[0])
+        assert built == [0]
+        for s in samples:
+            model.logits(s)
+        model.forward_batch(samples)
+        assert built == [0] and len(calls) == 1
+        model.params[model._block_params(0)[-1]] += 0.01  # in place, as train updates it
+        model.logits(samples[0])
+        assert built == [0, 0] and len(calls) == 2
 
     @pytest.mark.parametrize("case", ["el-d4", "gcn-d4"])
     def test_a_non_finite_map_keeps_the_held_fold(self, monkeypatch, case):
@@ -1366,6 +1383,21 @@ class TestPreparedTraining:
         for name, p in params.items():
             assert np.array_equal(result.params[name], p), name
         assert result.prepare_seconds > 0
+
+    @pytest.mark.parametrize("case", ["el-mapped-d3", "gcn", "frame-rnn"])
+    def test_in_place_momentum_is_byte_equal_to_the_old_form(self, case):
+        # train updates v *= momentum; v -= learning_rate * g in place: the
+        # same two roundings as the replay's momentum * v - learning_rate * g
+        fields, spec = self.CASES[case]
+        rng = np.random.default_rng(72)
+        samples, labels = self._data(rng, spec, 10)
+        cfg = ModelConfig(num_segments=3, embed_channels=2, embed_dim=4, gcn_dim=3, hidden=5, num_classes=3, **fields)
+        settings = TrainSettings(learning_rate=0.05, batch_size=4, epochs=3, seed=5)
+        result = train(cfg, samples, labels, settings)
+        params, _ = _replay_train(cfg, samples, labels, settings)
+        assert result.params.keys() == params.keys()
+        for name, p in params.items():
+            assert result.params[name].tobytes() == p.tobytes(), name
 
     @staticmethod
     def _counted_layer(monkeypatch):

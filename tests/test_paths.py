@@ -130,6 +130,19 @@ class TestSkeletonLayout:
         with pytest.raises(ValueError, match=message):
             TimedPath(np.arange(4.0), np.zeros((4, 3, 2)), adjacency)
 
+    @pytest.mark.parametrize("gap,loads", [(0.9e-5, True), (1.1e-5, False)], ids=["inside", "outside"])
+    def test_asymmetry_tolerance_is_np_allclose_s(self, gap, loads):
+        # |a - a.T| <= 1e-8 + 1e-5 * |a.T|: a unit weight read back 0.9e-5
+        # larger still loads, 1.1e-5 larger is refused
+        adjacency = CHAIN_3.copy()
+        adjacency[1, 0] += gap
+        assert np.allclose(adjacency, adjacency.T) == loads
+        if loads:
+            assert np.array_equal(TimedPath(np.arange(4.0), np.zeros((4, 3, 2)), adjacency).adjacency, adjacency)
+        else:
+            with pytest.raises(ValueError, match="adjacency must be symmetric with a zero diagonal"):
+                TimedPath(np.arange(4.0), np.zeros((4, 3, 2)), adjacency)
+
 
 class TestSignature:
     def test_one_dimensional_closed_form(self):
