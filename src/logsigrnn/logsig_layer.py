@@ -17,10 +17,12 @@ segment's starting offset), and only the top level's segment totals are
 formed, one product per segment.  The log is one batched power series at
 the Lyndon words, read through the basis's ``log_series`` tables, which
 replace per-call ``divmod`` splits and per-level, per-power product
-chains: with the signature levels side by side in one array, the linear
-term is one gather and each power one gather per factor, their product and
-one sum over each word's compositions.  Below the top level the powers are
-also formed whole, as the adjoint reads them.  The Lyndon projection is
+chains.  Below the top level the powers are formed whole, as the adjoint
+reads them, each with its levels side by side in one array like the
+signature's; the linear term is one gather, and each power at the Lyndon
+words is the power below's entry at each word's prefixes times the
+signature's at its tails, two gathers, their product and one sum over the
+prefix lengths.  The Lyndon projection is
 the basis's one change of basis (``LyndonBasis.to_lyndon``, which
 ``project_to_basis`` applies too), gather tables in place of a dense
 correction block, and the adjoint reverses the levels with reverse
@@ -172,12 +174,13 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     d, S = deltas.shape[-1], seg_ptr.size - 1
     first = seg_ptr[:-1].repeat(seg_ptr[1:] - seg_ptr[:-1])  # each increment's segment start
     scaled = [None, deltas] + [deltas / j for j in range(2, M + 1)]
-    # the signature's levels 1..M side by side and one 0.0, as the basis's
-    # log_series tables index them
+    # the signature's levels below the top, one 0.0 and its top level side
+    # by side, as the basis's log_series tables index them
     offsets, linear, series = basis.log_series
-    levels = np.empty((*deltas.shape[:-2], S, offsets[-1] + 1))
-    levels[..., -1] = 0.0
-    sig = [None] + [levels[..., a:b] for a, b in pairwise(offsets)]
+    zero = offsets[-1]
+    levels = np.empty((*deltas.shape[:-2], S, zero + 1 + d**M))
+    levels[..., zero] = 0.0
+    sig = [None] + [levels[..., a:b] for a, b in pairwise(offsets)] + [levels[..., zero + 1 :]]
     np.subtract(aug.take(seg_ptr[1:], axis=-2), state.starts, out=sig[1])
     prefix = [None, aug[..., :-1, :] - aug.take(first, axis=-2)]
     factors = [None, []]
@@ -198,32 +201,36 @@ def _chen_forward(state: _LayerState) -> np.ndarray:
     f_top, top = factors[M][-1].swapaxes(-1, -2), sig[M].reshape(*sig[M].shape[:-1], -1, d)
     for s, (a, b) in enumerate(pairwise(seg_ptr.tolist())):
         np.matmul(f_top[..., a:b], deltas[..., a:b, :], out=top[..., s, :, :])
-    # log(1 + t) = sum_m (-1)^(m+1) t^m / m at the Lyndon words, gathered
-    # from the levels: the linear term, then each power's products summed
-    # over each word's compositions (LyndonBasis.log_series), all summed
-    # onto zeros so that no entry is -0.0
-    rows = levels.take(linear, axis=-1)
-    rows += 0.0
-    for m, parts in enumerate(series, start=2):
-        term = levels.take(parts[0], axis=-1)
-        for part in parts[1:]:
-            term *= levels.take(part, axis=-1)
-        if parts.ndim == 3:  # several compositions per word
-            term = term.sum(axis=-2)
-        rows[..., basis._level_slices[m - 1].start :] += (-1) ** (m + 1) / m * term
-    for n in range(3, M + 1):  # levels 1 and 2 are their own Lyndon coordinates
-        basis.to_lyndon(rows[..., basis._level_slices[n - 1]], n)
     # the whole powers below the top level, powers[m] = powers[m-1] (x) sig
-    # vanishing below level m, which the adjoint reads
-    powers = [None, sig]
+    # vanishing below level m, which the adjoint reads, each side by side
+    # with one 0.0 in wholes[m] (whose levels below m are never read)
+    powers, wholes = [None, sig], [None, levels]
     for m in range(2, M):
+        whole = np.empty((*deltas.shape[:-2], S, zero + 1))
+        whole[..., zero] = 0.0
         level = [None] * m
         for k in range(m, M):
-            power = _outer(powers[m - 1][m - 1], sig[k - m + 1])
+            power, u, v = whole[..., offsets[k - 1] : offsets[k]], powers[m - 1][m - 1], sig[k - m + 1]
+            np.multiply(u[..., :, None], v[..., None, :], out=power.reshape(*u.shape, v.shape[-1]))
             for i in range(m, k):
                 power += _outer(powers[m - 1][i], sig[k - i])
             level.append(power)
         powers.append(level)
+        wholes.append(whole)
+    # log(1 + t) = sum_m (-1)^(m+1) t^m / m at the Lyndon words: the linear
+    # term, then each power's prefix-by-tail products summed over each
+    # word's prefix lengths (LyndonBasis.log_series), all summed onto zeros
+    # so that no entry is -0.0
+    rows = levels.take(linear, axis=-1)
+    rows += 0.0
+    for m, (heads, tails) in enumerate(series, start=2):
+        term = wholes[m - 1].take(heads, axis=-1)
+        term *= levels.take(tails, axis=-1)
+        if heads.ndim == 2:  # several prefix lengths per word
+            term = term.sum(axis=-2)
+        rows[..., basis._level_slices[m - 1].start :] += (-1) ** (m + 1) / m * term
+    for n in range(3, M + 1):  # levels 1 and 2 are their own Lyndon coordinates
+        basis.to_lyndon(rows[..., basis._level_slices[n - 1]], n)
     state.deltas, state.factors, state.powers = deltas, factors, powers
     return rows
 

@@ -18,9 +18,10 @@ so no call re-derives an index:
   dense (words x words) block; at level 3 each word has one ``+1`` source,
   so ``to_lyndon`` is a gather and an add;
 * ``log_series``: the layer's log power series at the Lyndon words as
-  gathers from the concatenated signature levels, one factor table per
-  power over each word's compositions, in place of per-call ``divmod``
-  splits and per-level, per-power product chains;
+  gathers from concatenated tensor levels, one pair of tables per power
+  (each word's prefixes in the power below and its tails in the
+  signature), in place of per-call ``divmod`` splits and per-level,
+  per-power product chains;
 * ``level_one_hots``: each letter position's one-hot matrix, which turns
   ``lie_map_backward``'s scatters onto the matrix's columns into products.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,8 +98,10 @@ def sig_dim(width: int, degree: int) -> int:
 # The largest basis any build makes, checked by ``LyndonBasis`` (and first by
 # the model and the commands, naming their key or flag) from the closed forms
 # before any word is enumerated: the layer holds a (increments, width**n) array
-# per level n and the basis correction tables per level (up to one entry
-# per pair of words of that length), so past these sizes a build takes
+# per level n, and the basis correction tables per level (up to one entry
+# per pair of words of that length) and log series tables (two entries per
+# word, power and prefix length: under 2**20 in all at width 2, degree 15,
+# the largest in the budget), so past these sizes a build takes
 # minutes and gigabytes, or never ends (width 9 at degree 40 has about 4.2e36
 # Lyndon words).
 MAX_SIG_ENTRIES = 2**16
@@ -226,24 +229,28 @@ def _apply_correction(x: np.ndarray, table: tuple) -> np.ndarray:
 
 
 def _log_series_tables(basis: "LyndonBasis") -> tuple:
-    """``LyndonBasis.log_series``, from ``level_words`` by divmod: one array expression per part of each composition."""
+    """``LyndonBasis.log_series``, from ``level_words`` by divmod: one array expression per level and prefix length."""
     width, degree = basis.width, basis.degree
-    offsets = list(accumulate((width**k for k in range(1, degree + 1)), initial=0))  # level k at offsets[k - 1]
-    zero = offsets[-1]  # the entry after the top level, which the layer holds at 0.0
-    words = [basis.level_words(n) for n in range(1, degree + 1)]
-    linear = np.concatenate([offsets[n - 1] + w for n, w in enumerate(words, start=1)])
+    offsets = list(accumulate((width**k for k in range(1, degree)), initial=0))  # level k < degree at offsets[k - 1]
+    zero = offsets[-1]  # the 0.0 entry, followed in a signature's concatenation by its top level
+    # the longest Lyndon word: the degree, but 1 at width 1
+    words = [basis.level_words(n) for n in range(1, (degree if width > 1 else 1) + 1)]
+    linear = np.concatenate([offsets[n - 1] + w if n < degree else zero + 1 + w for n, w in enumerate(words, start=1)])
     powers = []
-    for m in range(2, degree + 1):
-        compositions = math.comb(degree - 1, m - 1)  # at the top level, the most of any word
-        factors = np.full((m, compositions, sum(w.size for w in words[m - 1 :])), zero, dtype=np.intp)
+    for m in range(2, len(words) + 1):
+        # t^m = t^(m-1) (x) t: word w of length n sums, over prefix lengths
+        # i = m-1 .. n-1, its prefix's entry of t^(m-1) times its tail's of t
+        terms = len(words) - m + 1  # at the longest words, the most of any word
+        heads = np.full((terms, sum(w.size for w in words[m - 1 :])), zero, dtype=np.intp)
+        tails = heads.copy()
         start = 0
         for n, w in enumerate(words[m - 1 :], start=m):
-            # cuts c_1 < ... < c_{m-1} in lexicographic order: part j of the word is [c_j, c_{j+1})
-            for c, cuts in enumerate(combinations(range(1, n), m - 1)):
-                for j, (a, b) in enumerate(pairwise((0, *cuts, n))):
-                    factors[j, c, start : start + w.size] = offsets[b - a - 1] + w // width ** (n - b) % width ** (b - a)
+            for r, i in enumerate(range(m - 1, n)):
+                head, tail = np.divmod(w, width ** (n - i))
+                heads[r, start : start + w.size] = offsets[i - 1] + head
+                tails[r, start : start + w.size] = offsets[n - i - 1] + tail
             start += w.size
-        powers.append(factors if compositions > 1 else factors[:, 0])
+        powers.append((heads, tails) if terms > 1 else (heads[0], tails[0]))
     return offsets, linear, tuple(powers)
 
 
@@ -406,20 +413,23 @@ class LyndonBasis:
         return _apply_correction(upstream.copy(), table) if table[0].size else upstream
 
     @cached_property
-    def log_series(self) -> tuple[list[int], np.ndarray, tuple[np.ndarray, ...]]:
+    def log_series(self) -> tuple[list[int], np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """Gather tables of the log power series at the Lyndon words, ``(offsets, linear, powers)``.
 
-        They index the concatenation of a signature's levels 1..degree,
-        level k from ``offsets[k - 1]`` to ``offsets[k]``, followed by one
-        entry that holds 0.0.  ``linear`` is each Lyndon word's own entry.
-        ``powers[m - 2]`` is the m-th tensor power's: word w of length n >=
-        m (in basis order) has one term per composition of n into m parts,
-        in lexicographic order, the product of the entries at its m
-        consecutive sub-words.  It is ``(m, compositions, words)``, ``[j,
-        c, w]`` being factor j of term c, where the words with fewer
-        compositions than the top level fill the rest with the zero entry;
-        a power with one composition per word (m = degree) is ``(m,
-        words)``.  Built once per basis.
+        They index concatenations of tensor levels: level k < degree from
+        ``offsets[k - 1]`` to ``offsets[k]``, then at ``offsets[-1]`` one
+        entry that holds 0.0, then, in a signature's, its top level.
+        ``linear`` is each Lyndon word's own entry in a signature's.
+        ``powers[m - 2]`` is ``(heads, tails)`` for the m-th tensor power
+        at the Lyndon words of length >= m (in basis order), formed from
+        the whole (m-1)-th power below the top level as ``t^m = t^(m-1)
+        (x) t``: word w of length n has one term per prefix length i = m-1
+        .. n-1, in that order, the product of its prefix's entry
+        ``heads[r, w]`` in the (m-1)-th power's concatenation and its
+        tail's entry ``tails[r, w]`` in the signature's.  Both are
+        ``(terms, words)``, the words with fewer terms than the longest
+        filling the rest with the 0.0 entry; a power with one term per
+        word (m = degree) is ``(words,)``.  Built once per basis.
         """
         return _log_series_tables(self)
 

@@ -525,6 +525,17 @@ class StreamClassifier:
 
     # -- blocks ---------------------------------------------------------------
 
+    def _block_params(self, index):
+        """Names of the parameters block ``index``'s ``L`` is built from (none without one).
+
+        ``_block_matrix`` and its backward read the parameters through these
+        names only, so they are all ``L`` depends on.
+        """
+        cfg = self.config
+        if cfg.variant == "el-logsig-rnn":
+            return ("embed.point_b", "embed.point_w", "embed.mix_w", "embed.mix_b") if cfg.use_embedding else ()
+        return ("gcn2.theta",) if index else ("gcn.theta",)
+
     def _block_matrix(self, index):
         """Block ``index``'s ``L``: ``time (+)`` gcn's ``theta`` or the embedding's matrix (None without it).
 
@@ -533,47 +544,41 @@ class StreamClassifier:
         ``(I_F (x) point_w) mix_w`` on the flattened frames, ``point_b mix_w +
         mix_b`` on the constant channel.
         """
-        cfg, p = self.config, self.params
-        if cfg.variant == "el-logsig-rnn":
-            if not cfg.use_embedding:  # nothing in front of the layer to train
-                return None
-            F, D = self.spec
-            mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
-            # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
-            head = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]]) @ mix
-            matrix = np.concatenate([(head[:, 0].sum(axis=0) + p["embed.mix_b"])[None], head[:, 1:].reshape(F * D, -1)])
+        inputs = [self.params[name] for name in self._block_params(index)]
+        if not inputs:  # el-logsig-rnn without the embedding: nothing in front of the layer to train
+            return None
+        if len(inputs) == 1:  # gcn's theta
+            matrix = inputs[0]
         else:
-            matrix = p["gcn2.theta" if index else "gcn.theta"]
-        t = int(cfg.use_time)
+            point_b, point_w, mix_w, mix_b = inputs
+            F, D = self.spec
+            mix = mix_w.reshape(F, -1, self.config.embed_dim)
+            # head[f, 0] = point_b mix_f and head[f, 1:] = point_w mix_f
+            head = np.concatenate([point_b[None], point_w]) @ mix
+            matrix = np.concatenate([(head[:, 0].sum(axis=0) + mix_b)[None], head[:, 1:].reshape(F * D, -1)])
+        t = int(self.config.use_time)
         out = np.zeros((t + matrix.shape[0], t + matrix.shape[1]))
         out[:t, :t] = 1.0
         out[t:, t:] = matrix
         return out
 
-    def _block_params(self, index):
-        """Names of the parameters ``_block_matrix(index)`` reads (none when it is None)."""
-        cfg = self.config
-        if cfg.variant == "el-logsig-rnn":
-            return ("embed.point_b", "embed.point_w", "embed.mix_w", "embed.mix_b") if cfg.use_embedding else ()
-        return ("gcn2.theta",) if index else ("gcn.theta",)
-
     def _block_matrix_backward(self, index, g_matrix, grads):
         """Add block ``index``'s parameter gradients, given the gradient of ``_block_matrix(index)``."""
-        cfg, p = self.config, self.params
-        t = int(cfg.use_time)
+        names = self._block_params(index)
+        t = int(self.config.use_time)
         g = g_matrix[t:, t:]
-        if cfg.variant != "el-logsig-rnn":
-            grads["gcn2.theta" if index else "gcn.theta"] += g
+        if len(names) == 1:  # gcn's theta
+            grads[names[0]] += g
             return
+        point_b, point_w, mix_w, _ = (self.params[name] for name in names)
         F, D = self.spec
-        mix = p["embed.mix_w"].reshape(F, -1, cfg.embed_dim)
-        weights = np.concatenate([p["embed.point_b"][None], p["embed.point_w"]])
+        mix = mix_w.reshape(F, -1, self.config.embed_dim)
+        weights = np.concatenate([point_b[None], point_w])
         g_head = np.concatenate([np.broadcast_to(g[0], (F, 1, g.shape[1])), g[1:].reshape(F, D, -1)], axis=1)
         g_weights = (g_head @ mix.transpose(0, 2, 1)).sum(axis=0)
-        grads["embed.point_b"] += g_weights[0]
-        grads["embed.point_w"] += g_weights[1:]
-        grads["embed.mix_w"] += (weights.T @ g_head).reshape(F * mix.shape[1], -1)
-        grads["embed.mix_b"] += g[0]
+        g_mix = (weights.T @ g_head).reshape(F * mix.shape[1], -1)
+        for name, g_param in zip(names, (g_weights[0], g_weights[1:], g_mix, g[0])):
+            grads[name] += g_param
 
     def _frame_inputs(self, prepared):
         """Recurrent inputs ``(B, T, F * D)`` of frame-rnn, longest first, and each row's length and sample."""

@@ -600,6 +600,33 @@ class TestGatherTables:
         # (the source is only expanded)
         assert builds == {"_log_series_tables": 1, "_gather_tables": 2 * 4, "_one_hots": 3}
 
+    def test_a_call_at_the_budget_edge_stays_small(self):
+        # width 2 at degree 15 is the largest basis in the budget: its log
+        # series tables and one call on a short path take tens of MiB, where
+        # a table of every word's compositions would take gigabytes
+        basis = lyndon.LyndonBasis(2, 15)
+        for n in range(3, 16):  # seconds of exact integer arithmetic, not traced
+            basis.level_correction(n)
+        path = random_path(np.random.default_rng(42), 8, 2)
+        tracemalloc.start()
+        try:
+            rows, _ = logsig_sequence_forward(path, SegmentPartition.uniform(0.0, 1.0, 2), 15, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (2, basis.dim) and np.isfinite(rows).all()
+        assert peak < 64 * 2**20, peak / 2**20
+
+    def test_width_one_at_a_high_degree_is_its_increments(self):
+        # the letter is the only Lyndon word at width 1, so there is no power
+        # to gather, past the degree (67) where a count of compositions
+        # outgrows an intp
+        path = random_path(np.random.default_rng(43), 6, 1)
+        part = SegmentPartition.uniform(0.0, 1.0, 3)
+        rows, _ = logsig_sequence_forward(path, part, 70)
+        increments, _ = logsig_sequence_forward(path, part, 1)
+        assert rows.tobytes() == (increments + 0.0).tobytes()
+
 
 class TestLinearMap:
     CASES = [(1, 4, 3), (2, 4, 9), (3, 4, 9), (3, 3, 2), (4, 3, 4), (4, 2, 2)]

@@ -306,6 +306,15 @@ class TestBasisStructure:
         assert basis.level_correction(3)[0][0].size == math.comb(24, 3)
         assert peak < 64 * 2**20, peak / 2**20
 
+    @pytest.mark.parametrize("width,degree", [(2, 15), (1, 65535)])
+    def test_log_series_tables_stay_small_at_the_budget_edges(self, width, degree):
+        # two entries per word, power and prefix length: under 2**20 at width
+        # 2, degree 15; at width 1 the letter is the only word, so no power
+        offsets, linear, powers = lyndon.LyndonBasis(width, degree).log_series
+        assert sum(heads.size + tails.size for heads, tails in powers) < 2**20
+        if width == 1:
+            assert linear.tolist() == [0] and powers == ()
+
     def test_an_inexact_inverse_raises(self, monkeypatch):
         # an expansion whose level system is not unitriangular has no exact integer inverse
         basis = lyndon.LyndonBasis(2, 3)

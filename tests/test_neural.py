@@ -541,6 +541,25 @@ class TestFoldMemo:
         model.logits(samples[0])
         assert built == [0, 0] and len(calls) == 2
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_key_is_all_l_reads(self, monkeypatch, case):
+        # L and its backward read the parameters through the key's names
+        # only, so no parameter outside the key can leave a stale K
+        model, _, _, _ = self._setup(monkeypatch, case)
+        read = set()
+
+        class Recorded(dict):
+            def __getitem__(self, name):
+                read.add(name)
+                return super().__getitem__(name)
+
+        model.params = Recorded(model.params)
+        matrix = model._block_matrix(0)
+        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+        model._block_matrix_backward(0, np.ones_like(matrix), grads)
+        assert read == set(model._block_params(0))
+        assert {name for name, g in grads.items() if g.any()} == read
+
     @pytest.mark.parametrize("case", ["el-d4", "gcn-d4"])
     def test_a_non_finite_map_keeps_the_held_fold(self, monkeypatch, case):
         model, samples, _, calls = self._setup(monkeypatch, case)
