@@ -73,11 +73,10 @@ def _coerce(key: str, value: str, typ: str):
     return value
 
 
-def parse_config_text(text: str) -> tuple[ModelConfig, TrainSettings]:
-    """Flat ``key = value`` lines; keys mirror ModelConfig and TrainSettings fields."""
-    cfg_kwargs: dict = {}
-    train_kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read_keys(lines, fields: dict) -> dict:
+    """``{key: value}`` from numbered lines ``(lineno, "key = value  # comment")``, each key a field of ``fields``."""
+    values: dict = {}
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -85,14 +84,17 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainSettings]:
             raise InputError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in _CONFIG_FIELDS:
-            cfg_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
-        elif key in _TRAIN_FIELDS:
-            train_kwargs[key] = _coerce(key, value, _TRAIN_FIELDS[key])
-        else:
+        if key not in fields:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
-    config = ModelConfig(**cfg_kwargs)
-    settings = TrainSettings(**train_kwargs)
+        values[key] = _coerce(key, value, fields[key])
+    return values
+
+
+def parse_config_text(text: str) -> tuple[ModelConfig, TrainSettings]:
+    """Flat ``key = value`` lines; keys mirror ModelConfig and TrainSettings fields."""
+    values = _read_keys(enumerate(text.splitlines(), start=1), {**_CONFIG_FIELDS, **_TRAIN_FIELDS})
+    config = ModelConfig(**{k: v for k, v in values.items() if k in _CONFIG_FIELDS})
+    settings = TrainSettings(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
     with _naming("config"):
         config.validate()
         settings.validate()
@@ -122,10 +124,8 @@ def save_checkpoint(path: str, config: ModelConfig, spec: tuple[int, int], param
     """Self-describing text checkpoint: config header, then flat parameter blocks."""
     with open(path, "w") as handle:
         handle.write(_CKPT_MAGIC + "\n")
-        for key, value in dataclasses.asdict(config).items():
+        for key, value in {**dataclasses.asdict(config), "joints": spec[0], "coords": spec[1]}.items():
             handle.write(f"{key} = {value}\n")
-        handle.write(f"joints = {spec[0]}\n")
-        handle.write(f"coords = {spec[1]}\n")
         handle.write(f"params {len(params)}\n")
         for name, block in params.items():
             shape = " ".join(str(s) for s in block.shape)
@@ -146,21 +146,12 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
         lines = handle.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise InputError(f"{path} is not a checkpoint file")
-    cfg_kwargs: dict = {}
-    spec = [0, 0]
-    i = 1
+    # the header: config-file lines, plus the input shape
+    i = next((i for i, line in enumerate(lines) if line.startswith("params ")), len(lines))
+    with _naming(f"checkpoint {path}"):
+        cfg_kwargs = _read_keys(enumerate(lines[1:i], start=2), {**_CONFIG_FIELDS, "joints": "int", "coords": "int"})
+    spec = (cfg_kwargs.pop("joints", 0), cfg_kwargs.pop("coords", 0))
     try:
-        while i < len(lines) and not lines[i].startswith("params "):
-            key, _, value = lines[i].partition(" = ")
-            if key == "joints":
-                spec[0] = int(value)
-            elif key == "coords":
-                spec[1] = int(value)
-            elif key in _CONFIG_FIELDS:
-                cfg_kwargs[key] = _coerce(key, value, _CONFIG_FIELDS[key])
-            else:
-                raise InputError(f"unknown header key {key!r}")
-            i += 1
         count = int(lines[i].split()[1])
         i += 1
         params: dict = {}
@@ -193,19 +184,16 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, tuple[int, int], dict]:
         raise InputError(f"checkpoint {path}, line {i + 1}: {exc}") from exc
     with _naming(f"checkpoint {path}"):
         config = ModelConfig(**cfg_kwargs)
-        built = StreamClassifier(config, (spec[0], spec[1]), {}).param_shapes
-    for name, shape in built.items():
-        if name not in params:
-            raise InputError(f"checkpoint {path}: missing param {name}")
-        if params[name].shape != shape:
-            raise InputError(
-                f"checkpoint {path}: param {name} has shape {params[name].shape}, "
-                f"the header's model needs {shape}"
-            )
-    extra = sorted(set(params) - set(built))
-    if extra:
-        raise InputError(f"checkpoint {path}: unexpected params {extra}")
-    return config, (spec[0], spec[1]), params
+        built = StreamClassifier(config, spec, {}).param_shapes
+        for name, shape in built.items():
+            if name not in params:
+                raise ValueError(f"missing param {name}")
+            if params[name].shape != shape:
+                raise ValueError(f"param {name} has shape {params[name].shape}, the header's model needs {shape}")
+        extra = sorted(set(params) - set(built))
+        if extra:
+            raise ValueError(f"unexpected params {extra}")
+    return config, spec, params
 
 
 def _load_dataset(path: str) -> LabeledStreamSet:
@@ -403,6 +391,7 @@ def _evaluate(model: StreamClassifier, samples, labels, data_path, checkpoint):
 
 
 def _cmd_eval(args) -> tuple[RunReport, int]:
+    tic = time.perf_counter()
     config, spec, params = load_checkpoint(args.checkpoint)
     data = _load_dataset(args.data)
     if len(data) == 0:
@@ -411,8 +400,9 @@ def _cmd_eval(args) -> tuple[RunReport, int]:
     result = _evaluate(model, data.samples, data.labels, args.data, args.checkpoint)
     report = RunReport(
         "eval",
-        config={"checkpoint": args.checkpoint, "data": args.data},
+        config={"checkpoint": args.checkpoint, "data": args.data, **environment()},
         metrics={"accuracy": result.accuracy, "samples": len(data)},
+        timings={"total_seconds": time.perf_counter() - tic},
     )
     classes = list(range(config.num_classes))
     report.add_table(
@@ -422,20 +412,22 @@ def _cmd_eval(args) -> tuple[RunReport, int]:
     return report, 0
 
 
-def _parse_rates(text: str) -> list[float]:
-    with _naming(f"bad --rates value {text!r}"):
-        rates = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not rates or any(not 0.0 <= r < 1.0 for r in rates):
-        raise InputError("rates must lie in [0, 1)")
-    return rates
+def _list_flag(text: str, flag: str, kind, valid, rule: str) -> list:
+    """The comma-separated ``kind`` values of ``flag``; ``InputError`` saying ``rule`` if none or an invalid one."""
+    with _naming(f"bad {flag} value {text!r}"):
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not values or not all(map(valid, values)):
+        raise InputError(rule)
+    return values
 
 
 def _cmd_robustness(args) -> tuple[RunReport, int]:
     _require_at_least(args, 0, "seed")
+    tic = time.perf_counter()
     config, spec, params = load_checkpoint(args.checkpoint)
     bconfig, bspec, bparams = load_checkpoint(args.baseline_checkpoint)
     data = _load_dataset(args.data)
-    rates = _parse_rates(args.rates)
+    rates = _list_flag(args.rates, "--rates", float, lambda r: 0.0 <= r < 1.0, "rates must lie in [0, 1)")
     model = StreamClassifier(config, spec, params)
     baseline = StreamClassifier(bconfig, bspec, bparams)
     perturb = datasets.perturb_drop if args.mode == "drop" else datasets.perturb_insert
@@ -459,9 +451,10 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
         seed=args.seed,
         config={
             "mode": args.mode, "rates": args.rates, "data": args.data,
-            "checkpoint": args.checkpoint, "baseline_checkpoint": args.baseline_checkpoint,
+            "checkpoint": args.checkpoint, "baseline_checkpoint": args.baseline_checkpoint, **environment(),
         },
         metrics={"accuracy_at_zero": base_model, "baseline_accuracy_at_zero": base_base},
+        timings={"total_seconds": time.perf_counter() - tic},
     )
     report.add_table(
         "accuracy",
@@ -484,10 +477,8 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     config, settings = load_config_file(args.config)
     bconfig, bsettings = load_config_file(args.baseline_config)
     data = _load_dataset(args.data)
-    with _naming(f"bad --upsample value {args.upsample!r}"):
-        factors = [int(tok) for tok in args.upsample.split(",") if tok.strip()]
-    if not factors or any(f < 1 for f in factors):
-        raise InputError("upsample factors must be positive integers")
+    factors = _list_flag(args.upsample, "--upsample", int, lambda f: f >= 1,
+                         "upsample factors must be positive integers")
     for factor in factors:  # before any stream is upsampled
         for i, s in enumerate(data.samples):
             shape = ((s.num_samples - 1) * factor + 1, s.width)

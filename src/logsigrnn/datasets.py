@@ -315,25 +315,16 @@ def mape_drop_study(
 # stream files
 
 
+# each record kind: its data field and the sizes that field's shape declares after "n"
+_RECORDS = {"path": ("points", ("d",)), "skeleton": ("frames", ("joints", "coords"))}
+
+
 def _record_for(sample, label: int) -> dict:
-    if sample.num_joints == 1 and sample.adjacency is None:
-        return {
-            "kind": "path",
-            "label": int(label),
-            "n": sample.num_samples,
-            "d": sample.width,
-            "times": sample.times.tolist(),
-            "points": sample.points.tolist(),
-        }
-    record = {
-        "kind": "skeleton",
-        "label": int(label),
-        "n": sample.num_samples,
-        "joints": sample.num_joints,
-        "coords": sample.num_coords,
-        "times": sample.times.tolist(),
-        "frames": sample.frames.tolist(),
-    }
+    kind = "path" if sample.num_joints == 1 and sample.adjacency is None else "skeleton"
+    field, sizes = _RECORDS[kind]
+    data = getattr(sample, field)
+    record = {"kind": kind, "label": int(label), "n": sample.num_samples, **dict(zip(sizes, data.shape[1:])),
+              "times": sample.times.tolist(), field: data.tolist()}
     if sample.adjacency is not None:
         record["adjacency"] = sample.adjacency.tolist()
     return record
@@ -369,19 +360,16 @@ def _label(obj: dict) -> int:
 def _parse_record(obj: dict, where: str):
     kind = obj.get("kind")
     try:
-        if kind == "path":
-            times = np.asarray(obj["times"], dtype=np.float64)
-            points = np.asarray(obj["points"], dtype=np.float64)
-            if times.size != obj["n"] or points.shape != (obj["n"], obj["d"]):
-                raise ValueError("declared n/d do not match the data")
-            return TimedPath(times, points), _label(obj)
-        if kind == "skeleton":
-            times = np.asarray(obj["times"], dtype=np.float64)
-            frames = np.asarray(obj["frames"], dtype=np.float64)
-            if times.size != obj["n"] or frames.shape != (obj["n"], obj["joints"], obj["coords"]):
-                raise ValueError("declared n/joints/coords do not match the data")
-            return TimedPath(times, frames, obj.get("adjacency")), _label(obj)
-        raise ValueError(f"unknown record kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _RECORDS:
+            raise ValueError(f"unknown record kind {kind!r}")
+        field, sizes = _RECORDS[kind]
+        times = np.asarray(obj["times"], dtype=np.float64)
+        data = np.asarray(obj[field], dtype=np.float64)
+        if times.size != obj["n"] or data.shape != tuple(obj[key] for key in ("n", *sizes)):
+            raise ValueError(f"declared {'/'.join(('n', *sizes))} do not match the data")
+        # a path record's data are one joint's points, with no bone graph
+        adjacency = obj.get("adjacency") if data.ndim == 3 else None
+        return TimedPath(times, data, adjacency), _label(obj)
     except (KeyError, TypeError) as exc:
         raise StreamParseError(f"{where}: missing or malformed field ({exc})") from exc
     except ValueError as exc:

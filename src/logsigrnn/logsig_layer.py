@@ -9,8 +9,9 @@ interior segment boundary.  The original samples are written through one
 mask (``keep``), and boundary k's point mixes the two samples around it
 (``ins``, the sample after it, and its weight ``wb``), so the adjoint gathers
 each sample's own row and scatters only the boundary rows.
-Degree-1 rows are the segment increments.  Degrees 2 and above apply Chen's
-identity to every increment at once: level k of the increments' Chen terms
+Rows are the segment increments where every Lyndon word is a letter (degree
+1, or width 1).  Every other basis applies Chen's identity to every
+increment at once: level k of the increments' Chen terms
 is one (increments, d**k) array built from the lower levels' segmented
 prefix sums (one cumulative sum over the flat increment axis minus each
 segment's starting offset), and only the top level's segment totals are
@@ -333,19 +334,22 @@ def logsig_stack_forward(
     return _forward(grid, points, partition, degree, basis)
 
 
-def check_kernel_size(n: int, segments: int, width: int, degree: int) -> None:
+def check_kernel_size(n: int, segments: int, basis: LyndonBasis) -> None:
     """Refuse, through ``lyndon.check_array_size``, a layer call whose kernel arrays are too large.
 
-    Each width-``width`` path of ``n`` samples in ``segments`` segments
-    holds Chen factors ``(n + segments - 1, width**(degree - 1))`` and a top
-    level ``(segments, width**degree)`` (a stack holds every path's); a path
-    of one sample builds neither.  The layer checks before it augments a path.
+    Each path of ``n`` samples in ``segments`` segments holds Chen factors
+    ``(n + segments - 1, width**(degree - 1))``, a top level ``(segments,
+    width**degree)`` and gathers ``(segments, largest basis table)`` (a stack
+    holds every path's); a path of one sample builds none.  The layer checks
+    before it augments a path.
     """
     if n < 2:
         return
+    width, degree = basis.width, basis.degree
     by = f"degree {degree} on {n}-sample width-{width} paths in {segments} segments"
     check_array_size((n + segments - 1, width ** (degree - 1)), "each path's Chen factors", by)
     check_array_size((segments, width**degree), "each path's top level and log powers", by)
+    check_array_size((segments, basis._gather_entries), "each path's Lyndon table gathers", by)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
@@ -364,13 +368,13 @@ def _forward(grid: TimedPath, points: np.ndarray, partition: SegmentPartition, d
         state.starts = np.repeat(points, partition.num_segments, axis=-2)
         return state.rows, state
 
-    check_kernel_size(grid.num_samples, partition.num_segments, basis.width, degree)
+    check_kernel_size(grid.num_samples, partition.num_segments, basis)
     v = _boundaries_in_path_time(grid, partition)
     state.keep, state.ins, state.wb, seg_ptr, aug = _augment(grid.times, points, v)
     state.seg_ptr, state.aug_points = seg_ptr, aug
     state.starts = aug.take(seg_ptr[:-1], axis=-2)
 
-    if degree == 1:
+    if basis.dim == basis.width:  # every Lyndon word is a letter: degree 1, or width 1
         state.mode = "m1"
         state.rows = aug.take(seg_ptr[1:], axis=-2) - state.starts
     else:
@@ -409,7 +413,7 @@ def backward_from_state(
         gdeltas = _chen_backward(state, upstream)
         gaug[..., 1:, :] += gdeltas
         gaug[..., :-1, :] -= gdeltas
-    else:  # degree 1: the rows are the segment increments
+    else:  # every word a letter: the rows are the segment increments
         gaug[..., seg_ptr[1:], :] += upstream
         gaug[..., seg_ptr[:-1], :] -= upstream
     gaug[..., seg_ptr[:-1], :] += starts

@@ -433,6 +433,14 @@ class LyndonBasis:
         """
         return _log_series_tables(self)
 
+    @cached_property
+    def _gather_entries(self) -> int:
+        """Entries per segment row of the layer's largest gather: a log series or level inverse table's."""
+        if self.dim == self.width:  # every Lyndon word is a letter: the layer's rows are the increments
+            return 0
+        tables = [heads for heads, _ in self.log_series[2]]
+        return max(t.size for t in tables + [t[1] for n in range(3, self.degree + 1) for t in self.level_correction(n)])
+
     def level_one_hots(self, n: int) -> np.ndarray:
         """``(n, words of length n, width)`` table whose slice k is the one-hot matrix of each word's letter k.
 

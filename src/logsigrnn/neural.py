@@ -312,9 +312,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels, dtype=np.intp)
     B = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(B), labels]))
-    grad = softmax(logits)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(B), labels]))
+    grad = e / total  # the softmax
     grad[np.arange(B), labels] -= 1.0
     return loss, grad / B
 
@@ -456,7 +457,7 @@ class StreamClassifier:
                        for prefix, basis, segments in self.blocks]
         if cfg.variant == "gcn-logsig-rnn-2":  # block 0's outputs are block 1's frames, on the grid 0..num_segments-1
             try:  # block 1's layer calls all have this one size
-                check_kernel_size(cfg.num_segments, cfg.num_segments2, basis.width, cfg.degree)
+                check_kernel_size(cfg.num_segments, cfg.num_segments2, basis)
             except ValueError as exc:
                 raise ValueError(
                     f"config keys 'num_segments' = {cfg.num_segments}, 'num_segments2' = "
@@ -750,7 +751,7 @@ class StreamClassifier:
             seq[:, 1:] = sample.points
         partition = self.blocks[0][2]
         if self.raw_basis is None:  # the layer runs in _forward; refuse its sizes here, naming the stream
-            check_kernel_size(n, partition.num_segments, self.blocks[0][1].width, cfg.degree)
+            check_kernel_size(n, partition.num_segments, self.blocks[0][1])
             return times, self._joint_paths(times, seq), ahat
         # the tail is columnwise, so a group's raw paths are columns of the whole sequence's
         flat, t = self._tail(seq, times), int(cfg.use_time)

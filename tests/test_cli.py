@@ -1,15 +1,21 @@
 """CLI subcommands: reports, exit codes, file formats."""
 
+import contextlib
+import functools
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logsigrnn import cli, gen_synthetic, logsig_layer, lyndon, neural, save_streams
 from logsigrnn.datasets import LabeledStreamSet
@@ -516,6 +522,195 @@ class TestParserFuzz:
         assert {name: p.shape for name, p in params.items()} == built
 
 
+# ---------------------------------------------------------------------------
+# main on generated files and flags
+
+# inputs that the workflow's long-stream step refuses and main reads: a stream
+# whose clock spans more than float64 holds, a stream of points with no
+# coordinates and its config
+SPAN_RECORD = (
+    '{"kind": "path", "label": 0, "n": 3, "d": 2, "times": [-1e308, 0.0, 1e308], '
+    '"points": [[0, 1], [1, 0], [2, 2]]}\n'
+)
+ZERO_RECORD = '{"kind": "path", "label": 0, "n": 2, "d": 0, "times": [0.0, 1.0], "points": [[], []]}\n'
+LONG_CONFIG = "epochs = 1\nnum_segments = 2800\nhidden = 8\n"
+# one 1-coordinate stream, whose rows at any degree are its increments
+ONE_COORDINATE_RECORD = '{"kind": "path", "label": 0, "n": 3, "d": 1, "times": [0, 1, 2], "points": [[0], [2], [1]]}\n'
+# a stream file's lines that load_streams refuses
+RAW_LINES = (SPAN_RECORD, ZERO_RECORD, "{oops\n", '{"kind": "path"}\n', '{"kind": "tree"}\n')
+# past the Chen factor budget at degree 15 in 4 segments, (2103, 2**14) entries,
+# as the step's 20000-sample streams are
+LONG_RECORD = json.dumps({
+    "kind": "path", "label": 0, "n": 2100, "d": 2, "times": list(range(2100)),
+    "points": [[math.sin(i / 50), math.cos(i / 70)] for i in range(2100)],
+}) + "\n"
+
+
+def _mostly(valid, *invalid):
+    """``valid``, or in about one draw in five one of the values ``invalid``."""
+    return st.sampled_from([True] * 4 + [False]).flatmap(lambda ok: valid if ok else st.sampled_from(invalid))
+
+
+@st.composite
+def _stream_texts(draw):
+    """One to four records of one layout, mostly valid, and maybe one raw line among them."""
+    joints, coords = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    skeleton = draw(st.booleans())
+    scale = draw(_mostly(st.just(1.0), 1e-300, 1e300))
+    values = _mostly(st.floats(-10.0, 10.0), 0.0, 1e150, 1e300, -1e300, 5e-324)
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 8))
+        gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+        times = [scale * sum(gaps[:i]) for i in range(n)]
+        flat = draw(st.lists(values, min_size=n * joints * coords, max_size=n * joints * coords))
+        record = {"kind": "skeleton" if skeleton else "path", "label": draw(st.integers(0, 1)), "n": n}
+        if skeleton:
+            points = [flat[k * coords : (k + 1) * coords] for k in range(n * joints)]
+            frames = [points[i * joints : (i + 1) * joints] for i in range(n)]
+            record.update(joints=joints, coords=coords, times=times, frames=frames)
+            if draw(st.booleans()):  # a chain of bones
+                record["adjacency"] = [[float(abs(i - j) == 1) for j in range(joints)] for i in range(joints)]
+        else:
+            width = joints * coords
+            record.update(d=width, times=times, points=[flat[i * width : (i + 1) * width] for i in range(n)])
+        lines.append(json.dumps(record) + "\n")
+    raw = draw(_mostly(st.none(), *RAW_LINES))
+    if raw is not None:
+        lines.insert(draw(st.integers(0, len(lines))), raw)
+    return "".join(lines)
+
+
+# values for each config key: small sizes, so that a run takes milliseconds;
+# a few that the config checks refuse or that overflow in training
+_MAIN_CONFIG_VALUES = {
+    "variant": _mostly(st.sampled_from(["el-logsig-rnn", "gcn-logsig-rnn", "gcn-logsig-rnn-2", "frame-rnn"]), "rnn"),
+    "degree": _mostly(st.integers(1, 3), 0),
+    "num_segments": _mostly(st.integers(1, 3), 0),
+    "num_segments2": st.integers(1, 3),
+    "embed_channels": st.integers(1, 2),
+    "embed_dim": st.integers(1, 3),
+    "gcn_dim": st.integers(1, 3),
+    "hidden": _mostly(st.integers(1, 4), 0),
+    "cell": st.sampled_from(["vanilla", "lstm"]),
+    "num_classes": _mostly(st.integers(2, 4), 1),
+    "use_embedding": _mostly(st.sampled_from(["true", "false"]), "maybe"),
+    "use_accumulative": st.sampled_from(["true", "false"]),
+    "use_time": st.sampled_from(["true", "false"]),
+    "use_start_points": st.sampled_from(["true", "false"]),
+    "resample_frames": st.integers(0, 4),
+    "learning_rate": _mostly(st.sampled_from(["0.1", "0.01"]), "1e300", "nan"),
+    "momentum": st.sampled_from(["0.9", "0"]),
+    "batch_size": _mostly(st.integers(1, 4), 0),
+    "seed": _mostly(st.integers(0, 3), -1),
+    "clip_norm": _mostly(st.sampled_from(["1.0", "inf"]), "0"),
+}
+
+
+@st.composite
+def _main_configs(draw):
+    """``epochs`` and ``hidden`` (their defaults train for seconds) and any of the other keys."""
+    keys = draw(st.lists(st.sampled_from(sorted(_MAIN_CONFIG_VALUES)), unique=True, max_size=6))
+    lines = [f"epochs = {draw(_mostly(st.integers(1, 2), 0))}", f"hidden = {draw(_MAIN_CONFIG_VALUES['hidden'])}"]
+    lines += [f"{key} = {draw(_MAIN_CONFIG_VALUES[key])}" for key in keys if key != "hidden"]
+    lines.append(draw(_mostly(st.just(""), "bogus = 1", "degree 2", "epochs = many")))
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_lines() -> tuple[str, ...]:
+    """A checkpoint of a small el-logsig-rnn model on one-joint, 2-coordinate streams."""
+    cfg = ModelConfig(num_classes=4, hidden=2, embed_channels=1, embed_dim=2, num_segments=2)
+    with tempfile.TemporaryDirectory() as folder:
+        target = os.path.join(folder, "model.ckpt")
+        save_checkpoint(target, cfg, (1, 2), StreamClassifier.build(cfg, (1, 2), 0).params)
+        return tuple(Path(target).read_text().splitlines())
+
+
+_SMALL = _mostly(st.integers(1, 3).map(str), "0", "-1", "x")
+_SIZES = _mostly(st.integers(1, 4).map(str), "0", "-1", "x", "5000", str(10**9))
+
+
+@st.composite
+def _main_runs(draw):
+    """Files, by name, and one to three ``main`` argument lists on them (``{dir}`` is their folder)."""
+    files = {"streams.jsonl": draw(_stream_texts()), "model.cfg": draw(_main_configs())}
+    data = draw(_mostly(st.just("{dir}/streams.jsonl"), "{dir}/absent.jsonl", "{dir}"))
+    config, ckpt = "{dir}/model.cfg", "{dir}/model.ckpt"
+    command = draw(st.sampled_from(["logsig", "dims", "gradcheck", "train", "eval", "bench"]))
+    if command == "logsig":
+        degree = draw(_SIZES | st.just("65535"))
+        runs = [["logsig", data, "--degree", degree, "--segments", draw(_SIZES)]
+                + draw(st.sampled_from([[], ["--basis-list"]]))]
+    elif command == "dims":
+        runs = [["dims", "--width", draw(_SIZES), "--degree", draw(st.integers(-1, 6).map(str) | st.just("5000"))]]
+    elif command == "gradcheck":
+        runs = [["gradcheck", "--trials", draw(_SMALL), "--width", draw(_SMALL), "--degree", draw(_SMALL),
+                 "--segments", draw(_SIZES), "--seed", draw(_SMALL)]]
+    elif command == "eval":
+        lines = _checkpoint_lines()
+        files["given.ckpt"] = draw(st.just("\n".join(lines) + "\n") | _mutated_checkpoints(lines))
+        runs = [["eval", "{dir}/given.ckpt", data]]
+    elif command == "bench":
+        files["base.cfg"] = draw(_main_configs())
+        runs = [["bench", data, "--config", config, "--baseline-config", "{dir}/base.cfg",
+                 "--upsample", draw(_mostly(st.sampled_from(["1", "1,2"]), "0", "x", "", "1," + str(10**9))),
+                 "--epochs", draw(st.sampled_from(["0", "1"])), "--timed-epochs", "1",
+                 "--eval-fraction", draw(_mostly(st.sampled_from(["0.5", "0.25"]), "0", "nan")),
+                 "--seed", draw(_SMALL)]]
+    else:  # train, then evaluate and perturb its checkpoint
+        target = draw(_mostly(st.just(ckpt), "{dir}/missing/model.ckpt", "{dir}"))
+        runs = [["train", config, data, target] + draw(st.sampled_from([[], ["--eval-data", data]])),
+                ["eval", ckpt, data],
+                ["robustness", ckpt, ckpt, data,
+                 "--rates", draw(_mostly(st.sampled_from(["0.2", "0,0.5"]), "1.5", "x", "nan")),
+                 "--mode", draw(st.sampled_from(["drop", "insert"])), "--seed", draw(_SMALL)]]
+    return files, runs
+
+
+def _main_in_process(argv):
+    """``main(argv)``'s exit code, stdout, stderr and the warnings it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+class TestMainFuzz:
+    """``main`` on small generated stream, config and checkpoint files and
+    flag values exits 0, 1 or 2 with no exception and no warning, and any
+    report it prints has only finite metrics and timings."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_main_runs())
+    @example(({"zero.jsonl": ZERO_RECORD, "long.cfg": LONG_CONFIG},
+              [["train", "{dir}/long.cfg", "{dir}/zero.jsonl", "{dir}/zero.ckpt"]]))
+    @example(({"long.jsonl": LONG_RECORD}, [["logsig", "{dir}/long.jsonl", "--degree", "15", "--segments", "4"]]))
+    @example(({f"{i}.jsonl": line for i, line in enumerate(RAW_LINES)},
+              [["logsig", f"{{dir}}/{i}.jsonl"] for i in range(len(RAW_LINES))]))
+    @example(({}, [["dims", "--width", "2", "--degree", "5000"]]))
+    @example(({"one.jsonl": ONE_COORDINATE_RECORD},
+              [["logsig", "{dir}/one.jsonl", "--degree", "65535", "--segments", "2"]]))
+    def test_exit_codes_and_reports(self, case):
+        files, runs = case
+        with tempfile.TemporaryDirectory() as folder:
+            for name, text in files.items():
+                Path(folder, name).write_text(text)
+            for argv in runs:
+                code, out, err, caught = _main_in_process([arg.format(dir=folder) for arg in argv])
+                assert code in (0, 1, 2), (argv, code)
+                assert "Traceback" not in err and "Warning" not in err, (argv, err)
+                assert not caught, (argv, [str(w.message) for w in caught])
+                if code == 0:
+                    report = parse_report(out)
+                    values = {**report.metrics, **report.timings}
+                    assert all(np.isfinite(v) for v in values.values()), (argv, values)
+                elif code == 2:
+                    assert (out == "" and err.startswith("error: ")) or "usage:" in err, (argv, err)
+
+
 class TestConfigFiles:
     def test_parse_and_defaults(self):
         config, settings = parse_config_text(
@@ -642,6 +837,18 @@ class TestCheckpoints:
         with pytest.raises(InputError, match="shape"):
             load_checkpoint(target)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("bogus = 1", "unknown key 'bogus'"), ("hidden 8", "expected 'key = value', got 'hidden 8'")],
+        ids=["unknown-key", "no-equals"],
+    )
+    def test_header_line_error_names_the_file_and_the_line(self, tmp_path, line, message):
+        # the header is read as config-file lines
+        target = self._edited_checkpoint(tmp_path, lambda lines: [line if ln == "hidden = 8" else ln for ln in lines])
+        at = Path(target).read_text().splitlines().index(line) + 1
+        with pytest.raises(InputError, match=re.escape(f"checkpoint {target}: config line {at}: {message}")):
+            load_checkpoint(target)
+
     def test_header_with_an_invalid_config_value_exits_2(self, tmp_path, stream_file, capsys):
         def claim_hidden_0(lines):
             return ["hidden = 0" if ln == "hidden = 8" else ln for ln in lines]
@@ -730,6 +937,8 @@ class TestTrainEval:
         assert code == 0
         eval_report = parse_report(out)
         assert 0.0 <= eval_report.metrics["accuracy"] <= 1.0
+        assert_environment(eval_report)
+        assert eval_report.timings["total_seconds"] > 0
         # confusion-matrix total matches the sample count
         _, rows = eval_report.tables["confusion"]
         assert sum(int(x) for row in rows for x in row[1:]) == 12
@@ -1069,6 +1278,21 @@ class TestArraySizeBudget:
         self._assert_exits_2_naming(argv, f"--segments {10**9} makes each trial's rows ({10**9}, 6)", capsys)
 
 
+def test_logsig_past_the_table_gather_budget_exits_2(stream_file, capsys):
+    # width-2 streams of 200 samples at degree 15 in 100 segments: the Chen
+    # factors (299, 2**14) and the top level (100, 2**15) are within the
+    # budget, while level 15's inverse gathers 927904 entries per segment row
+    data = stream_file(count=2, length_range=(200, 200))
+    assert main(["logsig", data, "--degree", "15", "--segments", "100"]) == 2
+    captured = capsys.readouterr()
+    assert_single_error_line(captured.err)
+    assert (
+        f"{data}, sample 0: degree 15 on 200-sample width-2 paths in 100 segments makes each path's "
+        "Lyndon table gathers (100, 927904), past the array size budget"
+    ) in captured.err
+    assert captured.out == ""
+
+
 class TestKernelArrayBudget:
     """A stream whose layer kernel arrays are past ``lyndon.MAX_ARRAY_ENTRIES``
     exits 2 with one error line naming the stream, before the layer augments it."""
@@ -1185,7 +1409,10 @@ class TestRobustnessCommand:
             ["robustness", ckpt, ckpt, data, "--rates", "0.2,0.4", "--mode", "insert"]
         )
         assert code == 0
-        assert len(parse_report(out).tables["accuracy"][1]) == 3
+        report = parse_report(out)
+        assert len(report.tables["accuracy"][1]) == 3
+        assert_environment(report)
+        assert report.timings["total_seconds"] > 0
 
     def _checkpoint(self, capture, tmp_path, data):
         ckpt = str(tmp_path / "m.ckpt")

@@ -1,6 +1,7 @@
 """Log-signature sequence layer: forward contract and analytic adjoint."""
 
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -552,7 +553,8 @@ class TestGatherTables:
         # byte-equal up to degree 3, where every coordinate sums its terms in
         # the same order; above it a power's products group otherwise
         rng = np.random.default_rng(40 + degree)
-        for width in range(1, self.WIDTHS[degree] + 1):
+        # from width 2: at width 1 the rows are the increments, at any degree
+        for width in range(2, self.WIDTHS[degree] + 1):
             basis = enumerate_lyndon(width, degree)
             if layout == "sparse":
                 p, segments = random_path(rng, 4, width), 12
@@ -626,6 +628,41 @@ class TestGatherTables:
         rows, _ = logsig_sequence_forward(path, part, 70)
         increments, _ = logsig_sequence_forward(path, part, 1)
         assert rows.tobytes() == (increments + 0.0).tobytes()
+
+    def test_width_one_at_the_largest_degree_takes_its_increments(self):
+        # the Chen kernel would make O(degree**3) Python-level products here
+        rng = np.random.default_rng(44)
+        path, part = random_path(rng, 50, 1), SegmentPartition.uniform(0.0, 1.0, 7)
+        upstream = rng.normal(size=(7, 1))
+        start = time.perf_counter()
+        rows, state = logsig_sequence_forward(path, part, 65535)
+        grad = backward_from_state(state, upstream)
+        assert time.perf_counter() - start < 1.0
+        increments, state1 = logsig_sequence_forward(path, part, 1)
+        assert rows.tobytes() == increments.tobytes()
+        assert grad.tobytes() == backward_from_state(state1, upstream).tobytes()
+
+    def test_a_call_past_the_gather_budget_is_refused_before_allocating(self):
+        # at width 2, degree 15 level 15's inverse gathers (2168, 426) entries
+        # per segment row, its adjoint (2168, 428) and the log series
+        # (14, 4718): 100 segments of a 200-sample path pass the array budget
+        # only through these gathers
+        basis = enumerate_lyndon(2, 15)
+        for n in range(3, 16):  # the tables are the basis's, built once and not traced
+            basis.level_correction(n)
+        basis.log_series
+        path = random_path(np.random.default_rng(45), 200, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                "degree 15 on 200-sample width-2 paths in 100 segments makes each path's Lyndon table gathers "
+                "(100, 927904), past the array size budget"
+            )):
+                logsig_sequence_forward(path, SegmentPartition.uniform(0.0, 1.0, 100), 15, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak / 2**20  # one segment row of the gather is 7 MiB
 
 
 class TestLinearMap:
