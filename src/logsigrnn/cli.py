@@ -22,7 +22,8 @@ import numpy as np
 from . import datasets
 from .datasets import LabeledStreamSet, load_streams
 from .logsig_layer import SegmentPartition, backward_from_state, logsig_sequence_forward, logsig_stack_forward
-from .lyndon import check_array_size, check_basis_size, enumerate_lyndon, sig_dim, witt_number
+from .logsig_layer import _check_shape_sizes
+from .lyndon import check_array_size, check_basis_size, enumerate_lyndon, logsig_dim, sig_dim, witt_number
 from .neural import ModelConfig, StreamClassifier, TrainSettings, evaluate_model, input_spec, train
 from .paths import TimedPath
 from .reports import RunReport, environment, render_report
@@ -238,9 +239,7 @@ def _cmd_dims(args) -> tuple[RunReport, int]:
 def _cmd_logsig(args) -> tuple[RunReport, int]:
     _require_at_least(args, 1, "degree", "segments")
     data = _load_dataset(args.input)
-    report = RunReport(
-        "logsig", config={"degree": args.degree, "segments": args.segments, "input": args.input}
-    )
+    report = RunReport("logsig", config={"degree": args.degree, "segments": args.segments, "input": args.input})
     widths = {p.width for p in data.samples}
     if len(widths) > 1:
         raise InputError(f"stream file mixes widths {sorted(widths)}")
@@ -248,12 +247,17 @@ def _cmd_logsig(args) -> tuple[RunReport, int]:
         width = widths.pop()
         with _naming(f"--degree {args.degree} on width-{width} streams"):
             check_basis_size(width, args.degree)
+        # before the basis is built: the rows, and the layer's checks that need no basis
+        rows_shape = (args.segments, logsig_dim(width, args.degree))
+        check_array_size(rows_shape, f"each {args.input} sample's rows", f"--segments {args.segments}")
+        for i, p in enumerate(data.samples):
+            if p.num_samples > 1:  # a path of one sample builds no kernel array
+                with _naming(f"{args.input}, sample {i}"):
+                    _check_shape_sizes(p.num_samples, args.segments, width, args.degree)
         basis = enumerate_lyndon(width, args.degree)
         labels = ["".join(str(ch) for ch in w) for w in basis.words]
         if args.basis_list:
             report.add_table("basis", ["position", "word"], [[i, w] for i, w in enumerate(labels)])
-        # before any row is computed
-        check_array_size((args.segments, basis.dim), f"each {args.input} sample's rows", f"--segments {args.segments}")
         partition = SegmentPartition.uniform(0.0, 1.0, args.segments)  # the layer maps it onto each sample's span
         for i, p in enumerate(data.samples):
             with _naming(f"{args.input}, sample {i}"):
@@ -270,7 +274,6 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
     _require_at_least(args, 1, "trials", "width", "degree", "segments")
     _require_at_least(args, 0, "seed")
     rng = np.random.default_rng(args.seed)
-    tic = time.perf_counter()
     worst = 0.0
     rows = []
     with _naming(f"--width {args.width} --degree {args.degree}"):
@@ -304,21 +307,12 @@ def _cmd_gradcheck(args) -> tuple[RunReport, int]:
                     err = max(err, abs(a - fd) / denom)
         worst = max(worst, err)
         rows.append([trial, n, float(err)])
-    elapsed = time.perf_counter() - tic
     passed = worst <= GRADCHECK_TOLERANCE
     report = RunReport(
         "gradcheck",
         seed=args.seed,
-        config={
-            "trials": args.trials, "width": args.width,
-            "degree": args.degree, "segments": args.segments, **environment(),
-        },
-        metrics={
-            "max_rel_err": worst,
-            "tolerance": GRADCHECK_TOLERANCE,
-            "passed": int(passed),
-        },
-        timings={"total_seconds": elapsed},
+        config={"trials": args.trials, "width": args.width, "degree": args.degree, "segments": args.segments},
+        metrics={"max_rel_err": worst, "tolerance": GRADCHECK_TOLERANCE, "passed": int(passed)},
     )
     report.add_table("trials", ["trial", "samples", "rel_err"], rows)
     return report, 0 if passed else 1
@@ -363,15 +357,9 @@ def _cmd_train(args) -> tuple[RunReport, int]:
         "train",
         seed=settings.seed,
         config={**dataclasses.asdict(config), **dataclasses.asdict(settings),
-                "data": args.data, "checkpoint": args.checkpoint, **environment()},
-        metrics={
-            "final_loss": result.final["loss"],
-            "final_accuracy": settled.accuracy,
-        },
-        timings={
-            "prepare_seconds": result.prepare_seconds,
-            "total_seconds": result.prepare_seconds + sum(r["seconds"] for r in result.trace),
-        },
+                "data": args.data, "checkpoint": args.checkpoint},
+        metrics={"final_loss": result.final["loss"], "final_accuracy": settled.accuracy},
+        timings={"prepare_seconds": result.prepare_seconds},
     )
     columns = ["epoch", "loss", "accuracy"] + (["eval_accuracy"] if eval_set else [])
     report.add_table(
@@ -391,19 +379,14 @@ def _evaluate(model: StreamClassifier, samples, labels, data_path, checkpoint):
 
 
 def _cmd_eval(args) -> tuple[RunReport, int]:
-    tic = time.perf_counter()
     config, spec, params = load_checkpoint(args.checkpoint)
     data = _load_dataset(args.data)
     if len(data) == 0:
         raise InputError(f"{args.data}: empty evaluation set")
     model = StreamClassifier(config, spec, params)
     result = _evaluate(model, data.samples, data.labels, args.data, args.checkpoint)
-    report = RunReport(
-        "eval",
-        config={"checkpoint": args.checkpoint, "data": args.data, **environment()},
-        metrics={"accuracy": result.accuracy, "samples": len(data)},
-        timings={"total_seconds": time.perf_counter() - tic},
-    )
+    report = RunReport("eval", config={"checkpoint": args.checkpoint, "data": args.data},
+                       metrics={"accuracy": result.accuracy, "samples": len(data)})
     classes = list(range(config.num_classes))
     report.add_table(
         "confusion", ["true\\pred"] + [str(c) for c in classes],
@@ -423,7 +406,6 @@ def _list_flag(text: str, flag: str, kind, valid, rule: str) -> list:
 
 def _cmd_robustness(args) -> tuple[RunReport, int]:
     _require_at_least(args, 0, "seed")
-    tic = time.perf_counter()
     config, spec, params = load_checkpoint(args.checkpoint)
     bconfig, bspec, bparams = load_checkpoint(args.baseline_checkpoint)
     data = _load_dataset(args.data)
@@ -451,10 +433,9 @@ def _cmd_robustness(args) -> tuple[RunReport, int]:
         seed=args.seed,
         config={
             "mode": args.mode, "rates": args.rates, "data": args.data,
-            "checkpoint": args.checkpoint, "baseline_checkpoint": args.baseline_checkpoint, **environment(),
+            "checkpoint": args.checkpoint, "baseline_checkpoint": args.baseline_checkpoint,
         },
         metrics={"accuracy_at_zero": base_model, "baseline_accuracy_at_zero": base_base},
-        timings={"total_seconds": time.perf_counter() - tic},
     )
     report.add_table(
         "accuracy",
@@ -509,7 +490,7 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
         config={
             "upsample": args.upsample, "data": args.data,
             "config": args.config, "baseline_config": args.baseline_config,
-            "epochs": epochs, "timed_epochs": args.timed_epochs, **environment(),
+            "epochs": epochs, "timed_epochs": args.timed_epochs,
         },
     )
     report.add_table(
@@ -598,7 +579,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        tic = time.perf_counter()
         report, code = args.func(args)
+        # every report: what its timings depend on, and the command's wall time
+        report.config.update(environment())
+        report.timings["total_seconds"] = time.perf_counter() - tic
         for kind, values in (("metric", report.metrics), ("timing", report.timings)):
             for key in sorted(values):
                 if not np.isfinite(values[key]):

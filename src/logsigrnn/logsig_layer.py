@@ -343,13 +343,17 @@ def check_kernel_size(n: int, segments: int, basis: LyndonBasis) -> None:
     holds every path's); a path of one sample builds none.  The layer checks
     before it augments a path.
     """
-    if n < 2:
-        return
-    width, degree = basis.width, basis.degree
+    if n > 1:
+        by = _check_shape_sizes(n, segments, basis.width, basis.degree)
+        check_array_size((segments, basis._gather_entries), "each path's Lyndon table gathers", by)
+
+
+def _check_shape_sizes(n: int, segments: int, width: int, degree: int) -> str:
+    """The checks of ``check_kernel_size`` that need no basis, for ``n > 1``; returns what sets the sizes."""
     by = f"degree {degree} on {n}-sample width-{width} paths in {segments} segments"
     check_array_size((n + segments - 1, width ** (degree - 1)), "each path's Chen factors", by)
     check_array_size((segments, width**degree), "each path's top level and log powers", by)
-    check_array_size((segments, basis._gather_entries), "each path's Lyndon table gathers", by)
+    return by
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below

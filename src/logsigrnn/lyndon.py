@@ -9,9 +9,10 @@ substitution over the expansions' nonzeros.  That inverse is the one change
 of basis: the log-signature layer, the Lie map and the reference
 ``project_to_basis`` all apply it through ``LyndonBasis.to_lyndon``.
 
-Each basis instance builds the index tables its hot paths read, once and
-with array operations on ``level_words`` (divmod by powers of the width),
-so no call re-derives an index:
+Each basis instance builds the index tables its hot paths read once, with
+array operations, and holds each level's in its one per-level memo
+(``_per_level``); a level's letters are read once from its words, and its
+flat indices are their ``np.ravel_multi_index``, so no call re-derives one:
 
 * ``level_correction``: each corrected word's source words and integer
   coefficients, and the transposed tables for the adjoint, in place of a
@@ -29,12 +30,14 @@ so no call re-derives an index:
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from bisect import bisect_left
+from collections import defaultdict
+from functools import cached_property, lru_cache, update_wrapper
 from itertools import accumulate
 
 import numpy as np
 
-from .tensor_algebra import TruncatedTensor, Word, word_index
+from .tensor_algebra import TruncatedTensor, Word
 
 __all__ = [
     "LyndonBasis",
@@ -262,6 +265,31 @@ def _one_hots(letters: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _letter_table(words, n: int) -> np.ndarray:
+    """``(n, len(words))`` table whose entry ``[k, i]`` is letter k (from 0) of ``words[i]``, each of length n."""
+    return (np.array(words, dtype=np.intp).reshape(-1, n) - 1).T.copy()
+
+
+def _flat_indices(letters: np.ndarray, width: int) -> np.ndarray:
+    """Row-major positions in their level of the words of a ``_letter_table``.
+
+    An empty level, as is every level past 1 at width 1, may have more than ``np.ravel_multi_index``'s 64 axes.
+    """
+    return np.ravel_multi_index(letters, (width,) * len(letters)) if letters.size else np.zeros(0, dtype=np.intp)
+
+
+def _per_level(build):
+    """The ``LyndonBasis`` table ``build(basis, n)``, built once per level and held in the basis's memo ``_levels``."""
+    def table(self, n: int):
+        try:  # as cheap as ``n in dict`` when the table is built
+            return self._levels[build][n]
+        except KeyError:
+            pass
+        value = self._levels[build][n] = build(self, n)  # outside the handler: a failed build chains no KeyError
+        return value
+    return update_wrapper(table, build)
+
+
 class LyndonBasis:
     """Lyndon basis of the free Lie algebra on ``width`` letters up to ``degree``."""
 
@@ -275,26 +303,9 @@ class LyndonBasis:
         )
         self._word_pos = {w: i for i, w in enumerate(self.words)}
         # contiguous slice of self.words holding the words of each length
-        self._level_slices: list[slice] = []
-        start = 0
-        for n in range(1, degree + 1):
-            count = sum(1 for w in self.words[start:] if len(w) == n)
-            self._level_slices.append(slice(start, start + count))
-            start += count
-        self._words_cache: dict[int, np.ndarray] = {}
-        self._correction_cache: dict[int, tuple[tuple, tuple]] = {}
-        self._one_hots_cache: dict[int, np.ndarray] = {}
-        self._expansion_cache: dict[int, np.ndarray] = {}
-        self._letters_cache: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def _flat(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per word: flat indices and coefficients of its expansion."""
-        flat = []
-        for exp in self.expansions:
-            idx = np.array([word_index(u, self.width) for u in exp], dtype=np.intp)
-            flat.append((idx, np.array(list(exp.values()), dtype=np.float64)))
-        return flat
+        lengths = [len(w) for w in self.words]
+        self._level_slices = [slice(bisect_left(lengths, n), bisect_left(lengths, n + 1)) for n in range(1, degree + 1)]
+        self._levels: defaultdict = defaultdict(dict)  # {table build: {level: table}}, see ``_per_level``
 
     @property
     def dim(self) -> int:
@@ -325,23 +336,20 @@ class LyndonBasis:
             dtype=np.intp,
         )
 
+    @_per_level
     def level_words(self, n: int) -> np.ndarray:
         """Flat indices of the Lyndon words of length n, in basis order.  Built once per basis and level."""
-        if n not in self._words_cache:
-            self._words_cache[n] = np.array(
-                [word_index(w, self.width) for w in self.words_of_length(n)], dtype=np.intp
-            )
-        return self._words_cache[n]
+        return _flat_indices(self.level_letters(n), self.width)
 
+    @_per_level
     def level_letters(self, n: int) -> np.ndarray:
         """``(n, words of length n)`` table whose entry ``[k, i]`` is letter k (from 0) of the i-th such Lyndon word.
 
         Built once per basis and level.
         """
-        if n not in self._letters_cache:
-            self._letters_cache[n] = np.array(np.unravel_index(self.level_words(n), (self.width,) * n))
-        return self._letters_cache[n]
+        return _letter_table(self.words_of_length(n), n)
 
+    @_per_level
     def level_correction(self, n: int) -> tuple[tuple, tuple]:
         """The exact inverse of level n's change of basis minus the identity, as gather tables ``(forward, adjoint)``.
 
@@ -369,34 +377,32 @@ class LyndonBasis:
         the identity, and every entry to be exact in float64, or
         ``RuntimeError`` is raised.  Built once per basis and level.
         """
-        if n not in self._correction_cache:
-            sl = self._level_slices[n - 1]
-            pos = {w: i for i, w in enumerate(self.words[sl])}
-            # system[j]: the nonzeros (i, system[i, j]) of column j, the diagonal first
-            system = [
-                sorted((pos[u], c) for u, c in exp.items() if u in pos) for exp in self.expansions[sl]
-            ]
-            columns: list[dict[int, int]] = [{}] * len(system)
-            for j in range(len(system) - 1, -1, -1):  # from the columns i > j, already built
-                col = {j: 1}
-                for i, c in system[j][1:]:
-                    for k, v in columns[i].items():
-                        col[k] = col.get(k, 0) - c * v
-                columns[j] = {k: v for k, v in col.items() if v}
-            for j, col in enumerate(columns):  # system @ column j must be e_j
-                product: dict[int, int] = {}
-                for k, v in col.items():
-                    for i, c in system[k]:
-                        product[i] = product.get(i, 0) + c * v
-                if {k: v for k, v in product.items() if v} != {j: 1} or any(
-                    int(float(v)) != v for v in col.values()
-                ):
-                    raise RuntimeError(f"the inverse of the degree-{n} Lyndon change of basis is not exact")
-            off = [(i, j, v) for j, col in enumerate(columns) for i, v in col.items() if i != j]
-            i, j, v = np.array(off, dtype=np.intp).reshape(-1, 3).T
-            v = v.astype(np.float64)
-            self._correction_cache[n] = _gather_tables(i, j, v), _gather_tables(j, i, v)
-        return self._correction_cache[n]
+        sl = self._level_slices[n - 1]
+        pos = {w: i for i, w in enumerate(self.words[sl])}
+        # system[j]: the nonzeros (i, system[i, j]) of column j, the diagonal first
+        system = [
+            sorted((pos[u], c) for u, c in exp.items() if u in pos) for exp in self.expansions[sl]
+        ]
+        columns: list[dict[int, int]] = [{}] * len(system)
+        for j in range(len(system) - 1, -1, -1):  # from the columns i > j, already built
+            col = {j: 1}
+            for i, c in system[j][1:]:
+                for k, v in columns[i].items():
+                    col[k] = col.get(k, 0) - c * v
+            columns[j] = {k: v for k, v in col.items() if v}
+        for j, col in enumerate(columns):  # system @ column j must be e_j
+            product: dict[int, int] = {}
+            for k, v in col.items():
+                for i, c in system[k]:
+                    product[i] = product.get(i, 0) + c * v
+            if {k: v for k, v in product.items() if v} != {j: 1} or any(
+                int(float(v)) != v for v in col.values()
+            ):
+                raise RuntimeError(f"the inverse of the degree-{n} Lyndon change of basis is not exact")
+        off = [(i, j, v) for j, col in enumerate(columns) for i, v in col.items() if i != j]
+        i, j, v = np.array(off, dtype=np.intp).reshape(-1, 3).T
+        v = v.astype(np.float64)
+        return _gather_tables(i, j, v), _gather_tables(j, i, v)
 
     def to_lyndon(self, level: np.ndarray, n: int) -> np.ndarray:
         """Lyndon coordinates from a Lie element's level-n entries at the Lyndon words.
@@ -441,16 +447,24 @@ class LyndonBasis:
         tables = [heads for heads, _ in self.log_series[2]]
         return max(t.size for t in tables + [t[1] for n in range(3, self.degree + 1) for t in self.level_correction(n)])
 
+    @_per_level
     def level_one_hots(self, n: int) -> np.ndarray:
         """``(n, words of length n, width)`` table whose slice k is the one-hot matrix of each word's letter k.
 
         ``x @ level_one_hots(n)[k]`` adds column i of ``x`` onto column
         ``level_letters(n)[k, i]``.  Built once per basis and level.
         """
-        if n not in self._one_hots_cache:
-            self._one_hots_cache[n] = _one_hots(self.level_letters(n), self.width)
-        return self._one_hots_cache[n]
+        return _one_hots(self.level_letters(n), self.width)
 
+    @_per_level
+    def _expansion_table(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Level n's bracket expansions, one ``(word, flat index, coefficient)`` entry per term, in basis order."""
+        expansions = self.expansions[self._level_slices[n - 1]]
+        word = np.repeat(np.arange(len(expansions)), [len(e) for e in expansions])
+        flat = _flat_indices(_letter_table([u for e in expansions for u in e], n), self.width)
+        return word, flat, np.array([c for e in expansions for c in e.values()], dtype=np.float64)
+
+    @_per_level
     def level_expansion(self, n: int) -> np.ndarray:
         """Dense ``(words of length n, width**n)`` matrix of their bracket expansions.
 
@@ -458,13 +472,10 @@ class LyndonBasis:
         coordinates ``c`` expand to the level-n tensor ``c @ matrix``.  Built
         once per basis and level.
         """
-        if n not in self._expansion_cache:
-            sl = self._level_slices[n - 1]
-            matrix = np.zeros((sl.stop - sl.start, self.width**n))
-            for row, (idx, coef) in enumerate(self._flat[sl]):
-                matrix[row, idx] = coef
-            self._expansion_cache[n] = matrix
-        return self._expansion_cache[n]
+        word, flat, coefficients = self._expansion_table(n)
+        matrix = np.zeros((len(self.words_of_length(n)), self.width**n))
+        matrix[word, flat] = coefficients
+        return matrix
 
     def __repr__(self) -> str:
         return f"LyndonBasis(width={self.width}, degree={self.degree}, dim={self.dim})"
@@ -513,9 +524,8 @@ def expand_from_basis(coords, basis: LyndonBasis) -> TruncatedTensor:
             f"expected {basis.dim} coordinates for {basis!r}, got {coords.size}"
         )
     out = TruncatedTensor.zero(basis.width, basis.degree)
-    for j, w in enumerate(basis.words):
-        if coords[j] == 0.0:
-            continue
-        idx, coef = basis._flat[j]
-        out.levels[len(w)][idx] += coords[j] * coef
+    for n in range(1, len(basis.words[-1]) + 1):  # to the longest word: 1 at width 1
+        word, flat, coefficients = basis._expansion_table(n)
+        # term by term in basis order, as a loop over the words would add them
+        np.add.at(out.levels[n], flat, coords[basis._level_slices[n - 1]][word] * coefficients)
     return out

@@ -449,7 +449,7 @@ class StreamClassifier:
             if cfg.variant == "gcn-logsig-rnn-2":
                 self.blocks.append(("rnn2", basis, cfg.num_segments2))
             in_dims = [basis.dim + (basis.width if cfg.use_start_points else 0)] * len(self.blocks)
-        self.rnn_in, self.rnn_in2 = in_dims[0], in_dims[-1]
+        self.rnn_in = in_dims[0]
         mapped = cfg.variant != "frame-rnn" and ((t + w) ** cfg.degree <= MAPPED_TENSOR_LIMIT or bare)
         self.param_shapes = self._checked_shapes(in_dims)
         # after _checked_shapes, which refuses a segment count past the array budget

@@ -4,16 +4,16 @@ The path transformation layers: the model computes the same things through
 ``StreamClassifier._block_matrix``, ``_mix`` and the layer's
 ``state.starts``.  The Lyndon oracles: the dense level system and its
 inverse, the layer's log assembly level by level through the dense
-correction block, and ``lie_map_backward`` with scatters; the package
-computes them through each basis's gather tables.  The tests compare
-against these.
+correction block, ``lie_map_backward`` with scatters, and
+``expand_from_basis`` word by word; the package computes them through each
+basis's tables.  The tests compare against these.
 """
 
 import numpy as np
 
 from logsigrnn.neural import normalized_adjacency
 from logsigrnn.paths import TimedPath, evaluate
-from logsigrnn.tensor_algebra import word_index
+from logsigrnn.tensor_algebra import TruncatedTensor, word_index
 
 
 def embedding_forward(frames, point_w, point_b, mix_w, mix_b) -> np.ndarray:
@@ -83,6 +83,16 @@ def to_lyndon_dense(basis, level, n):
     if block.size:
         level[..., rows] = level.take(rows, axis=-1) + level.take(cols, axis=-1) @ block
     return level
+
+
+def expand_from_basis_by_word(coords, basis):
+    """``lyndon.expand_from_basis`` one Lyndon word at a time, skipping the zero coordinates."""
+    out = TruncatedTensor.zero(basis.width, basis.degree)
+    for c, word, expansion in zip(coords, basis.words, basis.expansions):
+        if c != 0.0:
+            idx = np.array([word_index(u, basis.width) for u in expansion], dtype=np.intp)
+            out.levels[len(word)][idx] += c * np.array(list(expansion.values()), dtype=np.float64)
+    return out
 
 
 def _outer(u, v):

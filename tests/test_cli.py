@@ -1,5 +1,6 @@
 """CLI subcommands: reports, exit codes, file formats."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -678,6 +679,32 @@ def _main_in_process(argv):
     return code, out.getvalue(), err.getvalue(), caught
 
 
+def test_every_report_records_the_environment_and_its_wall_time(capture, stream_file, tmp_path):
+    data = stream_file(count=10)
+    config = _write_train_config(tmp_path, epochs=1)
+    baseline = _write_train_config(tmp_path, name="base.txt", variant="frame-rnn", epochs=1)
+    model, base = str(tmp_path / "m.ckpt"), str(tmp_path / "b.ckpt")
+    runs = [
+        ["dims", "--width", "2", "--degree", "3"],
+        ["logsig", data, "--degree", "2", "--segments", "2"],
+        ["gradcheck", "--trials", "1", "--width", "2", "--degree", "2"],
+        ["train", baseline, data, base],
+        ["train", config, data, model],
+        ["eval", model, data],
+        ["robustness", model, base, data, "--rates", "0.3"],
+        ["bench", data, "--config", config, "--baseline-config", baseline, "--upsample", "1",
+         "--epochs", "1", "--timed-epochs", "1"],
+    ]
+    subcommands = next(a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in runs} == set(subcommands)
+    for argv in runs:
+        code, out = capture(argv)
+        assert code == 0, argv
+        report = parse_report(out)
+        assert_environment(report)
+        assert 0.0 < report.timings["total_seconds"] < math.inf, argv
+
+
 class TestMainFuzz:
     """``main`` on small generated stream, config and checkpoint files and
     flag values exits 0, 1 or 2 with no exception and no warning, and any
@@ -1289,6 +1316,25 @@ def test_logsig_past_the_table_gather_budget_exits_2(stream_file, capsys):
     assert (
         f"{data}, sample 0: degree 15 on 200-sample width-2 paths in 100 segments makes each path's "
         "Lyndon table gathers (100, 927904), past the array size budget"
+    ) in captured.err
+    assert captured.out == ""
+
+
+def test_logsig_refuses_chen_factors_before_building_the_basis(monkeypatch, stream_file, capsys):
+    # width-2 streams of 2100 samples at degree 15 in 4 segments: the Chen
+    # factors (2103, 2**14) are past the budget, which the shape alone shows,
+    # so the file exits 2 before enumerate_lyndon(2, 15), which takes seconds
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(cli, "enumerate_lyndon", refuse)
+    data = stream_file(count=2, length_range=(2100, 2100))
+    assert main(["logsig", data, "--degree", "15", "--segments", "4"]) == 2
+    captured = capsys.readouterr()
+    assert_single_error_line(captured.err)
+    assert (
+        f"{data}, sample 0: degree 15 on 2100-sample width-2 paths in 4 segments makes each path's "
+        "Chen factors (2103, 16384), past the array size budget"
     ) in captured.err
     assert captured.out == ""
 

@@ -22,7 +22,7 @@ from logsigrnn.lyndon import (
     witt_number,
 )
 from logsigrnn.tensor_algebra import TruncatedTensor, tensor_log, word_index
-from reference import dense_level_system, to_lyndon_dense
+from reference import dense_level_system, expand_from_basis_by_word, to_lyndon_dense
 
 
 def _dense_from_table(table, size):
@@ -362,6 +362,22 @@ class TestProjection:
         combined = expand_from_basis(a * c1 + b * c2, basis)
         split = a * expand_from_basis(c1, basis) + b * expand_from_basis(c2, basis)
         assert combined.allclose(split, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "width,degree", [(w, d) for w in (1, 2, 3, 4, 9) for d in range(1, 6) if sig_dim(w, d) <= lyndon.MAX_SIG_ENTRIES]
+    )
+    def test_expansion_equals_the_word_by_word_sums(self, width, degree):
+        # one np.add.at per level adds each entry's terms in basis order, as
+        # the loop over the words does; a zero coordinate's terms add +-0.0,
+        # which leaves every sum's bytes as they are
+        basis = enumerate_lyndon(width, degree)
+        rng = np.random.default_rng(10 * width + degree)
+        for scale in (0.0, 1e-300, 1.0, 1e300):
+            coords = rng.normal(size=basis.dim) * scale
+            coords[rng.random(basis.dim) < 0.3] = 0.0
+            coords[rng.random(basis.dim) < 0.1] = -0.0
+            got, ref = expand_from_basis(coords, basis), expand_from_basis_by_word(coords, basis)
+            assert [level.tobytes() for level in got.levels] == [level.tobytes() for level in ref.levels], scale
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

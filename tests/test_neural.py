@@ -698,7 +698,7 @@ class TestModels:
         model = StreamClassifier.build(cfg, (3, 2), 6)
         _, cache = model.forward_batch([skel])
         assert block_inputs(cache).shape == (3, 4, model.rnn_in)
-        assert block_inputs(cache, "rnn2").shape == (3, 2, model.rnn_in2)
+        assert block_inputs(cache, "rnn2").shape == (3, 2, model.rnn_in)  # rows of the one basis, as block 0's
         assert model.logits(skel).shape == (3,)
 
     @pytest.mark.parametrize(

@@ -190,6 +190,12 @@ class TestLogSignature:
         assert coords[0] == pytest.approx(2.0)
         assert np.allclose(coords[1:], 0.0)
 
+    def test_one_coordinate_path_at_a_high_degree_is_its_increment(self):
+        # at width 1 every level past 1 is empty, and degree 70 is past the 64
+        # axes np.ravel_multi_index takes, so no empty level may reach it
+        p = TimedPath([0.0, 0.3, 1.0], [[1.0], [0.5], [1.5]])
+        assert log_signature(p, 70).tolist() == [0.5]
+
     def test_degree_one_block_is_total_increment(self):
         rng = np.random.default_rng(1)
         p = random_path(rng, 10, 3)
